@@ -47,6 +47,7 @@ from .errors import (
     DimensionError,
     EmptyLearnerError,
     MonotonicityError,
+    NonFiniteError,
     NotOptimalError,
     PopdynError,
     ScenarioFormatError,

@@ -118,16 +118,6 @@ def best_response_step(alpha_row, risk_vector, tie_tolerance: float = 0.0,
     return out
 
 
-def apply_rule(rule: AllocationRule, alpha_row, risk_vector,
-               prev_mix_risk=None) -> np.ndarray:
-    """Dispatch one row update according to the rule configuration."""
-    if rule.kind == "mwud":
-        return mwud_step(alpha_row, risk_vector, rule.gamma, rule.comparison,
-                         prev_mix_risk)
-    return best_response_step(alpha_row, risk_vector, rule.tie_tolerance,
-                              rule.tie_policy)
-
-
 def verify_risk_reducing(rule, alpha_before, alpha_after, theta_all, risk,
                          tol: float = 1e-10) -> bool:
     """Runtime assertion hook: did the update not increase the subpop risk?"""

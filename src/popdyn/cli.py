@@ -157,7 +157,7 @@ def cmd_simulate(args) -> int:
                         target=args.perturb_target)
         events.append(f"perturbed initial state: sigma={args.sigma} "
                       f"target={args.perturb_target} seed={seed}")
-    max_steps = args.max_steps if args.max_steps else loaded.max_steps
+    max_steps = loaded.max_steps if args.max_steps is None else args.max_steps
     try:
         traj = simulate(scenario, state, max_steps, loaded.detector,
                         check_contracts=args.check_contracts)
@@ -246,15 +246,15 @@ def _stationarity_violated(state, scenario, tol=1e-8) -> bool:
 
 def _run_phase(scenario, state, detector, max_steps):
     used = 0
-    while used < max_steps:
+    while True:  # the first simulate call rejects max_steps < 1
         traj = simulate(scenario, state, max_steps - used, detector)
         used += len(traj.states) - 1
         state = traj.final_state
-        if traj.converged_at is None:
-            return state, used, False
-        if not _stationarity_violated(state, scenario):
+        converged = traj.converged_at is not None
+        if converged and not _stationarity_violated(state, scenario):
             return state, used, True
-    return state, used, False
+        if not converged or used >= max_steps:
+            return state, used, False
 
 
 def cmd_competition(args) -> int:
@@ -267,7 +267,7 @@ def cmd_competition(args) -> int:
         print(f"error: need initial m={scenario.m} < target-m <= n={scenario.n}",
               file=sys.stderr)
         return EXIT_ERROR
-    max_steps = args.max_steps if args.max_steps else loaded.max_steps
+    max_steps = loaded.max_steps if args.max_steps is None else args.max_steps
 
     header = (["phase", "m", "steps", "cumulative_steps", "total_risk",
                "worst_subpop_risk", "split_learner", "grad_hypothesis"]

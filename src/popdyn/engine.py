@@ -14,15 +14,11 @@ general not monotone.
 
 from __future__ import annotations
 
-import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .allocation import best_response_step, mwud_step
 from .errors import MonotonicityError, PopdynError
 from .learners import full_minimize, gradient_step, step_size
 from .model import (
@@ -112,25 +108,26 @@ class Trajectory:
 
 
 def _subpop_subset(schedule: Optional[UpdateSchedule], t: int, n: int):
+    # an index selecting the rows of alpha that update at step t
     if schedule is None or schedule.kind == "all_sequential":
-        return None  # all rows
+        return slice(None)  # all rows
     if schedule.kind == "round_robin_subpops":
         order = schedule.order or tuple(range(n))
-        return (order[t % len(order)],)
+        return [order[t % len(order)]]
     if schedule.kind == "round_robin_learners":
-        return None
-    return schedule.subpops if schedule.subpops is not None else ()
+        return slice(None)
+    return list(schedule.subpops or ())
 
 
 def _learner_subset(schedule: Optional[UpdateSchedule], t: int, m: int):
     if schedule is None or schedule.kind == "all_sequential":
-        return None  # all columns
+        return range(m)  # all columns
     if schedule.kind == "round_robin_learners":
         order = schedule.order or tuple(range(m))
         return (order[t % len(order)],)
     if schedule.kind == "round_robin_subpops":
-        return None
-    return schedule.learners if schedule.learners is not None else ()
+        return range(m)
+    return schedule.learners or ()
 
 
 def _mwud_rows(alpha, R, gamma, comparison):
@@ -148,31 +145,34 @@ def _mwud_rows(alpha, R, gamma, comparison):
     return weights / weights.sum(axis=1, keepdims=True)
 
 
+def _best_response_rows(alpha, R, tie_tolerance, tie_policy):
+    # vectorized form of best_response_step applied to every row at once
+    tied = R <= R.min(axis=1, keepdims=True) + tie_tolerance
+    even = tied / tied.sum(axis=1, keepdims=True)
+    if tie_policy == "split_evenly":
+        return even
+    prev = np.where(tied, alpha, 0.0)
+    mass = prev.sum(axis=1, keepdims=True)
+    # rows with no previous mass on the tied set fall back to the even split
+    return np.where(mass > 0.0, prev / np.where(mass > 0.0, mass, 1.0), even)
+
+
 def _update_alpha(alpha, R, scenario: Scenario, t: int):
     rule = scenario.subpop_rule
     rows = _subpop_subset(scenario.schedule, t, scenario.n)
-    if rule.kind == "mwud" and rows is None:
-        return _mwud_rows(alpha, R, rule.gamma, rule.comparison)
     new = alpha.copy()
-    indices = range(scenario.n) if rows is None else rows
-    for i in indices:
-        if rule.kind == "mwud":
-            prev_mix = None
-            if rule.comparison == "relative":
-                prev_mix = float((alpha[i] * R[i]).sum())
-            new[i] = mwud_step(alpha[i], R[i], rule.gamma, rule.comparison,
-                               prev_mix)
-        else:
-            new[i] = best_response_step(alpha[i], R[i], rule.tie_tolerance,
-                                        rule.tie_policy)
+    if rule.kind == "mwud":
+        new[rows] = _mwud_rows(alpha[rows], R[rows], rule.gamma, rule.comparison)
+    else:
+        new[rows] = _best_response_rows(alpha[rows], R[rows],
+                                        rule.tie_tolerance, rule.tie_policy)
     return new
 
 
 def _update_theta(alpha, theta, scenario: Scenario, t: int):
     """Returns (theta', frozen_count).  Empty learners keep their parameter."""
     rule = scenario.learner_rule
-    cols = _learner_subset(scenario.schedule, t, scenario.m)
-    indices = tuple(range(scenario.m)) if cols is None else tuple(cols)
+    indices = _learner_subset(scenario.schedule, t, scenario.m)
     if not indices:
         return theta, 0
     masses = scenario.beta @ alpha
@@ -181,15 +181,18 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
     if not active:
         return theta, frozen
     new = theta.copy()
-    quad = scenario._quad
-    if (rule.kind == "full_min" and rule.method == "closed_form_quadratic"
-            and quad is not None):
-        # batched weighted normal equations across all active learners
-        A, _, _, Aphi = quad
-        W = alpha[:, active] * scenario.beta[:, None]
-        H = np.einsum("ij,ide->jde", W, A)
-        b = W.T @ Aphi
-        new[active, :] = np.linalg.solve(H, b[:, :, None])[:, :, 0]
+    if scenario._quad is not None and (rule.kind == "repeated_gd"
+                                       or rule.method == "closed_form_quadratic"):
+        H, b = scenario.normal_equations(alpha[:, active] * scenario.beta[:, None])
+        if rule.kind == "full_min":
+            new[active] = np.linalg.solve(H, b[:, :, None])[:, :, 0]
+            return new, frozen
+        # the mixture gradient 2 (H_j theta_j - b_j) / mass_j, for all learners
+        scale = 2.0 * step_size(t, rule.schedule) / masses[active, None]
+        th = theta[active]
+        for _ in range(rule.inner_steps):
+            th = th - scale * (np.einsum("jde,je->jd", H, th) - b)
+        new[active] = th
         return new, frozen
     for j in active:
         if rule.kind == "full_min":
@@ -211,17 +214,18 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
 def _core_step(alpha, theta, t, scenario, R):
     """Advance one step; R must be the risk matrix at theta.
 
-    Returns (alpha', theta', R', total_before, total_after, frozen_count);
-    R' is the risk matrix at theta' for reuse by the caller.
+    Returns (alpha', theta', R', total_after, frozen_count); R' is the risk
+    matrix at theta' for reuse by the caller.
     """
     total_before = _total_risk(alpha, R, scenario.beta)
     alpha2 = _update_alpha(alpha, R, scenario, t)
     theta2, frozen = _update_theta(alpha2, theta, scenario, t)
     R2 = R if theta2 is theta else scenario.risk_matrix(theta2)
     total_after = _total_risk(alpha2, R2, scenario.beta)
-    if total_after > total_before + MONOTONE_TOL:
+    # written so that a NaN total trips the gate too
+    if not total_after <= total_before + MONOTONE_TOL:
         raise MonotonicityError(t, total_before, total_after, MONOTONE_TOL)
-    return alpha2, theta2, R2, total_before, total_after, frozen
+    return alpha2, theta2, R2, total_after, frozen
 
 
 def _check_contracts(alpha, alpha2, theta, theta2, scenario):
@@ -251,25 +255,39 @@ def _check_contracts(alpha, alpha2, theta, theta2, scenario):
     return checks
 
 
+def _delta(alpha_a, theta_a, alpha_b, theta_b) -> float:
+    """max(||alpha_a - alpha_b||_inf, ||Theta_a - Theta_b||_inf)."""
+    return max(float(np.abs(alpha_a - alpha_b).max()),
+               float(np.abs(theta_a - theta_b).max()))
+
+
+def _steps(scenario: Scenario, alpha, theta, R, t: int,
+           check_contracts: bool = False):
+    """The step loop: endless sequential updates from (alpha, theta) at time t.
+
+    R must be the risk matrix at theta.  Yields (alpha, theta, R,
+    total_risk, frozen_count, contract_checks, delta) after each step, with
+    delta the state delta of that step.
+    """
+    while True:
+        alpha2, theta2, R2, total, frozen = _core_step(alpha, theta, t,
+                                                       scenario, R)
+        checks = (_check_contracts(alpha, alpha2, theta, theta2, scenario)
+                  if check_contracts else 0)
+        alpha2 = renormalize_rows(alpha2)
+        delta = _delta(alpha2, theta2, alpha, theta)
+        alpha, theta, R, t = alpha2, theta2, R2, t + 1
+        yield alpha, theta, R, total, frozen, checks, delta
+
+
 def step(state: SystemState, scenario: Scenario,
          check_contracts: bool = False) -> SystemState:
     """One sequential update: allocations first, then learner parameters."""
     validate_state(state, scenario)
-    R = scenario.risk_matrix(state.theta)
-    alpha2, theta2, _, _, _, _ = _core_step(state.alpha, state.theta, state.t,
-                                            scenario, R)
-    if check_contracts:
-        _check_contracts(state.alpha, alpha2, state.theta, theta2, scenario)
-    return SystemState(alpha=renormalize_rows(alpha2), theta=theta2,
-                       t=state.t + 1)
-
-
-def state_delta(a: SystemState, b: SystemState) -> float:
-    """max(||alpha_a - alpha_b||_inf, ||Theta_a - Theta_b||_inf)."""
-    return max(
-        float(np.abs(a.alpha - b.alpha).max()),
-        float(np.abs(a.theta - b.theta).max()),
-    )
+    alpha, theta, *_ = next(_steps(scenario, state.alpha, state.theta,
+                                   scenario.risk_matrix(state.theta), state.t,
+                                   check_contracts))
+    return SystemState(alpha=alpha, theta=theta, t=state.t + 1)
 
 
 def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
@@ -295,48 +313,44 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     empties = [emp]
     contract_checks = 0
     frozen_total = 0
+    converged_at = None
 
     quiet = 0
-    for k in range(max_steps):
-        alpha2, theta2, R2, _, total_after, frozen = _core_step(
-            alpha, theta, t0 + k, scenario, R)
-        if check_contracts:
-            contract_checks += _check_contracts(alpha, alpha2, theta, theta2,
-                                                scenario)
-        alpha2 = renormalize_rows(alpha2)
-        delta = max(float(np.abs(alpha2 - alpha).max()),
-                    float(np.abs(theta2 - theta).max()))
-        alpha, theta, R = alpha2, theta2, R2
+    steps = _steps(scenario, alpha, theta, R, t0, check_contracts)
+    for k, (alpha, theta, R, total, frozen, checks, delta) in zip(
+            range(max_steps), steps):
+        contract_checks += checks
         frozen_total += frozen
         states.append(SystemState(alpha=alpha, theta=theta, t=t0 + k + 1))
-        totals.append(total_after)
+        totals.append(total)
         sub.append(subpop_risk_vector(alpha, R))
         lr, emp = learner_risk_vector(alpha, beta, R)
         learner.append(lr)
         empties.append(emp)
+        # the same quiet-window rule as detect_equilibrium, kept incrementally
         quiet = quiet + 1 if delta <= detector.state_tolerance else 0
         if quiet >= detector.window:
+            converged_at = k - detector.window + 1
             break
 
-    traj = Trajectory(
+    return Trajectory(
         states=states,
         total_risks=np.array(totals),
         subpop_risks=np.array(sub),
         learner_risks=np.array(learner),
         empty_flags=np.array(empties),
+        converged_at=converged_at,
         contract_checks=contract_checks,
         frozen_learner_steps=frozen_total,
     )
-    traj.converged_at = detect_equilibrium(traj, detector)
-    return traj
 
 
 def detect_equilibrium(trajectory: Trajectory,
                        detector: EquilibriumDetector) -> Optional[int]:
     """First index where the state stops moving for a full detector window."""
     states = trajectory.states
-    deltas = [state_delta(states[k], states[k + 1])
-              for k in range(len(states) - 1)]
+    deltas = [_delta(a.alpha, a.theta, b.alpha, b.theta)
+              for a, b in zip(states, states[1:])]
     quiet = 0
     for k, d in enumerate(deltas):
         quiet = quiet + 1 if d <= detector.state_tolerance else 0
@@ -370,46 +384,30 @@ def perturb(state: SystemState, sigma: float, seed, target: str = "both") -> Sys
     return SystemState(alpha=alpha, theta=theta, t=state.t)
 
 
-def _greedy_column_match(theta_a, theta_b):
-    m = theta_a.shape[0]
-    remaining = list(range(m))
-    perm = []
-    for j in range(m):
-        k = min(remaining, key=lambda r: float(np.abs(theta_a[j] - theta_b[r]).max()))
-        perm.append(k)
-        remaining.remove(k)
-    return tuple(perm)
-
-
 def state_distance_upto_permutation(a: SystemState, b: SystemState) -> float:
-    """State delta minimized over learner column relabelings.
+    """State delta minimized over learner column relabelings, exactly.
 
-    Exact minimization over all m! permutations for m <= 8; greedy
-    parameter matching above that.
+    The minimum over relabelings of the largest per-column distance is a
+    bottleneck assignment: bisect over the distinct column-pair distances
+    for the smallest one whose thresholded graph has a perfect matching.
     """
-    m = a.theta.shape[0]
-    if m <= 8:
-        perms = itertools.permutations(range(m))
-    else:
-        perms = [_greedy_column_match(a.theta, b.theta)]
-    best = np.inf
-    for p in perms:
-        p = list(p)
-        d = max(float(np.abs(a.alpha[:, p] - b.alpha).max()),
-                float(np.abs(a.theta[p, :] - b.theta).max()))
-        best = min(best, d)
-    return best
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-
-def worker_count() -> int:
-    """Worker pool size: POPDYN_THREADS if set, else machine parallelism."""
-    env = os.environ.get("POPDYN_THREADS")
-    if env is not None:
-        count = int(env)
-        if count < 1:
-            raise ValueError(f"POPDYN_THREADS must be >= 1, got {env!r}")
-        return count
-    return os.cpu_count() or 1
+    # cost[j, k]: distance when column j of a is relabeled as column k of b
+    cost = np.maximum(
+        np.abs(a.alpha[:, :, None] - b.alpha[:, None, :]).max(axis=0),
+        np.abs(a.theta[:, None, :] - b.theta[None, :, :]).max(axis=2))
+    levels = np.unique(cost)
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        matched = maximum_bipartite_matching(csr_array(cost <= levels[mid]))
+        if (matched >= 0).all():
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
 
 
 def _probe_trial(scenario, eq_state, sigma, seed, target, max_steps,
@@ -418,29 +416,20 @@ def _probe_trial(scenario, eq_state, sigma, seed, target, max_steps,
                     seed, target)
     alpha = np.asarray(start.alpha, dtype=float)
     theta = np.asarray(start.theta, dtype=float)
-    R = scenario.risk_matrix(theta)
-
-    def perm_distance():
-        return state_distance_upto_permutation(
-            SystemState(alpha, theta, 0), eq_state)
-
+    steps = _steps(scenario, alpha, theta, scenario.risk_matrix(theta), 0)
     escaped = False
-    for k in range(max_steps):
-        alpha2, theta2, R2, _, total_after, _ = _core_step(
-            alpha, theta, k, scenario, R)
-        alpha2 = renormalize_rows(alpha2)
-        delta = max(float(np.abs(alpha2 - alpha).max()),
-                    float(np.abs(theta2 - theta).max()))
-        alpha, theta, R = alpha2, theta2, R2
+    for _, (alpha, theta, _, total, _, _, delta) in zip(range(max_steps),
+                                                        steps):
         # Total risk is monotone, so dropping below the equilibrium level is
         # irreversible: the run can never return once clearly below it.
-        if total_after < eq_risk - escape_tol:
-            escaped = True
-        if escaped and perm_distance() > return_tol:
+        escaped = escaped or total < eq_risk - escape_tol
+        if escaped and state_distance_upto_permutation(
+                SystemState(alpha, theta, 0), eq_state) > return_tol:
             return False
         if delta <= 1e-13:
             break
-    return perm_distance() <= return_tol
+    return state_distance_upto_permutation(
+        SystemState(alpha, theta, 0), eq_state) <= return_tol
 
 
 def empirical_stability_probe(scenario: Scenario, eq_state: SystemState,
@@ -450,7 +439,7 @@ def empirical_stability_probe(scenario: Scenario, eq_state: SystemState,
     """Perturb-and-resimulate: fraction of trials re-converging to eq_state.
 
     A trial counts as returned when it ends within return_tol of the
-    equilibrium, compared up to learner permutation.
+    equilibrium, compared up to learner permutation.  Trials run serially.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -458,15 +447,7 @@ def empirical_stability_probe(scenario: Scenario, eq_state: SystemState,
     R_eq = scenario.risk_matrix(eq_state.theta)
     eq_risk = _total_risk(eq_state.alpha, R_eq, scenario.beta)
     escape_tol = 1e-9 * max(1.0, abs(eq_risk))
-
-    def run(k):
-        return _probe_trial(scenario, eq_state, sigma, [seed, k], target,
-                            max_steps, return_tol, eq_risk, escape_tol)
-
-    workers = min(worker_count(), trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(trials)))
-    else:
-        results = [run(k) for k in range(trials)]
-    return sum(results) / trials
+    returned = sum(_probe_trial(scenario, eq_state, sigma, [seed, k], target,
+                                max_steps, return_tol, eq_risk, escape_tol)
+                   for k in range(trials))
+    return returned / trials

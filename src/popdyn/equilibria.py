@@ -16,11 +16,11 @@ enumerates all surjective assignments as a brute-force welfare oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     BudgetError,
@@ -216,7 +216,8 @@ def classify_state(state: SystemState, scenario: Scenario,
     total = float(beta @ per_subpop)
 
     gap = None
-    if oracle_budget is not None and scenario.m ** scenario.n <= oracle_budget:
+    if (oracle_budget is not None
+            and _stirling2(scenario.n, scenario.m) <= oracle_budget):
         reports = enumerate_split_equilibria(scenario, dedupe=True,
                                              budget=oracle_budget)
         gap = total - reports[0].total_risk
@@ -306,6 +307,8 @@ def example_c1_stability_predicate(phi1, phi2, phi3, beta2: float,
 
 def _hulls_intersect(X: np.ndarray, Y: np.ndarray) -> bool:
     """Linear feasibility: is some point a convex combination of both sets?"""
+    from scipy.optimize import linprog
+
     kx, d = X.shape
     ky = Y.shape[0]
     # variables [lambda, mu]; constraints: X^T lambda - Y^T mu = 0,
@@ -362,14 +365,14 @@ def _surjective_assignments(n: int, m: int):
 def theta_for_assignment(assignment: SplitAssignment,
                          scenario: Scenario) -> np.ndarray:
     """Per-group weighted minimizers for a split assignment."""
-    theta = np.zeros((scenario.m, scenario.d))
-    for j, members in enumerate(assignment.groups(scenario.m)):
-        if not members:
-            continue
-        w = np.zeros(scenario.n)
-        w[members] = scenario.beta[members]
-        theta[j] = group_minimize(w, scenario.risks)
-    return theta
+    return _minimizers(assignment.to_alpha(scenario.m), scenario.beta,
+                       scenario.risks)[0]
+
+
+def _stirling2(n: int, m: int) -> int:
+    """S(n, m): the canonical assignments a deduplicated enumeration visits."""
+    return sum((-1) ** k * math.comb(m, k) * (m - k) ** n
+               for k in range(m + 1)) // math.factorial(m)
 
 
 def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
@@ -381,10 +384,11 @@ def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
     assignments dominate.  With dedupe, one representative per learner
     relabeling is kept.  Reports come back sorted by total risk; the first is
     the social-welfare optimum, and each report's welfare_gap is measured
-    against it.
+    against it.  BudgetError is raised when the assignments to visit, S(n, m)
+    with dedupe and m**n without, exceed budget.
     """
     n, m = scenario.n, scenario.m
-    required = m ** n
+    required = _stirling2(n, m) if dedupe else m ** n
     if required > budget:
         raise BudgetError(required, budget)
 

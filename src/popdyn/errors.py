@@ -18,6 +18,10 @@ class SimplexError(PopdynError, ValueError):
     """An allocation row is not on the probability simplex."""
 
 
+class NonFiniteError(PopdynError, ValueError):
+    """A state array holds a NaN or infinite entry."""
+
+
 class EmptyLearnerError(PopdynError):
     """A learner has (numerically) zero user mass where mass is required."""
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionError, EmptyLearnerError, SimplexError
+from .errors import DimensionError, EmptyLearnerError, NonFiniteError, SimplexError
 
 if TYPE_CHECKING:  # rule configs live with their dynamics modules
     from .allocation import AllocationRule
@@ -196,6 +196,15 @@ class Scenario:
             [[risk_value(r, th) for th in theta] for r in self.risks]
         )
 
+    def normal_equations(self, W: np.ndarray):
+        """Normal equations of quadratic mixtures with weights W (n, k):
+        H[j] = sum_i W_ij A_i and b[j] = sum_i W_ij A_i phi_i.  Mixture j is
+        minimized at H[j]^-1 b[j]; its gradient is 2 (H[j] theta - b[j])."""
+        if self._quad is None:
+            raise ValueError("normal equations are only defined for quadratic risks")
+        A, _, _, Aphi = self._quad
+        return np.einsum("ij,ide->jde", W, A), W.T @ Aphi
+
     def centers(self) -> np.ndarray:
         """Per-subpopulation optimal parameters (quadratic scenarios only)."""
         if self._quad is None:
@@ -208,6 +217,9 @@ def validate_allocation(alpha, n: int, m: int, tol: float = SIMPLEX_TOL) -> np.n
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (n, m):
         raise DimensionError(f"alpha: expected shape ({n},{m}), got {alpha.shape}")
+    if not np.all(np.isfinite(alpha)):
+        i, j = np.argwhere(~np.isfinite(alpha))[0]
+        raise SimplexError(f"alpha[{i},{j}]={alpha[i, j]!r} is not finite")
     if np.any(alpha < -tol) or np.any(alpha > 1 + tol):
         i, j = np.unravel_index(
             np.argmax(np.abs(alpha - np.clip(alpha, 0, 1))), alpha.shape
@@ -254,6 +266,9 @@ def validate_state(state: SystemState, scenario: Scenario) -> None:
             f"theta: expected shape ({scenario.m},{scenario.d}), "
             f"got {state.theta.shape}"
         )
+    if not np.all(np.isfinite(state.theta)):
+        j, k = np.argwhere(~np.isfinite(state.theta))[0]
+        raise NonFiniteError(f"theta[{j},{k}]={state.theta[j, k]!r} is not finite")
 
 
 def subpop_avg_risk(alpha_row, theta_all, risk: RiskFunction) -> float:

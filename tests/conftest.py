@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -12,9 +10,6 @@ from popdyn import (
     repeated_gd,
 )
 from popdyn.scenario_io import load_scenario, packaged_scenario
-
-# tiny per-step numpy work makes thread fan-out pure overhead here
-os.environ.setdefault("POPDYN_THREADS", "1")
 
 
 def random_scenario(rng, n, m, d, learner="full_min", gamma_range=(0.1, 5.0),

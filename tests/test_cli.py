@@ -107,6 +107,12 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["welfare_gap"] is None
 
+    def test_zero_max_steps_is_an_error(self, tmp_path, capsys):
+        rc = main(["simulate", THREE_CENTERS, "--max-steps", "0",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "max_steps must be >= 1" in capsys.readouterr().err
+
     def test_empty_learner_cells_written_as_nan(self, tmp_path):
         scen = tmp_path / "empty.json"
         data = json.loads(packaged_scenario("three_centers").read_text())
@@ -203,6 +209,12 @@ class TestCompetition:
         assert all(b <= a + 1e-8 for a, b in zip(totals, totals[1:]))
         # fully segmented: only the offsets remain
         assert totals[-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_max_steps_is_an_error(self, tmp_path, capsys):
+        rc = main(["competition", THREE_CENTERS, "--target-m", "3",
+                   "--max-steps", "0", "--out", str(tmp_path / "c")])
+        assert rc == 1
+        assert "max_steps must be >= 1" in capsys.readouterr().err
 
     def test_invalid_target_exit_one(self, tmp_path):
         rc = main(["competition", THREE_CENTERS, "--target-m", "2",

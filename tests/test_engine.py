@@ -1,24 +1,38 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popdyn import (
     EquilibriumDetector,
     MonotonicityError,
+    NonFiniteError,
     Scenario,
     SystemState,
     UpdateSchedule,
+    best_response,
+    best_response_step,
+    custom_risk,
     detect_equilibrium,
     empirical_stability_probe,
     full_min,
+    full_minimize,
+    gradient_step,
     mwud,
+    mwud_step,
     perturb,
     quadratic_risk,
     repeated_gd,
     simulate,
     state_distance_upto_permutation,
     step,
+    step_size,
     total_risk,
 )
+from popdyn.engine import _update_alpha, _update_theta
 from popdyn.goldens import partition_pair_scenario, partition_pair_state
 
 from conftest import random_scenario, random_state
@@ -59,6 +73,16 @@ class TestStep:
         with pytest.raises(MonotonicityError):
             step(state, sc)
 
+    def test_nan_total_risk_trips_the_gate(self):
+        nan_risk = custom_risk(1, value=lambda th: float("nan"),
+                               gradient=lambda th: np.zeros(1),
+                               hessian=lambda th: np.eye(1))
+        sc = Scenario(beta=np.array([1.0]), risks=(nan_risk,), m=1,
+                      subpop_rule=mwud(), learner_rule=repeated_gd())
+        state = SystemState(alpha=np.ones((1, 1)), theta=np.zeros((1, 1)))
+        with pytest.raises(MonotonicityError):
+            step(state, sc)
+
 
 class TestSimulate:
     def test_max_steps_boundary(self, three_centers):
@@ -66,6 +90,13 @@ class TestSimulate:
             simulate(three_centers.scenario, three_centers.initial_state, 0)
         traj = simulate(three_centers.scenario, three_centers.initial_state, 1)
         assert len(traj.states) == 2
+
+    def test_nonfinite_theta_rejected(self, three_centers):
+        theta = three_centers.initial_state.theta.copy()
+        theta[0, 0] = np.nan
+        state = SystemState(alpha=three_centers.initial_state.alpha, theta=theta)
+        with pytest.raises(NonFiniteError, match=r"theta\[0,0\]"):
+            simulate(three_centers.scenario, state, 20)
 
     def test_stationary_start_fires_at_window(self, three_centers):
         det = EquilibriumDetector(window=10)
@@ -214,6 +245,19 @@ class TestDetectEquilibrium:
         traj = simulate(sc, state, 50)
         assert detect_equilibrium(traj, EquilibriumDetector()) is None
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12))
+    def test_simulate_agrees_with_rescan(self, seed, window):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        sc = random_scenario(rng, n, int(rng.integers(1, n + 1)),
+                             int(rng.integers(1, 3)))
+        det = EquilibriumDetector(state_tolerance=10.0 ** rng.uniform(-10, -3),
+                                  window=window)
+        traj = simulate(sc, random_state(rng, sc), int(rng.integers(1, 200)),
+                        det)
+        assert traj.converged_at == detect_equilibrium(traj, det)
+
     def test_tail_convergence_indexed_at_window_start(self, three_centers):
         st = perturb(three_centers.initial_state, 1e-3, seed=1, target="theta_only")
         traj = simulate(three_centers.scenario, st, 500, three_centers.detector)
@@ -308,6 +352,79 @@ class TestFastPathEquivalence:
                                     prev_mix_risk=mix)
                     assert np.array_equal(batched[i], row)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["mwud", "best_response"]),
+           st.sampled_from(["all_sequential", "round_robin_subpops",
+                            "custom_order"]))
+    def test_row_update_matches_row_rules(self, seed, kind, schedule_kind):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, n + 1))
+        alpha = rng.dirichlet(np.ones(m), size=n)
+        # exact zeros, but each row keeps its largest share
+        drop = rng.random((n, m)) < 0.3
+        drop[np.arange(n), alpha.argmax(axis=1)] = False
+        alpha[drop] = 0.0
+        alpha = alpha / alpha.sum(axis=1, keepdims=True)
+        # coarse integer risks make ties common
+        R = rng.integers(1, 4, (n, m)).astype(float)
+        if kind == "mwud":
+            rule = mwud(float(rng.uniform(0.1, 5.0)),
+                        str(rng.choice(["absolute", "relative"])))
+        else:
+            rule = best_response(float(rng.choice([0.0, 0.5, 1.0])),
+                                 str(rng.choice(["split_evenly",
+                                                 "keep_previous"])))
+        subpops = tuple(int(i) for i in np.flatnonzero(rng.random(n) < 0.5))
+        schedule = UpdateSchedule(kind=schedule_kind, subpops=subpops)
+        sc = replace(random_scenario(rng, n, m, 1), subpop_rule=rule,
+                     schedule=schedule)
+        t = int(rng.integers(0, 10))
+        rows = {"all_sequential": range(n), "round_robin_subpops": [t % n],
+                "custom_order": subpops}[schedule_kind]
+        expected = alpha.copy()
+        for i in rows:
+            if kind == "mwud":
+                expected[i] = mwud_step(alpha[i], R[i], rule.gamma,
+                                        rule.comparison,
+                                        float((alpha[i] * R[i]).sum()))
+            else:
+                expected[i] = best_response_step(alpha[i], R[i],
+                                                 rule.tie_tolerance,
+                                                 rule.tie_policy)
+        assert np.array_equal(_update_alpha(alpha, R, sc, t), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["full_min", "repeated_gd"]),
+           st.integers(1, 4))
+    def test_learner_kernel_matches_scalar_rules(self, seed, kind, inner_steps):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(2, n + 1))
+        sc = random_scenario(rng, n, m, int(rng.integers(1, 4)), learner=kind)
+        rule = sc.learner_rule
+        if kind == "repeated_gd":
+            rule = repeated_gd(base=rule.schedule.base, inner_steps=inner_steps)
+        sc = replace(sc, learner_rule=rule)
+        state = random_state(rng, sc)
+        alpha = state.alpha.copy()
+        alpha[:, 0] = 0.0  # learner 0 is empty and must stay frozen
+        alpha = alpha / alpha.sum(axis=1, keepdims=True)
+        t = int(rng.integers(0, 10))
+        theta2, frozen = _update_theta(alpha, state.theta, sc, t)
+        assert frozen == 1
+        assert np.array_equal(theta2[0], state.theta[0])
+        for j in range(1, m):
+            if kind == "full_min":
+                expected = full_minimize(alpha[:, j], sc.beta, sc.risks)
+            else:
+                expected = state.theta[j]
+                for _ in range(inner_steps):
+                    expected = gradient_step(expected, alpha[:, j], sc.beta,
+                                             sc.risks,
+                                             step_size(t, rule.schedule))
+            assert np.abs(theta2[j] - expected).max() <= 1e-12
+
     def test_batched_minimization_matches_full_minimize(self):
         from popdyn.engine import _update_theta
         from popdyn import full_minimize
@@ -380,18 +497,6 @@ class TestRuleVariants:
                       - np.array([0.0, 3.0])).max() <= 1e-6
 
 
-class TestWorkerCount:
-    def test_env_var_caps_pool(self, monkeypatch):
-        from popdyn.engine import worker_count
-        monkeypatch.setenv("POPDYN_THREADS", "2")
-        assert worker_count() == 2
-        monkeypatch.setenv("POPDYN_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.delenv("POPDYN_THREADS")
-        assert worker_count() >= 1
-
-
 class TestPermutationDistance:
     def test_permuted_copy_at_zero_distance(self):
         rng = np.random.default_rng(36)
@@ -401,6 +506,35 @@ class TestPermutationDistance:
         perm = [2, 0, 1]
         b = SystemState(alpha=alpha[:, perm], theta=theta[perm, :])
         assert state_distance_upto_permutation(a, b) == 0.0
+
+    def test_relabeled_copy_with_equal_thetas_at_zero_distance(self):
+        # above m=8 only the allocation columns can tell learners apart
+        rng = np.random.default_rng(64)
+        alpha = rng.dirichlet(np.ones(9), size=12)
+        theta = np.zeros((9, 2))
+        perm = rng.permutation(9)
+        a = SystemState(alpha=alpha, theta=theta)
+        b = SystemState(alpha=alpha[:, perm], theta=theta[perm, :])
+        assert state_distance_upto_permutation(a, b) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.booleans())
+    def test_matches_brute_force_minimum(self, seed, m, coarse):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+
+        def draw():
+            alpha = rng.dirichlet(np.ones(m), size=n)
+            theta = rng.uniform(-1, 1, (m, d))
+            if coarse:  # a coarse grid makes tied column distances common
+                theta = np.round(theta, 1)
+            return SystemState(alpha=alpha, theta=theta)
+
+        a, b = draw(), draw()
+        brute = min(max(float(np.abs(a.alpha[:, p] - b.alpha).max()),
+                        float(np.abs(a.theta[p, :] - b.theta).max()))
+                    for p in map(list, itertools.permutations(range(m))))
+        assert state_distance_upto_permutation(a, b) == brute
 
     def test_distinct_states_positive_distance(self):
         a = SystemState(alpha=np.array([[1.0, 0.0]]), theta=np.array([[0.0], [1.0]]))

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import popdyn
 from popdyn import (
     BudgetError,
     EmptyLearnerError,
@@ -207,9 +212,12 @@ class TestClassifyState:
     def test_welfare_gap_attached_when_budget_allows(self):
         sc = two_group_gap_scenario(0.4)
         state = partition_pair_state(sc)
-        report = classify_state(state, sc, oracle_budget=1000)
-        assert report.welfare_gap == pytest.approx(
-            report.total_risk - 0.2, abs=1e-12)
+        # the gate counts the S(3, 2) = 3 assignments dedupe visits, not 2^3
+        for budget in (1000, 3):
+            report = classify_state(state, sc, oracle_budget=budget)
+            assert report.welfare_gap == pytest.approx(
+                report.total_risk - 0.2, abs=1e-12)
+        assert classify_state(state, sc, oracle_budget=2).welfare_gap is None
 
 
 class TestBalancedEngineering:
@@ -308,6 +316,18 @@ class TestConvexHulls:
         assert found > 20
 
 
+    def test_package_import_defers_scipy(self):
+        # scipy's optimizer and sparse graph modules cost most of the import
+        # time, and only the hull test and the permutation distance use them
+        src = os.path.dirname(os.path.dirname(popdyn.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import popdyn; "
+                "print(sorted(m for m in sys.modules if m.startswith("
+                "('scipy.optimize', 'scipy.sparse'))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestEnumerate:
     def test_three_center_catalog(self):
         sc = _line_scenario([0.0, 1.0, 2.0])
@@ -358,8 +378,13 @@ class TestEnumerate:
     def test_budget_error_reports_required_count(self):
         rng = np.random.default_rng(50)
         sc = random_scenario(rng, 6, 3, 1)
+        # dedupe visits the S(6, 3) = 90 canonical assignments, not 3^6
         with pytest.raises(BudgetError) as exc:
-            enumerate_split_equilibria(sc, budget=100)
+            enumerate_split_equilibria(sc, budget=89)
+        assert exc.value.required == 90
+        assert len(enumerate_split_equilibria(sc, budget=100)) == 90
+        with pytest.raises(BudgetError) as exc:
+            enumerate_split_equilibria(sc, dedupe=False, budget=100)
         assert exc.value.required == 3 ** 6
 
     def test_sorted_with_gaps(self):

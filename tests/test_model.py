@@ -285,3 +285,8 @@ class TestScenarioValidation:
             validate_allocation(np.array([[-0.25, 1.25]]), 1, 2)
         with pytest.raises(DimensionError):
             validate_allocation(np.array([[0.5, 0.5]]), 2, 2)
+
+    def test_allocation_validator_rejects_nonfinite_entries(self):
+        # every comparison with NaN is False, so a NaN row passes range checks
+        with pytest.raises(SimplexError, match=r"alpha\[1,0\]"):
+            validate_allocation(np.array([[0.5, 0.5], [np.nan, np.nan]]), 2, 2)
