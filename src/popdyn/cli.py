@@ -66,6 +66,8 @@ EXIT_GOLDEN_MISMATCH = 7
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -214,17 +216,11 @@ def cmd_enumerate(args) -> int:
         return EXIT_BUDGET
     header = ["assignment", "total_risk", "classification", "stability",
               "margin", "welfare_gap"]
-    rows = [["-".join(str(j) for j in r.assignment.gamma_map), r.total_risk,
+    rows = [["-".join(map(str, r.assignment.gamma_map)), r.total_risk,
              r.classification, r.stability, r.margin, r.welfare_gap]
             for r in reports]
     out = args.out or "equilibria.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([row[0]] + [_fmt(x) if not isinstance(x, str) else x
-                                    for x in row[1:]])
-    _atomic_write(out, buf.getvalue())
+    _write_csv(out, header, rows)
     print(f"{len(reports)} assignments written to {out}; "
           f"optimum total risk {reports[0].total_risk:.17g}")
     return EXIT_OK
@@ -404,14 +400,7 @@ def cmd_goldens(args) -> int:
     header = ["golden", "p1", "p2", "p3", "quantity", "computed", "expected",
               "ok"]
     out = os.path.join(args.out, "goldens.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([row[0]]
-                        + [_fmt(x) if not isinstance(x, str) else x
-                           for x in row[1:]])
-    _atomic_write(out, buf.getvalue())
+    _write_csv(out, header, rows)
     if failures:
         for f in failures:
             print(f"MISMATCH: {f}", file=sys.stderr)

@@ -56,9 +56,8 @@ class SplitAssignment:
     gamma_map: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma_map",
-                           tuple(int(j) for j in self.gamma_map))
-        if any(j < 0 for j in self.gamma_map):
+        object.__setattr__(self, "gamma_map", tuple(map(int, self.gamma_map)))
+        if self.gamma_map and min(self.gamma_map) < 0:
             raise ValueError("learner indices must be nonnegative")
 
     def groups(self, m: int):
@@ -169,12 +168,23 @@ def split_certificate(R: np.ndarray, gamma_map) -> Optional[float]:
     Positive margin means every subpopulation strictly prefers its own
     learner.  None when there is a single learner (no comparisons exist).
     """
-    n, m = R.shape
-    if m == 1:
+    if R.shape[1] == 1:
         return None
-    own = R[np.arange(n), list(gamma_map)]
-    others = np.where(np.eye(m, dtype=bool)[list(gamma_map)], np.inf, R)
-    return float((others.min(axis=1) - own).min())
+    return float(_split_margins(R.T, np.asarray(gamma_map))[1])
+
+
+def _split_margins(columns, gamma):
+    """Own risks (..., n) and no-switching margins (...) of split
+    assignments: columns[j] holds R_i(theta_j) and gamma the serving learner
+    of each subpopulation, both of shape (..., n).  One learner gives +inf."""
+    own = np.full(gamma.shape, np.nan)
+    others = np.full(gamma.shape, np.inf)
+    for j, col in enumerate(columns):
+        mine = gamma == j
+        np.copyto(own, col, where=mine)
+        np.minimum(others, col, out=others, where=~mine)
+    others -= own
+    return own, others.min(axis=-1)
 
 
 def classify_state(state: SystemState, scenario: Scenario,
@@ -338,28 +348,26 @@ def convex_hulls_disjoint(partition: SplitAssignment, centers) -> bool:
     return True
 
 
-def _canonical_assignments(n: int, m: int):
-    """Assignments using exactly m labels in first-occurrence order
-    (restricted growth strings), one representative per learner relabeling."""
-    def rec(prefix, used):
-        if len(prefix) == n:
-            if used == m:
-                yield tuple(prefix)
-            return
-        if used + (n - len(prefix)) < m:
-            return  # cannot reach m labels any more
-        for j in range(min(used + 1, m)):
-            prefix.append(j)
-            yield from rec(prefix, max(used, j + 1))
-            prefix.pop()
-
-    yield from rec([], 0)
-
-
-def _surjective_assignments(n: int, m: int):
-    for a in itertools.product(range(m), repeat=n):
-        if len(set(a)) == m:
-            yield a
+def _assignments(n: int, m: int, dedupe: bool) -> np.ndarray:
+    """Every surjective map of n subpopulations onto m learners as an (S, n)
+    array in lexicographic order; with dedupe only the restricted growth
+    strings (labels in first-occurrence order), one per relabeling."""
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(m - 1))
+    seen = np.zeros((1, m), dtype=bool)   # the labels each prefix uses
+    for k in range(n):
+        parent = np.repeat(np.arange(len(rows)), m)
+        label = np.tile(np.arange(m, dtype=rows.dtype), len(rows))
+        used = seen.sum(axis=1)[parent]
+        labels_after = used + ~seen[parent, label]
+        # the rest of the row must still be able to reach all m labels
+        keep = labels_after + (n - k - 1) >= m
+        if dedupe:
+            keep &= label <= used   # a new label is the next unused one
+        parent, label = parent[keep], label[keep]
+        rows = np.column_stack([rows[parent], label])
+        seen = seen[parent]
+        seen[np.arange(len(label)), label] = True
+    return rows
 
 
 def theta_for_assignment(assignment: SplitAssignment,
@@ -382,53 +390,56 @@ def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
     Non-surjective assignments are skipped: an empty learner can always adopt
     some subpopulation's optimum without increasing total risk, so surjective
     assignments dominate.  With dedupe, one representative per learner
-    relabeling is kept.  Reports come back sorted by total risk; the first is
-    the social-welfare optimum, and each report's welfare_gap is measured
-    against it.  BudgetError is raised when the assignments to visit, S(n, m)
-    with dedupe and m**n without, exceed budget.
+    relabeling is kept.  Each distinct learner group is minimized once.
+    Reports come back sorted by total risk, exact ties in lexicographic
+    assignment order; the first is the social-welfare optimum, and each
+    welfare_gap is measured against it.  BudgetError is raised when the
+    assignments to visit, S(n, m) with dedupe and m**n without, exceed budget.
     """
     n, m = scenario.n, scenario.m
     required = _stirling2(n, m) if dedupe else m ** n
     if required > budget:
         raise BudgetError(required, budget)
 
-    # total risk decomposes over groups, so cache each group's minimizer
-    cache = {}
+    rows = _assignments(n, m, dedupe)
+    # total risk decomposes over groups: key each (assignment, learner)
+    # group by its member bitmask and solve every distinct group once
+    keys = np.stack([np.packbits(rows == j, axis=1) for j in range(m)], axis=1)
+    keys = keys.view(f"V{keys.shape[2]}")[..., 0]
+    groups, gid = np.unique(keys, return_inverse=True)
+    gid = gid.reshape(rows.shape[0], m)
+    W = np.unpackbits(groups.view(np.uint8).reshape(len(groups), -1),
+                      axis=1, count=n) * scenario.beta
+    thetas = np.array([group_minimize(w, scenario.risks) for w in W])
+    R = np.ascontiguousarray(scenario.risk_matrix(thetas).T)   # R[g, i]
+    values = np.einsum("gi,gi->g", W, R)
 
-    def group_solution(members: tuple):
-        if members not in cache:
-            w = np.zeros(n)
-            w[list(members)] = scenario.beta[list(members)]
-            theta_g = group_minimize(w, scenario.risks)
-            R_col = scenario.risk_matrix(theta_g[None, :])[:, 0]
-            cache[members] = (theta_g, float(w @ R_col))
-        return cache[members]
+    totals = np.zeros(rows.shape[0])
+    for j in range(m):
+        totals += values[gid[:, j]]
+    own, margins = _split_margins((R[gid[:, j]] for j in range(m)), rows)
+    del gid, R
 
-    gen = _canonical_assignments(n, m) if dedupe else _surjective_assignments(n, m)
+    # reports are built 4096 at a time so that no list of all S rows exists
+    # beside them; each report's own risks are a row view of `own`
+    order = np.argsort(totals, kind="stable")
+    gaps = totals - totals[order[0]]
     reports = []
-    for gamma_map in gen:
-        assignment = SplitAssignment(gamma_map)
-        theta = np.zeros((m, scenario.d))
-        total = 0.0
-        for j, members in enumerate(assignment.groups(m)):
-            theta_g, value_g = group_solution(tuple(members))
-            theta[j] = theta_g
-            total += value_g
-        R = scenario.risk_matrix(theta)
-        margin = split_certificate(R, gamma_map)
-        stable = margin is None or margin > STRICT_MARGIN
-        reports.append(EquilibriumReport(
-            classification="split_market",
-            stability="asymptotically_stable" if stable else "unstable",
-            total_risk=total,
-            per_subpop_risks=R[np.arange(n), list(gamma_map)],
-            margin=margin,
-            assignment=assignment,
-        ))
-    reports.sort(key=lambda r: r.total_risk)
-    best = reports[0].total_risk
-    for r in reports:
-        r.welfare_gap = r.total_risk - best
+    for start in range(0, len(order), 4096):
+        idx = order[start:start + 4096]
+        reports += [
+            EquilibriumReport(
+                classification="split_market",
+                stability=("asymptotically_stable" if margin > STRICT_MARGIN
+                           else "unstable"),
+                total_risk=total, per_subpop_risks=own[s],
+                margin=margin if m > 1 else None, welfare_gap=gap,
+                assignment=SplitAssignment(gamma_map),
+            )
+            for s, total, margin, gap, gamma_map in zip(
+                idx.tolist(), totals[idx].tolist(), margins[idx].tolist(),
+                gaps[idx].tolist(), rows[idx].tolist())
+        ]
     return reports
 
 

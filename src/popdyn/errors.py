@@ -19,7 +19,7 @@ class SimplexError(PopdynError, ValueError):
 
 
 class NonFiniteError(PopdynError, ValueError):
-    """A state array holds a NaN or infinite entry."""
+    """A model input or state array holds a NaN or infinite entry."""
 
 
 class EmptyLearnerError(PopdynError):

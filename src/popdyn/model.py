@@ -36,6 +36,16 @@ EMPTY_MASS_TOL = 1e-12
 MONOTONE_TOL = 1e-8
 
 
+def require_finite(x, name: str) -> None:
+    """Raise NonFiniteError naming the first NaN or infinite entry of x."""
+    arr = np.asarray(x, dtype=float)
+    if np.all(np.isfinite(arr)):
+        return
+    index = tuple(np.argwhere(~np.isfinite(arr))[0])
+    label = f"{name}[{','.join(map(str, index))}]" if index else name
+    raise NonFiniteError(f"{label}={float(arr[index])!r} is not finite")
+
+
 def _as_vector(x, d, name) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (d,):
@@ -74,6 +84,9 @@ def quadratic_risk(center, curvature=None, offset: float = 0.0) -> RiskFunction:
         raise DimensionError(
             f"curvature: expected shape ({d},{d}), got {curvature.shape}"
         )
+    require_finite(center, "center")
+    require_finite(curvature, "curvature")
+    require_finite(offset, "offset")
     if not np.allclose(curvature, curvature.T, atol=1e-10):
         raise ValueError("curvature matrix must be symmetric")
     eigs = np.linalg.eigvalsh(curvature)
@@ -145,6 +158,7 @@ class Scenario:
         beta = np.asarray(self.beta, dtype=float).copy()
         if beta.ndim != 1:
             raise DimensionError("beta must be a vector")
+        require_finite(beta, "beta")
         if np.any(beta <= 0):
             raise ValueError("all population proportions must be positive")
         if abs(beta.sum() - 1.0) > 1e-12:
@@ -266,9 +280,7 @@ def validate_state(state: SystemState, scenario: Scenario) -> None:
             f"theta: expected shape ({scenario.m},{scenario.d}), "
             f"got {state.theta.shape}"
         )
-    if not np.all(np.isfinite(state.theta)):
-        j, k = np.argwhere(~np.isfinite(state.theta))[0]
-        raise NonFiniteError(f"theta[{j},{k}]={state.theta[j, k]!r} is not finite")
+    require_finite(state.theta, "theta")
 
 
 def subpop_avg_risk(alpha_row, theta_all, risk: RiskFunction) -> float:

@@ -16,9 +16,15 @@ import numpy as np
 
 from .allocation import AllocationRule
 from .engine import EquilibriumDetector, UpdateSchedule
-from .errors import ScenarioFormatError
+from .errors import NonFiniteError, ScenarioFormatError
 from .learners import LearnerRule, StepSchedule
-from .model import Scenario, SystemState, quadratic_risk, validate_state
+from .model import (
+    Scenario,
+    SystemState,
+    quadratic_risk,
+    require_finite,
+    validate_state,
+)
 
 SCHEMA_VERSION = 1
 
@@ -65,6 +71,8 @@ def _parse_risks(pop, n, path):
             risks.append(quadratic_risk(center,
                                         curvature=entry.get("curvature"),
                                         offset=entry.get("offset", 0.0)))
+        except NonFiniteError as exc:
+            raise ScenarioFormatError(f"{rpath}.{exc}") from exc
         except (ValueError, TypeError) as exc:
             raise ScenarioFormatError(f"{rpath}: {exc}") from exc
     return tuple(risks)
@@ -177,6 +185,10 @@ def parse_scenario(data: dict) -> LoadedScenario:
     betas = np.asarray(_require(pop, "betas", "population"), dtype=float)
     if betas.ndim != 1 or betas.size == 0:
         raise ScenarioFormatError("population.betas: expected a nonempty vector")
+    try:
+        require_finite(betas, "population.betas")
+    except NonFiniteError as exc:
+        raise ScenarioFormatError(str(exc)) from exc
     if pop.get("normalize", False):
         betas = betas / betas.sum()
     elif abs(betas.sum() - 1.0) > 1e-12:

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from popdyn.cli import main
-from popdyn.equilibria import SplitAssignment, theta_for_assignment
+from popdyn.equilibria import (
+    SplitAssignment,
+    enumerate_split_equilibria,
+    theta_for_assignment,
+)
 from popdyn.scenario_io import load_scenario, packaged_scenario
 
 THREE_CENTERS = str(packaged_scenario("three_centers"))
@@ -189,6 +193,47 @@ class TestEnumerate:
         assert risks == sorted(risks)
         assert risks[0] == pytest.approx(0.2, abs=1e-12)
         assert float(rows[0]["welfare_gap"]) == 0.0
+
+    @staticmethod
+    def _scenario_file(path, m):
+        rng = np.random.default_rng(52)
+        n, d = 5, 2
+        data = {
+            "schema_version": 1,
+            "population": {
+                "betas": list(rng.dirichlet(np.ones(n))),
+                "normalize": True,
+                "risks": [{"center": list(rng.uniform(-2, 2, d)),
+                           "offset": float(rng.uniform(0, 1))}
+                          for _ in range(n)],
+            },
+            "learners": {"m": m, "init": {"kind": "random_gaussian"}},
+            "subpop_rule": {"kind": "mwud"},
+            "learner_rule": {"kind": "full_min"},
+        }
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_csv_round_trips_the_reports(self, tmp_path, m):
+        scenario_path = self._scenario_file(tmp_path / "scenario.json", m)
+        out = tmp_path / "eq.csv"
+        assert main(["enumerate", scenario_path, "--dedupe",
+                     "--out", str(out)]) == 0
+        reports = enumerate_split_equilibria(
+            load_scenario(scenario_path).scenario, dedupe=True)
+        rows = read_csv(out)
+        assert len(rows) == len(reports)
+        for row, report in zip(rows, reports):
+            assert row["assignment"] == "-".join(
+                str(j) for j in report.assignment.gamma_map)
+            assert float(row["total_risk"]) == report.total_risk
+            assert float(row["welfare_gap"]) == report.welfare_gap
+            if m == 1:
+                assert report.margin is None and row["margin"] == ""
+            else:
+                assert float(row["margin"]) == report.margin
+            assert row["stability"] == report.stability
 
     def test_budget_exceeded_exit_six(self, tmp_path, capsys):
         rc = main(["enumerate", TWO_GROUP, "--budget", "3",

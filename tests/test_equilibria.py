@@ -1,9 +1,12 @@
+import itertools
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import popdyn
 from popdyn import (
@@ -16,6 +19,7 @@ from popdyn import (
     SystemState,
     classify_state,
     convex_hulls_disjoint,
+    custom_risk,
     enumerate_split_equilibria,
     example_c1_stability_predicate,
     full_min,
@@ -28,7 +32,11 @@ from popdyn import (
     total_risk,
     welfare_gap,
 )
-from popdyn.equilibria import _potential_gradient_raw
+from popdyn.equilibria import (
+    STRICT_MARGIN,
+    _potential_gradient_raw,
+    split_certificate,
+)
 from popdyn.goldens import (
     partition_pair_scenario,
     partition_pair_state,
@@ -395,6 +403,101 @@ class TestEnumerate:
         assert risks == sorted(risks)
         assert all(r.welfare_gap >= 0 for r in reports)
         assert reports[0].welfare_gap == 0.0
+
+
+def _reference_catalog(scenario, dedupe):
+    """The oracle one assignment at a time: every surjective map from
+    itertools.product (first-occurrence labelled ones only with dedupe),
+    each solved, evaluated and certified on its own."""
+    n, m = scenario.n, scenario.m
+    catalog = {}
+    for gamma_map in itertools.product(range(m), repeat=n):
+        if len(set(gamma_map)) != m:
+            continue
+        if dedupe and list(dict.fromkeys(gamma_map)) != list(range(m)):
+            continue
+        theta = theta_for_assignment(SplitAssignment(gamma_map), scenario)
+        R = scenario.risk_matrix(theta)
+        own = R[np.arange(n), list(gamma_map)]
+        margin = split_certificate(R, gamma_map)
+        slacks = [R[i, j] - own[i] for i in range(n) for j in range(m)
+                  if j != gamma_map[i]]
+        assert margin == (min(slacks) if slacks else None)
+        catalog[gamma_map] = (float(scenario.beta @ own), own, margin)
+    return catalog
+
+
+def _assert_matches_reference(scenario, dedupe):
+    reports = enumerate_split_equilibria(scenario, dedupe=dedupe)
+    catalog = _reference_catalog(scenario, dedupe)
+    maps = [r.assignment.gamma_map for r in reports]
+    assert len(maps) == len(catalog) and set(maps) == set(catalog)
+    for r in reports:
+        total, own, margin = catalog[r.assignment.gamma_map]
+        assert r.total_risk == pytest.approx(total, abs=1e-12)
+        np.testing.assert_allclose(r.per_subpop_risks, own, rtol=0, atol=1e-12)
+        assert (r.margin is None) == (scenario.m == 1) == (margin is None)
+        if margin is not None:
+            assert r.margin == pytest.approx(margin, abs=1e-12)
+        stable = margin is None or margin > STRICT_MARGIN
+        assert r.stability == ("asymptotically_stable" if stable else "unstable")
+    totals = [r.total_risk for r in reports]
+    assert totals == sorted(totals)
+    assert reports[0].welfare_gap == 0.0
+    assert all(r.welfare_gap == t - totals[0] >= 0
+               for r, t in zip(reports, totals))
+    # the sort is stable, so exactly tied totals keep lexicographic order
+    for a, b in zip(reports, reports[1:]):
+        if a.total_risk == b.total_risk:
+            assert a.assignment.gamma_map < b.assignment.gamma_map
+
+
+class TestEnumerateAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.data(),
+           st.sampled_from([1, 2]), st.booleans())
+    def test_quadratic_catalog(self, seed, n, data, d, dedupe):
+        m = data.draw(st.integers(1, n))
+        scenario = random_scenario(np.random.default_rng(seed), n, m, d)
+        _assert_matches_reference(scenario, dedupe)
+
+    @pytest.mark.parametrize("dedupe", [True, False])
+    def test_custom_risks_on_the_newton_path(self, dedupe):
+        rng = np.random.default_rng(53)
+        risks = []
+        for center in rng.uniform(-2, 2, (4, 2)):
+            # a strongly convex non-quadratic: |theta - c|^2 + softplus(sum)
+            def value(th, c=center):
+                return float((th - c) @ (th - c) + np.logaddexp(0, th.sum()))
+
+            def gradient(th, c=center):
+                return 2 * (th - c) + 1 / (1 + np.exp(-th.sum()))
+
+            def hessian(th, c=center):
+                s = 1 / (1 + np.exp(-th.sum()))
+                return 2 * np.eye(2) + s * (1 - s) * np.ones((2, 2))
+
+            risks.append(custom_risk(2, value, gradient, hessian))
+        scenario = Scenario(beta=rng.dirichlet(np.ones(4)), risks=tuple(risks),
+                            m=2, subpop_rule=mwud(), learner_rule=full_min())
+        _assert_matches_reference(scenario, dedupe)
+
+    def test_catalog_larger_than_a_report_chunk(self):
+        sc = random_scenario(np.random.default_rng(54), 10, 3, 1)
+        reports = enumerate_split_equilibria(sc, dedupe=True)
+        maps = {r.assignment.gamma_map for r in reports}
+        assert len(reports) == len(maps) == 9330   # S(10, 3)
+        totals = [r.total_risk for r in reports]
+        assert totals == sorted(totals)
+
+    def test_exact_ties_in_lexicographic_order(self):
+        sc = _line_scenario([0.0, 1.0, 2.0])
+        maps = [r.assignment.gamma_map
+                for r in enumerate_split_equilibria(sc, dedupe=False)]
+        assert maps[:4] == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
+        maps = [r.assignment.gamma_map
+                for r in enumerate_split_equilibria(sc, dedupe=True)]
+        assert maps == [(0, 0, 1), (0, 1, 1), (0, 1, 0)]
 
 
 class TestWelfareGap:

@@ -4,6 +4,7 @@ import pytest
 from popdyn import (
     DimensionError,
     EmptyLearnerError,
+    NonFiniteError,
     Scenario,
     SimplexError,
     SystemState,
@@ -251,6 +252,20 @@ class TestQuadraticSanity:
                 if not np.allclose(theta, r.center):
                     assert gap > 0.0
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"center": [0.0, np.inf]}, r"center\[1\]"),
+        ({"center": [np.nan]}, r"center\[0\]"),
+        ({"center": [0.0], "offset": np.nan}, "offset"),
+        ({"center": [0.0], "offset": np.inf}, "offset"),
+        ({"center": [0.0, 0.0], "curvature": [[1.0, 0.0], [np.nan, 1.0]]},
+         r"curvature\[1,0\]"),
+    ], ids=["inf-center", "nan-center", "nan-offset", "inf-offset",
+            "nan-curvature"])
+    def test_rejects_nonfinite_parameters(self, kwargs, field):
+        # NaN passes `offset < 0` and used to fail curvature as "not symmetric"
+        with pytest.raises(NonFiniteError, match=field):
+            quadratic_risk(**kwargs)
+
     def test_curvature_must_be_spd(self):
         with pytest.raises(ValueError):
             quadratic_risk([0.0, 0.0], np.array([[1.0, 0.0], [0.0, -1.0]]))
@@ -268,6 +283,14 @@ class TestScenarioValidation:
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
             Scenario(beta=np.array([1.0, 0.0]),
+                     risks=(quadratic_risk([0.0]), quadratic_risk([1.0])),
+                     m=1, subpop_rule=mwud(), learner_rule=full_min())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_beta_must_be_finite(self, bad):
+        # NaN passes both `beta <= 0` and the sum check
+        with pytest.raises(NonFiniteError, match=r"beta\[0\]"):
+            Scenario(beta=np.array([bad, 0.5]),
                      risks=(quadratic_risk([0.0]), quadratic_risk([1.0])),
                      m=1, subpop_rule=mwud(), learner_rule=full_min())
 

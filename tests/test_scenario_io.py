@@ -70,6 +70,41 @@ class TestParsing:
         loaded = parse_scenario(data)
         assert np.allclose(loaded.scenario.beta, [0.25, 0.75])
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_betas_name_the_entry(self, bad, normalize):
+        # Python's json parses NaN and Infinity; normalize would divide by them
+        data = base_dict()
+        data["population"]["betas"] = [bad, 0.75]
+        data["population"]["normalize"] = normalize
+        with pytest.raises(ScenarioFormatError,
+                           match=r"population\.betas\[0\]"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("center", [float("inf")], r"population\.risks\[1\]\.center\[0\]"),
+        ("center", [float("nan")], r"population\.risks\[1\]\.center\[0\]"),
+        ("offset", float("nan"), r"population\.risks\[1\]\.offset"),
+        ("offset", float("inf"), r"population\.risks\[1\]\.offset"),
+        ("curvature", [[float("nan")]],
+         r"population\.risks\[1\]\.curvature\[0,0\]"),
+    ], ids=["inf-center", "nan-center", "nan-offset", "inf-offset",
+            "nan-curvature"])
+    def test_nonfinite_risk_fields_name_the_path(self, field, value, path):
+        data = base_dict()
+        data["population"]["risks"][1][field] = value
+        with pytest.raises(ScenarioFormatError, match=path):
+            parse_scenario(data)
+
+    def test_nonfinite_fields_from_json_text(self, tmp_path):
+        data = base_dict()
+        data["population"]["risks"][0]["center"] = [float("inf")]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))   # writes the bare token Infinity
+        with pytest.raises(ScenarioFormatError,
+                           match=r"population\.risks\[0\]\.center\[0\]"):
+            load_scenario(path)
+
     def test_schema_version_checked(self):
         data = base_dict()
         data["schema_version"] = 99
