@@ -44,7 +44,6 @@ from .goldens import (
     minority_scenario,
     two_group_gap_curve,
 )
-from .learners import full_minimize
 from .model import SystemState, risk_gradient, risk_value, total_risk
 from .scenario_io import (
     SCHEMA_VERSION,
@@ -314,12 +313,12 @@ def _goldens_minority(rows, failures):
         beta = round(float(beta), 10)
         scenario = minority_scenario(beta, phi)
         expected = minority_closed_forms(beta, phi)
-        theta = full_minimize(np.ones(2), scenario.beta, scenario.risks)
-        state = SystemState(alpha=np.ones((2, 1)), theta=theta[None, :], t=0)
+        theta = theta_for_assignment(SplitAssignment((0, 0)), scenario)
+        state = SystemState(alpha=np.ones((2, 1)), theta=theta, t=0)
         computed = {
-            "theta_star": float(theta[0]),
+            "theta_star": float(theta[0, 0]),
             "total_risk": total_risk(state, scenario),
-            "minority_risk": risk_value(scenario.risks[1], theta),
+            "minority_risk": risk_value(scenario.risks[1], theta[0]),
         }
         for key in expected:
             ok = abs(computed[key] - expected[key]) <= 1e-9

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import MonotonicityError, PopdynError
-from .learners import full_minimize, gradient_step, step_size
+from .learners import gradient_step, minimize_mixtures, step_size
 from .model import (
     EMPTY_MASS_TOL,
     MONOTONE_TOL,
@@ -176,38 +176,34 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
     if not indices:
         return theta, 0
     masses = scenario.beta @ alpha
-    active = [j for j in indices if masses[j] >= EMPTY_MASS_TOL]
-    frozen = len(indices) - len(active)
-    if not active:
+    # one index array, converted once, serves every gather and scatter below
+    active = np.array([j for j in indices if masses[j] >= EMPTY_MASS_TOL], int)
+    frozen = len(indices) - active.size
+    if not active.size:
         return theta, frozen
     new = theta.copy()
-    if scenario._quad is not None and (rule.kind == "repeated_gd"
-                                       or rule.method == "closed_form_quadratic"):
-        H, b = scenario.normal_equations(alpha[:, active] * scenario.beta[:, None])
-        if rule.kind == "full_min":
-            new[active] = np.linalg.solve(H, b[:, :, None])[:, :, 0]
-            return new, frozen
+    W = alpha[:, active] * scenario.beta[:, None]
+    if rule.kind == "full_min":
+        new[active] = minimize_mixtures(scenario, W, rule.method,
+                                        rule.tolerance, rule.max_iterations,
+                                        start=theta[active])
+        return new, frozen
+    gamma_t = step_size(t, rule.schedule)
+    if scenario._quad is not None:
+        H, b = scenario.normal_equations(W)
         # the mixture gradient 2 (H_j theta_j - b_j) / mass_j, for all learners
-        scale = 2.0 * step_size(t, rule.schedule) / masses[active, None]
+        scale = 2.0 * gamma_t / masses[active, None]
         th = theta[active]
         for _ in range(rule.inner_steps):
             th = th - scale * (np.einsum("jde,je->jd", H, th) - b)
         new[active] = th
         return new, frozen
     for j in active:
-        if rule.kind == "full_min":
-            new[j] = full_minimize(alpha[:, j], scenario.beta, scenario.risks,
-                                   method=rule.method,
-                                   tolerance=rule.tolerance,
-                                   max_iterations=rule.max_iterations,
-                                   start=theta[j])
-        else:
-            gamma_t = step_size(t, rule.schedule)
-            th = theta[j]
-            for _ in range(rule.inner_steps):
-                th = gradient_step(th, alpha[:, j], scenario.beta,
-                                   scenario.risks, gamma_t)
-            new[j] = th
+        th = theta[j]
+        for _ in range(rule.inner_steps):
+            th = gradient_step(th, alpha[:, j], scenario.beta,
+                               scenario.risks, gamma_t)
+        new[j] = th
     return new, frozen
 
 
@@ -384,6 +380,24 @@ def perturb(state: SystemState, sigma: float, seed, target: str = "both") -> Sys
     return SystemState(alpha=alpha, theta=theta, t=state.t)
 
 
+def _perfect_matching(prefs, allowed) -> bool:
+    """Kuhn's augmenting paths: can each row j take a distinct column among
+    the first allowed[j] of prefs[j]?"""
+    owner = {}   # column -> the row holding it
+
+    def augment(j, seen):
+        for k in prefs[j][:allowed[j]]:
+            if k not in seen:
+                seen.add(k)
+                if k not in owner or augment(owner[k], seen):
+                    owner[k] = j
+                    return True
+        return False
+
+    # a row that cannot augment stays unmatched, so stop at the first
+    return all(augment(j, set()) for j in range(len(prefs)))
+
+
 def state_distance_upto_permutation(a: SystemState, b: SystemState) -> float:
     """State delta minimized over learner column relabelings, exactly.
 
@@ -391,19 +405,16 @@ def state_distance_upto_permutation(a: SystemState, b: SystemState) -> float:
     bottleneck assignment: bisect over the distinct column-pair distances
     for the smallest one whose thresholded graph has a perfect matching.
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
     # cost[j, k]: distance when column j of a is relabeled as column k of b
     cost = np.maximum(
         np.abs(a.alpha[:, :, None] - b.alpha[:, None, :]).max(axis=0),
         np.abs(a.theta[:, None, :] - b.theta[None, :, :]).max(axis=2))
+    prefs = np.argsort(cost, axis=1).tolist()   # cheapest columns first
     levels = np.unique(cost)
     lo, hi = 0, len(levels) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        matched = maximum_bipartite_matching(csr_array(cost <= levels[mid]))
-        if (matched >= 0).all():
+        if _perfect_matching(prefs, (cost <= levels[mid]).sum(axis=1).tolist()):
             hi = mid
         else:
             lo = mid + 1

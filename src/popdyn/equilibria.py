@@ -29,13 +29,12 @@ from .errors import (
     PopdynError,
     SplitError,
 )
-from .learners import group_minimize, learner_gradient
+from .learners import learner_gradient, minimize_mixtures
 from .model import (
     EMPTY_MASS_TOL,
     Scenario,
     SystemState,
     risk_gradient,
-    risk_value,
     subpop_risk_vector,
     validate_allocation,
     validate_state,
@@ -114,52 +113,39 @@ class EquilibriumReport:
         }
 
 
-def _minimizers(alpha: np.ndarray, beta: np.ndarray, risks) -> tuple:
+def _minimizers(alpha: np.ndarray, beta: np.ndarray, scenario: Scenario) -> tuple:
     """Per-learner minimizers of the observed mixtures; empty learners flagged."""
-    n, m = alpha.shape
-    d = risks[0].dim
-    theta = np.zeros((m, d))
-    empty = np.zeros(m, dtype=bool)
-    for j in range(m):
-        w = alpha[:, j] * beta
-        if w.sum() < EMPTY_MASS_TOL:
-            empty[j] = True
-            continue
-        theta[j] = group_minimize(w, risks)
+    W = alpha * beta[:, None]
+    empty = W.sum(axis=0) < EMPTY_MASS_TOL
+    theta = np.zeros((alpha.shape[1], scenario.d))
+    theta[~empty] = minimize_mixtures(scenario, W[:, ~empty])
     return theta, empty
 
 
 def potential_value(alpha, scenario: Scenario) -> float:
     """F(alpha): total risk with every non-empty learner fully minimized."""
     alpha = validate_allocation(alpha, scenario.n, scenario.m)
-    theta, empty = _minimizers(alpha, scenario.beta, scenario.risks)
-    total = 0.0
-    for j in range(scenario.m):
-        if empty[j]:
-            continue
-        w = alpha[:, j] * scenario.beta
-        R_col = scenario.risk_matrix(theta[j:j + 1])[:, 0]
-        total += float(w @ R_col)
-    return total
+    theta, empty = _minimizers(alpha, scenario.beta, scenario)
+    W = alpha[:, ~empty] * scenario.beta[:, None]
+    return float((W * scenario.risk_matrix(theta[~empty])).sum())
 
 
-def _potential_gradient_raw(alpha, beta, risks) -> np.ndarray:
+def _potential_gradient_raw(alpha, beta, scenario: Scenario) -> np.ndarray:
     """Gradient entries beta_i * R_i(theta*_j(alpha)); beta need not sum to 1."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    theta, empty = _minimizers(alpha, beta, risks)
+    theta, empty = _minimizers(alpha, beta, scenario)
     if empty.any():
         raise EmptyLearnerError(
             f"potential gradient undefined with empty learners {np.where(empty)[0]}"
         )
-    R = np.array([[risk_value(r, th) for th in theta] for r in risks])
-    return beta[:, None] * R
+    return beta[:, None] * scenario.risk_matrix(theta)
 
 
 def potential_gradient(alpha, scenario: Scenario) -> np.ndarray:
     """dF/dalpha_ij = beta_i R_i(theta*_j(alpha)); needs all learners non-empty."""
     alpha = validate_allocation(alpha, scenario.n, scenario.m)
-    return _potential_gradient_raw(alpha, scenario.beta, scenario.risks)
+    return _potential_gradient_raw(alpha, scenario.beta, scenario)
 
 
 def split_certificate(R: np.ndarray, gamma_map) -> Optional[float]:
@@ -374,7 +360,7 @@ def theta_for_assignment(assignment: SplitAssignment,
                          scenario: Scenario) -> np.ndarray:
     """Per-group weighted minimizers for a split assignment."""
     return _minimizers(assignment.to_alpha(scenario.m), scenario.beta,
-                       scenario.risks)[0]
+                       scenario)[0]
 
 
 def _stirling2(n: int, m: int) -> int:
@@ -390,7 +376,7 @@ def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
     Non-surjective assignments are skipped: an empty learner can always adopt
     some subpopulation's optimum without increasing total risk, so surjective
     assignments dominate.  With dedupe, one representative per learner
-    relabeling is kept.  Each distinct learner group is minimized once.
+    relabeling is kept.  All distinct groups go to one minimize_mixtures call.
     Reports come back sorted by total risk, exact ties in lexicographic
     assignment order; the first is the social-welfare optimum, and each
     welfare_gap is measured against it.  BudgetError is raised when the
@@ -410,7 +396,7 @@ def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
     gid = gid.reshape(rows.shape[0], m)
     W = np.unpackbits(groups.view(np.uint8).reshape(len(groups), -1),
                       axis=1, count=n) * scenario.beta
-    thetas = np.array([group_minimize(w, scenario.risks) for w in W])
+    thetas = minimize_mixtures(scenario, W.T)
     R = np.ascontiguousarray(scenario.risk_matrix(thetas).T)   # R[g, i]
     values = np.einsum("gi,gi->g", W, R)
 

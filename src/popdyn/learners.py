@@ -182,6 +182,22 @@ def group_minimize(weights, risks, method: str = "closed_form_quadratic",
     )
 
 
+def minimize_mixtures(scenario, W, method: str = "closed_form_quadratic",
+                      tolerance: float = 1e-10, max_iterations: int = 100,
+                      start=None) -> np.ndarray:
+    """Minimizers (k, d) of the mixtures weighted by the columns of W (n, k),
+    each of positive mass: one batched normal-equation solve for quadratics
+    in closed form, else group_minimize per column, from start[k] if given."""
+    if method == "closed_form_quadratic" and scenario._quad is not None:
+        H, b = scenario.normal_equations(W)
+        return np.linalg.solve(H, b[:, :, None])[:, :, 0]
+    thetas = [group_minimize(w, scenario.risks, method=method,
+                             tolerance=tolerance, max_iterations=max_iterations,
+                             start=None if start is None else start[k])
+              for k, w in enumerate(W.T)]
+    return np.array(thetas).reshape(len(thetas), scenario.d)
+
+
 def full_minimize(alpha_col, beta, risks, method: str = "closed_form_quadratic",
                   tolerance: float = 1e-10, max_iterations: int = 100,
                   start=None) -> np.ndarray:

@@ -536,6 +536,31 @@ class TestPermutationDistance:
                     for p in map(list, itertools.permutations(range(m))))
         assert state_distance_upto_permutation(a, b) == brute
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(7, 20), st.booleans())
+    def test_matches_assignment_solver_beyond_brute_force(self, seed, m, near):
+        # scipy's assignment solver decides every level independently: the
+        # smallest level whose cheapest 0/1 assignment uses no pair above it
+        from scipy.optimize import linear_sum_assignment
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        a = SystemState(alpha=rng.dirichlet(np.ones(m), size=n),
+                        theta=np.round(rng.uniform(-1, 1, (m, 2)), 1))
+        if near:  # a relabeled copy moved slightly
+            perm = rng.permutation(m)
+            b = SystemState(
+                alpha=a.alpha[:, perm] + rng.uniform(0, 1e-3, (n, m)),
+                theta=a.theta[perm] + np.round(rng.uniform(-1e-3, 1e-3, (m, 2)), 4))
+        else:
+            b = SystemState(alpha=rng.dirichlet(np.ones(m), size=n),
+                            theta=np.round(rng.uniform(-1, 1, (m, 2)), 1))
+        cost = np.maximum(
+            np.abs(a.alpha[:, :, None] - b.alpha[:, None, :]).max(axis=0),
+            np.abs(a.theta[:, None, :] - b.theta[None, :, :]).max(axis=2))
+        expected = min(level for level in np.unique(cost)
+                       if not (cost > level)[linear_sum_assignment(cost > level)].any())
+        assert state_distance_upto_permutation(a, b) == expected
+
     def test_distinct_states_positive_distance(self):
         a = SystemState(alpha=np.array([[1.0, 0.0]]), theta=np.array([[0.0], [1.0]]))
         b = SystemState(alpha=np.array([[0.6, 0.4]]), theta=np.array([[0.0], [1.0]]))

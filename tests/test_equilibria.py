@@ -23,10 +23,13 @@ from popdyn import (
     enumerate_split_equilibria,
     example_c1_stability_predicate,
     full_min,
+    full_minimize,
     mwud,
     potential_gradient,
     potential_value,
     quadratic_risk,
+    risk_value,
+    simulate,
     split_learner,
     theta_for_assignment,
     total_risk,
@@ -42,6 +45,7 @@ from popdyn.goldens import (
     partition_pair_state,
     two_group_gap_scenario,
 )
+from popdyn.model import EMPTY_MASS_TOL
 
 from conftest import random_scenario, random_state
 
@@ -113,8 +117,8 @@ class TestPotentialGradient:
         rng = np.random.default_rng(42)
         sc = random_scenario(rng, 3, 2, 1)
         alpha = rng.dirichlet(np.ones(2), size=3)
-        base = _potential_gradient_raw(alpha, sc.beta, sc.risks)
-        scaled = _potential_gradient_raw(alpha, 3.0 * sc.beta, sc.risks)
+        base = _potential_gradient_raw(alpha, sc.beta, sc)
+        scaled = _potential_gradient_raw(alpha, 3.0 * sc.beta, sc)
         assert np.allclose(scaled, 3.0 * base, atol=1e-12)
 
     def test_empty_learner_rejected(self):
@@ -562,3 +566,78 @@ class TestSplitLearner:
         state = random_state(rng, sc)
         with pytest.raises(SplitError):
             split_learner(state, sc, 0)
+
+
+def _scalar_minimizers(alpha, scenario):
+    """Per-learner full_minimize, empty learners left at 0 and flagged."""
+    theta = np.zeros((scenario.m, scenario.d))
+    empty = np.zeros(scenario.m, dtype=bool)
+    for j in range(scenario.m):
+        empty[j] = scenario.beta @ alpha[:, j] < EMPTY_MASS_TOL
+        if not empty[j]:
+            theta[j] = full_minimize(alpha[:, j], scenario.beta, scenario.risks)
+    return theta, empty
+
+
+class TestAgainstScalarReference:
+    """Potential, gradient and split minimizers against per-learner
+    full_minimize and risk_value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.booleans())
+    def test_potential_and_gradient(self, seed, d, with_empty):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        sc = random_scenario(rng, n, int(rng.integers(1, n + 1)), d)
+        alpha = rng.dirichlet(np.ones(sc.m), size=n)
+        if with_empty and sc.m > 1:
+            alpha[:, 0] = 0.0
+            alpha /= alpha.sum(axis=1, keepdims=True)
+        theta, empty = _scalar_minimizers(alpha, sc)
+        R = np.array([[risk_value(r, th) for th in theta] for r in sc.risks])
+        expected = sum(sc.beta[i] * alpha[i, j] * R[i, j]
+                       for i in range(n) for j in range(sc.m) if not empty[j])
+        assert abs(potential_value(alpha, sc) - expected) <= 1e-12
+        if empty.any():
+            with pytest.raises(EmptyLearnerError):
+                potential_gradient(alpha, sc)
+        else:
+            G = potential_gradient(alpha, sc)
+            assert np.abs(G - sc.beta[:, None] * R).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.data())
+    def test_theta_for_assignment(self, seed, d, data):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        m = data.draw(st.integers(1, n))
+        sc = random_scenario(rng, n, m, d)
+        gamma_map = tuple(data.draw(st.lists(st.integers(0, m - 1),
+                                             min_size=n, max_size=n)))
+        assignment = SplitAssignment(gamma_map)
+        theta, empty = _scalar_minimizers(assignment.to_alpha(m), sc)
+        out = theta_for_assignment(assignment, sc)
+        assert np.abs(out - theta).max() <= 1e-12
+        assert np.all(out[empty] == 0.0)
+
+
+class TestOneKernel:
+    def test_quadratic_paths_make_no_per_group_solve(self, monkeypatch):
+        # every quadratic minimization runs through the batched normal
+        # equations, so the scalar per-group solver must never be reached
+        import popdyn.learners
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("group_minimize called on a quadratic path")
+
+        monkeypatch.setattr(popdyn.learners, "group_minimize", forbidden)
+        rng = np.random.default_rng(63)
+        sc = random_scenario(rng, 6, 3, 2)
+        reports = enumerate_split_equilibria(sc, dedupe=True)
+        assert len(reports) == 90   # S(6, 3)
+        theta = theta_for_assignment(reports[0].assignment, sc)
+        assert theta.shape == (3, 2)
+        state = random_state(rng, sc)
+        assert np.isfinite(potential_value(state.alpha, sc))
+        traj = simulate(sc, state, max_steps=20)
+        assert len(traj.states) > 1

@@ -1,19 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popdyn import (
     ConvergenceError,
     EmptyLearnerError,
     LearnerRule,
+    Scenario,
     StepSchedule,
     custom_risk,
+    full_min,
     full_minimize,
     gradient_step,
+    group_minimize,
     learner_avg_risk,
+    mwud,
     quadratic_risk,
     step_size,
     verify_learner_risk_reducing,
 )
+from popdyn.learners import minimize_mixtures
+
+from conftest import random_scenario
 
 
 class TestStepSize:
@@ -219,3 +228,78 @@ class TestRuleValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             LearnerRule(kind="full_min", method="bfgs")
+
+
+def _softplus_risks(centers):
+    """Strongly convex non-quadratic risks |theta - c|^2 + softplus(sum)."""
+    risks = []
+    for center in centers:
+        d = len(center)
+
+        def value(th, c=center):
+            return float((th - c) @ (th - c) + np.logaddexp(0, th.sum()))
+
+        def gradient(th, c=center):
+            return 2 * (th - c) + 1 / (1 + np.exp(-th.sum()))
+
+        def hessian(th, d=d):
+            s = 1 / (1 + np.exp(-th.sum()))
+            return 2 * np.eye(d) + s * (1 - s) * np.ones((d, d))
+
+        risks.append(custom_risk(d, value, gradient, hessian))
+    return tuple(risks)
+
+
+def _mixture_weights(rng, n, k):
+    """(n, k) nonnegative weights, some exactly zero, every column massive."""
+    W = rng.uniform(0.0, 1.0, (n, k)) * (rng.random((n, k)) < 0.7)
+    W[rng.integers(0, n, k), np.arange(k)] += 0.5
+    return W
+
+
+class TestMinimizeMixtures:
+    """The batched kernel agrees with group_minimize column by column."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(0, 5))
+    def test_closed_form_matches_group_minimize(self, seed, d, k):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        sc = random_scenario(rng, n, 1, d)
+        W = _mixture_weights(rng, n, k)
+        out = minimize_mixtures(sc, W)
+        assert out.shape == (k, d)
+        for j in range(k):
+            expected = group_minimize(W[:, j], sc.risks)
+            assert np.abs(out[j] - expected).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(0, 4))
+    def test_newton_from_start_matches_group_minimize(self, seed, d, k):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        sc = random_scenario(rng, n, 1, d)
+        W = _mixture_weights(rng, n, k)
+        start = rng.uniform(-3.0, 3.0, (k, d))
+        out = minimize_mixtures(sc, W, method="newton", start=start)
+        assert out.shape == (k, d)
+        for j in range(k):
+            expected = group_minimize(W[:, j], sc.risks, method="newton",
+                                      start=start[j])
+            assert np.abs(out[j] - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_custom_risks_match_group_minimize(self, k):
+        rng = np.random.default_rng(27)
+        risks = _softplus_risks(rng.uniform(-2, 2, (4, 2)))
+        sc = Scenario(beta=rng.dirichlet(np.ones(4)), risks=risks, m=1,
+                      subpop_rule=mwud(), learner_rule=full_min())
+        W = _mixture_weights(rng, 4, k)
+        # a loose tolerance stops Newton at a point that depends on the start
+        start = rng.uniform(-3.0, 3.0, (k, 2))
+        out = minimize_mixtures(sc, W, tolerance=1e-3, start=start)
+        assert out.shape == (k, 2)
+        for j in range(k):
+            expected = group_minimize(W[:, j], risks, tolerance=1e-3,
+                                      start=start[j])
+            assert np.abs(out[j] - expected).max() <= 1e-12
