@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .engine import empirical_stability_probe, perturb, simulate
+from .engine import _probe_batch, perturb, simulate
 from .equilibria import (
     SplitAssignment,
     classify_state,
@@ -423,11 +423,12 @@ def cmd_probe(args) -> int:
         print("error: probe needs --state or --assignment", file=sys.stderr)
         return EXIT_ERROR
     seed = args.seed if args.seed is not None else loaded.seed
-    fraction = empirical_stability_probe(scenario, state, args.sigma,
-                                         args.trials, seed,
-                                         target=args.perturb_target)
+    records = _probe_batch(scenario, state, args.sigma, args.trials, seed,
+                           target=args.perturb_target)
+    fraction = sum(r["returned"] for r in records) / args.trials
     print(json.dumps({"fraction_returned": fraction, "sigma": args.sigma,
-                      "trials": args.trials, "seed": seed}))
+                      "trials": args.trials, "seed": seed,
+                      "trial_records": records}))
     return EXIT_OK
 
 

@@ -30,6 +30,7 @@ from .model import (
     learner_risk_vector,
     renormalize_rows,
     subpop_risk_vector,
+    total_risk,
     validate_state,
 )
 
@@ -134,25 +135,25 @@ def _mwud_rows(alpha, R, gamma, comparison):
     # vectorized form of mwud_step applied to every row at once
     cost = gamma * R
     if comparison == "relative":
-        mix = (alpha * R).sum(axis=1)
+        mix = (alpha * R).sum(axis=-1)
         if np.any(mix <= 0):
             raise ValueError("relative comparison needs positive mixture risks")
-        cost = cost / mix[:, None]
+        cost = cost / mix[..., None]
     support = alpha > 0.0
-    shift = np.where(support, cost, np.inf).min(axis=1)
-    arg = np.clip(shift[:, None] - cost, None, 0.0)
+    shift = np.where(support, cost, np.inf).min(axis=-1)
+    arg = np.minimum(shift[..., None] - cost, 0.0)
     weights = np.where(support, alpha * np.exp(arg), 0.0)
-    return weights / weights.sum(axis=1, keepdims=True)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def _best_response_rows(alpha, R, tie_tolerance, tie_policy):
     # vectorized form of best_response_step applied to every row at once
-    tied = R <= R.min(axis=1, keepdims=True) + tie_tolerance
-    even = tied / tied.sum(axis=1, keepdims=True)
+    tied = R <= R.min(axis=-1, keepdims=True) + tie_tolerance
+    even = tied / tied.sum(axis=-1, keepdims=True)
     if tie_policy == "split_evenly":
         return even
     prev = np.where(tied, alpha, 0.0)
-    mass = prev.sum(axis=1, keepdims=True)
+    mass = prev.sum(axis=-1, keepdims=True)
     # rows with no previous mass on the tied set fall back to the even split
     return np.where(mass > 0.0, prev / np.where(mass > 0.0, mass, 1.0), even)
 
@@ -161,57 +162,58 @@ def _update_alpha(alpha, R, scenario: Scenario, t: int):
     rule = scenario.subpop_rule
     rows = _subpop_subset(scenario.schedule, t, scenario.n)
     new = alpha.copy()
+    a, r = alpha[..., rows, :], R[..., rows, :]
     if rule.kind == "mwud":
-        new[rows] = _mwud_rows(alpha[rows], R[rows], rule.gamma, rule.comparison)
+        new[..., rows, :] = _mwud_rows(a, r, rule.gamma, rule.comparison)
     else:
-        new[rows] = _best_response_rows(alpha[rows], R[rows],
-                                        rule.tie_tolerance, rule.tie_policy)
+        new[..., rows, :] = _best_response_rows(a, r, rule.tie_tolerance,
+                                                rule.tie_policy)
     return new
 
 
 def _update_theta(alpha, theta, scenario: Scenario, t: int):
-    """Returns (theta', frozen_count).  Empty learners keep their parameter."""
+    """Returns (theta', frozen count per trial); empty learners stay put."""
     rule = scenario.learner_rule
-    indices = _learner_subset(scenario.schedule, t, scenario.m)
-    if not indices:
-        return theta, 0
+    indices = list(_learner_subset(scenario.schedule, t, scenario.m))
+    scheduled = np.zeros(scenario.m, bool)
+    scheduled[indices] = True
     masses = scenario.beta @ alpha
-    # one index array, converted once, serves every gather and scatter below
-    active = np.array([j for j in indices if masses[j] >= EMPTY_MASS_TOL], int)
-    frozen = len(indices) - active.size
+    updating = scheduled & (masses >= EMPTY_MASS_TOL)
+    frozen = len(indices) - updating.sum(axis=-1)
+    active = updating.ravel().nonzero()[0]   # rows of the flat arrays below
     if not active.size:
         return theta, frozen
     new = theta.copy()
-    W = alpha[:, active] * scenario.beta[:, None]
+    flat = new.reshape(-1, scenario.d)   # a view: writes land in new
+    cols = alpha.swapaxes(-1, -2).reshape(-1, scenario.n)[active]
+    W = (cols * scenario.beta).T
     if rule.kind == "full_min":
-        new[active] = minimize_mixtures(scenario, W, rule.method,
-                                        rule.tolerance, rule.max_iterations,
-                                        start=theta[active])
+        flat[active] = minimize_mixtures(scenario, W, rule.method,
+                                         rule.tolerance, rule.max_iterations,
+                                         start=flat[active])
         return new, frozen
     gamma_t = step_size(t, rule.schedule)
+    th = flat[active]
     if scenario._quad is not None:
         H, b = scenario.normal_equations(W)
-        # the mixture gradient 2 (H_j theta_j - b_j) / mass_j, for all learners
-        scale = 2.0 * gamma_t / masses[active, None]
-        th = theta[active]
+        # the mixture gradient 2 (H_j theta_j - b_j) / mass_j, for all pairs
+        scale = 2.0 * gamma_t / masses.reshape(-1)[active, None]
         for _ in range(rule.inner_steps):
             th = th - scale * (np.einsum("jde,je->jd", H, th) - b)
-        new[active] = th
-        return new, frozen
-    for j in active:
-        th = theta[j]
-        for _ in range(rule.inner_steps):
-            th = gradient_step(th, alpha[:, j], scenario.beta,
-                               scenario.risks, gamma_t)
-        new[j] = th
+    else:
+        for p, col in enumerate(cols):
+            for _ in range(rule.inner_steps):
+                th[p] = gradient_step(th[p], col, scenario.beta,
+                                      scenario.risks, gamma_t)
+    flat[active] = th
     return new, frozen
 
 
-def _core_step(alpha, theta, t, scenario, R):
-    """Advance one step; R must be the risk matrix at theta.
+def _core_step(alpha, theta, t, scenario, R, labels=None):
+    """Advance K trials one step; R must be the risk matrices at theta.
 
-    Returns (alpha', theta', R', total_after, frozen_count); R' is the risk
-    matrix at theta' for reuse by the caller.
+    Returns (alpha', theta', R', total_after, frozen), the last two of
+    shape (K,); R' is the risk matrices at theta' for reuse by the caller.
     """
     total_before = _total_risk(alpha, R, scenario.beta)
     alpha2 = _update_alpha(alpha, R, scenario, t)
@@ -219,8 +221,12 @@ def _core_step(alpha, theta, t, scenario, R):
     R2 = R if theta2 is theta else scenario.risk_matrix(theta2)
     total_after = _total_risk(alpha2, R2, scenario.beta)
     # written so that a NaN total trips the gate too
-    if not total_after <= total_before + MONOTONE_TOL:
-        raise MonotonicityError(t, total_before, total_after, MONOTONE_TOL)
+    ok = total_after <= total_before + MONOTONE_TOL
+    if not ok.all():
+        k = np.flatnonzero(~ok)[0]
+        raise MonotonicityError(t, float(total_before[k]), float(total_after[k]),
+                                MONOTONE_TOL,
+                                None if labels is None else int(labels[k]))
     return alpha2, theta2, R2, total_after, frozen
 
 
@@ -251,24 +257,25 @@ def _check_contracts(alpha, alpha2, theta, theta2, scenario):
     return checks
 
 
-def _delta(alpha_a, theta_a, alpha_b, theta_b) -> float:
-    """max(||alpha_a - alpha_b||_inf, ||Theta_a - Theta_b||_inf)."""
-    return max(float(np.abs(alpha_a - alpha_b).max()),
-               float(np.abs(theta_a - theta_b).max()))
+def _delta(alpha_a, theta_a, alpha_b, theta_b):
+    """max(||alpha_a - alpha_b||_inf, ||Theta_a - Theta_b||_inf), one per
+    leading index."""
+    return np.maximum(np.abs(alpha_a - alpha_b).max(axis=(-2, -1)),
+                      np.abs(theta_a - theta_b).max(axis=(-2, -1)))
 
 
 def _steps(scenario: Scenario, alpha, theta, R, t: int,
-           check_contracts: bool = False):
-    """The step loop: endless sequential updates from (alpha, theta) at time t.
-
-    R must be the risk matrix at theta.  Yields (alpha, theta, R,
-    total_risk, frozen_count, contract_checks, delta) after each step, with
-    delta the state delta of that step.
-    """
+           check_contracts: bool = False, labels=None):
+    """The step loop: endless sequential updates of K trials in lockstep
+    from alpha (K, n, m), theta (K, m, d) and their risk matrices R at time
+    t.  Yields (alpha, theta, R, total_risk, frozen, contract_checks, delta)
+    after each step, with the step's total, frozen count and delta per
+    trial.  labels names the trials in a MonotonicityError."""
     while True:
         alpha2, theta2, R2, total, frozen = _core_step(alpha, theta, t,
-                                                       scenario, R)
-        checks = (_check_contracts(alpha, alpha2, theta, theta2, scenario)
+                                                       scenario, R, labels)
+        checks = (sum(_check_contracts(*trial, scenario) for trial
+                      in zip(alpha, alpha2, theta, theta2))
                   if check_contracts else 0)
         alpha2 = renormalize_rows(alpha2)
         delta = _delta(alpha2, theta2, alpha, theta)
@@ -280,10 +287,11 @@ def step(state: SystemState, scenario: Scenario,
          check_contracts: bool = False) -> SystemState:
     """One sequential update: allocations first, then learner parameters."""
     validate_state(state, scenario)
-    alpha, theta, *_ = next(_steps(scenario, state.alpha, state.theta,
-                                   scenario.risk_matrix(state.theta), state.t,
+    theta = state.theta[None]
+    alpha, theta, *_ = next(_steps(scenario, state.alpha[None], theta,
+                                   scenario.risk_matrix(theta), state.t,
                                    check_contracts))
-    return SystemState(alpha=alpha, theta=theta, t=state.t + 1)
+    return SystemState(alpha=alpha[0], theta=theta[0], t=state.t + 1)
 
 
 def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
@@ -312,19 +320,21 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     converged_at = None
 
     quiet = 0
-    steps = _steps(scenario, alpha, theta, R, t0, check_contracts)
+    steps = _steps(scenario, alpha[None], theta[None], R[None], t0,
+                   check_contracts)
     for k, (alpha, theta, R, total, frozen, checks, delta) in zip(
             range(max_steps), steps):
+        alpha, theta, R = alpha[0], theta[0], R[0]
         contract_checks += checks
-        frozen_total += frozen
+        frozen_total += int(frozen[0])
         states.append(SystemState(alpha=alpha, theta=theta, t=t0 + k + 1))
-        totals.append(total)
+        totals.append(total[0])
         sub.append(subpop_risk_vector(alpha, R))
         lr, emp = learner_risk_vector(alpha, beta, R)
         learner.append(lr)
         empties.append(emp)
         # the same quiet-window rule as detect_equilibrium, kept incrementally
-        quiet = quiet + 1 if delta <= detector.state_tolerance else 0
+        quiet = quiet + 1 if delta[0] <= detector.state_tolerance else 0
         if quiet >= detector.window:
             converged_at = k - detector.window + 1
             break
@@ -421,26 +431,45 @@ def state_distance_upto_permutation(a: SystemState, b: SystemState) -> float:
     return float(levels[lo])
 
 
-def _probe_trial(scenario, eq_state, sigma, seed, target, max_steps,
-                 return_tol, eq_risk, escape_tol):
-    start = perturb(SystemState(eq_state.alpha, eq_state.theta, t=0), sigma,
-                    seed, target)
-    alpha = np.asarray(start.alpha, dtype=float)
-    theta = np.asarray(start.theta, dtype=float)
-    steps = _steps(scenario, alpha, theta, scenario.risk_matrix(theta), 0)
-    escaped = False
-    for _, (alpha, theta, _, total, _, _, delta) in zip(range(max_steps),
-                                                        steps):
-        # Total risk is monotone, so dropping below the equilibrium level is
-        # irreversible: the run can never return once clearly below it.
-        escaped = escaped or total < eq_risk - escape_tol
-        if escaped and state_distance_upto_permutation(
-                SystemState(alpha, theta, 0), eq_state) > return_tol:
-            return False
-        if delta <= 1e-13:
-            break
-    return state_distance_upto_permutation(
-        SystemState(alpha, theta, 0), eq_state) <= return_tol
+def _probe_batch(scenario, eq_state, sigma, trials, seed, target="both",
+                 max_steps=6000, return_tol=1e-4):
+    """Run a probe's trials as one batch; returns one record per trial."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    eq_risk = total_risk(eq_state, scenario)   # validates eq_state too
+    escape_tol = 1e-9 * max(1.0, abs(eq_risk))
+    starts = [perturb(eq_state, sigma, [seed, k], target) for k in range(trials)]
+    alpha = np.stack([s.alpha for s in starts])
+    theta = np.stack([s.theta for s in starts])
+    R = scenario.risk_matrix(theta)
+    steps, escaped_at = np.zeros((2, trials), int)   # escaped_at 0: never
+    distance = np.full(trials, np.nan)
+    live, escaped, t = np.arange(trials), np.zeros(trials, bool), 0
+    while live.size:   # each pass drops the trials that finished
+        for alpha, theta, R, total, _, _, delta in _steps(
+                scenario, alpha, theta, R, t, labels=live):
+            t += 1
+            # Total risk is monotone, so dropping below the equilibrium level
+            # is irreversible: the run can never return once clearly below it.
+            escaped |= total < eq_risk - escape_tol
+            done = (delta <= 1e-13) | (t >= max_steps)
+            for i in np.flatnonzero(done | escaped):
+                k = live[i]
+                if escaped[i] and not escaped_at[k]:
+                    escaped_at[k] = t
+                distance[k] = state_distance_upto_permutation(
+                    SystemState(alpha[i], theta[i], 0), eq_state)
+                done[i] |= distance[k] > return_tol
+            if done.any():
+                steps[live[done]] = t
+                live, escaped, alpha, theta, R = (
+                    x[~done] for x in (live, escaped, alpha, theta, R))
+                break
+    return [{"returned": bool(distance[k] <= return_tol), "steps": int(steps[k]),
+             "escaped_at": int(escaped_at[k]) or None,
+             "distance": float(distance[k])} for k in range(trials)]
 
 
 def empirical_stability_probe(scenario: Scenario, eq_state: SystemState,
@@ -449,16 +478,13 @@ def empirical_stability_probe(scenario: Scenario, eq_state: SystemState,
                               return_tol: float = 1e-4) -> float:
     """Perturb-and-resimulate: fraction of trials re-converging to eq_state.
 
-    A trial counts as returned when it ends within return_tol of the
-    equilibrium, compared up to learner permutation.  Trials run serially.
+    Trial k perturbs eq_state from the seed stream [seed, k].  The trials
+    step as one batch, so a probe costs as many steps as its longest trial.
+    A trial stops when its state stops moving (delta <= 1e-13), once its
+    total risk is below the equilibrium's and it is farther than return_tol,
+    or at max_steps.  It has returned if it ends within return_tol of the
+    equilibrium, compared up to learner permutation.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    validate_state(eq_state, scenario)
-    R_eq = scenario.risk_matrix(eq_state.theta)
-    eq_risk = _total_risk(eq_state.alpha, R_eq, scenario.beta)
-    escape_tol = 1e-9 * max(1.0, abs(eq_risk))
-    returned = sum(_probe_trial(scenario, eq_state, sigma, [seed, k], target,
-                                max_steps, return_tol, eq_risk, escape_tol)
-                   for k in range(trials))
-    return returned / trials
+    records = _probe_batch(scenario, eq_state, sigma, trials, seed, target,
+                           max_steps, return_tol)
+    return sum(r["returned"] for r in records) / trials

@@ -31,15 +31,18 @@ class ConvergenceError(PopdynError):
 
 
 class MonotonicityError(PopdynError):
-    """Total risk increased under supposedly risk-reducing updates."""
+    """Total risk increased under supposedly risk-reducing updates; ``trial``
+    is the probe trial that tripped the gate, or None outside a probe."""
 
-    def __init__(self, t, before, after, tol):
+    def __init__(self, t, before, after, tol, trial=None):
         self.t = t
         self.before = before
         self.after = after
         self.tol = tol
+        self.trial = trial
+        where = f"step {t}" if trial is None else f"step {t} of trial {trial}"
         super().__init__(
-            f"total risk increased at step {t}: {before!r} -> {after!r} "
+            f"total risk increased at {where}: {before!r} -> {after!r} "
             f"(increase {after - before:.3e} > tolerance {tol:.1e})"
         )
 

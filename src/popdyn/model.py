@@ -200,24 +200,24 @@ class Scenario:
         return A, phi, c, np.einsum("nde,ne->nd", A, phi)
 
     def risk_matrix(self, theta: np.ndarray) -> np.ndarray:
-        """Matrix R with R[i, j] = R_i(theta_j) for theta of shape (m, d)."""
+        """R[..., i, j] = R_i(theta[..., j, :]) for theta of shape (..., m, d)."""
         theta = np.asarray(theta, dtype=float)
         if self._quad is not None:
             A, phi, c, _ = self._quad
-            diff = theta[None, :, :] - phi[:, None, :]
-            return np.einsum("nmd,nde,nme->nm", diff, A, diff) + c[:, None]
-        return np.array(
-            [[risk_value(r, th) for th in theta] for r in self.risks]
-        )
+            diff = theta[..., None, :, :] - phi[:, None, :]
+            return (np.matmul(diff, A) * diff).sum(-1) + c[:, None]
+        values = [[risk_value(r, th) for th in theta.reshape(-1, self.d)]
+                  for r in self.risks]
+        return np.moveaxis(np.reshape(values, (self.n, *theta.shape[:-1])), 0, -2)
 
     def normal_equations(self, W: np.ndarray):
-        """Normal equations of quadratic mixtures with weights W (n, k):
+        """Normal equations of quadratic mixtures with weights W (..., n, k):
         H[j] = sum_i W_ij A_i and b[j] = sum_i W_ij A_i phi_i.  Mixture j is
         minimized at H[j]^-1 b[j]; its gradient is 2 (H[j] theta - b[j])."""
         if self._quad is None:
             raise ValueError("normal equations are only defined for quadratic risks")
         A, _, _, Aphi = self._quad
-        return np.einsum("ij,ide->jde", W, A), W.T @ Aphi
+        return np.einsum("...ij,ide->...jde", W, A), W.swapaxes(-1, -2) @ Aphi
 
     def centers(self) -> np.ndarray:
         """Per-subpopulation optimal parameters (quadratic scenarios only)."""
@@ -249,8 +249,8 @@ def validate_allocation(alpha, n: int, m: int, tol: float = SIMPLEX_TOL) -> np.n
 
 def renormalize_rows(alpha: np.ndarray) -> np.ndarray:
     """Clip to nonnegative and rescale each row to sum exactly one."""
-    clipped = np.clip(alpha, 0.0, None)
-    return clipped / clipped.sum(axis=1, keepdims=True)
+    clipped = np.maximum(alpha, 0.0)
+    return clipped / clipped.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -323,16 +323,16 @@ def learner_avg_risk(alpha_col, beta, risks, theta_j) -> float:
     return float(total / mass)
 
 
-def _total_risk(alpha: np.ndarray, R: np.ndarray, beta: np.ndarray) -> float:
-    # R is the precomputed risk matrix R[i,j] = R_i(theta_j)
-    return float(beta @ (alpha * R).sum(axis=1))
+def _total_risk(alpha: np.ndarray, R: np.ndarray, beta: np.ndarray):
+    # one total per leading index of R[..., i, j] = R_i(theta_j)
+    return (alpha * R).sum(axis=-1) @ beta
 
 
 def total_risk(state: SystemState, scenario: Scenario) -> float:
     """Total risk sum_ij beta_i alpha_ij R_i(theta_j), the dynamics' potential."""
     validate_state(state, scenario)
     R = scenario.risk_matrix(state.theta)
-    return _total_risk(state.alpha, R, scenario.beta)
+    return float(_total_risk(state.alpha, R, scenario.beta))
 
 
 def subpop_risk_vector(alpha: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -285,6 +285,17 @@ class TestProbe:
         out = json.loads(capsys.readouterr().out)
         assert out["fraction_returned"] == 1.0
 
+    def test_probe_reports_each_trial(self, capsys):
+        rc = main(["probe", THREE_CENTERS, "--assignment", "0,1,1", "--sigma", "1e-4",
+                   "--trials", "3", "--seed", "3"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["trials"] == 3
+        records = out["trial_records"]
+        assert len(records) == 3
+        assert all(r["returned"] and r["escaped_at"] is None and r["steps"] >= 1
+                   and 0.0 <= r["distance"] <= 1e-4 for r in records)
+
     def test_probe_requires_target_state(self, capsys):
         rc = main(["probe", THREE_CENTERS])
         assert rc == 1

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from popdyn import (
     MonotonicityError,
     NonFiniteError,
     Scenario,
+    SplitAssignment,
     SystemState,
     UpdateSchedule,
     best_response,
@@ -30,10 +32,13 @@ from popdyn import (
     state_distance_upto_permutation,
     step,
     step_size,
+    theta_for_assignment,
     total_risk,
 )
-from popdyn.engine import _update_alpha, _update_theta
+from popdyn import engine
+from popdyn.engine import _probe_batch, _update_alpha, _update_theta
 from popdyn.goldens import partition_pair_scenario, partition_pair_state
+from popdyn.model import EMPTY_MASS_TOL
 
 from conftest import random_scenario, random_state
 
@@ -324,6 +329,223 @@ class TestStabilityProbe:
         with pytest.raises(ValueError):
             empirical_stability_probe(three_centers.scenario, three_centers.initial_state,
                                       1e-3, 0, seed=1)
+
+    def test_records_describe_each_trial(self, three_centers):
+        records = _probe_batch(three_centers.scenario, three_centers.initial_state,
+                               1e-3, 4, 2, "both", 6000, 1e-4)
+        assert [set(r) for r in records] == [{"returned", "steps", "escaped_at",
+                                              "distance"}] * 4
+        # the balanced point is left for a split market of lower total risk
+        assert all(not r["returned"] and r["escaped_at"] is not None
+                   and r["escaped_at"] <= r["steps"] and r["distance"] > 1e-4
+                   for r in records)
+        sc = partition_pair_scenario([0.0], [1.0], [2.0], 1 / 3, 1 / 3)
+        records = _probe_batch(sc, partition_pair_state(sc), 1e-4, 4, 1, "both",
+                               6000, 1e-4)
+        assert all(r["returned"] and r["escaped_at"] is None
+                   and r["distance"] <= 1e-4 for r in records)
+
+    def test_batch_steps_as_often_as_its_longest_trial(self):
+        # a per-trial loop would step sum(steps) times, the batch max(steps)
+        sc = partition_pair_scenario([0.0], [1.0], [2.0], 1 / 3, 1 / 3)
+        calls = []
+        real = engine._core_step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        with mock.patch.object(engine, "_core_step", counting):
+            records = _probe_batch(sc, partition_pair_state(sc), 1e-4, 6, 1,
+                                   "both", 6000, 1e-4)
+        steps = [r["steps"] for r in records]
+        assert len(set(steps)) > 1
+        assert len(calls) == max(steps)
+
+    def test_gate_names_the_batch_trial(self):
+        # a constant oversized gradient step raises the risk of every trial
+        # that is off the center; only the trial labelled 7 is
+        sc = Scenario(beta=np.array([1.0]), risks=(quadratic_risk([0.0]),), m=1,
+                      subpop_rule=mwud(),
+                      learner_rule=repeated_gd(base=1.5, form="constant"))
+        alpha = np.ones((2, 1, 1))
+        theta = np.array([[[0.0]], [[1.0]]])
+        steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0,
+                              labels=np.array([4, 7]))
+        with pytest.raises(MonotonicityError, match="step 0 of trial 7") as exc:
+            next(steps)
+        assert exc.value.trial == 7
+        with pytest.raises(MonotonicityError) as exc:
+            step(SystemState(alpha=alpha[1], theta=theta[1]), sc)
+        assert exc.value.trial is None and "trial" not in str(exc.value)
+        with pytest.raises(MonotonicityError) as exc:
+            empirical_stability_probe(sc, SystemState(alpha[1], theta[1]), 1e-3, 3,
+                                      seed=1, target="theta_only")
+        assert exc.value.trial == 0
+
+
+def _serial_trial(scenario, eq_state, sigma, seed, target, max_steps, return_tol):
+    """One probe trial replayed over the public step: the per-trial reference
+    the batched probe is pinned to.  Returns the trial's record and the total
+    risk after each of its steps."""
+    eq_risk = total_risk(eq_state, scenario)
+    escape_tol = 1e-9 * max(1.0, abs(eq_risk))
+    state = perturb(SystemState(eq_state.alpha, eq_state.theta, t=0), sigma, seed,
+                    target)
+    escaped_at, totals = None, []
+    for k in range(1, max_steps + 1):
+        nxt = step(state, scenario)
+        delta = max(np.abs(nxt.alpha - state.alpha).max(),
+                    np.abs(nxt.theta - state.theta).max())
+        state = nxt
+        totals.append(total_risk(state, scenario))
+        if escaped_at is None and totals[-1] < eq_risk - escape_tol:
+            escaped_at = k
+        if escaped_at is not None:
+            distance = state_distance_upto_permutation(state, eq_state)
+            if distance > return_tol:
+                return {"returned": False, "steps": k, "escaped_at": escaped_at,
+                        "distance": distance}, totals
+        if delta <= 1e-13:
+            break
+    distance = state_distance_upto_permutation(state, eq_state)
+    return {"returned": distance <= return_tol, "steps": k,
+            "escaped_at": escaped_at, "distance": distance}, totals
+
+
+def _custom_quadratic(center, offset):
+    # a quadratic risk behind callbacks, so it takes the custom-risk paths
+    return custom_risk(len(center),
+                       value=lambda th: float(((th - center) ** 2).sum()) + offset,
+                       gradient=lambda th: 2.0 * (th - center),
+                       hessian=lambda th: 2.0 * np.eye(len(center)))
+
+
+class TestBatchedProbeAgainstSerial:
+    RULES = [mwud(2.0), mwud(1.0, "relative"), best_response(),
+             best_response(0.05, "keep_previous")]
+    SCHEDULES = [None, UpdateSchedule(kind="round_robin_subpops"),
+                 UpdateSchedule(kind="round_robin_learners"),
+                 UpdateSchedule(kind="custom_order", subpops=(0, 1), learners=(0,))]
+
+    def _check(self, sc, eq_state, sigma, trials, seed, target, max_steps):
+        per_trial = {}
+        real = engine._core_step
+
+        def spy(alpha, theta, t, scenario, R, labels=None):
+            out = real(alpha, theta, t, scenario, R, labels)
+            for k, total in zip(labels, out[3]):
+                per_trial.setdefault(int(k), []).append(total)
+            return out
+
+        with mock.patch.object(engine, "_core_step", spy):
+            records = _probe_batch(sc, eq_state, sigma, trials, seed, target,
+                                   max_steps, 1e-4)
+        for k, record in enumerate(records):
+            expected, totals = _serial_trial(sc, eq_state, sigma, [seed, k], target,
+                                             max_steps, 1e-4)
+            assert {key: record[key] for key in ("returned", "steps", "escaped_at")} \
+                == {key: expected[key] for key in ("returned", "steps", "escaped_at")}
+            assert record["distance"] == pytest.approx(expected["distance"],
+                                                       rel=0, abs=1e-12)
+            # a finished trial takes no further step
+            assert len(per_trial[k]) == record["steps"]
+            assert np.abs(np.array(per_trial[k]) - totals).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 3), st.integers(0, 3),
+           st.sampled_from(["full_min", "repeated_gd", "custom_full_min",
+                            "custom_repeated_gd"]),
+           st.sampled_from(["both", "theta_only", "alpha_only"]),
+           st.sampled_from([1e-4, 1e-2]), st.integers(1, 5), st.integers(1, 150))
+    def test_every_trial_matches_the_serial_replay(self, seed, rule, schedule,
+                                                   learner, target, sigma, trials,
+                                                   max_steps):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, min(3, n) + 1))
+        sc = random_scenario(rng, n, m, int(rng.integers(1, 3)),
+                             learner=learner.split("custom_")[-1])
+        if learner.startswith("custom"):
+            sc = replace(sc, risks=tuple(_custom_quadratic(r.center, r.offset)
+                                         for r in sc.risks))
+            if learner == "custom_full_min":
+                # damped Newton cannot reach a gradient norm whose step
+                # changes the objective by less than its rounding
+                sc = replace(sc, learner_rule=full_min(tolerance=1e-6))
+        sc = replace(sc, subpop_rule=self.RULES[rule],
+                     schedule=self.SCHEDULES[schedule])
+        gamma_map = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
+        assignment = SplitAssignment(tuple(int(g) for g in rng.permutation(gamma_map)))
+        eq_state = SystemState(assignment.to_alpha(m),
+                               theta_for_assignment(assignment, sc))
+        self._check(sc, eq_state, sigma, trials, seed, target, max_steps)
+
+    def test_learner_empty_in_some_trials_only(self):
+        # two nearby subpopulations on learner 0, with learner 1 an empty copy
+        # of it: after a parameter perturbation larger than the centers' gap,
+        # best response hands both to whichever copy moved closer, so each
+        # learner is empty in some trials and not in others
+        sc = Scenario(beta=np.array([0.5, 0.5]),
+                      risks=(quadratic_risk([0.0]), quadratic_risk([1e-3])), m=2,
+                      subpop_rule=best_response(), learner_rule=full_min())
+        eq_state = SystemState(np.array([[1.0, 0.0], [1.0, 0.0]]),
+                               np.array([[5e-4], [5e-4]]))
+        empty = []
+        real = engine._core_step
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            empty.append(sc.beta @ out[0] < EMPTY_MASS_TOL)   # (trials, m)
+            return out
+
+        with mock.patch.object(engine, "_core_step", spy):
+            self._check(sc, eq_state, 1e-2, 6, 11, "theta_only", 60)
+        first = empty[0]   # emptiness after the first step, per trial
+        assert all(first[:, j].any() and not first[:, j].all() for j in (0, 1))
+
+
+class TestFreezeThreshold:
+    """A learner updates at mass >= EMPTY_MASS_TOL (1e-12) and freezes below."""
+
+    @staticmethod
+    def _setup(kind):
+        rule = full_min() if kind == "full_min" else repeated_gd(base=0.2)
+        sc = Scenario(beta=np.full(3, 1 / 3),
+                      risks=tuple(quadratic_risk([c]) for c in (0.0, 1.0, 2.0)),
+                      m=3, subpop_rule=mwud(), learner_rule=rule)
+        # learner 1 carries mass 2e-12 and learner 2 mass 5e-13
+        alpha = np.array([[1.0 - 7.5e-12, 6e-12, 1.5e-12], [1.0, 0.0, 0.0],
+                          [1.0, 0.0, 0.0]])
+        theta = np.array([[0.5], [5.0], [7.0]])
+        return sc, alpha, theta
+
+    @pytest.mark.parametrize("kind", ["full_min", "repeated_gd"])
+    def test_updates_at_2e12_and_freezes_at_5e13(self, kind):
+        sc, alpha, theta = self._setup(kind)
+        theta2, frozen = _update_theta(alpha, theta, sc, 0)
+        assert frozen == 1
+        if kind == "full_min":
+            expected = full_minimize(alpha[:, 1], sc.beta, sc.risks)
+        else:
+            expected = gradient_step(theta[1], alpha[:, 1], sc.beta, sc.risks,
+                                     step_size(0, sc.learner_rule.schedule))
+        assert theta2[1, 0] != theta[1, 0]
+        assert np.abs(theta2[1] - expected).max() <= 1e-12
+        assert theta2[2, 0] == theta[2, 0]
+
+    @pytest.mark.parametrize("kind", ["full_min", "repeated_gd"])
+    def test_batch_freezes_per_trial(self, kind):
+        # learner 2 is empty in trial 0 only, learner 1 in trial 1 only
+        sc, alpha, theta = self._setup(kind)
+        alpha = np.stack([alpha, alpha[:, [0, 2, 1]]])
+        theta = np.stack([theta, theta])
+        theta2, frozen = _update_theta(alpha, theta, sc, 0)
+        assert frozen.tolist() == [1, 1]
+        assert theta2[0, 2, 0] == theta[0, 2, 0] and theta2[1, 1, 0] == theta[1, 1, 0]
+        assert theta2[0, 1, 0] != theta[0, 1, 0] and theta2[1, 2, 0] != theta[1, 2, 0]
+        for k in range(2):
+            assert np.array_equal(theta2[k], _update_theta(alpha[k], theta[k], sc, 0)[0])
 
 
 class TestFastPathEquivalence:
