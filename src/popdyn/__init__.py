@@ -73,7 +73,6 @@ from .model import (
     SystemState,
     custom_risk,
     learner_avg_risk,
-    learner_mass,
     quadratic_risk,
     risk_gradient,
     risk_hessian,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnderflowError
-from .model import subpop_avg_risk
+from .model import require_choice, require_number, subpop_avg_risk
 
 COMPARISONS = ("absolute", "relative")
 TIE_POLICIES = ("split_evenly", "keep_previous")
@@ -37,18 +37,13 @@ class AllocationRule:
     tie_policy: str = "split_evenly"
 
     def __post_init__(self):
-        if self.kind not in ("mwud", "best_response"):
-            raise ValueError(f"unknown allocation rule kind {self.kind!r}")
+        require_choice(self.kind, "kind", ("mwud", "best_response"))
         if self.kind == "mwud":
-            if self.gamma <= 0:
-                raise ValueError(f"gamma must be > 0, got {self.gamma}")
-            if self.comparison not in COMPARISONS:
-                raise ValueError(f"unknown comparison {self.comparison!r}")
+            require_number(self.gamma, "gamma", 0, strict=True)
+            require_choice(self.comparison, "comparison", COMPARISONS)
         else:
-            if self.tie_tolerance < 0:
-                raise ValueError("tie_tolerance must be >= 0")
-            if self.tie_policy not in TIE_POLICIES:
-                raise ValueError(f"unknown tie_policy {self.tie_policy!r}")
+            require_number(self.tie_tolerance, "tie_tolerance", 0)
+            require_choice(self.tie_policy, "tie_policy", TIE_POLICIES)
 
 
 def mwud(gamma: float = 1.0, comparison: str = "absolute") -> AllocationRule:

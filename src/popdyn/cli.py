@@ -26,8 +26,10 @@ from . import __version__
 from .engine import _probe_batch, perturb, simulate
 from .equilibria import (
     SplitAssignment,
+    _c1_sides,
     classify_state,
     enumerate_split_equilibria,
+    example_c1_stability_predicate,
     split_learner,
     theta_for_assignment,
 )
@@ -206,13 +208,8 @@ def cmd_classify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     loaded = load_scenario(args.scenario)
-    try:
-        reports = enumerate_split_equilibria(loaded.scenario,
-                                             dedupe=args.dedupe,
-                                             budget=args.budget)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    reports = enumerate_split_equilibria(loaded.scenario, dedupe=args.dedupe,
+                                         budget=args.budget)
     header = ["assignment", "total_risk", "classification", "stability",
               "margin", "welfare_gap"]
     rows = [["-".join(map(str, r.assignment.gamma_map)), r.total_risk,
@@ -330,8 +327,6 @@ def _goldens_minority(rows, failures):
 
 
 def _goldens_partition_agreement(rows, failures):
-    from .equilibria import example_c1_stability_predicate
-
     phis = ([0.0], [1.0], [2.0])
     grid = np.linspace(0.04, 0.92, 20)
     band = 1e-6
@@ -342,10 +337,7 @@ def _goldens_partition_agreement(rows, failures):
             predicate = example_c1_stability_predicate(*phis, beta2, beta3)
             report, margin = classify_partition_pair(*phis, beta2, beta3)
             certified = report.stability == "asymptotically_stable"
-            slack = np.linalg.norm(np.array(phis[1]) - np.array(phis[2]))
-            bound = (beta2 + beta3) * min(
-                np.linalg.norm(np.subtract(phis[1], phis[0])) / beta3,
-                np.linalg.norm(np.subtract(phis[2], phis[0])) / beta2)
+            slack, bound = _c1_sides(*phis, beta2, beta3)
             in_band = abs(slack - bound) < band or (
                 margin is not None and abs(margin) < band)
             ok = in_band or predicate == certified

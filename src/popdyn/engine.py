@@ -29,6 +29,8 @@ from .model import (
     _total_risk,
     learner_risk_vector,
     renormalize_rows,
+    require_choice,
+    require_number,
     subpop_risk_vector,
     total_risk,
     validate_state,
@@ -59,14 +61,14 @@ class UpdateSchedule:
     learners: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        require_choice(self.kind, "kind", SCHEDULE_KINDS)
         for name in ("order", "subpops", "learners"):
             val = getattr(self, name)
             if val is not None:
-                val = tuple(int(i) for i in val)
+                val = tuple(int(require_number(i, f"{name}[{k}]", 0, integer=True))
+                            for k, i in enumerate(val))
                 if len(set(val)) != len(val):
-                    raise ValueError(f"schedule {name} repeats an index: {val}")
+                    raise ValueError(f"{name} repeats an index: {val}")
                 object.__setattr__(self, name, val)
 
 
@@ -79,10 +81,8 @@ class EquilibriumDetector:
     window: int = 10
 
     def __post_init__(self):
-        if self.state_tolerance <= 0:
-            raise ValueError("state_tolerance must be > 0")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        require_number(self.state_tolerance, "state_tolerance", 0, strict=True)
+        require_number(self.window, "window", 1, integer=True)
 
 
 @dataclass

@@ -280,6 +280,15 @@ def classify_state(state: SystemState, scenario: Scenario,
     )
 
 
+def _c1_sides(phi1, phi2, phi3, beta2: float, beta3: float) -> tuple:
+    """The left and right sides of example_c1_stability_predicate's bound."""
+    phi1, phi2, phi3 = (np.atleast_1d(np.asarray(p, dtype=float))
+                        for p in (phi1, phi2, phi3))
+    bound = (beta2 + beta3) * min(np.linalg.norm(phi2 - phi1) / beta3,
+                                  np.linalg.norm(phi3 - phi1) / beta2)
+    return np.linalg.norm(phi2 - phi3), bound
+
+
 def example_c1_stability_predicate(phi1, phi2, phi3, beta2: float,
                                    beta3: float) -> bool:
     """Closed-form stability test for the {1}/{2,3} partition with
@@ -288,16 +297,9 @@ def example_c1_stability_predicate(phi1, phi2, phi3, beta2: float,
         ||phi2 - phi3|| < (beta2 + beta3) * min(||phi2 - phi1|| / beta3,
                                                 ||phi3 - phi1|| / beta2)
     """
-    phi1 = np.atleast_1d(np.asarray(phi1, dtype=float))
-    phi2 = np.atleast_1d(np.asarray(phi2, dtype=float))
-    phi3 = np.atleast_1d(np.asarray(phi3, dtype=float))
     if beta2 <= 0 or beta3 <= 0:
         raise ValueError("beta2 and beta3 must be positive")
-    lhs = np.linalg.norm(phi2 - phi3)
-    bound = (beta2 + beta3) * min(
-        np.linalg.norm(phi2 - phi1) / beta3,
-        np.linalg.norm(phi3 - phi1) / beta2,
-    )
+    lhs, bound = _c1_sides(phi1, phi2, phi3, beta2, beta3)
     return bool(lhs < bound)
 
 

@@ -18,6 +18,8 @@ from .model import (
     EMPTY_MASS_TOL,
     RiskFunction,
     learner_avg_risk,
+    require_choice,
+    require_number,
     risk_gradient,
     risk_hessian,
     risk_value,
@@ -35,10 +37,8 @@ class StepSchedule:
     base: float = 1.0
 
     def __post_init__(self):
-        if self.form not in STEP_FORMS:
-            raise ValueError(f"unknown step form {self.form!r}")
-        if self.base <= 0:
-            raise ValueError(f"base step must be > 0, got {self.base}")
+        require_choice(self.form, "form", STEP_FORMS)
+        require_number(self.base, "base", 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,11 @@ class LearnerRule:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if self.kind not in ("repeated_gd", "full_min"):
-            raise ValueError(f"unknown learner rule kind {self.kind!r}")
-        if self.inner_steps < 1:
-            raise ValueError("inner_steps must be >= 1")
-        if self.method not in FULL_MIN_METHODS:
-            raise ValueError(f"unknown full_min method {self.method!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        require_choice(self.kind, "kind", ("repeated_gd", "full_min"))
+        require_number(self.inner_steps, "inner_steps", 1, integer=True)
+        require_choice(self.method, "method", FULL_MIN_METHODS)
+        require_number(self.tolerance, "tolerance", 0, strict=True)
+        require_number(self.max_iterations, "max_iterations", 0, integer=True)
 
 
 def repeated_gd(base: float = 1.0, form: str = "harmonic",
@@ -165,6 +162,11 @@ def group_minimize(weights, risks, method: str = "closed_form_quadratic",
         if np.linalg.norm(g) <= tolerance:
             return theta
         direction = np.linalg.solve(hess(theta), -g)
+        if -(g @ direction) / 2 <= np.finfo(float).eps * abs(value):
+            # the full step's predicted decrease is below the objective's
+            # rounding: no step can be seen to lower it, so theta is optimal
+            # to working precision
+            return theta
         scale = 1.0
         while scale > 1e-12:
             candidate = theta + scale * direction

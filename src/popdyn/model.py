@@ -14,6 +14,8 @@ All types are immutable after construction; the operations are pure.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, TYPE_CHECKING
@@ -36,14 +38,41 @@ EMPTY_MASS_TOL = 1e-12
 MONOTONE_TOL = 1e-8
 
 
-def require_finite(x, name: str) -> None:
-    """Raise NonFiniteError naming the first NaN or infinite entry of x."""
-    arr = np.asarray(x, dtype=float)
+def require_finite(x, name: str) -> np.ndarray:
+    """Return x as a float array; raise ValueError naming x if it is not
+    numeric, and NonFiniteError naming its first NaN or infinite entry."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numeric, got {x!r}") from None
     if np.all(np.isfinite(arr)):
-        return
+        return arr
     index = tuple(np.argwhere(~np.isfinite(arr))[0])
     label = f"{name}[{','.join(map(str, index))}]" if index else name
     raise NonFiniteError(f"{label}={float(arr[index])!r} is not finite")
+
+
+def require_number(value, name: str, low, strict: bool = False,
+                   integer: bool = False):
+    """Return value if it is a finite real number (an integer when
+    `integer`) at least `low`, or above it when `strict`; else raise
+    ValueError naming `name`.  None, booleans and numeric strings are not
+    numbers here, and non-integers are rejected rather than truncated."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value))
+            and (value > low if strict else value >= low)):
+        return value
+    raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}"
+                     f" {'>' if strict else '>='} {low}, got {value!r}")
+
+
+def require_choice(value, name: str, choices):
+    """Return value if it is one of the strings `choices`; else raise
+    ValueError naming `name`."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _as_vector(x, d, name) -> np.ndarray:
@@ -75,20 +104,17 @@ class RiskFunction:
 
 def quadratic_risk(center, curvature=None, offset: float = 0.0) -> RiskFunction:
     """Build a quadratic risk with center phi, SPD curvature A and offset c."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    center = np.atleast_1d(require_finite(center, "center"))
     d = center.shape[0]
-    if curvature is None:
-        curvature = np.eye(d)
-    curvature = np.asarray(curvature, dtype=float)
+    curvature = (np.eye(d) if curvature is None
+                 else require_finite(curvature, "curvature"))
     if curvature.shape != (d, d):
         raise DimensionError(
             f"curvature: expected shape ({d},{d}), got {curvature.shape}"
         )
-    require_finite(center, "center")
-    require_finite(curvature, "curvature")
     require_finite(offset, "offset")
     if not np.allclose(curvature, curvature.T, atol=1e-10):
-        raise ValueError("curvature matrix must be symmetric")
+        raise ValueError("curvature must be symmetric")
     eigs = np.linalg.eigvalsh(curvature)
     if eigs.min() <= 0:
         raise ValueError(f"curvature must be positive definite, eigmin={eigs.min()}")
@@ -296,11 +322,6 @@ def subpop_avg_risk(alpha_row, theta_all, risk: RiskFunction) -> float:
     return float(sum(
         a * risk_value(risk, th) for a, th in zip(alpha_row, theta_all) if a != 0.0
     ))
-
-
-def learner_mass(alpha_col, beta) -> float:
-    """User mass sum_i alpha_ij beta_i observed by one learner."""
-    return float(np.asarray(alpha_col, dtype=float) @ np.asarray(beta, dtype=float))
 
 
 def learner_avg_risk(alpha_col, beta, risks, theta_j) -> float:

@@ -4,25 +4,34 @@ Scenario files are JSON with an explicit schema_version.  Every experiment and
 golden run in the repository is reproducible from a checked-in file.  All
 randomness derives from the single ``seed`` field, expanded into independent
 per-purpose streams (parameter init, allocation init, perturbation).
+
+Each rule, risk, schedule and detector object in a file is the keyword
+arguments of one constructor (``mwud``, ``best_response``, ``full_min``,
+``repeated_gd``, ``quadratic_risk``, ``UpdateSchedule``,
+``EquilibriumDetector``), so those signatures are the only statement of the
+field names and defaults.  One builder loads every such object and one
+writer dumps it back.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from importlib import resources
 
 import numpy as np
 
-from .allocation import AllocationRule
+from .allocation import best_response, mwud
 from .engine import EquilibriumDetector, UpdateSchedule
-from .errors import NonFiniteError, ScenarioFormatError
-from .learners import LearnerRule, StepSchedule
+from .errors import ScenarioFormatError
+from .learners import full_min, repeated_gd
 from .model import (
     Scenario,
     SystemState,
     quadratic_risk,
     require_finite,
+    require_number,
     validate_state,
 )
 
@@ -32,6 +41,14 @@ SCHEMA_VERSION = 1
 STREAM_THETA_INIT = 1
 STREAM_ALPHA_INIT = 2
 STREAM_PERTURB = 3
+
+
+# The constructor that each "kind" of a rule or risk object names, by section.
+_KINDS = {
+    "subpop_rule": {"mwud": mwud, "best_response": best_response},
+    "learner_rule": {"full_min": full_min, "repeated_gd": repeated_gd},
+    "risk": {"quadratic": quadratic_risk},
+}
 
 
 @dataclass
@@ -51,84 +68,80 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
+def _field(check, value, path, *args, **kwargs):
+    """check(value, path, ...) from model, its ValueError a ScenarioFormatError."""
+    try:
+        return check(value, path, *args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioFormatError(str(exc)) from exc
+
+
+def _build(make, fields, path):
+    """make(**fields), with unknown or missing fields and values the
+    constructor rejects raised as ScenarioFormatErrors naming path.field."""
+    if not isinstance(fields, dict):
+        raise ScenarioFormatError(f"{path}: expected an object")
+    params = inspect.signature(make).parameters
+    for name in fields:
+        if name not in params:
+            raise ScenarioFormatError(
+                f"{path}.{name}: unknown field; expected one of {list(params)}"
+            )
+    for name, param in params.items():
+        if param.default is param.empty and name not in fields:
+            raise ScenarioFormatError(f"{path}.{name}: missing required field")
+    try:
+        return make(**fields)
+    except ValueError as exc:  # constructors name the offending field first
+        raise ScenarioFormatError(f"{path}.{exc}") from exc
+    except TypeError as exc:
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
+
+
+def _build_kind(cfg, section, path, default=None):
+    """Build the object of a {"kind": ..., **fields} entry of a section."""
+    if not isinstance(cfg, dict):
+        raise ScenarioFormatError(f"{path}: expected an object")
+    fields = dict(cfg)
+    kind = fields.pop("kind", default)
+    kinds = _KINDS[section]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ScenarioFormatError(
+            f"{path}.kind: unknown kind {kind!r}; expected one of {list(kinds)}"
+        )
+    return _build(kinds[kind], fields, path)
+
+
+def _fields(obj, make):
+    """The keyword arguments of make that rebuild obj, as JSON values; None
+    values are left out so that the constructor's default applies."""
+    values = dict(vars(obj))
+    for value in vars(obj).values():
+        if is_dataclass(value):  # repeated_gd keeps base and form in a StepSchedule
+            values.update(vars(value))
+    out = {}
+    for name in inspect.signature(make).parameters:
+        value = values[name]
+        if isinstance(value, (np.ndarray, tuple)):
+            value = np.asarray(value).tolist()
+        if value is not None:
+            out[name] = value
+    return out
+
+
+def _dump_kind(obj, section):
+    return {"kind": obj.kind, **_fields(obj, _KINDS[section][obj.kind])}
+
+
 def _parse_risks(pop, n, path):
     entries = _require(pop, "risks", path)
     if not isinstance(entries, list) or len(entries) != n:
         raise ScenarioFormatError(
             f"{path}.risks: expected a list of {n} risk objects"
         )
-    risks = []
-    for i, entry in enumerate(entries):
-        rpath = f"{path}.risks[{i}]"
-        kind = entry.get("kind", "quadratic")
-        if kind != "quadratic":
-            raise ScenarioFormatError(
-                f"{rpath}.kind: only 'quadratic' risks can be loaded from "
-                f"files, got {kind!r} (custom risks require callbacks)"
-            )
-        center = _require(entry, "center", rpath)
-        try:
-            risks.append(quadratic_risk(center,
-                                        curvature=entry.get("curvature"),
-                                        offset=entry.get("offset", 0.0)))
-        except NonFiniteError as exc:
-            raise ScenarioFormatError(f"{rpath}.{exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise ScenarioFormatError(f"{rpath}: {exc}") from exc
-    return tuple(risks)
-
-
-def _parse_subpop_rule(cfg):
-    kind = _require(cfg, "kind", "subpop_rule")
-    try:
-        if kind == "mwud":
-            return AllocationRule(kind="mwud",
-                                  gamma=float(cfg.get("gamma", 1.0)),
-                                  comparison=cfg.get("comparison", "absolute"))
-        if kind == "best_response":
-            return AllocationRule(kind="best_response",
-                                  tie_tolerance=float(cfg.get("tie_tolerance", 0.0)),
-                                  tie_policy=cfg.get("tie_policy", "split_evenly"))
-    except ValueError as exc:
-        raise ScenarioFormatError(f"subpop_rule: {exc}") from exc
-    raise ScenarioFormatError(f"subpop_rule.kind: unknown kind {kind!r}")
-
-
-def _parse_learner_rule(cfg):
-    kind = _require(cfg, "kind", "learner_rule")
-    try:
-        if kind == "full_min":
-            return LearnerRule(
-                kind="full_min",
-                method=cfg.get("method", "closed_form_quadratic"),
-                tolerance=float(cfg.get("tolerance", 1e-10)),
-                max_iterations=int(cfg.get("max_iterations", 100)),
-            )
-        if kind == "repeated_gd":
-            return LearnerRule(
-                kind="repeated_gd",
-                schedule=StepSchedule(form=cfg.get("form", "harmonic"),
-                                      base=float(cfg.get("base", 1.0))),
-                inner_steps=int(cfg.get("inner_steps", 1)),
-            )
-    except ValueError as exc:
-        raise ScenarioFormatError(f"learner_rule: {exc}") from exc
-    raise ScenarioFormatError(f"learner_rule.kind: unknown kind {kind!r}")
-
-
-def _parse_schedule(cfg):
-    if cfg is None:
-        return None
-    kind = _require(cfg, "kind", "schedule")
-    try:
-        return UpdateSchedule(
-            kind=kind,
-            order=tuple(cfg["order"]) if "order" in cfg else None,
-            subpops=tuple(cfg["subpops"]) if "subpops" in cfg else None,
-            learners=tuple(cfg["learners"]) if "learners" in cfg else None,
-        )
-    except ValueError as exc:
-        raise ScenarioFormatError(f"schedule: {exc}") from exc
+    return tuple(_build_kind(entry, "risk", f"{path}.risks[{i}]",
+                             default="quadratic")
+                 for i, entry in enumerate(entries))
 
 
 def _initial_theta(cfg, scenario, seed):
@@ -137,23 +150,27 @@ def _initial_theta(cfg, scenario, seed):
     kind = _require(cfg, "kind", "learners.init")
     m, d = scenario.m, scenario.d
     if kind == "explicit":
-        theta = np.asarray(_require(cfg, "theta", "learners.init"), dtype=float)
+        theta = _field(require_finite, _require(cfg, "theta", "learners.init"),
+                       "learners.init.theta")
         if theta.shape != (m, d):
             raise ScenarioFormatError(
                 f"learners.init.theta: expected shape ({m},{d}), got {theta.shape}"
             )
         return theta
     if kind == "random_gaussian":
-        sigma = float(cfg.get("sigma", 1.0))
+        sigma = _field(require_number, cfg.get("sigma", 1.0),
+                       "learners.init.sigma", 0)
         rng = np.random.default_rng([seed, STREAM_THETA_INIT])
         return sigma * rng.standard_normal((m, d))
     if kind == "centers_subset":
         indices = cfg.get("indices", list(range(m)))
-        if len(indices) != m or any(not 0 <= i < scenario.n for i in indices):
+        if (not isinstance(indices, list) or len(indices) != m
+                or any(type(i) is not int or not 0 <= i < scenario.n
+                       for i in indices)):
             raise ScenarioFormatError(
                 f"learners.init.indices: need {m} valid subpopulation indices"
             )
-        return scenario.centers()[list(indices)].copy()
+        return scenario.centers()[indices].copy()
     raise ScenarioFormatError(f"learners.init.kind: unknown kind {kind!r}")
 
 
@@ -165,11 +182,12 @@ def _initial_alpha(cfg, scenario, seed):
     if kind == "uniform":
         return np.full((n, m), 1.0 / m)
     if kind == "explicit":
-        alpha = np.asarray(_require(cfg, "alpha", "initial_alpha"), dtype=float)
-        return alpha
+        return _field(require_finite, _require(cfg, "alpha", "initial_alpha"),
+                      "initial_alpha.alpha")
     if kind == "random_dirichlet":
         rng = np.random.default_rng([seed, STREAM_ALPHA_INIT])
-        conc = float(cfg.get("concentration", 1.0))
+        conc = _field(require_number, cfg.get("concentration", 1.0),
+                      "initial_alpha.concentration", 0, strict=True)
         return rng.dirichlet(np.full(m, conc), size=n)
     raise ScenarioFormatError(f"initial_alpha.kind: unknown kind {kind!r}")
 
@@ -182,13 +200,10 @@ def parse_scenario(data: dict) -> LoadedScenario:
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
     pop = _require(data, "population", "scenario")
-    betas = np.asarray(_require(pop, "betas", "population"), dtype=float)
+    betas = _field(require_finite, _require(pop, "betas", "population"),
+                   "population.betas")
     if betas.ndim != 1 or betas.size == 0:
         raise ScenarioFormatError("population.betas: expected a nonempty vector")
-    try:
-        require_finite(betas, "population.betas")
-    except NonFiniteError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
     if pop.get("normalize", False):
         betas = betas / betas.sum()
     elif abs(betas.sum() - 1.0) > 1e-12:
@@ -199,10 +214,15 @@ def parse_scenario(data: dict) -> LoadedScenario:
     risks = _parse_risks(pop, betas.size, "population")
 
     learners_cfg = _require(data, "learners", "scenario")
-    m = int(_require(learners_cfg, "m", "learners"))
-    subpop_rule = _parse_subpop_rule(_require(data, "subpop_rule", "scenario"))
-    learner_rule = _parse_learner_rule(_require(data, "learner_rule", "scenario"))
-    schedule = _parse_schedule(data.get("schedule"))
+    m = _field(require_number, _require(learners_cfg, "m", "learners"),
+               "learners.m", 1, integer=True)
+    subpop_rule = _build_kind(_require(data, "subpop_rule", "scenario"),
+                              "subpop_rule", "subpop_rule")
+    learner_rule = _build_kind(_require(data, "learner_rule", "scenario"),
+                               "learner_rule", "learner_rule")
+    schedule = data.get("schedule")
+    if schedule is not None:
+        schedule = _build(UpdateSchedule, schedule, "schedule")
     try:
         scenario = Scenario(beta=betas, risks=risks, m=m,
                             subpop_rule=subpop_rule, learner_rule=learner_rule,
@@ -210,7 +230,7 @@ def parse_scenario(data: dict) -> LoadedScenario:
     except ValueError as exc:
         raise ScenarioFormatError(f"scenario: {exc}") from exc
 
-    seed = int(data.get("seed", 0))
+    seed = _field(require_number, data.get("seed", 0), "seed", 0, integer=True)
     theta = _initial_theta(learners_cfg.get("init"), scenario, seed)
     alpha = _initial_alpha(data.get("initial_alpha"), scenario, seed)
     state = SystemState(alpha=alpha, theta=theta, t=0)
@@ -219,16 +239,9 @@ def parse_scenario(data: dict) -> LoadedScenario:
     except ValueError as exc:
         raise ScenarioFormatError(f"initial state: {exc}") from exc
 
-    det_cfg = data.get("detector") or {}
-    try:
-        detector = EquilibriumDetector(
-            state_tolerance=float(det_cfg.get("state_tolerance", 1e-9)),
-            window=int(det_cfg.get("window", 10)),
-        )
-    except ValueError as exc:
-        raise ScenarioFormatError(f"detector: {exc}") from exc
-
-    max_steps = int(data.get("max_steps", 1000))
+    detector = _build(EquilibriumDetector, data.get("detector", {}), "detector")
+    max_steps = _field(require_number, data.get("max_steps", 1000),
+                       "max_steps", 1, integer=True)
     return LoadedScenario(scenario=scenario, initial_state=state,
                           detector=detector, seed=seed, max_steps=max_steps)
 
@@ -247,56 +260,26 @@ def load_scenario(path) -> LoadedScenario:
 def scenario_to_dict(loaded: LoadedScenario) -> dict:
     """Serialize back to the file schema with explicit arrays (round-trips)."""
     scenario = loaded.scenario
-    risks = []
-    for r in scenario.risks:
-        risks.append({
-            "kind": "quadratic",
-            "center": [float(x) for x in r.center],
-            "curvature": [[float(x) for x in row] for row in r.curvature],
-            "offset": float(r.offset),
-        })
-    sub = scenario.subpop_rule
-    if sub.kind == "mwud":
-        sub_cfg = {"kind": "mwud", "gamma": sub.gamma,
-                   "comparison": sub.comparison}
-    else:
-        sub_cfg = {"kind": "best_response", "tie_tolerance": sub.tie_tolerance,
-                   "tie_policy": sub.tie_policy}
-    lr = scenario.learner_rule
-    if lr.kind == "full_min":
-        lr_cfg = {"kind": "full_min", "method": lr.method,
-                  "tolerance": lr.tolerance,
-                  "max_iterations": lr.max_iterations}
-    else:
-        lr_cfg = {"kind": "repeated_gd", "base": lr.schedule.base,
-                  "form": lr.schedule.form, "inner_steps": lr.inner_steps}
     data = {
         "schema_version": SCHEMA_VERSION,
         "seed": loaded.seed,
         "max_steps": loaded.max_steps,
-        "population": {"betas": [float(b) for b in scenario.beta],
-                       "risks": risks},
+        "population": {"betas": scenario.beta.tolist(),
+                       "risks": [_dump_kind(r, "risk")
+                                 for r in scenario.risks]},
         "learners": {
             "m": scenario.m,
             "init": {"kind": "explicit",
-                     "theta": [[float(x) for x in row]
-                               for row in loaded.initial_state.theta]},
+                     "theta": loaded.initial_state.theta.tolist()},
         },
         "initial_alpha": {"kind": "explicit",
-                          "alpha": [[float(x) for x in row]
-                                    for row in loaded.initial_state.alpha]},
-        "subpop_rule": sub_cfg,
-        "learner_rule": lr_cfg,
-        "detector": {"state_tolerance": loaded.detector.state_tolerance,
-                     "window": loaded.detector.window},
+                          "alpha": loaded.initial_state.alpha.tolist()},
+        "subpop_rule": _dump_kind(scenario.subpop_rule, "subpop_rule"),
+        "learner_rule": _dump_kind(scenario.learner_rule, "learner_rule"),
+        "detector": _fields(loaded.detector, EquilibriumDetector),
     }
     if scenario.schedule is not None:
-        sched = {"kind": scenario.schedule.kind}
-        for name in ("order", "subpops", "learners"):
-            val = getattr(scenario.schedule, name)
-            if val is not None:
-                sched[name] = list(val)
-        data["schedule"] = sched
+        data["schedule"] = _fields(scenario.schedule, UpdateSchedule)
     return data
 
 
@@ -314,9 +297,10 @@ def load_state(path, scenario: Scenario) -> SystemState:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON ({exc})") from exc
-    alpha = np.asarray(_require(data, "alpha", "state"), dtype=float)
-    theta = np.asarray(_require(data, "theta", "state"), dtype=float)
-    state = SystemState(alpha=alpha, theta=theta, t=int(data.get("t", 0)))
+    alpha = _field(require_finite, _require(data, "alpha", "state"), "state.alpha")
+    theta = _field(require_finite, _require(data, "theta", "state"), "state.theta")
+    t = _field(require_number, data.get("t", 0), "state.t", 0, integer=True)
+    state = SystemState(alpha=alpha, theta=theta, t=t)
     try:
         validate_state(state, scenario)
     except ValueError as exc:

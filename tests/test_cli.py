@@ -73,6 +73,15 @@ class TestSimulate:
         assert "row 2" in err
         assert not (tmp_path / "o" / "trajectory.csv").exists()
 
+    def test_null_rule_field_names_its_path(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        data = json.loads(packaged_scenario("three_centers").read_text())
+        data["subpop_rule"]["gamma"] = None
+        bad.write_text(json.dumps(data))
+        rc = main(["simulate", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: subpop_rule.gamma")
+
     def test_non_convergence_exit_code(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["simulate", THREE_CENTERS, "--out", str(out), "--sigma", "1e-3",

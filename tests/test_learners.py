@@ -176,6 +176,28 @@ class TestFullMinimize:
                           method="newton", max_iterations=1,
                           start=np.array([50.0]))
 
+    def test_newton_start_within_rounding_of_optimum(self):
+        # the full Newton step lowers the objective by less than its rounding:
+        # the start is optimal to working precision, not a convergence failure
+        def quad(a, c, o):
+            return custom_risk(1, lambda th: a * (th[0] - c) ** 2 + o,
+                               lambda th: np.array([2 * a * (th[0] - c)]),
+                               lambda th: np.array([[2 * a]]))
+
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            a, c, o = (rng.uniform(0.5, 2.0, 3), rng.uniform(-2, 2, 3),
+                       rng.uniform(0, 1, 3))
+            w = np.array([4e-9, 0.53, 9e-6]) * rng.uniform(0.9, 1.1, 3)
+            h = (w * a).sum()
+            g0 = rng.uniform(5e-10, 5e-9) * rng.choice([-1, 1])
+            start = np.array([(w * a * c).sum() / h + g0 / (2 * h)])
+            risks = [quad(*p) for p in zip(a, c, o)]
+            out = group_minimize(w, risks, method="newton", tolerance=1e-10,
+                                 start=start)
+            value = lambda th: sum(wi * r.value_fn(th) for wi, r in zip(w, risks))
+            assert value(out) <= value(start)
+
     def test_empty_learner_raises(self):
         risks = (quadratic_risk([0.0]),)
         with pytest.raises(EmptyLearnerError):
@@ -228,6 +250,12 @@ class TestRuleValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             LearnerRule(kind="full_min", method="bfgs")
+
+    @pytest.mark.parametrize("field", ["inner_steps", "max_iterations"])
+    @pytest.mark.parametrize("value", [2.5, "3", None, True])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LearnerRule(kind="full_min", **{field: value})
 
 
 def _softplus_risks(centers):

@@ -1,0 +1,17 @@
+"""The README's library example runs as written."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_block_runs(capsys):
+    text = README.read_text()
+    section = text.split("## Quick start (library)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    converged_at, total, stability = capsys.readouterr().out.split()
+    assert converged_at != "None"
+    assert float(total) > 0
+    assert stability == "asymptotically_stable"

@@ -181,3 +181,89 @@ class TestStateFiles:
                                     "theta": [[0.0], [2.0]]}))
         with pytest.raises(ScenarioFormatError):
             load_state(path, loaded.scenario)
+
+
+class TestConstructorFields:
+    """Rule, schedule, detector and risk objects are constructor keyword
+    arguments: unknown fields and rejected values name their path."""
+
+    @staticmethod
+    def _with(section, cfg):
+        data = base_dict()
+        if section == "population.risks[1]":
+            data["population"]["risks"][1] = cfg
+        else:
+            data[section] = cfg
+        return data
+
+    @pytest.mark.parametrize("section, cfg", [
+        ("subpop_rule", {"kind": "mwud"}),
+        ("subpop_rule", {"kind": "best_response"}),
+        ("learner_rule", {"kind": "full_min"}),
+        ("learner_rule", {"kind": "repeated_gd"}),
+        ("schedule", {"kind": "round_robin_subpops"}),
+        ("detector", {}),
+        ("population.risks[1]", {"kind": "quadratic", "center": [2.0]}),
+    ])
+    def test_unknown_field_names_its_path(self, section, cfg):
+        data = self._with(section, {**cfg, "gama": 5.0})
+        with pytest.raises(ScenarioFormatError) as exc:
+            parse_scenario(data)
+        assert str(exc.value).startswith(f"{section}.gama: unknown field")
+
+    @pytest.mark.parametrize("section, cfg, field", [
+        ("learner_rule", {"kind": "repeated_gd", "inner_steps": 1.5},
+         "inner_steps"),
+        ("learner_rule", {"kind": "full_min", "max_iterations": 2.5},
+         "max_iterations"),
+        ("detector", {"window": 10.5}, "window"),
+        ("subpop_rule", {"kind": "mwud", "gamma": None}, "gamma"),
+        ("subpop_rule", {"kind": "mwud", "gamma": "1.5"}, "gamma"),
+        ("subpop_rule", {"kind": "best_response", "tie_policy": 3},
+         "tie_policy"),
+        ("learner_rule", {"kind": "repeated_gd", "base": None}, "base"),
+        ("schedule", {"kind": "round_robin_subpops", "order": [1.0, 0]},
+         "order[0]"),
+        ("population.risks[1]", {"center": "x"}, "center"),
+    ])
+    def test_rejected_value_names_its_path(self, section, cfg, field):
+        with pytest.raises(ScenarioFormatError) as exc:
+            parse_scenario(self._with(section, cfg))
+        assert str(exc.value).startswith(f"{section}.{field}")
+
+    @pytest.mark.parametrize("path, value", [
+        (path, value)
+        for path in ("seed", "max_steps", "learners.m", "learners.init.sigma",
+                     "initial_alpha.concentration")
+        for value in (None, "x", "1", True)
+    ] + [(path, 1.5) for path in ("seed", "max_steps", "learners.m")])
+    def test_top_level_scalars_name_the_field(self, path, value):
+        data = base_dict()
+        data["learners"]["init"] = {"kind": "random_gaussian"}
+        data["initial_alpha"] = {"kind": "random_dirichlet"}
+        *parents, key = path.split(".")
+        target = data
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ScenarioFormatError) as exc:
+            parse_scenario(data)
+        assert str(exc.value).startswith(path)
+
+    @pytest.mark.parametrize("section, cfg", [
+        ("subpop_rule", {"kind": "mwud", "gamma": 0.7,
+                         "comparison": "relative"}),
+        ("subpop_rule", {"kind": "best_response", "tie_tolerance": 0.25,
+                         "tie_policy": "keep_previous"}),
+        ("learner_rule", {"kind": "full_min", "method": "newton",
+                          "tolerance": 1e-9, "max_iterations": 50}),
+        ("learner_rule", {"kind": "repeated_gd", "base": 0.5,
+                          "form": "constant", "inner_steps": 3}),
+        ("schedule", {"kind": "custom_order", "subpops": [1],
+                      "learners": [0, 1]}),
+        ("detector", {"state_tolerance": 1e-7, "window": 4}),
+    ])
+    def test_written_object_is_the_constructor_arguments(self, section, cfg):
+        data = base_dict()
+        data[section] = cfg
+        assert scenario_to_dict(parse_scenario(data))[section] == cfg
