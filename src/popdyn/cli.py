@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .engine import _probe_batch, perturb, simulate
+from .engine import _probe_batch, _watched_steps, perturb, simulate
 from .equilibria import (
     SplitAssignment,
     _c1_sides,
@@ -222,31 +222,20 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _largest_mass_learner(state, scenario) -> int:
-    masses = scenario.beta @ state.alpha
-    # ties broken by lowest index (argmax returns the first maximum)
-    return int(np.argmax(masses))
-
-
-def _stationarity_violated(state, scenario, tol=1e-8) -> bool:
-    """A positive share strictly prefers another learner: the detector fired
-    on a slow saddle pass, not at the dynamics' limit."""
-    R = scenario.risk_matrix(state.theta)
-    mix = (state.alpha * R).sum(axis=1)
-    return bool(((R < mix[:, None] - tol) & (state.alpha > 0.0)).any())
-
-
 def _run_phase(scenario, state, detector, max_steps):
-    used = 0
-    while True:  # the first simulate call rejects max_steps < 1
-        traj = simulate(scenario, state, max_steps - used, detector)
-        used += len(traj.states) - 1
-        state = traj.final_state
-        converged = traj.converged_at is not None
-        if converged and not _stationarity_violated(state, scenario):
-            return state, used, True
-        if not converged or used >= max_steps:
-            return state, used, False
+    """Step until the detector fires where no positive share strictly prefers
+    another learner (R_ij < mix_i - 1e-8; a firing on such a saddle starts a
+    fresh window) or max_steps run out: (state, R, steps, converged)."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    steps = _watched_steps(scenario, state.alpha, state.theta,
+                           scenario.risk_matrix(state.theta), state.t, detector)
+    for used, (alpha, theta, R, *_, fired) in enumerate(steps, 1):
+        converged = fired and not ((alpha > 0.0) & (
+            R < (alpha * R).sum(axis=1, keepdims=True) - 1e-8)).any()
+        if converged or used >= max_steps:
+            return (SystemState(alpha=alpha, theta=theta, t=state.t + used),
+                    R, used, converged)
 
 
 def cmd_competition(args) -> int:
@@ -268,14 +257,13 @@ def cmd_competition(args) -> int:
     cumulative = 0
     phase = 0
     while True:
-        state, steps, converged = _run_phase(scenario, state, loaded.detector,
-                                             max_steps)
+        state, R, steps, converged = _run_phase(scenario, state,
+                                                loaded.detector, max_steps)
         cumulative += steps
         if not converged:
             print(f"error: phase {phase} (m={scenario.m}) did not converge "
                   f"within {max_steps} steps", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        R = scenario.risk_matrix(state.theta)
         per_subpop = (state.alpha * R).sum(axis=1)
         total = float(scenario.beta @ per_subpop)
         if scenario.m >= target_m:
@@ -283,7 +271,7 @@ def cmd_competition(args) -> int:
                          float(per_subpop.max()), None, None]
                         + list(per_subpop))
             break
-        j = _largest_mass_learner(state, scenario)
+        j = int(np.argmax(scenario.beta @ state.alpha))  # lowest index on ties
         hypothesis = any(
             float(np.linalg.norm(risk_gradient(scenario.risks[i],
                                                state.theta[j]))) > 1e-6

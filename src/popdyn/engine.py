@@ -294,6 +294,21 @@ def step(state: SystemState, scenario: Scenario,
     return SystemState(alpha=alpha[0], theta=theta[0], t=state.t + 1)
 
 
+def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
+                   detector: EquilibriumDetector, check_contracts: bool = False):
+    """_steps for one trial (alpha (n, m), theta (m, d)) under the detector's
+    quiet-window rule: yields (alpha, theta, R, total, frozen, checks, fired),
+    fired on a step that completes a window; the count then starts afresh."""
+    quiet = 0
+    for alpha, theta, R, total, frozen, checks, delta in _steps(
+            scenario, alpha[None], theta[None], R[None], t, check_contracts):
+        quiet = quiet + 1 if delta[0] <= detector.state_tolerance else 0
+        fired = quiet == detector.window
+        yield alpha[0], theta[0], R[0], total[0], int(frozen[0]), checks, fired
+        if fired:
+            quiet = 0
+
+
 def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
              detector: Optional[EquilibriumDetector] = None,
              check_contracts: bool = False) -> Trajectory:
@@ -319,23 +334,19 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     frozen_total = 0
     converged_at = None
 
-    quiet = 0
-    steps = _steps(scenario, alpha[None], theta[None], R[None], t0,
-                   check_contracts)
-    for k, (alpha, theta, R, total, frozen, checks, delta) in zip(
+    steps = _watched_steps(scenario, alpha, theta, R, t0, detector,
+                           check_contracts)
+    for k, (alpha, theta, R, total, frozen, checks, fired) in zip(
             range(max_steps), steps):
-        alpha, theta, R = alpha[0], theta[0], R[0]
         contract_checks += checks
-        frozen_total += int(frozen[0])
+        frozen_total += frozen
         states.append(SystemState(alpha=alpha, theta=theta, t=t0 + k + 1))
-        totals.append(total[0])
+        totals.append(total)
         sub.append(subpop_risk_vector(alpha, R))
         lr, emp = learner_risk_vector(alpha, beta, R)
         learner.append(lr)
         empties.append(emp)
-        # the same quiet-window rule as detect_equilibrium, kept incrementally
-        quiet = quiet + 1 if delta[0] <= detector.state_tolerance else 0
-        if quiet >= detector.window:
+        if fired:
             converged_at = k - detector.window + 1
             break
 

@@ -66,9 +66,6 @@ class SplitAssignment:
             out[j].append(i)
         return out
 
-    def is_surjective(self, m: int) -> bool:
-        return len(set(self.gamma_map)) == m and max(self.gamma_map) < m
-
     def to_alpha(self, m: int) -> np.ndarray:
         alpha = np.zeros((len(self.gamma_map), m))
         alpha[np.arange(len(self.gamma_map)), list(self.gamma_map)] = 1.0

@@ -206,6 +206,15 @@ class Scenario:
             raise ValueError(
                 f"need 1 <= m <= n, got m={self.m}, n={beta.shape[0]}"
             )
+        if self.schedule is not None:
+            sched, n = self.schedule, beta.shape[0]
+            cycled = {"round_robin_subpops": n, "round_robin_learners": self.m}
+            for name, size in (("order", cycled.get(sched.kind)),
+                               ("subpops", n), ("learners", self.m)):
+                for k, i in enumerate(getattr(sched, name) or ()):
+                    if size is not None and i >= size:
+                        raise ValueError(
+                            f"schedule.{name}[{k}] must be < {size}, got {i}")
 
     @property
     def n(self) -> int:

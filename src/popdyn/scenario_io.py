@@ -204,7 +204,11 @@ def parse_scenario(data: dict) -> LoadedScenario:
                    "population.betas")
     if betas.ndim != 1 or betas.size == 0:
         raise ScenarioFormatError("population.betas: expected a nonempty vector")
-    if pop.get("normalize", False):
+    normalize = pop.get("normalize", False)
+    if not isinstance(normalize, bool):
+        raise ScenarioFormatError(
+            f"population.normalize must be true or false, got {normalize!r}")
+    if normalize:
         betas = betas / betas.sum()
     elif abs(betas.sum() - 1.0) > 1e-12:
         raise ScenarioFormatError(
@@ -246,15 +250,18 @@ def parse_scenario(data: dict) -> LoadedScenario:
                           detector=detector, seed=seed, max_steps=max_steps)
 
 
-def load_scenario(path) -> LoadedScenario:
+def _read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_scenario(data)
+
+
+def load_scenario(path) -> LoadedScenario:
+    return parse_scenario(_read_json(path))
 
 
 def scenario_to_dict(loaded: LoadedScenario) -> dict:
@@ -290,13 +297,7 @@ def packaged_scenario(name: str):
 
 def load_state(path, scenario: Scenario) -> SystemState:
     """Read an (alpha, theta) pair from a JSON state file."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"{path}: invalid JSON ({exc})") from exc
+    data = _read_json(path)
     alpha = _field(require_finite, _require(data, "alpha", "state"), "state.alpha")
     theta = _field(require_finite, _require(data, "theta", "state"), "state.theta")
     t = _field(require_number, data.get("t", 0), "state.t", 0, integer=True)

@@ -1,10 +1,13 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from popdyn import EquilibriumDetector, Scenario, cli, engine
 from popdyn.cli import main
+from popdyn.engine import perturb, simulate
 from popdyn.equilibria import (
     SplitAssignment,
     enumerate_split_equilibria,
@@ -81,6 +84,16 @@ class TestSimulate:
         rc = main(["simulate", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: subpop_rule.gamma")
+
+    def test_out_of_range_schedule_index_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        data = json.loads(packaged_scenario("three_centers").read_text())
+        data["schedule"] = {"kind": "round_robin_subpops", "order": [5]}
+        bad.write_text(json.dumps(data))
+        rc = main(["simulate", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "schedule.order[0]" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
 
     def test_non_convergence_exit_code(self, tmp_path):
         out = tmp_path / "run"
@@ -274,6 +287,126 @@ class TestCompetition:
         rc = main(["competition", THREE_CENTERS, "--target-m", "2",
                    "--out", str(tmp_path / "c")])
         assert rc == 1
+
+
+def on_saddle(scenario, state):
+    """Some positive share strictly prefers another learner (by 1e-8)."""
+    R = scenario.risk_matrix(state.theta)
+    mix = (state.alpha * R).sum(axis=1)
+    return bool(((R < mix[:, None] - 1e-8) & (state.alpha > 0.0)).any())
+
+
+def restart_reference(scenario, state, detector, max_steps):
+    """A competition phase as successive simulate calls: each detector firing
+    on a saddle restarts simulate from the final state.  Returns the final
+    state, the steps, the convergence flag and the saddle firings seen."""
+    used = saddles = 0
+    while True:
+        traj = simulate(scenario, state, max_steps - used, detector)
+        used += len(traj.states) - 1
+        state = traj.final_state
+        fired = traj.converged_at is not None
+        saddle = fired and on_saddle(scenario, state)
+        saddles += saddle
+        if fired and not saddle:
+            return state, used, True, saddles
+        if not fired or used >= max_steps:
+            return state, used, False, saddles
+
+
+@pytest.fixture(scope="module")
+def competition12_phases(tmp_path_factory, competition12_path):
+    """The (scenario, state, detector, max_steps) that start each phase of
+    the competition12 cascade to m=12."""
+    phases = []
+    real = cli._run_phase
+
+    def record(*args):
+        phases.append(args)
+        return real(*args)
+
+    with mock.patch.object(cli, "_run_phase", record):
+        rc = main(["competition", str(competition12_path), "--target-m", "12",
+                   "--out", str(tmp_path_factory.mktemp("c12"))])
+    assert rc == 0
+    return phases
+
+
+class TestPhaseRunner:
+    def assert_same_phase(self, scenario, state, detector, max_steps):
+        """Returns the saddle firings, steps and convergence flag."""
+        ref_state, ref_steps, ref_converged, saddles = restart_reference(
+            scenario, state, detector, max_steps)
+        got_state, R, steps, converged = cli._run_phase(scenario, state,
+                                                        detector, max_steps)
+        assert np.array_equal(got_state.alpha, ref_state.alpha)
+        assert np.array_equal(got_state.theta, ref_state.theta)
+        assert got_state.t == ref_state.t
+        assert (steps, converged) == (ref_steps, ref_converged)
+        assert np.array_equal(R, scenario.risk_matrix(got_state.theta))
+        return saddles, steps, converged
+
+    def test_every_competition12_phase_matches_restarts(
+            self, competition12_phases):
+        saddles = [self.assert_same_phase(*args)[0]
+                   for args in competition12_phases]
+        assert len(competition12_phases) == 11
+        # the restart path was taken, so the fresh-window rule was exercised
+        assert sum(saddles) >= 1
+
+    @pytest.mark.parametrize("tolerance", [1e-4, 1e-6])
+    def test_loose_detectors_fire_on_many_saddles(self, competition12_phases,
+                                                  tolerance):
+        # a loose tolerance fires while the state still creeps, so phases
+        # restart several times inside one quiet stretch
+        detector = EquilibriumDetector(state_tolerance=tolerance)
+        saddles = [self.assert_same_phase(scenario, state, detector, budget)[0]
+                   for scenario, state, _, budget in competition12_phases]
+        assert sum(saddles) >= 5
+
+    def test_budget_ending_at_and_after_a_saddle_firing(
+            self, competition12_phases):
+        cases = 0
+        for scenario, state, detector, max_steps in competition12_phases:
+            traj = simulate(scenario, state, max_steps, detector)
+            if (traj.converged_at is None
+                    or not on_saddle(scenario, traj.final_state)):
+                continue
+            first = len(traj.states) - 1   # the first firing is on a saddle
+            for budget in (first, first + 1):
+                assert self.assert_same_phase(scenario, state, detector,
+                                              budget) == (1, budget, False)
+            cases += 1
+        assert cases >= 1
+
+    def test_from_perturbed_competition12_starts(self, competition12_phases):
+        scenario, state, detector, max_steps = competition12_phases[0]
+        for seed in range(3):
+            start = perturb(state, 1e-2, seed, "both")
+            self.assert_same_phase(scenario, start, detector, max_steps)
+
+    def test_competition_makes_no_simulate_call(self, tmp_path, monkeypatch,
+                                                competition12_path):
+        calls = {"risk_matrix": 0}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        real = Scenario.risk_matrix
+
+        def counted(self, theta):
+            calls["risk_matrix"] += 1
+            return real(self, theta)
+
+        monkeypatch.setattr(engine, "simulate", fail)
+        monkeypatch.setattr(cli, "simulate", fail)
+        monkeypatch.setattr(Scenario, "risk_matrix", counted)
+        rc = main(["competition", str(competition12_path), "--target-m", "12",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_csv(tmp_path / "competition.csv")
+        steps = int(rows[-1]["cumulative_steps"])
+        assert calls["risk_matrix"] <= steps + len(rows)
 
 
 class TestGoldens:

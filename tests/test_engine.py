@@ -232,6 +232,32 @@ class TestSchedules:
         with pytest.raises(ValueError):
             UpdateSchedule(kind="custom_order", subpops=(0, 0))
 
+    @pytest.mark.parametrize("schedule, path", [
+        (UpdateSchedule(kind="round_robin_subpops", order=(2, 3)),
+         r"schedule\.order\[1\] must be < 3"),
+        (UpdateSchedule(kind="round_robin_learners", order=(2,)),
+         r"schedule\.order\[0\] must be < 2"),
+        (UpdateSchedule(kind="custom_order", subpops=(0, 5)),
+         r"schedule\.subpops\[1\] must be < 3"),
+        (UpdateSchedule(kind="custom_order", learners=(2,)),
+         r"schedule\.learners\[0\] must be < 2"),
+    ])
+    def test_out_of_range_indices_rejected_at_construction(self, schedule,
+                                                           path):
+        sc = random_scenario(np.random.default_rng(36), 3, 2, 1)
+        with pytest.raises(ValueError, match=path):
+            replace(sc, schedule=schedule)
+
+    def test_in_range_indices_accepted(self):
+        sc = random_scenario(np.random.default_rng(37), 3, 2, 1)
+        for schedule in (UpdateSchedule(kind="round_robin_subpops",
+                                        order=(2, 1, 0)),
+                         UpdateSchedule(kind="round_robin_learners",
+                                        order=(1, 0)),
+                         UpdateSchedule(kind="custom_order", subpops=(2,),
+                                        learners=(1,))):
+            assert replace(sc, schedule=schedule).schedule == schedule
+
 
 class TestDetectEquilibrium:
     def test_stationary_trajectory_index_zero(self, three_centers):

@@ -154,6 +154,20 @@ class TestParsing:
         with pytest.raises(ScenarioFormatError, match="gamma"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("value", ["no", "yes", 1, 0, None])
+    def test_normalize_must_be_a_boolean(self, value):
+        data = base_dict()
+        data["population"]["normalize"] = value
+        with pytest.raises(ScenarioFormatError,
+                           match=r"^population\.normalize"):
+            parse_scenario(data)
+
+    def test_out_of_range_schedule_index_names_the_field(self):
+        data = base_dict()
+        data["schedule"] = {"kind": "round_robin_subpops", "order": [1, 5]}
+        with pytest.raises(ScenarioFormatError, match=r"schedule\.order\[1\]"):
+            parse_scenario(data)
+
     def test_schedule_round_trips(self):
         data = base_dict()
         data["schedule"] = {"kind": "round_robin_subpops", "order": [1, 0]}
