@@ -33,13 +33,7 @@ from .equilibria import (
     split_learner,
     theta_for_assignment,
 )
-from .errors import (
-    BudgetError,
-    MonotonicityError,
-    NotOptimalError,
-    PopdynError,
-    ScenarioFormatError,
-)
+from .errors import BudgetError, MonotonicityError, PopdynError
 from .goldens import (
     classify_partition_pair,
     minority_closed_forms,
@@ -143,7 +137,7 @@ def _summary(traj, scenario, budget):
         summary["stability"] = report.stability
         summary["margin"] = report.margin
         summary["welfare_gap"] = report.welfare_gap
-    except (NotOptimalError, PopdynError):
+    except PopdynError:
         pass
     return summary
 
@@ -192,12 +186,7 @@ def cmd_simulate(args) -> int:
 def cmd_classify(args) -> int:
     loaded = load_scenario(args.scenario)
     state = load_state(args.state, loaded.scenario)
-    try:
-        report = classify_state(state, loaded.scenario,
-                                oracle_budget=args.budget)
-    except NotOptimalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    report = classify_state(state, loaded.scenario, oracle_budget=args.budget)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if report.classification == "non_equilibrium":
         return EXIT_NON_EQUILIBRIUM
@@ -481,9 +470,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

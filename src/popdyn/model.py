@@ -170,7 +170,8 @@ class Scenario:
     beta holds the population proportions (positive, summing to one), one
     risk function per subpopulation, and the update-rule configuration that
     the engine uses.  ``schedule=None`` means all subpopulations and all
-    learners update every step.
+    learners update every step.  A rejected value's error starts with the
+    field's name.
     """
 
     beta: np.ndarray
@@ -186,10 +187,11 @@ class Scenario:
             raise DimensionError("beta must be a vector")
         require_finite(beta, "beta")
         if np.any(beta <= 0):
-            raise ValueError("all population proportions must be positive")
+            i = int(np.argmin(beta))
+            raise ValueError(f"beta[{i}]={float(beta[i])!r} is not positive")
         if abs(beta.sum() - 1.0) > 1e-12:
             raise ValueError(
-                f"population proportions must sum to 1 within 1e-12, sum={beta.sum()!r}"
+                f"beta must sum to 1 within 1e-12, sum={beta.sum()!r}"
             )
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
@@ -197,14 +199,15 @@ class Scenario:
         object.__setattr__(self, "risks", risks)
         if len(risks) != beta.shape[0]:
             raise DimensionError(
-                f"{len(risks)} risk functions for {beta.shape[0]} proportions"
+                f"risks: {len(risks)} risk functions for {beta.shape[0]} "
+                "proportions"
             )
         dims = {r.dim for r in risks}
         if len(dims) != 1:
-            raise DimensionError(f"risk functions disagree on dimension: {dims}")
+            raise DimensionError(f"risks disagree on dimension: {dims}")
         if not (1 <= self.m <= beta.shape[0]):
             raise ValueError(
-                f"need 1 <= m <= n, got m={self.m}, n={beta.shape[0]}"
+                f"m: need 1 <= m <= n, got m={self.m}, n={beta.shape[0]}"
             )
         if self.schedule is not None:
             sched, n = self.schedule, beta.shape[0]

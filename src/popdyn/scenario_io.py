@@ -5,18 +5,18 @@ golden run in the repository is reproducible from a checked-in file.  All
 randomness derives from the single ``seed`` field, expanded into independent
 per-purpose streams (parameter init, allocation init, perturbation).
 
-Each rule, risk, schedule and detector object in a file is the keyword
-arguments of one constructor (``mwud``, ``best_response``, ``full_min``,
-``repeated_gd``, ``quadratic_risk``, ``UpdateSchedule``,
-``EquilibriumDetector``), so those signatures are the only statement of the
-field names and defaults.  One builder loads every such object and one
-writer dumps it back.
+Every object in a scenario or state file is the keyword arguments of one
+function, a rule, risk, schedule or detector constructor or one of the
+private functions below, so those signatures are the only statement of the
+field names and defaults.  One builder loads every object and one writer
+dumps it back.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import re
 from dataclasses import dataclass, is_dataclass
 from importlib import resources
 
@@ -43,12 +43,60 @@ STREAM_ALPHA_INIT = 2
 STREAM_PERTURB = 3
 
 
-# The constructor that each "kind" of a rule or risk object names, by section.
+# Initial-state generators: the scenario and seed lead, the file fields follow.
+def _explicit_theta(scenario, seed, theta):
+    theta = require_finite(theta, "theta")
+    if theta.shape != (scenario.m, scenario.d):
+        raise ValueError(f"theta: expected shape ({scenario.m},{scenario.d}), "
+                         f"got {theta.shape}")
+    return theta
+
+
+def _random_gaussian_theta(scenario, seed, sigma=1.0):
+    require_number(sigma, "sigma", 0)
+    rng = np.random.default_rng([seed, STREAM_THETA_INIT])
+    return sigma * rng.standard_normal((scenario.m, scenario.d))
+
+
+def _centers_subset_theta(scenario, seed, indices=None):
+    m, n = scenario.m, scenario.n
+    indices = list(range(m)) if indices is None else indices
+    if (not isinstance(indices, list) or len(indices) != m
+            or any(type(i) is not int or not 0 <= i < n for i in indices)):
+        raise ValueError(f"indices: need {m} valid subpopulation indices")
+    return scenario.centers()[indices].copy()
+
+
+def _uniform_alpha(scenario, seed):
+    return np.full((scenario.n, scenario.m), 1.0 / scenario.m)
+
+
+def _explicit_alpha(scenario, seed, alpha):
+    return require_finite(alpha, "alpha")
+
+
+def _random_dirichlet_alpha(scenario, seed, concentration=1.0):
+    require_number(concentration, "concentration", 0, strict=True)
+    rng = np.random.default_rng([seed, STREAM_ALPHA_INIT])
+    return rng.dirichlet(np.full(scenario.m, concentration), size=scenario.n)
+
+
+# The function that each "kind" of an object names, by section.
 _KINDS = {
     "subpop_rule": {"mwud": mwud, "best_response": best_response},
     "learner_rule": {"full_min": full_min, "repeated_gd": repeated_gd},
     "risk": {"quadratic": quadratic_risk},
+    "learners.init": {"explicit": _explicit_theta,
+                      "random_gaussian": _random_gaussian_theta,
+                      "centers_subset": _centers_subset_theta},
+    "initial_alpha": {"uniform": _uniform_alpha,
+                      "explicit": _explicit_alpha,
+                      "random_dirichlet": _random_dirichlet_alpha},
 }
+
+# The file path of each Scenario field, which its errors name first.
+_SCENARIO_PATHS = {"beta": "population.betas", "risks": "population.risks",
+                   "m": "learners.m", "schedule": "schedule"}
 
 
 @dataclass
@@ -60,46 +108,39 @@ class LoadedScenario:
     max_steps: int
 
 
-def _require(mapping, key, path):
-    if not isinstance(mapping, dict):
-        raise ScenarioFormatError(f"{path}: expected an object")
-    if key not in mapping:
-        raise ScenarioFormatError(f"{path}.{key}: missing required field")
-    return mapping[key]
-
-
-def _field(check, value, path, *args, **kwargs):
-    """check(value, path, ...) from model, its ValueError a ScenarioFormatError."""
-    try:
-        return check(value, path, *args, **kwargs)
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
-
-
-def _build(make, fields, path):
-    """make(**fields), with unknown or missing fields and values the
-    constructor rejects raised as ScenarioFormatErrors naming path.field."""
+def _build(make, fields, path, bound=()):
+    """make(*bound, **fields), with unknown or missing fields and values the
+    function rejects raised as ScenarioFormatErrors naming path.field (the
+    document itself has the empty path).  A nested object's
+    ScenarioFormatError already names its own path and passes through."""
+    prefix = f"{path}." if path else ""
     if not isinstance(fields, dict):
-        raise ScenarioFormatError(f"{path}: expected an object")
-    params = inspect.signature(make).parameters
+        raise ScenarioFormatError(f"{path or 'scenario'}: expected an object")
+    params = list(inspect.signature(make).parameters.values())[len(bound):]
+    names = [param.name for param in params]
     for name in fields:
-        if name not in params:
+        if name not in names:
             raise ScenarioFormatError(
-                f"{path}.{name}: unknown field; expected one of {list(params)}"
-            )
-    for name, param in params.items():
-        if param.default is param.empty and name not in fields:
-            raise ScenarioFormatError(f"{path}.{name}: missing required field")
+                f"{prefix}{name}: unknown field; expected one of {names}")
+    for param in params:
+        if param.default is param.empty and param.name not in fields:
+            raise ScenarioFormatError(
+                f"{prefix}{param.name}: missing required field")
     try:
-        return make(**fields)
-    except ValueError as exc:  # constructors name the offending field first
-        raise ScenarioFormatError(f"{path}.{exc}") from exc
+        return make(*bound, **fields)
+    except ScenarioFormatError:
+        raise
+    except ValueError as exc:  # functions name the offending field first
+        raise ScenarioFormatError(f"{prefix}{exc}") from exc
     except TypeError as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
+        raise ScenarioFormatError(f"{path or 'scenario'}: {exc}") from exc
 
 
-def _build_kind(cfg, section, path, default=None):
-    """Build the object of a {"kind": ..., **fields} entry of a section."""
+def _build_kind(cfg, section, path=None, default=None, bound=()):
+    """Build the object of a {"kind": ..., **fields} entry of a section, at
+    path (the section's name by default); bound are the leading arguments
+    of the kind's function."""
+    path = path or section
     if not isinstance(cfg, dict):
         raise ScenarioFormatError(f"{path}: expected an object")
     fields = dict(cfg)
@@ -109,7 +150,7 @@ def _build_kind(cfg, section, path, default=None):
         raise ScenarioFormatError(
             f"{path}.kind: unknown kind {kind!r}; expected one of {list(kinds)}"
         )
-    return _build(kinds[kind], fields, path)
+    return _build(kinds[kind], fields, path, bound)
 
 
 def _fields(obj, make):
@@ -133,98 +174,46 @@ def _dump_kind(obj, section):
     return {"kind": obj.kind, **_fields(obj, _KINDS[section][obj.kind])}
 
 
-def _parse_risks(pop, n, path):
-    entries = _require(pop, "risks", path)
-    if not isinstance(entries, list) or len(entries) != n:
-        raise ScenarioFormatError(
-            f"{path}.risks: expected a list of {n} risk objects"
-        )
-    return tuple(_build_kind(entry, "risk", f"{path}.risks[{i}]",
-                             default="quadratic")
-                 for i, entry in enumerate(entries))
+def _validated(state, scenario, label):
+    try:
+        validate_state(state, scenario)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{label}: {exc}") from exc
+    return state
 
 
-def _initial_theta(cfg, scenario, seed):
-    if cfg is None:
-        cfg = {"kind": "centers_subset"}
-    kind = _require(cfg, "kind", "learners.init")
-    m, d = scenario.m, scenario.d
-    if kind == "explicit":
-        theta = _field(require_finite, _require(cfg, "theta", "learners.init"),
-                       "learners.init.theta")
-        if theta.shape != (m, d):
-            raise ScenarioFormatError(
-                f"learners.init.theta: expected shape ({m},{d}), got {theta.shape}"
-            )
-        return theta
-    if kind == "random_gaussian":
-        sigma = _field(require_number, cfg.get("sigma", 1.0),
-                       "learners.init.sigma", 0)
-        rng = np.random.default_rng([seed, STREAM_THETA_INIT])
-        return sigma * rng.standard_normal((m, d))
-    if kind == "centers_subset":
-        indices = cfg.get("indices", list(range(m)))
-        if (not isinstance(indices, list) or len(indices) != m
-                or any(type(i) is not int or not 0 <= i < scenario.n
-                       for i in indices)):
-            raise ScenarioFormatError(
-                f"learners.init.indices: need {m} valid subpopulation indices"
-            )
-        return scenario.centers()[indices].copy()
-    raise ScenarioFormatError(f"learners.init.kind: unknown kind {kind!r}")
-
-
-def _initial_alpha(cfg, scenario, seed):
-    if cfg is None:
-        cfg = {"kind": "uniform"}
-    kind = _require(cfg, "kind", "initial_alpha")
-    n, m = scenario.n, scenario.m
-    if kind == "uniform":
-        return np.full((n, m), 1.0 / m)
-    if kind == "explicit":
-        return _field(require_finite, _require(cfg, "alpha", "initial_alpha"),
-                      "initial_alpha.alpha")
-    if kind == "random_dirichlet":
-        rng = np.random.default_rng([seed, STREAM_ALPHA_INIT])
-        conc = _field(require_number, cfg.get("concentration", 1.0),
-                      "initial_alpha.concentration", 0, strict=True)
-        return rng.dirichlet(np.full(m, conc), size=n)
-    raise ScenarioFormatError(f"initial_alpha.kind: unknown kind {kind!r}")
-
-
-def parse_scenario(data: dict) -> LoadedScenario:
-    """Build a Scenario plus initial state from a schema-versioned dict."""
-    version = _require(data, "schema_version", "scenario")
-    if version != SCHEMA_VERSION:
-        raise ScenarioFormatError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
-        )
-    pop = _require(data, "population", "scenario")
-    betas = _field(require_finite, _require(pop, "betas", "population"),
-                   "population.betas")
+def _population(betas, risks, normalize=False):
+    betas = require_finite(betas, "betas")
     if betas.ndim != 1 or betas.size == 0:
-        raise ScenarioFormatError("population.betas: expected a nonempty vector")
-    normalize = pop.get("normalize", False)
+        raise ValueError("betas: expected a nonempty vector")
     if not isinstance(normalize, bool):
-        raise ScenarioFormatError(
-            f"population.normalize must be true or false, got {normalize!r}")
+        raise ValueError(f"normalize must be true or false, got {normalize!r}")
     if normalize:
         betas = betas / betas.sum()
     elif abs(betas.sum() - 1.0) > 1e-12:
-        raise ScenarioFormatError(
-            f"population.betas: sum {betas.sum()!r} is not 1 and normalize "
-            "is not set"
-        )
-    risks = _parse_risks(pop, betas.size, "population")
+        raise ValueError(
+            f"betas: sum {betas.sum()!r} is not 1 and normalize is not set")
+    if not isinstance(risks, list) or len(risks) != betas.size:
+        raise ValueError(f"risks: expected a list of {betas.size} risk objects")
+    return betas, tuple(_build_kind(entry, "risk", f"population.risks[{i}]",
+                                    default="quadratic")
+                        for i, entry in enumerate(risks))
 
-    learners_cfg = _require(data, "learners", "scenario")
-    m = _field(require_number, _require(learners_cfg, "m", "learners"),
-               "learners.m", 1, integer=True)
-    subpop_rule = _build_kind(_require(data, "subpop_rule", "scenario"),
-                              "subpop_rule", "subpop_rule")
-    learner_rule = _build_kind(_require(data, "learner_rule", "scenario"),
-                               "learner_rule", "learner_rule")
-    schedule = data.get("schedule")
+
+def _learners(m, init=None):
+    return require_number(m, "m", 1, integer=True), init
+
+
+def _document(schema_version, population, learners, subpop_rule, learner_rule,
+              seed=0, max_steps=1000, initial_alpha=None, schedule=None,
+              detector={}):  # never mutated
+    if schema_version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version: expected {SCHEMA_VERSION}, "
+                         f"got {schema_version!r}")
+    betas, risks = _build(_population, population, "population")
+    m, init = _build(_learners, learners, "learners")
+    subpop_rule = _build_kind(subpop_rule, "subpop_rule")
+    learner_rule = _build_kind(learner_rule, "learner_rule")
     if schedule is not None:
         schedule = _build(UpdateSchedule, schedule, "schedule")
     try:
@@ -232,22 +221,25 @@ def parse_scenario(data: dict) -> LoadedScenario:
                             subpop_rule=subpop_rule, learner_rule=learner_rule,
                             schedule=schedule)
     except ValueError as exc:
-        raise ScenarioFormatError(f"scenario: {exc}") from exc
+        raise ScenarioFormatError(re.sub(
+            r"^\w+", lambda field: _SCENARIO_PATHS[field[0]], str(exc))) from exc
 
-    seed = _field(require_number, data.get("seed", 0), "seed", 0, integer=True)
-    theta = _initial_theta(learners_cfg.get("init"), scenario, seed)
-    alpha = _initial_alpha(data.get("initial_alpha"), scenario, seed)
-    state = SystemState(alpha=alpha, theta=theta, t=0)
-    try:
-        validate_state(state, scenario)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"initial state: {exc}") from exc
+    seed = require_number(seed, "seed", 0, integer=True)
+    bound = (scenario, seed)
+    theta = _build_kind({"kind": "centers_subset"} if init is None else init,
+                        "learners.init", bound=bound)
+    alpha = _build_kind({"kind": "uniform"} if initial_alpha is None
+                        else initial_alpha, "initial_alpha", bound=bound)
+    state = _validated(SystemState(alpha=alpha, theta=theta, t=0), scenario,
+                       "initial state")
+    detector = _build(EquilibriumDetector, detector, "detector")
+    max_steps = require_number(max_steps, "max_steps", 1, integer=True)
+    return LoadedScenario(scenario, state, detector, seed, max_steps)
 
-    detector = _build(EquilibriumDetector, data.get("detector", {}), "detector")
-    max_steps = _field(require_number, data.get("max_steps", 1000),
-                       "max_steps", 1, integer=True)
-    return LoadedScenario(scenario=scenario, initial_state=state,
-                          detector=detector, seed=seed, max_steps=max_steps)
+
+def parse_scenario(data: dict) -> LoadedScenario:
+    """Build a Scenario plus initial state from a schema-versioned dict."""
+    return _build(_document, data, "")
 
 
 def _read_json(path):
@@ -295,15 +287,13 @@ def packaged_scenario(name: str):
     return resources.files("popdyn") / "scenarios" / f"{name}.json"
 
 
+def _state(alpha, theta, t=0):
+    return SystemState(alpha=require_finite(alpha, "alpha"),
+                       theta=require_finite(theta, "theta"),
+                       t=require_number(t, "t", 0, integer=True))
+
+
 def load_state(path, scenario: Scenario) -> SystemState:
     """Read an (alpha, theta) pair from a JSON state file."""
-    data = _read_json(path)
-    alpha = _field(require_finite, _require(data, "alpha", "state"), "state.alpha")
-    theta = _field(require_finite, _require(data, "theta", "state"), "state.theta")
-    t = _field(require_number, data.get("t", 0), "state.t", 0, integer=True)
-    state = SystemState(alpha=alpha, theta=theta, t=t)
-    try:
-        validate_state(state, scenario)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"state: {exc}") from exc
-    return state
+    return _validated(_build(_state, _read_json(path), "state"), scenario,
+                      "state")

@@ -288,6 +288,32 @@ class TestCompetition:
                    "--out", str(tmp_path / "c")])
         assert rc == 1
 
+    def test_unconverged_phase_exit_two(self, competition12_path, tmp_path,
+                                        capsys):
+        out = tmp_path / "c"
+        rc = main(["competition", str(competition12_path), "--target-m", "12",
+                   "--max-steps", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: phase 0 (m=2) did not converge within 1 steps\n")
+        assert not (out / "competition.csv").exists()
+
+    def test_risk_increase_exit_three(self, competition12_path, tmp_path,
+                                      capsys):
+        # main's handler: the phase runner does not catch the gate's error
+        bad = tmp_path / "bad.json"
+        data = json.loads(competition12_path.read_text())
+        data["learner_rule"] = {"kind": "repeated_gd", "base": 5.0,
+                                "form": "constant"}
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "c"
+        rc = main(["competition", str(bad), "--target-m", "12",
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "error: total risk increased at step 0")
+        assert not (out / "competition.csv").exists()
+
 
 def on_saddle(scenario, state):
     """Some positive share strictly prefers another learner (by 1e-8)."""

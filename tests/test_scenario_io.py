@@ -1,5 +1,7 @@
 import copy
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from popdyn.scenario_io import (
     parse_scenario,
     scenario_to_dict,
 )
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "src/popdyn/scenarios"
 
 
 def base_dict():
@@ -37,9 +41,14 @@ def base_dict():
 
 class TestParsing:
     def test_packaged_scenarios_load(self):
-        for name in ("three_centers", "competition12", "two_group_gap", "minority"):
-            loaded = load_scenario(packaged_scenario(name))
+        paths = sorted(SCENARIOS.glob("*.json"))
+        assert len(paths) >= 5
+        for path in paths:
+            loaded = load_scenario(path)
             assert loaded.scenario.n >= loaded.scenario.m
+            written = scenario_to_dict(loaded)
+            again = scenario_to_dict(parse_scenario(copy.deepcopy(written)))
+            assert again == written, path.name
 
     def test_round_trip_identical_scenario(self):
         loaded = parse_scenario(base_dict())
@@ -168,6 +177,42 @@ class TestParsing:
         with pytest.raises(ScenarioFormatError, match=r"schedule\.order\[1\]"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("path, section, value", [
+        ("learners.m: need 1 <= m <= n", "learners", {"m": 3}),
+        ("schedule.order[1] must be < 2", "schedule",
+         {"kind": "round_robin_subpops", "order": [1, 5]}),
+        ("population.betas[0]=0.0 is not positive", "population",
+         {"betas": [0.0, 1.0]}),
+        ("population.betas[1]=-0.5 is not positive", "population",
+         {"betas": [1.5, -0.5]}),
+    ])
+    def test_scenario_errors_start_with_the_file_path(self, path, section,
+                                                      value):
+        data = base_dict()
+        data[section] = {**data.get(section, {}), **value}
+        with pytest.raises(ScenarioFormatError) as exc:
+            parse_scenario(data)
+        assert str(exc.value).startswith(path)
+
+    @pytest.mark.parametrize("parent, key", [("learners", "init"),
+                                             (None, "initial_alpha"),
+                                             (None, "schedule")])
+    def test_null_means_absent(self, parent, key):
+        null, absent = base_dict(), base_dict()
+        (null[parent] if parent else null)[key] = None
+        (absent[parent] if parent else absent).pop(key, None)
+        a, b = parse_scenario(null), parse_scenario(absent)
+        assert np.array_equal(a.initial_state.theta, b.initial_state.theta)
+        assert np.array_equal(a.initial_state.alpha, b.initial_state.alpha)
+        assert a.scenario.schedule is b.scenario.schedule is None
+
+    def test_null_detector_is_rejected(self):
+        data = base_dict()
+        data["detector"] = None
+        with pytest.raises(ScenarioFormatError,
+                           match=r"^detector: expected an object"):
+            parse_scenario(data)
+
     def test_schedule_round_trips(self):
         data = base_dict()
         data["schedule"] = {"kind": "round_robin_subpops", "order": [1, 0]}
@@ -184,9 +229,11 @@ class TestStateFiles:
         path.write_text(json.dumps({
             "alpha": [[1.0, 0.0], [0.0, 1.0]],
             "theta": [[0.0], [2.0]],
+            "t": 7,
         }))
         state = load_state(path, loaded.scenario)
         assert state.alpha[0, 0] == 1.0
+        assert state.t == 7
 
     def test_state_shape_mismatch(self, tmp_path):
         loaded = parse_scenario(base_dict())
@@ -196,34 +243,68 @@ class TestStateFiles:
         with pytest.raises(ScenarioFormatError):
             load_state(path, loaded.scenario)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"tt": 1}, "state.tt: unknown field"),
+        ({"t": -1}, "state.t must be an integer >= 0"),
+        ({"theta": [[0.0], [float("nan")]]}, "state.theta[1,0]=nan"),
+    ])
+    def test_state_fields_name_their_path(self, tmp_path, fields, message):
+        loaded = parse_scenario(base_dict())
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"alpha": [[1.0, 0.0], [0.0, 1.0]],
+                                    "theta": [[0.0], [2.0]], **fields}))
+        with pytest.raises(ScenarioFormatError) as exc:
+            load_state(path, loaded.scenario)
+        assert str(exc.value).startswith(message)
+
 
 class TestConstructorFields:
-    """Rule, schedule, detector and risk objects are constructor keyword
-    arguments: unknown fields and rejected values name their path."""
+    """Every object in a file is the keyword arguments of one function:
+    unknown fields and rejected values name their path."""
 
     @staticmethod
     def _with(section, cfg):
+        """base_dict() with the object at section (a path such as
+        "population.risks[1]"; "" is the document) replaced by cfg."""
         data = base_dict()
-        if section == "population.risks[1]":
-            data["population"]["risks"][1] = cfg
-        else:
-            data[section] = cfg
+        if not section:
+            return {**data, **cfg}
+        *parents, key = [int(k) if k.isdigit() else k
+                         for k in re.findall(r"\w+", section)]
+        target = data
+        for name in parents:
+            target = target[name]
+        target[key] = cfg
         return data
 
-    @pytest.mark.parametrize("section, cfg", [
-        ("subpop_rule", {"kind": "mwud"}),
-        ("subpop_rule", {"kind": "best_response"}),
-        ("learner_rule", {"kind": "full_min"}),
-        ("learner_rule", {"kind": "repeated_gd"}),
-        ("schedule", {"kind": "round_robin_subpops"}),
-        ("detector", {}),
-        ("population.risks[1]", {"kind": "quadratic", "center": [2.0]}),
+    @pytest.mark.parametrize("section, cfg, typo", [
+        ("subpop_rule", {"kind": "mwud"}, "gama"),
+        ("subpop_rule", {"kind": "best_response"}, "gama"),
+        ("learner_rule", {"kind": "full_min"}, "gama"),
+        ("learner_rule", {"kind": "repeated_gd"}, "gama"),
+        ("schedule", {"kind": "round_robin_subpops"}, "gama"),
+        ("detector", {}, "gama"),
+        ("population.risks[1]", {"kind": "quadratic", "center": [2.0]}, "gama"),
+        ("", {}, "max_step"),
+        ("", {}, "detecter"),
+        ("", {}, "schedul"),
+        ("population", base_dict()["population"], "normalise"),
+        ("learners", {"m": 2}, "M"),
+        ("learners.init", {"kind": "random_gaussian"}, "sigam"),
+        ("learners.init", {"kind": "centers_subset"}, "sigma"),
+        ("learners.init", {"kind": "explicit", "theta": [[0.0], [1.0]]},
+         "indices"),
+        ("initial_alpha", {"kind": "random_dirichlet"}, "concentraton"),
+        ("initial_alpha", {"kind": "uniform"}, "alpha"),
+        ("initial_alpha", {"kind": "explicit",
+                           "alpha": [[1.0, 0.0], [0.0, 1.0]]}, "concentration"),
     ])
-    def test_unknown_field_names_its_path(self, section, cfg):
-        data = self._with(section, {**cfg, "gama": 5.0})
+    def test_unknown_field_names_its_path(self, section, cfg, typo):
+        data = self._with(section, {**cfg, typo: 5.0})
         with pytest.raises(ScenarioFormatError) as exc:
             parse_scenario(data)
-        assert str(exc.value).startswith(f"{section}.gama: unknown field")
+        path = f"{section}.{typo}" if section else typo
+        assert str(exc.value).startswith(f"{path}: unknown field")
 
     @pytest.mark.parametrize("section, cfg, field", [
         ("learner_rule", {"kind": "repeated_gd", "inner_steps": 1.5},
