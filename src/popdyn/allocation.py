@@ -3,7 +3,8 @@
 Both rules map (current row, per-learner risk vector) to the next row and
 never increase the subpopulation's average risk against the current learner
 parameters.  MWUD is stateful (multiplicative reweighting of the current
-shares); best response is stateless (all mass to the argmin learner).
+shares); best response is stateless (all mass to the argmin learner or
+the learners tied with it).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnderflowError
-from .model import require_choice, require_number, subpop_avg_risk
+from .model import MONOTONE_TOL, require_choice, require_number, subpop_avg_risk
 
 COMPARISONS = ("absolute", "relative")
 TIE_POLICIES = ("split_evenly", "keep_previous")
@@ -26,8 +27,8 @@ class AllocationRule:
     kind="mwud": shares are reweighted by exp(-gamma * c_j) and renormalized,
     with c_j the absolute risk R_i(theta_j) or the relative risk
     R_i(theta_j) / subpop-average.  kind="best_response": all mass moves to
-    the minimum-risk learner, ties resolved per tie_policy within
-    tie_tolerance.
+    the minimum-risk learner, ties resolved per tie_policy (see
+    best_response_step).
     """
 
     kind: str
@@ -96,13 +97,18 @@ def mwud_step(alpha_row, risk_vector, gamma: float,
 
 def best_response_step(alpha_row, risk_vector, tie_tolerance: float = 0.0,
                        tie_policy: str = "split_evenly") -> np.ndarray:
-    """All mass on the argmin learner; ties within tie_tolerance resolved
-    by splitting evenly or by renormalizing the previous row over the tied set."""
+    """All mass on the argmin learner; ties resolved by splitting evenly or by
+    renormalizing the previous row over the tied set: the learners within
+    tie_tolerance of the minimum and at most MONOTONE_TOL above the row's
+    current average risk, so the rule never raises the row's risk."""
     alpha_row = np.asarray(alpha_row, dtype=float)
     risk_vector = np.asarray(risk_vector, dtype=float)
     if not np.all(np.isfinite(risk_vector)):
         raise ValueError(f"risk vector must be finite, got {risk_vector!r}")
-    tied = risk_vector <= risk_vector.min() + tie_tolerance
+    low = risk_vector.min()
+    avg = (alpha_row * risk_vector).sum()
+    tied = risk_vector <= min(low + tie_tolerance,
+                              max(avg + MONOTONE_TOL, low))
     out = np.zeros_like(risk_vector, dtype=float)
     if tie_policy == "keep_previous":
         prev = np.where(tied, alpha_row, 0.0)

@@ -6,8 +6,10 @@ leaves partial CSV/JSON behind on failure.  Floats are written with 17
 significant digits; CSV follows RFC 4180 with '.' as the decimal separator.
 
 Exit codes: 0 success/converged/stable, 1 error, 2 max-steps without
-convergence, 3 total-risk monotonicity violation, 4 unstable,
-5 non-equilibrium, 6 enumeration budget exceeded, 7 golden mismatch.
+convergence, 3 risk-reducing violation (the total risk, or the average risk
+of one subpopulation or the mixture risk of one learner, rose in a step),
+4 unstable, 5 non-equilibrium, 6 enumeration budget exceeded, 7 golden
+mismatch.
 """
 
 from __future__ import annotations
@@ -127,7 +129,6 @@ def _summary(traj, scenario, budget):
         "stability": None,
         "margin": None,
         "welfare_gap": None,
-        "contract_checks": traj.contract_checks,
         "frozen_learner_steps": traj.frozen_learner_steps,
         "empty_learner_flagged": bool(traj.empty_flags.any()),
     }
@@ -156,8 +157,7 @@ def cmd_simulate(args) -> int:
                       f"target={args.perturb_target} seed={seed}")
     max_steps = loaded.max_steps if args.max_steps is None else args.max_steps
     try:
-        traj = simulate(scenario, state, max_steps, loaded.detector,
-                        check_contracts=args.check_contracts)
+        traj = simulate(scenario, state, max_steps, loaded.detector)
     except MonotonicityError as exc:
         events.append(f"aborted: {exc}")
         _atomic_write(os.path.join(args.out, "events.log"),
@@ -380,9 +380,14 @@ def cmd_goldens(args) -> int:
 def cmd_probe(args) -> int:
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
-    if args.assignment:
-        gamma_map = tuple(int(x) for x in args.assignment.split(","))
-        assignment = SplitAssignment(gamma_map)
+    if args.assignment is not None:
+        indices = args.assignment.split(",")
+        if len(indices) != scenario.n or not all(
+                i.strip().isdecimal() and int(i) < scenario.m for i in indices):
+            raise ValueError(f"--assignment must be {scenario.n} comma-"
+                             f"separated learner indices in [0, {scenario.m}),"
+                             f" got {args.assignment!r}")
+        assignment = SplitAssignment(indices)
         theta = theta_for_assignment(assignment, scenario)
         state = SystemState(alpha=assignment.to_alpha(scenario.m),
                             theta=theta, t=0)
@@ -421,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--perturb-target", default="theta_only",
                      choices=["theta_only", "alpha_only", "both"])
     sim.add_argument("--budget", type=int, default=int(2e7))
-    sim.add_argument("--check-contracts", action="store_true")
     sim.set_defaults(func=cmd_simulate)
 
     cls = sub.add_parser("classify", help="classify a stored state")

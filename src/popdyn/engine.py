@@ -6,10 +6,11 @@ then updates learner parameters against the new allocations:
     alpha^{t+1} = nu(alpha^t, Theta^t)
     Theta^{t+1} = mu(alpha^{t+1}, Theta^t)
 
-Because both halves are risk reducing, the total risk never increases; the
-engine asserts this every step and aborts with a diagnostic if violated.
-Component risks (per subpopulation, per learner) are recorded and are in
-general not monotone.
+Because both halves are risk reducing (neither raises a subpopulation's or
+a learner's own risk), the total risk never increases; the engine checks
+all three every step and aborts with a diagnostic naming the violation.
+Component risks along a trajectory are recorded and are in general not
+monotone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MonotonicityError, PopdynError
+from .errors import MonotonicityError
 from .learners import gradient_step, minimize_mixtures, step_size
 from .model import (
     EMPTY_MASS_TOL,
@@ -65,6 +66,8 @@ class UpdateSchedule:
         for name in ("order", "subpops", "learners"):
             val = getattr(self, name)
             if val is not None:
+                if not isinstance(val, (list, tuple)):
+                    raise ValueError(f"{name} must be a list of integers, got {val!r}")
                 val = tuple(int(require_number(i, f"{name}[{k}]", 0, integer=True))
                             for k, i in enumerate(val))
                 if len(set(val)) != len(val):
@@ -100,7 +103,6 @@ class Trajectory:
     learner_risks: np.ndarray
     empty_flags: np.ndarray
     converged_at: Optional[int] = None
-    contract_checks: int = 0
     frozen_learner_steps: int = 0
 
     @property
@@ -148,7 +150,10 @@ def _mwud_rows(alpha, R, gamma, comparison):
 
 def _best_response_rows(alpha, R, tie_tolerance, tie_policy):
     # vectorized form of best_response_step applied to every row at once
-    tied = R <= R.min(axis=-1, keepdims=True) + tie_tolerance
+    low = R.min(axis=-1, keepdims=True)
+    avg = (alpha * R).sum(axis=-1, keepdims=True)
+    tied = R <= np.minimum(low + tie_tolerance,
+                           np.maximum(avg + MONOTONE_TOL, low))
     even = tied / tied.sum(axis=-1, keepdims=True)
     if tie_policy == "split_evenly":
         return even
@@ -172,7 +177,8 @@ def _update_alpha(alpha, R, scenario: Scenario, t: int):
 
 
 def _update_theta(alpha, theta, scenario: Scenario, t: int):
-    """Returns (theta', frozen count per trial); empty learners stay put."""
+    """Returns (theta', frozen count, masses beta @ alpha) per trial; empty
+    learners stay put."""
     rule = scenario.learner_rule
     indices = list(_learner_subset(scenario.schedule, t, scenario.m))
     scheduled = np.zeros(scenario.m, bool)
@@ -182,7 +188,7 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
     frozen = len(indices) - updating.sum(axis=-1)
     active = updating.ravel().nonzero()[0]   # rows of the flat arrays below
     if not active.size:
-        return theta, frozen
+        return theta, frozen, masses
     new = theta.copy()
     flat = new.reshape(-1, scenario.d)   # a view: writes land in new
     cols = alpha.swapaxes(-1, -2).reshape(-1, scenario.n)[active]
@@ -191,7 +197,7 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
         flat[active] = minimize_mixtures(scenario, W, rule.method,
                                          rule.tolerance, rule.max_iterations,
                                          start=flat[active])
-        return new, frozen
+        return new, frozen, masses
     gamma_t = step_size(t, rule.schedule)
     th = flat[active]
     if scenario._quad is not None:
@@ -206,55 +212,42 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
                 th[p] = gradient_step(th[p], col, scenario.beta,
                                       scenario.risks, gamma_t)
     flat[active] = th
-    return new, frozen
+    return new, frozen, masses
 
 
 def _core_step(alpha, theta, t, scenario, R, labels=None):
     """Advance K trials one step; R must be the risk matrices at theta.
 
-    Returns (alpha', theta', R', total_after, frozen), the last two of
-    shape (K,); R' is the risk matrices at theta' for reuse by the caller.
+    The gate: the total risk, each subpopulation's average risk at theta
+    (allocation half) and each learner's mixture risk at alpha' (learner
+    half) may rise by at most MONOTONE_TOL, checked in that order.  Returns
+    (alpha', theta', R', total_after, frozen), the last two of shape (K,);
+    R' is the risk matrices at theta' for reuse by the caller.
     """
-    total_before = _total_risk(alpha, R, scenario.beta)
+    beta = scenario.beta
+    rows_before = (alpha * R).sum(axis=-1)
     alpha2 = _update_alpha(alpha, R, scenario, t)
-    theta2, frozen = _update_theta(alpha2, theta, scenario, t)
+    theta2, frozen, masses = _update_theta(alpha2, theta, scenario, t)
     R2 = R if theta2 is theta else scenario.risk_matrix(theta2)
-    total_after = _total_risk(alpha2, R2, scenario.beta)
-    # written so that a NaN total trips the gate too
-    ok = total_after <= total_before + MONOTONE_TOL
-    if not ok.all():
-        k = np.flatnonzero(~ok)[0]
-        raise MonotonicityError(t, float(total_before[k]), float(total_after[k]),
-                                MONOTONE_TOL,
-                                None if labels is None else int(labels[k]))
-    return alpha2, theta2, R2, total_after, frozen
-
-
-def _check_contracts(alpha, alpha2, theta, theta2, scenario):
-    """Debug-mode verification that both update halves were risk reducing."""
-    from .allocation import verify_risk_reducing
-    from .learners import verify_learner_risk_reducing
-
-    checks = 0
-    for i in range(scenario.n):
-        if not np.array_equal(alpha[i], alpha2[i]):
-            checks += 1
-            if not verify_risk_reducing(scenario.subpop_rule, alpha[i],
-                                        alpha2[i], theta, scenario.risks[i]):
-                raise PopdynError(
-                    f"allocation update for subpopulation {i} increased its risk"
-                )
-    masses = scenario.beta @ alpha2
-    for j in range(scenario.m):
-        if masses[j] >= EMPTY_MASS_TOL and not np.array_equal(theta[j], theta2[j]):
-            checks += 1
-            if not verify_learner_risk_reducing(theta[j], theta2[j],
-                                                alpha2[:, j], scenario.beta,
-                                                scenario.risks):
-                raise PopdynError(
-                    f"parameter update for learner {j} increased its risk"
-                )
-    return checks
+    P, Q = alpha2 * R, alpha2 * R2
+    total_before, total_after = rows_before @ beta, Q.sum(axis=-1) @ beta
+    rows_after = P.sum(axis=-1)
+    gains = beta @ (Q - P)   # per learner: mass times mixture-risk change
+    # each comparison is written so that a NaN trips it too
+    ok = (total_after <= total_before + MONOTONE_TOL,
+          rows_after <= rows_before + MONOTONE_TOL,
+          gains <= MONOTONE_TOL * masses)
+    if ok[0].all() and ok[1].all() and ok[2].all():
+        return alpha2, theta2, R2, total_after, frozen
+    h = next(h for h in range(3) if not ok[h].all())
+    pos = tuple(np.argwhere(~ok[h])[0])   # (trial,) or (trial, index)
+    before, after = ((total_before, total_after), (rows_before, rows_after),
+                     (beta @ P, beta @ Q))[h]
+    mass = masses[pos] if h == 2 else 1.0
+    raise MonotonicityError(
+        t, float(before[pos] / mass), float(after[pos] / mass), MONOTONE_TOL,
+        None if labels is None else int(labels[pos[0]]),
+        ("total", "allocation", "learner")[h], int(pos[1]) if h else None)
 
 
 def _delta(alpha_a, theta_a, alpha_b, theta_b):
@@ -264,54 +257,47 @@ def _delta(alpha_a, theta_a, alpha_b, theta_b):
                       np.abs(theta_a - theta_b).max(axis=(-2, -1)))
 
 
-def _steps(scenario: Scenario, alpha, theta, R, t: int,
-           check_contracts: bool = False, labels=None):
+def _steps(scenario: Scenario, alpha, theta, R, t: int, labels=None):
     """The step loop: endless sequential updates of K trials in lockstep
     from alpha (K, n, m), theta (K, m, d) and their risk matrices R at time
-    t.  Yields (alpha, theta, R, total_risk, frozen, contract_checks, delta)
-    after each step, with the step's total, frozen count and delta per
-    trial.  labels names the trials in a MonotonicityError."""
+    t.  Yields (alpha, theta, R, total_risk, frozen, delta) after each step,
+    with the step's total, frozen count and delta per trial.  labels names
+    the trials in a MonotonicityError."""
     while True:
         alpha2, theta2, R2, total, frozen = _core_step(alpha, theta, t,
                                                        scenario, R, labels)
-        checks = (sum(_check_contracts(*trial, scenario) for trial
-                      in zip(alpha, alpha2, theta, theta2))
-                  if check_contracts else 0)
         alpha2 = renormalize_rows(alpha2)
         delta = _delta(alpha2, theta2, alpha, theta)
         alpha, theta, R, t = alpha2, theta2, R2, t + 1
-        yield alpha, theta, R, total, frozen, checks, delta
+        yield alpha, theta, R, total, frozen, delta
 
 
-def step(state: SystemState, scenario: Scenario,
-         check_contracts: bool = False) -> SystemState:
+def step(state: SystemState, scenario: Scenario) -> SystemState:
     """One sequential update: allocations first, then learner parameters."""
     validate_state(state, scenario)
     theta = state.theta[None]
     alpha, theta, *_ = next(_steps(scenario, state.alpha[None], theta,
-                                   scenario.risk_matrix(theta), state.t,
-                                   check_contracts))
+                                   scenario.risk_matrix(theta), state.t))
     return SystemState(alpha=alpha[0], theta=theta[0], t=state.t + 1)
 
 
 def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
-                   detector: EquilibriumDetector, check_contracts: bool = False):
+                   detector: EquilibriumDetector):
     """_steps for one trial (alpha (n, m), theta (m, d)) under the detector's
-    quiet-window rule: yields (alpha, theta, R, total, frozen, checks, fired),
-    fired on a step that completes a window; the count then starts afresh."""
+    quiet-window rule: yields (alpha, theta, R, total, frozen, fired), fired
+    on a step that completes a window; the count then starts afresh."""
     quiet = 0
-    for alpha, theta, R, total, frozen, checks, delta in _steps(
-            scenario, alpha[None], theta[None], R[None], t, check_contracts):
+    for alpha, theta, R, total, frozen, delta in _steps(
+            scenario, alpha[None], theta[None], R[None], t):
         quiet = quiet + 1 if delta[0] <= detector.state_tolerance else 0
         fired = quiet == detector.window
-        yield alpha[0], theta[0], R[0], total[0], int(frozen[0]), checks, fired
+        yield alpha[0], theta[0], R[0], total[0], int(frozen[0]), fired
         if fired:
             quiet = 0
 
 
 def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
-             detector: Optional[EquilibriumDetector] = None,
-             check_contracts: bool = False) -> Trajectory:
+             detector: Optional[EquilibriumDetector] = None) -> Trajectory:
     """Run up to max_steps updates, stopping early once the detector fires."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -330,15 +316,12 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     lr, emp = learner_risk_vector(alpha, beta, R)
     learner = [lr]
     empties = [emp]
-    contract_checks = 0
     frozen_total = 0
     converged_at = None
 
-    steps = _watched_steps(scenario, alpha, theta, R, t0, detector,
-                           check_contracts)
-    for k, (alpha, theta, R, total, frozen, checks, fired) in zip(
-            range(max_steps), steps):
-        contract_checks += checks
+    steps = _watched_steps(scenario, alpha, theta, R, t0, detector)
+    for k, (alpha, theta, R, total, frozen, fired) in zip(range(max_steps),
+                                                          steps):
         frozen_total += frozen
         states.append(SystemState(alpha=alpha, theta=theta, t=t0 + k + 1))
         totals.append(total)
@@ -357,7 +340,6 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
         learner_risks=np.array(learner),
         empty_flags=np.array(empties),
         converged_at=converged_at,
-        contract_checks=contract_checks,
         frozen_learner_steps=frozen_total,
     )
 
@@ -459,7 +441,7 @@ def _probe_batch(scenario, eq_state, sigma, trials, seed, target="both",
     distance = np.full(trials, np.nan)
     live, escaped, t = np.arange(trials), np.zeros(trials, bool), 0
     while live.size:   # each pass drops the trials that finished
-        for alpha, theta, R, total, _, _, delta in _steps(
+        for alpha, theta, R, total, _, delta in _steps(
                 scenario, alpha, theta, R, t, labels=live):
             t += 1
             # Total risk is monotone, so dropping below the equilibrium level

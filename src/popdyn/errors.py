@@ -31,18 +31,26 @@ class ConvergenceError(PopdynError):
 
 
 class MonotonicityError(PopdynError):
-    """Total risk increased under supposedly risk-reducing updates; ``trial``
-    is the probe trial that tripped the gate, or None outside a probe."""
+    """A supposedly risk-reducing step raised the total risk (``half``
+    "total", ``index`` None), the average risk of subpopulation ``index``
+    ("allocation") or the mixture risk of learner ``index`` ("learner").
+    ``trial`` is the probe trial that tripped the gate, or None."""
 
-    def __init__(self, t, before, after, tol, trial=None):
+    def __init__(self, t, before, after, tol, trial=None, half="total",
+                 index=None):
         self.t = t
         self.before = before
         self.after = after
         self.tol = tol
         self.trial = trial
+        self.half = half
+        self.index = index
         where = f"step {t}" if trial is None else f"step {t} of trial {trial}"
+        what = {"total": "total risk",
+                "allocation": f"allocation update: average risk of subpopulation {index}",
+                "learner": f"learner update: mixture risk of learner {index}"}[half]
         super().__init__(
-            f"total risk increased at {where}: {before!r} -> {after!r} "
+            f"{what} increased at {where}: {before!r} -> {after!r} "
             f"(increase {after - before:.3e} > tolerance {tol:.1e})"
         )
 

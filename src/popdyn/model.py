@@ -112,14 +112,13 @@ def quadratic_risk(center, curvature=None, offset: float = 0.0) -> RiskFunction:
         raise DimensionError(
             f"curvature: expected shape ({d},{d}), got {curvature.shape}"
         )
-    require_finite(offset, "offset")
+    require_finite(offset, "offset")   # names a NaN or inf as non-finite
+    require_number(offset, "offset", 0)
     if not np.allclose(curvature, curvature.T, atol=1e-10):
         raise ValueError("curvature must be symmetric")
     eigs = np.linalg.eigvalsh(curvature)
     if eigs.min() <= 0:
         raise ValueError(f"curvature must be positive definite, eigmin={eigs.min()}")
-    if offset < 0:
-        raise ValueError(f"offset must be >= 0, got {offset}")
     center = center.copy()
     center.setflags(write=False)
     curvature = curvature.copy()

@@ -12,6 +12,7 @@ from popdyn import (
     quadratic_risk,
     verify_risk_reducing,
 )
+from popdyn.model import MONOTONE_TOL
 
 
 class TestMwudStep:
@@ -134,6 +135,30 @@ class TestBestResponseStep:
                                  tie_tolerance=1e-6,
                                  tie_policy="keep_previous")
         assert np.allclose(out, [0.5, 0.5, 0.0])
+
+    def test_ties_exclude_learners_worse_than_the_row(self):
+        # the row sits at R = 0; R = 0.25 is within the tolerance but worse
+        out = best_response_step([1.0, 0.0], [0.0, 0.25], tie_tolerance=0.3)
+        assert np.array_equal(out, [1.0, 0.0])
+        # from an average of 0.25 both learners tie
+        out = best_response_step([0.0, 1.0], [0.0, 0.25], tie_tolerance=0.3)
+        assert np.array_equal(out, [0.5, 0.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 3).map(float), st.floats(0, 10)),
+                    min_size=1, max_size=6),
+           st.floats(0, 5), st.sampled_from(["split_evenly", "keep_previous"]),
+           st.integers(0, 2 ** 31 - 1))
+    def test_never_raises_the_row_risk(self, risks, tie_tolerance, tie_policy,
+                                       seed):
+        rng = np.random.default_rng(seed)
+        risks = np.array(risks)
+        row = rng.dirichlet(np.ones(len(risks)))
+        row[rng.random(len(risks)) < 0.3] = 0.0
+        row[rng.integers(len(risks))] += 0.1
+        row = row / row.sum()
+        out = best_response_step(row, risks, tie_tolerance, tie_policy)
+        assert float(out @ risks) <= float(row @ risks) + MONOTONE_TOL
 
     def test_simplex_preserved(self):
         rng = np.random.default_rng(13)

@@ -125,6 +125,29 @@ class TestSimulate:
         assert not (out / "trajectory.csv").exists()
         assert (out / "events.log").exists()
 
+    def test_learner_risk_increase_exit_three(self, tmp_path, capsys):
+        # the step lowers the total risk but raises learner 1's mixture risk
+        bad = tmp_path / "gd.json"
+        bad.write_text(json.dumps({
+            "schema_version": 1,
+            "population": {"betas": [0.5, 0.5], "risks": [
+                {"kind": "quadratic", "center": [0.0]},
+                {"kind": "quadratic", "center": [1.0], "curvature": [[3.0]]}]},
+            "learners": {"m": 2, "init": {"kind": "explicit",
+                                          "theta": [[5.0], [1.1]]}},
+            "initial_alpha": {"kind": "explicit", "alpha": [[1, 0], [0, 1]]},
+            "subpop_rule": {"kind": "mwud"},
+            "learner_rule": {"kind": "repeated_gd", "base": 0.35,
+                             "form": "constant"}}))
+        out = tmp_path / "o"
+        rc = main(["simulate", str(bad), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: learner update: mixture risk of learner 1 "
+                              "increased at step 0")
+        assert "learner 1" in (out / "events.log").read_text()
+        assert not (out / "trajectory.csv").exists()
+
     def test_welfare_gap_gated_by_budget(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["simulate", THREE_CENTERS, "--out", str(out), "--sigma", "1e-3",
@@ -463,6 +486,16 @@ class TestProbe:
         assert len(records) == 3
         assert all(r["returned"] and r["escaped_at"] is None and r["steps"] >= 1
                    and 0.0 <= r["distance"] <= 1e-4 for r in records)
+
+    @pytest.mark.parametrize("assignment", ["0,1,2", "0,1", "0,1,1,1", "0,-1,1",
+                                            "0,1,x", "0,1,1.0", ""])
+    def test_probe_rejects_a_bad_assignment(self, assignment, capsys):
+        # three_centers has n=3 subpopulations and m=2 learners
+        rc = main(["probe", THREE_CENTERS, "--assignment", assignment])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --assignment must be 3 comma-separated learner indices in "
+            f"[0, 2), got {assignment!r}\n")
 
     def test_probe_requires_target_state(self, capsys):
         rc = main(["probe", THREE_CENTERS])

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from popdyn import (
@@ -23,6 +23,7 @@ from popdyn import (
     full_min,
     full_minimize,
     gradient_step,
+    learner_avg_risk,
     mwud,
     mwud_step,
     perturb,
@@ -32,13 +33,16 @@ from popdyn import (
     state_distance_upto_permutation,
     step,
     step_size,
+    subpop_avg_risk,
     theta_for_assignment,
     total_risk,
+    verify_learner_risk_reducing,
+    verify_risk_reducing,
 )
 from popdyn import engine
 from popdyn.engine import _probe_batch, _update_alpha, _update_theta
 from popdyn.goldens import partition_pair_scenario, partition_pair_state
-from popdyn.model import EMPTY_MASS_TOL
+from popdyn.model import EMPTY_MASS_TOL, MONOTONE_TOL
 
 from conftest import random_scenario, random_state
 
@@ -61,9 +65,10 @@ class TestStep:
             assert after < before
 
     def test_contract_checks_pass(self, three_centers):
+        # every step's gate checks each subpopulation and learner as well
         st = perturb(three_centers.initial_state, 1e-3, seed=5, target="theta_only")
         for _ in range(20):
-            st = step(st, three_centers.scenario, check_contracts=True)
+            st = step(st, three_centers.scenario)
 
     def test_monotonicity_violation_aborts(self):
         # a constant oversized gradient step is not risk reducing
@@ -87,6 +92,145 @@ class TestStep:
         state = SystemState(alpha=np.ones((1, 1)), theta=np.zeros((1, 1)))
         with pytest.raises(MonotonicityError):
             step(state, sc)
+
+
+def _two_centers(subpop_rule, learner_rule, curvature=1.0):
+    """Centers 0 and 1 in 1-D, equal proportions, the second with the given
+    curvature."""
+    return Scenario(beta=np.array([0.5, 0.5]),
+                    risks=(quadratic_risk([0.0]),
+                           quadratic_risk([1.0], [[curvature]])),
+                    m=2, subpop_rule=subpop_rule, learner_rule=learner_rule)
+
+
+class TestPerAgentGate:
+    """Every step checks each subpopulation's and each learner's risk, not
+    only the total."""
+
+    def test_learner_half_names_the_learner(self):
+        # the step lowers the total (12.515 -> 1.143) but overshoots learner
+        # 1's optimum: its mixture risk rises from 0.03 to 0.0363
+        sc = _two_centers(mwud(), repeated_gd(base=0.35, form="constant"), 3.0)
+        state = SystemState(alpha=np.eye(2), theta=np.array([[5.0], [1.1]]))
+        after = SystemState(alpha=np.eye(2), theta=np.array([[1.5], [0.89]]))
+        assert total_risk(after, sc) < total_risk(state, sc)
+        with pytest.raises(MonotonicityError, match="learner 1") as exc:
+            step(state, sc)
+        err = exc.value
+        assert (err.half, err.index, err.t, err.trial) == ("learner", 1, 0, None)
+        assert err.before == pytest.approx(0.03)
+        assert err.after == pytest.approx(0.0363)
+        assert str(err).startswith("learner update: mixture risk of learner 1 "
+                                   "increased at step 0: ")
+        with pytest.raises(MonotonicityError, match="learner 1"):
+            simulate(sc, state, 10)
+
+    def test_allocation_half_names_the_subpopulation(self):
+        # a planted allocation update moves subpopulation 0 (risk 0) half onto
+        # the learner at 5; full-min then lowers the total from 8 to 1/6
+        sc = _two_centers(mwud(), full_min())
+        alpha = np.eye(2)[None].repeat(2, axis=0)
+        theta = np.array([[[0.0], [5.0]]]).repeat(2, axis=0)
+        planted = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.5, 0.5],
+                                                               [0.0, 1.0]])
+        with mock.patch.object(engine, "_update_alpha",
+                               lambda *args: np.stack(planted)):
+            steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 3,
+                                  labels=np.array([4, 7]))
+            with pytest.raises(MonotonicityError) as exc:
+                next(steps)
+        err = exc.value
+        assert (err.half, err.index, err.t, err.trial) == ("allocation", 0, 3, 7)
+        assert (err.before, err.after) == (0.0, 12.5)
+        assert str(err).startswith("allocation update: average risk of "
+                                   "subpopulation 0 increased at step 3 of "
+                                   "trial 7: 0.0 -> 12.5")
+
+    def test_learner_slack_is_per_unit_mass(self):
+        # learner 1 (mass 1e-3) is moved 3e-4 off its optimum: its mixture
+        # risk rises by 9e-8 > 1e-8, the total only by 9e-11
+        sc = _two_centers(mwud(), full_min())
+        alpha = np.array([[1.0, 0.0], [0.998, 0.002]])
+        theta = np.array([[0.0], [1.0]])
+        planted = np.array([[0.0], [1.0003]])
+        with mock.patch.object(engine, "_update_theta", lambda a, th, sc, t: (
+                planted[None], np.zeros(1, int), sc.beta @ a)):
+            with pytest.raises(MonotonicityError, match="learner 1") as exc:
+                step(SystemState(alpha=alpha, theta=theta), sc)
+        assert exc.value.after == pytest.approx(9e-8)
+
+    def test_total_half_keeps_precedence(self):
+        # an oversized step raises the total and the learner's risk alike
+        sc = Scenario(beta=np.array([1.0]), risks=(quadratic_risk([0.0]),), m=1,
+                      subpop_rule=mwud(),
+                      learner_rule=repeated_gd(base=1.5, form="constant"))
+        with pytest.raises(MonotonicityError, match="^total risk") as exc:
+            step(SystemState(alpha=np.ones((1, 1)), theta=np.ones((1, 1))), sc)
+        assert (exc.value.half, exc.value.index) == ("total", None)
+
+    def test_best_response_ties_keep_the_row_risk(self):
+        # subpopulation 0 sits at its optimum (R = 0); learner 1 is within
+        # the tie tolerance (R = 0.25) but worse, so it is not tied
+        sc = _two_centers(best_response(tie_tolerance=0.3), full_min())
+        state = SystemState(alpha=np.eye(2), theta=np.array([[0.0], [0.5]]))
+        traj = simulate(sc, state, 50)
+        assert all(np.array_equal(s.alpha, np.eye(2)) for s in traj.states)
+        assert np.array_equal(traj.final_state.theta, [[0.0], [1.0]])
+        assert traj.total_risks[-1] == 0.0
+        assert traj.converged_at == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from(["mwud", "best_response"]),
+           st.sampled_from(["full_min", "repeated_gd"]))
+    def test_gate_matches_the_scalar_references(self, seed, subpop, learner):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, n + 1))
+        sc = random_scenario(rng, n, m, int(rng.integers(1, 3)))
+        if subpop == "mwud":
+            rule = mwud(float(rng.uniform(0.1, 5.0)),
+                        str(rng.choice(["absolute", "relative"])))
+        else:
+            rule = best_response(float(rng.choice([0.0, 0.3, 3.0])),
+                                 str(rng.choice(["split_evenly",
+                                                 "keep_previous"])))
+        # steps up to 2 overshoot many mixtures, so both outcomes occur
+        learner_rule = (full_min() if learner == "full_min" else repeated_gd(
+            float(rng.uniform(0.05, 2.0)), str(rng.choice(["harmonic", "constant"])),
+            int(rng.integers(1, 4))))
+        sc = replace(sc, subpop_rule=rule, learner_rule=learner_rule)
+        alpha = rng.dirichlet(np.ones(m), size=n)
+        alpha[rng.random(alpha.shape) < 0.3] = 0.0   # some learners empty
+        alpha[np.arange(n), rng.integers(0, m, n)] += 0.1
+        alpha = alpha / alpha.sum(axis=1, keepdims=True)
+        theta = rng.uniform(-2.0, 2.0, (m, sc.d))
+        t = int(rng.integers(0, 5))
+        R = sc.risk_matrix(theta)
+        alpha2 = _update_alpha(alpha, R, sc, t)
+        theta2 = _update_theta(alpha2, theta, sc, t)[0]
+        live = [j for j in range(m) if sc.beta @ alpha2[:, j] >= EMPTY_MASS_TOL]
+        rises = ([subpop_avg_risk(alpha2[i], theta, sc.risks[i])
+                  - subpop_avg_risk(alpha[i], theta, sc.risks[i])
+                  for i in range(n)]
+                 + [learner_avg_risk(alpha2[:, j], sc.beta, sc.risks, theta2[j])
+                    - learner_avg_risk(alpha2[:, j], sc.beta, sc.risks, theta[j])
+                    for j in live])
+        # away from the tolerance boundary
+        assume(not any(MONOTONE_TOL / 4 <= r <= 2 * MONOTONE_TOL for r in rises))
+        bad_rows = [i for i in range(n) if not verify_risk_reducing(
+            rule, alpha[i], alpha2[i], theta, sc.risks[i], tol=MONOTONE_TOL)]
+        bad_learners = [j for j in live if not verify_learner_risk_reducing(
+            theta[j], theta2[j], alpha2[:, j], sc.beta, sc.risks, tol=MONOTONE_TOL)]
+        try:
+            engine._core_step(alpha[None], theta[None], t, sc, R[None])
+            err = None
+        except MonotonicityError as exc:
+            err = exc
+        assert (err is not None) == bool(bad_rows or bad_learners)
+        if err is not None and err.half != "total":
+            assert err.index == (bad_rows or bad_learners)[0]
+            assert err.half == ("allocation" if bad_rows else "learner")
 
 
 class TestSimulate:
@@ -558,7 +702,7 @@ class TestFreezeThreshold:
     @pytest.mark.parametrize("kind", ["full_min", "repeated_gd"])
     def test_updates_at_2e12_and_freezes_at_5e13(self, kind):
         sc, alpha, theta = self._setup(kind)
-        theta2, frozen = _update_theta(alpha, theta, sc, 0)
+        theta2, frozen, _ = _update_theta(alpha, theta, sc, 0)
         assert frozen == 1
         if kind == "full_min":
             expected = full_minimize(alpha[:, 1], sc.beta, sc.risks)
@@ -575,7 +719,7 @@ class TestFreezeThreshold:
         sc, alpha, theta = self._setup(kind)
         alpha = np.stack([alpha, alpha[:, [0, 2, 1]]])
         theta = np.stack([theta, theta])
-        theta2, frozen = _update_theta(alpha, theta, sc, 0)
+        theta2, frozen, _ = _update_theta(alpha, theta, sc, 0)
         assert frozen.tolist() == [1, 1]
         assert theta2[0, 2, 0] == theta[0, 2, 0] and theta2[1, 1, 0] == theta[1, 1, 0]
         assert theta2[0, 1, 0] != theta[0, 1, 0] and theta2[1, 2, 0] != theta[1, 2, 0]
@@ -668,7 +812,7 @@ class TestFastPathEquivalence:
         alpha[:, 0] = 0.0  # learner 0 is empty and must stay frozen
         alpha = alpha / alpha.sum(axis=1, keepdims=True)
         t = int(rng.integers(0, 10))
-        theta2, frozen = _update_theta(alpha, state.theta, sc, t)
+        theta2, frozen, _ = _update_theta(alpha, state.theta, sc, t)
         assert frozen == 1
         assert np.array_equal(theta2[0], state.theta[0])
         for j in range(1, m):
@@ -691,7 +835,7 @@ class TestFastPathEquivalence:
             sc = random_scenario(rng, n, int(rng.integers(2, min(3, n) + 1)),
                                  int(rng.integers(1, 4)))
             state = random_state(rng, sc)
-            theta2, frozen = _update_theta(state.alpha, state.theta, sc, 0)
+            theta2, frozen, _ = _update_theta(state.alpha, state.theta, sc, 0)
             assert frozen == 0
             for j in range(sc.m):
                 expected = full_minimize(state.alpha[:, j], sc.beta, sc.risks)
@@ -718,10 +862,11 @@ class TestRuleVariants:
                            inner_steps=3)
         sc = Scenario(beta=base.beta, risks=base.risks, m=2,
                       subpop_rule=base.subpop_rule, learner_rule=rule)
-        traj = simulate(sc, random_state(rng, sc), 100,
-                        check_contracts=True)
+        # the default gate checks each subpopulation and learner every step
+        traj = simulate(sc, random_state(rng, sc), 100)
         assert np.all(np.diff(traj.total_risks) <= 1e-8)
-        assert traj.contract_checks > 0
+        assert any(not np.array_equal(a.theta, b.theta)
+                   for a, b in zip(traj.states, traj.states[1:]))
 
     def test_custom_risks_through_engine_and_classifier(self):
         from popdyn import Scenario, classify_state, custom_risk, full_min, mwud

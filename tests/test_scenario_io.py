@@ -177,6 +177,28 @@ class TestParsing:
         with pytest.raises(ScenarioFormatError, match=r"schedule\.order\[1\]"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("risk, schedule, message", [
+        ({"offset": [1, 2]}, None,
+         "population.risks[1].offset must be a number >= 0, got [1, 2]"),
+        ({"offset": "1"}, None,
+         "population.risks[1].offset must be a number >= 0, got '1'"),
+        ({}, {"kind": "custom_order", "subpops": 3},
+         "schedule.subpops must be a list of integers, got 3"),
+        ({}, {"kind": "custom_order", "learners": "01"},
+         "schedule.learners must be a list of integers, got '01'"),
+        ({}, {"kind": "round_robin_subpops", "order": {"0": 1}},
+         "schedule.order must be a list of integers, got {'0': 1}"),
+    ], ids=["offset-list", "offset-string", "subpops-int", "learners-string",
+            "order-object"])
+    def test_wrongly_shaped_fields_name_the_field(self, risk, schedule,
+                                                   message):
+        data = base_dict()
+        data["population"]["risks"][1].update(risk)
+        data["schedule"] = schedule
+        with pytest.raises(ScenarioFormatError) as exc:
+            parse_scenario(data)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("path, section, value", [
         ("learners.m: need 1 <= m <= n", "learners", {"m": 3}),
         ("schedule.order[1] must be < 2", "schedule",
