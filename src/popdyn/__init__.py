@@ -39,7 +39,6 @@ from .equilibria import (
     potential_value,
     split_learner,
     theta_for_assignment,
-    welfare_gap,
 )
 from .errors import (
     BudgetError,

@@ -27,10 +27,11 @@ import numpy as np
 from . import __version__
 from .engine import _probe_batch, _watched_steps, perturb, simulate
 from .equilibria import (
+    DEFAULT_BUDGET,
     SplitAssignment,
     _c1_sides,
+    _split_rows,
     classify_state,
-    enumerate_split_equilibria,
     example_c1_stability_predicate,
     split_learner,
     theta_for_assignment,
@@ -197,17 +198,16 @@ def cmd_classify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     loaded = load_scenario(args.scenario)
-    reports = enumerate_split_equilibria(loaded.scenario, dedupe=args.dedupe,
-                                         budget=args.budget)
     header = ["assignment", "total_risk", "classification", "stability",
               "margin", "welfare_gap"]
-    rows = [["-".join(map(str, r.assignment.gamma_map)), r.total_risk,
-             r.classification, r.stability, r.margin, r.welfare_gap]
-            for r in reports]
+    rows = [["-".join(map(str, gamma_map)), total, "split_market", stability,
+             margin, gap]
+            for gamma_map, total, stability, margin, gap, _ in _split_rows(
+                loaded.scenario, args.dedupe, args.budget)]
     out = args.out or "equilibria.csv"
     _write_csv(out, header, rows)
-    print(f"{len(reports)} assignments written to {out}; "
-          f"optimum total risk {reports[0].total_risk:.17g}")
+    print(f"{len(rows)} assignments written to {out}; "
+          f"optimum total risk {rows[0][1]:.17g}")
     return EXIT_OK
 
 
@@ -425,20 +425,20 @@ def build_parser() -> argparse.ArgumentParser:
                      help="perturb the initial state before simulating")
     sim.add_argument("--perturb-target", default="theta_only",
                      choices=["theta_only", "alpha_only", "both"])
-    sim.add_argument("--budget", type=int, default=int(2e7))
+    sim.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sim.set_defaults(func=cmd_simulate)
 
     cls = sub.add_parser("classify", help="classify a stored state")
     cls.add_argument("scenario")
     cls.add_argument("--state", required=True)
-    cls.add_argument("--budget", type=int, default=int(2e7))
+    cls.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     cls.set_defaults(func=cmd_classify)
 
     enm = sub.add_parser("enumerate", help="brute-force welfare oracle")
     enm.add_argument("scenario")
     enm.add_argument("--out", default="equilibria.csv")
     enm.add_argument("--dedupe", action="store_true")
-    enm.add_argument("--budget", type=int, default=int(2e7))
+    enm.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     enm.set_defaults(func=cmd_enumerate)
 
     comp = sub.add_parser("competition",

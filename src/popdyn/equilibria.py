@@ -26,7 +26,6 @@ from .errors import (
     BudgetError,
     EmptyLearnerError,
     NotOptimalError,
-    PopdynError,
     SplitError,
 )
 from .learners import learner_gradient, minimize_mixtures
@@ -46,6 +45,12 @@ STABILITIES = ("asymptotically_stable", "unstable", "possibly_stable_not_asympto
 # A split market is certified stable only when every no-switching inequality
 # holds strictly by at least this much; floating-point ties count as unstable.
 STRICT_MARGIN = 1e-9
+
+# classify_state counts shares, risk spreads and gradient norms this small as 0
+ZERO_TOL = 1e-6
+
+# Assignments the welfare oracle visits before raising BudgetError.
+DEFAULT_BUDGET = int(2e7)
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,6 @@ def _split_margins(columns, gamma):
 
 
 def classify_state(state: SystemState, scenario: Scenario,
-                   zero_tol: float = 1e-6,
-                   strict_margin: float = STRICT_MARGIN,
                    oracle_budget: Optional[int] = None) -> EquilibriumReport:
     """Classify a candidate equilibrium and certify its stability.
 
@@ -180,7 +183,7 @@ def classify_state(state: SystemState, scenario: Scenario,
     (gradient norm <= 1e-6), otherwise raises NotOptimalError.  A state whose
     allocation is 0/1 with every learner serving someone is a split market,
     asymptotically stable iff every no-switching inequality is strict beyond
-    strict_margin.  A state where some subpopulation spreads over several
+    STRICT_MARGIN.  A state where some subpopulation spreads over several
     learners is a balanced candidate when the spread learners are risk
     equivalent; it is possibly stable (never asymptotically) when they are
     also optimal for that subpopulation, unstable otherwise.  Anything else
@@ -211,18 +214,17 @@ def classify_state(state: SystemState, scenario: Scenario,
     gap = None
     if (oracle_budget is not None
             and _stirling2(scenario.n, scenario.m) <= oracle_budget):
-        reports = enumerate_split_equilibria(scenario, dedupe=True,
-                                             budget=oracle_budget)
-        gap = total - reports[0].total_risk
+        totals = _split_catalog(scenario, True, oracle_budget)[1]
+        gap = total - float(totals[0])
 
-    binary = np.all((alpha <= zero_tol) | (alpha >= 1 - zero_tol))
+    binary = np.all((alpha <= ZERO_TOL) | (alpha >= 1 - ZERO_TOL))
     if binary and np.all(masses >= EMPTY_MASS_TOL):
         gamma_map = tuple(int(j) for j in alpha.argmax(axis=1))
         # a learner can carry mass above the empty floor yet serve nobody at
-        # zero_tol resolution; such uncovered learners rule out stability
+        # ZERO_TOL resolution; such uncovered learners rule out stability
         uncovered = sorted(set(range(scenario.m)) - set(gamma_map))
         margin = split_certificate(R, gamma_map)
-        stable = not uncovered and (margin is None or margin > strict_margin)
+        stable = not uncovered and (margin is None or margin > STRICT_MARGIN)
         details = {"learner_gradient_norms": grad_norms}
         if uncovered:
             details["uncovered_learners"] = uncovered
@@ -234,7 +236,7 @@ def classify_state(state: SystemState, scenario: Scenario,
             details=details,
         )
 
-    support = alpha > zero_tol
+    support = alpha > ZERO_TOL
     multi_rows = np.where(support.sum(axis=1) >= 2)[0]
     if multi_rows.size > 0:
         spreads = {}
@@ -246,8 +248,8 @@ def classify_state(state: SystemState, scenario: Scenario,
                 float(np.linalg.norm(risk_gradient(risks[i], theta[j])))
                 for j in J
             )
-        risk_equivalent = max(spreads.values()) <= zero_tol
-        optimal = max(opt_norms.values()) <= zero_tol
+        risk_equivalent = max(spreads.values()) <= ZERO_TOL
+        optimal = max(opt_norms.values()) <= ZERO_TOL
         details = {
             "risk_spreads": spreads,
             "subpop_gradient_norms": opt_norms,
@@ -358,6 +360,10 @@ def _assignments(n: int, m: int, dedupe: bool) -> np.ndarray:
 def theta_for_assignment(assignment: SplitAssignment,
                          scenario: Scenario) -> np.ndarray:
     """Per-group weighted minimizers for a split assignment."""
+    gamma_map = assignment.gamma_map
+    if len(gamma_map) != scenario.n or max(gamma_map) >= scenario.m:
+        raise ValueError(f"gamma map {gamma_map} must have {scenario.n} "
+                         f"learner indices in [0, {scenario.m})")
     return _minimizers(assignment.to_alpha(scenario.m), scenario.beta,
                        scenario)[0]
 
@@ -368,19 +374,10 @@ def _stirling2(n: int, m: int) -> int:
                for k in range(m + 1)) // math.factorial(m)
 
 
-def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
-                               budget: int = int(2e7)) -> list:
-    """Evaluate every surjective assignment of subpopulations to learners.
-
-    Non-surjective assignments are skipped: an empty learner can always adopt
-    some subpopulation's optimum without increasing total risk, so surjective
-    assignments dominate.  With dedupe, one representative per learner
-    relabeling is kept.  All distinct groups go to one minimize_mixtures call.
-    Reports come back sorted by total risk, exact ties in lexicographic
-    assignment order; the first is the social-welfare optimum, and each
-    welfare_gap is measured against it.  BudgetError is raised when the
-    assignments to visit, S(n, m) with dedupe and m**n without, exceed budget.
-    """
+def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
+    """Assignments (S, n), totals (S,), own risks (S, n) and no-switching
+    margins (S,) in enumerate_split_equilibria's order and under its budget
+    rule; row 0 is the welfare optimum."""
     n, m = scenario.n, scenario.m
     required = _stirling2(n, m) if dedupe else m ** n
     if required > budget:
@@ -402,42 +399,45 @@ def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
     totals = np.zeros(rows.shape[0])
     for j in range(m):
         totals += values[gid[:, j]]
-    own, margins = _split_margins((R[gid[:, j]] for j in range(m)), rows)
-    del gid, R
-
-    # reports are built 4096 at a time so that no list of all S rows exists
-    # beside them; each report's own risks are a row view of `own`
     order = np.argsort(totals, kind="stable")
-    gaps = totals - totals[order[0]]
-    reports = []
-    for start in range(0, len(order), 4096):
-        idx = order[start:start + 4096]
-        reports += [
-            EquilibriumReport(
-                classification="split_market",
-                stability=("asymptotically_stable" if margin > STRICT_MARGIN
-                           else "unstable"),
-                total_risk=total, per_subpop_risks=own[s],
-                margin=margin if m > 1 else None, welfare_gap=gap,
-                assignment=SplitAssignment(gamma_map),
-            )
-            for s, total, margin, gap, gamma_map in zip(
-                idx.tolist(), totals[idx].tolist(), margins[idx].tolist(),
-                gaps[idx].tolist(), rows[idx].tolist())
-        ]
-    return reports
+    rows, gid = rows[order], gid[order]
+    own, margins = _split_margins((R[gid[:, j]] for j in range(m)), rows)
+    return rows, totals[order], own, margins
 
 
-def welfare_gap(report_list: list, fixed_point_total_risk: float) -> float:
-    """Fixed-point total risk minus the enumerated optimum (>= -1e-8)."""
-    if not report_list:
-        raise ValueError("empty report list")
-    optimum = min(r.total_risk for r in report_list)
-    gap = fixed_point_total_risk - optimum
-    if gap < -1e-8:
-        # the oracle lower-bounds every feasible state, so this is a bug
-        raise PopdynError(f"welfare gap {gap} below -1e-8")
-    return gap
+def _split_rows(scenario: Scenario, dedupe: bool, budget: int):
+    """(gamma_map, total, stability, margin, welfare_gap, own risks) for each
+    _split_catalog row: stable iff the margin exceeds STRICT_MARGIN, margin
+    None for a single learner, gap measured against the first row."""
+    rows, totals, own, margins = _split_catalog(scenario, dedupe, budget)
+    totals = totals.tolist()
+    # one row list at a time: all S lists at once would add to the peak memory
+    for gamma_map, total, margin, own_row in zip(
+            map(np.ndarray.tolist, rows), totals, margins.tolist(), own):
+        stability = ("asymptotically_stable" if margin > STRICT_MARGIN
+                     else "unstable")
+        yield (gamma_map, total, stability,
+               margin if scenario.m > 1 else None, total - totals[0], own_row)
+
+
+def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
+                               budget: int = DEFAULT_BUDGET) -> list:
+    """Evaluate every surjective assignment of subpopulations to learners.
+
+    Non-surjective assignments are skipped: an empty learner can always adopt
+    some subpopulation's optimum without increasing total risk, so surjective
+    assignments dominate.  With dedupe, one representative per learner
+    relabeling is kept.  All distinct groups go to one minimize_mixtures call.
+    Reports come back sorted by total risk, exact ties in lexicographic
+    assignment order; the first is the social-welfare optimum, and each
+    welfare_gap is measured against it.  BudgetError is raised when the
+    assignments to visit, S(n, m) with dedupe and m**n without, exceed budget.
+    """
+    return [EquilibriumReport("split_market", stability, total, own,
+                              margin=margin, welfare_gap=gap,
+                              assignment=SplitAssignment(gamma_map))
+            for gamma_map, total, stability, margin, gap, own
+            in _split_rows(scenario, dedupe, budget)]
 
 
 def split_learner(state: SystemState, scenario: Scenario, j: int):

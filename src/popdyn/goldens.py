@@ -11,9 +11,10 @@ import numpy as np
 
 from .allocation import mwud
 from .equilibria import (
+    DEFAULT_BUDGET,
     SplitAssignment,
+    _split_catalog,
     classify_state,
-    enumerate_split_equilibria,
     theta_for_assignment,
 )
 from .learners import full_min
@@ -75,8 +76,7 @@ def two_group_gap_curve(beta: float, eps: float = 0.01) -> dict:
     theta = theta_for_assignment(assignment, scenario)
     R = scenario.risk_matrix(theta)
     eq_risk = float(scenario.beta @ R[np.arange(3), [0, 1, 1]])
-    reports = enumerate_split_equilibria(scenario, dedupe=True)
-    optimum = reports[0].total_risk
+    optimum = float(_split_catalog(scenario, True, DEFAULT_BUDGET)[1][0])
     return {
         "beta": beta,
         "eps": eps,

@@ -5,11 +5,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from popdyn import EquilibriumDetector, Scenario, cli, engine
+from popdyn import EquilibriumDetector, Scenario, SystemState, cli, engine
 from popdyn.cli import main
 from popdyn.engine import perturb, simulate
 from popdyn.equilibria import (
+    EquilibriumReport,
     SplitAssignment,
+    classify_state,
     enumerate_split_equilibria,
     theta_for_assignment,
 )
@@ -259,14 +261,15 @@ class TestEnumerate:
         path.write_text(json.dumps(data))
         return str(path)
 
+    @pytest.mark.parametrize("dedupe", [True, False])
     @pytest.mark.parametrize("m", [1, 3])
-    def test_csv_round_trips_the_reports(self, tmp_path, m):
+    def test_csv_round_trips_the_reports(self, tmp_path, m, dedupe):
         scenario_path = self._scenario_file(tmp_path / "scenario.json", m)
         out = tmp_path / "eq.csv"
-        assert main(["enumerate", scenario_path, "--dedupe",
-                     "--out", str(out)]) == 0
+        assert main(["enumerate", scenario_path, "--out", str(out)]
+                    + ["--dedupe"] * dedupe) == 0
         reports = enumerate_split_equilibria(
-            load_scenario(scenario_path).scenario, dedupe=True)
+            load_scenario(scenario_path).scenario, dedupe=dedupe)
         rows = read_csv(out)
         assert len(rows) == len(reports)
         for row, report in zip(rows, reports):
@@ -279,6 +282,34 @@ class TestEnumerate:
             else:
                 assert float(row["margin"]) == report.margin
             assert row["stability"] == report.stability
+            assert row["classification"] == report.classification
+
+    def test_oracle_builds_no_object_per_assignment(self, tmp_path,
+                                                    monkeypatch):
+        # `enumerate` and the classifier's welfare gap read the catalog
+        # arrays; only enumerate_split_equilibria wraps rows in reports
+        built = []
+        for cls in (EquilibriumReport, SplitAssignment):
+            post_init = cls.__post_init__
+
+            def counted(self, post_init=post_init):
+                built.append(type(self).__name__)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        scenario_path = self._scenario_file(tmp_path / "scenario.json", 3)
+        assert main(["enumerate", scenario_path, "--dedupe",
+                     "--out", str(tmp_path / "eq.csv")]) == 0
+        assert len(read_csv(tmp_path / "eq.csv")) == 25   # S(5, 3)
+        assert built == []
+        scenario = load_scenario(scenario_path).scenario
+        assignment = SplitAssignment((0, 1, 2, 2, 2))
+        state = SystemState(assignment.to_alpha(3),
+                            theta_for_assignment(assignment, scenario))
+        built.clear()
+        report = classify_state(state, scenario, oracle_budget=25)
+        assert report.welfare_gap is not None
+        assert built == ["SplitAssignment", "EquilibriumReport"]
 
     def test_budget_exceeded_exit_six(self, tmp_path, capsys):
         rc = main(["enumerate", TWO_GROUP, "--budget", "3",

@@ -33,9 +33,9 @@ from popdyn import (
     split_learner,
     theta_for_assignment,
     total_risk,
-    welfare_gap,
 )
 from popdyn.equilibria import (
+    DEFAULT_BUDGET,
     STRICT_MARGIN,
     _potential_gradient_raw,
     split_certificate,
@@ -448,7 +448,8 @@ def _assert_matches_reference(scenario, dedupe):
     totals = [r.total_risk for r in reports]
     assert totals == sorted(totals)
     assert reports[0].welfare_gap == 0.0
-    assert all(r.welfare_gap == t - totals[0] >= 0
+    assert all(type(r.welfare_gap) is float
+               and r.welfare_gap == t - totals[0] >= 0
                for r, t in zip(reports, totals))
     # the sort is stable, so exactly tied totals keep lexicographic order
     for a, b in zip(reports, reports[1:]):
@@ -505,17 +506,12 @@ class TestEnumerateAgainstReference:
 
 
 class TestWelfareGap:
-    def test_zero_at_optimum(self):
-        sc = _line_scenario([0.0, 1.0, 2.0])
-        reports = enumerate_split_equilibria(sc, dedupe=True)
-        assert welfare_gap(reports, reports[0].total_risk) == 0.0
-
     def test_positive_for_locked_in_equilibrium(self):
         sc = two_group_gap_scenario(0.4, 0.01)
-        reports = enumerate_split_equilibria(sc, dedupe=True)
         state = partition_pair_state(sc)
-        gap = welfare_gap(reports, total_risk(state, sc))
-        assert gap == pytest.approx(0.32801333333333343, abs=1e-12)
+        report = classify_state(state, sc, oracle_budget=DEFAULT_BUDGET)
+        assert report.welfare_gap == pytest.approx(0.32801333333333343,
+                                                   abs=1e-12)
 
     def test_simulated_fixed_points_dominated(self):
         from popdyn import EquilibriumDetector, simulate
@@ -526,8 +522,9 @@ class TestWelfareGap:
                             EquilibriumDetector())
             if traj.converged_at is None:
                 continue
-            reports = enumerate_split_equilibria(sc, dedupe=True)
-            assert welfare_gap(reports, traj.total_risks[-1]) >= -1e-8
+            report = classify_state(traj.final_state, sc,
+                                    oracle_budget=DEFAULT_BUDGET)
+            assert report.welfare_gap >= -1e-8
 
 
 class TestSplitLearner:
@@ -619,6 +616,16 @@ class TestAgainstScalarReference:
         out = theta_for_assignment(assignment, sc)
         assert np.abs(out - theta).max() <= 1e-12
         assert np.all(out[empty] == 0.0)
+
+
+class TestThetaForAssignment:
+    @pytest.mark.parametrize("gamma_map", [(0, 1, 2), (0, 1), (0, 1, 1, 1)])
+    def test_rejects_a_map_that_does_not_fit(self, three_centers, gamma_map):
+        with pytest.raises(ValueError) as exc:
+            theta_for_assignment(SplitAssignment(gamma_map),
+                                 three_centers.scenario)
+        assert str(exc.value) == (f"gamma map {gamma_map} must have 3 "
+                                  "learner indices in [0, 2)")
 
 
 class TestOneKernel:
