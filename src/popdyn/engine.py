@@ -143,8 +143,9 @@ def _mwud_rows(alpha, R, gamma, comparison):
         cost = cost / mix[..., None]
     support = alpha > 0.0
     shift = np.where(support, cost, np.inf).min(axis=-1)
+    # arg <= 0 keeps exp finite, so an unsupported share stays exactly zero
     arg = np.minimum(shift[..., None] - cost, 0.0)
-    weights = np.where(support, alpha * np.exp(arg), 0.0)
+    weights = alpha * np.exp(arg)
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
@@ -205,7 +206,7 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
         # the mixture gradient 2 (H_j theta_j - b_j) / mass_j, for all pairs
         scale = 2.0 * gamma_t / masses.reshape(-1)[active, None]
         for _ in range(rule.inner_steps):
-            th = th - scale * (np.einsum("jde,je->jd", H, th) - b)
+            th = th - scale * ((H @ th[..., None])[..., 0] - b)
     else:
         for p, col in enumerate(cols):
             for _ in range(rule.inner_steps):

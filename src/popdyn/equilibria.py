@@ -64,14 +64,21 @@ class SplitAssignment:
         if self.gamma_map and min(self.gamma_map) < 0:
             raise ValueError("learner indices must be nonnegative")
 
+    def _require_fits(self, m: int):
+        if max(self.gamma_map, default=-1) >= m:
+            raise ValueError(f"gamma map {self.gamma_map} has a learner index "
+                             f">= m={m}")
+
     def groups(self, m: int):
         """Members per learner, as a list of index lists."""
+        self._require_fits(m)
         out = [[] for _ in range(m)]
         for i, j in enumerate(self.gamma_map):
             out[j].append(i)
         return out
 
     def to_alpha(self, m: int) -> np.ndarray:
+        self._require_fits(m)
         alpha = np.zeros((len(self.gamma_map), m))
         alpha[np.arange(len(self.gamma_map)), list(self.gamma_map)] = 1.0
         return alpha

@@ -114,14 +114,16 @@ def quadratic_risk(center, curvature=None, offset: float = 0.0) -> RiskFunction:
         )
     require_finite(offset, "offset")   # names a NaN or inf as non-finite
     require_number(offset, "offset", 0)
-    if not np.allclose(curvature, curvature.T, atol=1e-10):
-        raise ValueError("curvature must be symmetric")
+    if not np.allclose(curvature, curvature.T, rtol=0, atol=1e-10):
+        raise ValueError("curvature must be symmetric within 1e-10")
+    # the tolerated asymmetry is averaged away, so value, gradient and the
+    # kernels all see one symmetric matrix (unchanged for symmetric input)
+    curvature = (curvature + curvature.T) / 2
     eigs = np.linalg.eigvalsh(curvature)
     if eigs.min() <= 0:
         raise ValueError(f"curvature must be positive definite, eigmin={eigs.min()}")
     center = center.copy()
     center.setflags(write=False)
-    curvature = curvature.copy()
     curvature.setflags(write=False)
     return RiskFunction(
         kind="quadratic", dim=d, center=center, curvature=curvature,
@@ -228,21 +230,42 @@ class Scenario:
 
     @cached_property
     def _quad(self):
-        """Stacked (A, phi, c, A@phi) arrays when every risk is quadratic."""
+        """(phi, o, F, N) when every risk is quadratic, o the mean center.
+        With p_i = phi_i - o, row i of F is [vec(A_i), -2 A_i p_i,
+        p_i^T A_i p_i + c_i], so R_i(theta) = F_i . [vec(t t^T), t, 1] at
+        t = theta - o; row i of N is [vec(A_i), A_i phi_i]."""
         if any(r.kind != "quadratic" for r in self.risks):
             return None
         A = np.stack([r.curvature for r in self.risks])
         phi = np.stack([r.center for r in self.risks])
         c = np.array([r.offset for r in self.risks])
-        return A, phi, c, np.einsum("nde,ne->nd", A, phi)
+        o = phi.mean(axis=0)
+        p = phi - o
+        Ap = np.einsum("nde,ne->nd", A, p)
+        vecA = A.reshape(self.n, -1)
+        F = np.column_stack([vecA, -2.0 * Ap, np.einsum("nd,nd->n", p, Ap) + c])
+        N = np.column_stack([vecA, np.einsum("nde,ne->nd", A, phi)])
+        return phi, o, F, N
 
     def risk_matrix(self, theta: np.ndarray) -> np.ndarray:
-        """R[..., i, j] = R_i(theta[..., j, :]) for theta of shape (..., m, d)."""
+        """R[..., i, j] = R_i(theta[..., j, :]) for theta of shape (..., m, d).
+
+        Quadratics take one matrix product per leading index, expanded about
+        the mean center o: the error is about
+        eps * ||A_i|| * (|theta_j - o|^2 + |phi_i - o|^2), not eps * R_ij;
+        risk_value is the exact path."""
         theta = np.asarray(theta, dtype=float)
         if self._quad is not None:
-            A, phi, c, _ = self._quad
-            diff = theta[..., None, :, :] - phi[:, None, :]
-            return (np.matmul(diff, A) * diff).sum(-1) + c[:, None]
+            _, o, F, _ = self._quad
+            d = self.d
+            t = (theta - o).swapaxes(-1, -2)   # (..., d, m)
+            lead, m = t.shape[:-2], t.shape[-1]
+            G = np.empty((*lead, d * d + d + 1, m))   # [vec(t t^T); t; 1]
+            G[..., :d * d, :] = (t[..., :, None, :] * t[..., None, :, :]
+                                 ).reshape(*lead, d * d, m)
+            G[..., d * d:-1, :] = t
+            G[..., -1, :] = 1.0
+            return F @ G
         values = [[risk_value(r, th) for th in theta.reshape(-1, self.d)]
                   for r in self.risks]
         return np.moveaxis(np.reshape(values, (self.n, *theta.shape[:-1])), 0, -2)
@@ -253,14 +276,15 @@ class Scenario:
         minimized at H[j]^-1 b[j]; its gradient is 2 (H[j] theta - b[j])."""
         if self._quad is None:
             raise ValueError("normal equations are only defined for quadratic risks")
-        A, _, _, Aphi = self._quad
-        return np.einsum("...ij,ide->...jde", W, A), W.swapaxes(-1, -2) @ Aphi
+        d = self.d
+        Hb = W.swapaxes(-1, -2) @ self._quad[3]
+        return Hb[..., :d * d].reshape(*Hb.shape[:-1], d, d), Hb[..., d * d:]
 
     def centers(self) -> np.ndarray:
         """Per-subpopulation optimal parameters (quadratic scenarios only)."""
         if self._quad is None:
             raise ValueError("centers are only defined for quadratic risks")
-        return self._quad[1]
+        return self._quad[0]
 
 
 def validate_allocation(alpha, n: int, m: int, tol: float = SIMPLEX_TOL) -> np.ndarray:

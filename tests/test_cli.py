@@ -342,6 +342,30 @@ class TestCompetition:
                    "--out", str(tmp_path / "c")])
         assert rc == 1
 
+    def test_cascade_is_translation_invariant(self, competition12_path,
+                                              tmp_path):
+        # the risk kernels expand about the mean center, so moving every
+        # center far from the origin leaves the cascade as it was; step
+        # counts may differ by a step where a phase ends on its detector
+        data = json.loads(competition12_path.read_text())
+        runs = []
+        for shift in ((0.0, 0.0), (1e6, -1e6)):
+            for risk in data["population"]["risks"]:
+                risk["center"] = [c + s for c, s in zip(risk["center"], shift)]
+            path = tmp_path / f"moved{shift[0]:g}.json"
+            path.write_text(json.dumps(data))
+            out = tmp_path / f"out{shift[0]:g}"
+            assert main(["competition", str(path), "--target-m", "12",
+                         "--out", str(out)]) == 0
+            runs.append(read_csv(out / "competition.csv"))
+        still, moved = runs
+        assert [(r["phase"], r["m"], r["split_learner"]) for r in still] == [
+            (r["phase"], r["m"], r["split_learner"]) for r in moved]
+        for a, b in zip(still, moved):
+            for key in ["total_risk", "worst_subpop_risk"] + [
+                    k for k in a if k.startswith("subpop_risk_")]:
+                assert float(b[key]) == pytest.approx(float(a[key]), abs=1e-8)
+
     def test_unconverged_phase_exit_two(self, competition12_path, tmp_path,
                                         capsys):
         out = tmp_path / "c"

@@ -627,6 +627,13 @@ class TestThetaForAssignment:
         assert str(exc.value) == (f"gamma map {gamma_map} must have 3 "
                                   "learner indices in [0, 2)")
 
+    @pytest.mark.parametrize("method", ["to_alpha", "groups"])
+    def test_rejects_an_index_beyond_m(self, method):
+        with pytest.raises(ValueError) as exc:
+            getattr(SplitAssignment((0, 1, 2)), method)(2)
+        assert str(exc.value) == ("gamma map (0, 1, 2) has a learner index "
+                                  ">= m=2")
+
 
 class TestOneKernel:
     def test_quadratic_paths_make_no_per_group_solve(self, monkeypatch):

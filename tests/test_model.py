@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popdyn import (
     DimensionError,
@@ -271,6 +273,88 @@ class TestQuadraticSanity:
             quadratic_risk([0.0, 0.0], np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
             quadratic_risk([0.0, 0.0], np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+    @pytest.mark.parametrize("curvature, accepted", [
+        ([[1.0, 0.5], [0.5, 1.0]], True),
+        ([[1.0, 0.5 + 5e-11], [0.5, 1.0]], True),
+        ([[1.0, 0.5 + 4e-6], [0.5, 1.0]], False),
+        ([[1e6, 5e5 + 1.0], [5e5, 1e6]], False),
+    ], ids=["symmetric", "within-1e-10", "rtol-only", "large-entries"])
+    def test_curvature_symmetry_is_absolute(self, curvature, accepted):
+        # asymmetry is judged by absolute size alone; an accepted curvature
+        # is stored symmetrized, so that 2 A (theta - phi) is the gradient of
+        # the value that the same A gives
+        curvature = np.array(curvature)
+        if not accepted:
+            with pytest.raises(ValueError, match="symmetric"):
+                quadratic_risk([0.0, 0.0], curvature)
+            return
+        r = quadratic_risk([0.0, 0.0], curvature)
+        assert np.array_equal(r.curvature, r.curvature.T)
+        assert np.array_equal(r.curvature, (curvature + curvature.T) / 2)
+
+
+def _translated_scenario(rng, n, m, d, shift):
+    """Random quadratic instance whose centers sit around `shift`."""
+    risks = []
+    for _ in range(n):
+        Q = rng.standard_normal((d, d))
+        A = (Q @ Q.T / d + 0.1 * np.eye(d)) * 10 ** rng.uniform(-2, 2)
+        risks.append(quadratic_risk(shift + rng.uniform(-3, 3, d), A,
+                                    offset=float(rng.uniform(0, 3))))
+    return Scenario(beta=np.full(n, 1 / n), risks=tuple(risks), m=m,
+                    subpop_rule=mwud(), learner_rule=full_min())
+
+
+class TestQuadraticKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3),
+           st.sampled_from(["m", "K,m", "G"]), st.floats(0, 6))
+    def test_risk_matrix_matches_risk_value(self, seed, d, lead, log_shift):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, n + 1))
+        shift = rng.choice([-1.0, 1.0], d) * 10 ** log_shift
+        sc = _translated_scenario(rng, n, m, d, shift)
+        shape = {"m": (m,), "K,m": (int(rng.integers(1, 5)), m),
+                 "G": (int(rng.integers(1, 40)),)}[lead]
+        theta = shift + rng.uniform(-6, 6, (*shape, d))
+        R = sc.risk_matrix(theta)
+        assert R.shape == (*shape[:-1], n, shape[-1])
+        # the expansion about the mean center o loses digits in proportion
+        # to the squared distances of theta_j and phi_i from o, not to R_ij
+        o = np.mean([r.center for r in sc.risks], axis=0)
+        eps = np.finfo(float).eps
+        for idx in np.ndindex(*shape):
+            th = theta[idx]
+            for i, r in enumerate(sc.risks):
+                bound = 16 * eps * (
+                    np.linalg.norm(r.curvature, 2)
+                    * (np.sum((th - o) ** 2) + np.sum((r.center - o) ** 2))
+                    + r.offset + 1.0)
+                got = R[(*idx[:-1], i, idx[-1])]
+                assert abs(got - risk_value(r, th)) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.floats(0, 6),
+           st.integers(1, 6))
+    def test_normal_equations_match_explicit_sums(self, seed, d, log_shift, k):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        sc = _translated_scenario(rng, n, 1, d, 10 ** log_shift)
+        W = rng.uniform(0, 1, (n, k)) * (rng.random((n, k)) < 0.7)
+        H, b = sc.normal_equations(W)
+        assert H.shape == (k, d, d) and b.shape == (k, d)
+        for j in range(k):
+            terms_H = [W[i, j] * r.curvature for i, r in enumerate(sc.risks)]
+            terms_b = [W[i, j] * (r.curvature @ r.center)
+                       for i, r in enumerate(sc.risks)]
+            # relative to the sum of magnitudes, the scale of a sum's rounding
+            assert np.all(np.abs(H[j] - sum(terms_H))
+                          <= 1e-12 * sum(map(np.abs, terms_H)))
+            assert np.all(np.abs(b[j] - sum(terms_b))
+                          <= 1e-12 * sum(map(np.abs, terms_b)))
 
 
 class TestScenarioValidation:
