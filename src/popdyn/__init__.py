@@ -12,16 +12,12 @@ __version__ = "1.0.0"
 from .allocation import (
     AllocationRule,
     best_response,
-    best_response_step,
     mwud,
-    mwud_step,
-    verify_risk_reducing,
 )
 from .engine import (
     EquilibriumDetector,
     Trajectory,
     UpdateSchedule,
-    detect_equilibrium,
     empirical_stability_probe,
     perturb,
     simulate,
@@ -52,31 +48,26 @@ from .errors import (
     ScenarioFormatError,
     SimplexError,
     SplitError,
-    UnderflowError,
 )
 from .learners import (
     LearnerRule,
     StepSchedule,
     full_min,
-    full_minimize,
     gradient_step,
     group_minimize,
     learner_gradient,
     repeated_gd,
     step_size,
-    verify_learner_risk_reducing,
 )
 from .model import (
     RiskFunction,
     Scenario,
     SystemState,
     custom_risk,
-    learner_avg_risk,
     quadratic_risk,
     risk_gradient,
     risk_hessian,
     risk_value,
-    subpop_avg_risk,
     total_risk,
     validate_allocation,
     validate_state,

@@ -43,7 +43,13 @@ from .goldens import (
     minority_scenario,
     two_group_gap_curve,
 )
-from .model import SystemState, risk_gradient, risk_value, total_risk
+from .model import (
+    SystemState,
+    require_number,
+    risk_gradient,
+    risk_value,
+    total_risk,
+)
 from .scenario_io import (
     SCHEMA_VERSION,
     STREAM_PERTURB,
@@ -406,6 +412,16 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _sigma(text: str) -> float:
+    # argparse turns a ValueError into its own usage error (exit 2); a
+    # PopdynError passes through to main, which reports it with exit 1
+    try:
+        return require_number(float(text), "--sigma", 0)
+    except ValueError:
+        raise PopdynError(
+            f"--sigma must be a finite number >= 0, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="popdyn",
@@ -421,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="out")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--max-steps", type=int, default=None)
-    sim.add_argument("--sigma", type=float, default=0.0,
+    sim.add_argument("--sigma", type=_sigma, default=0.0,
                      help="perturb the initial state before simulating")
     sim.add_argument("--perturb-target", default="theta_only",
                      choices=["theta_only", "alpha_only", "both"])
@@ -445,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="split learners until target-m is reached")
     comp.add_argument("scenario")
     comp.add_argument("--target-m", type=int, required=True)
-    comp.add_argument("--sigma", type=float, default=1e-3)
+    comp.add_argument("--sigma", type=_sigma, default=1e-3)
     comp.add_argument("--seed", type=int, default=None)
     comp.add_argument("--out", default="out")
     comp.add_argument("--max-steps", type=int, default=None)
@@ -460,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     prb.add_argument("--state", default=None)
     prb.add_argument("--assignment", default=None,
                      help="comma-separated learner index per subpopulation")
-    prb.add_argument("--sigma", type=float, default=1e-3)
+    prb.add_argument("--sigma", type=_sigma, default=1e-3)
     prb.add_argument("--trials", type=int, default=10)
     prb.add_argument("--seed", type=int, default=None)
     prb.add_argument("--perturb-target", default="both",
@@ -471,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

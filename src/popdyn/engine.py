@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MonotonicityError
+from .errors import DimensionError, MonotonicityError
 from .learners import gradient_step, minimize_mixtures, step_size
 from .model import (
     EMPTY_MASS_TOL,
@@ -134,7 +134,7 @@ def _learner_subset(schedule: Optional[UpdateSchedule], t: int, m: int):
 
 
 def _mwud_rows(alpha, R, gamma, comparison):
-    # vectorized form of mwud_step applied to every row at once
+    # every row at once; tests/reference.py has the one-row mwud_step
     cost = gamma * R
     if comparison == "relative":
         mix = (alpha * R).sum(axis=-1)
@@ -150,7 +150,7 @@ def _mwud_rows(alpha, R, gamma, comparison):
 
 
 def _best_response_rows(alpha, R, tie_tolerance, tie_policy):
-    # vectorized form of best_response_step applied to every row at once
+    # every row at once; tests/reference.py has the one-row best_response_step
     low = R.min(axis=-1, keepdims=True)
     avg = (alpha * R).sum(axis=-1, keepdims=True)
     tied = R <= np.minimum(low + tie_tolerance,
@@ -345,20 +345,6 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     )
 
 
-def detect_equilibrium(trajectory: Trajectory,
-                       detector: EquilibriumDetector) -> Optional[int]:
-    """First index where the state stops moving for a full detector window."""
-    states = trajectory.states
-    deltas = [_delta(a.alpha, a.theta, b.alpha, b.theta)
-              for a, b in zip(states, states[1:])]
-    quiet = 0
-    for k, d in enumerate(deltas):
-        quiet = quiet + 1 if d <= detector.state_tolerance else 0
-        if quiet >= detector.window:
-            return k - detector.window + 1
-    return None
-
-
 def perturb(state: SystemState, sigma: float, seed, target: str = "both") -> SystemState:
     """Seeded Gaussian perturbation of the targeted state components.
 
@@ -367,8 +353,7 @@ def perturb(state: SystemState, sigma: float, seed, target: str = "both") -> Sys
     multiplicative dynamics need since they cannot revive an exactly-zero
     share.  Parameters receive signed Gaussian noise.  Deterministic in seed.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    require_number(sigma, "sigma", 0)
     if target not in ("theta_only", "alpha_only", "both"):
         raise ValueError(f"unknown perturbation target {target!r}")
     if sigma == 0:
@@ -408,7 +393,12 @@ def state_distance_upto_permutation(a: SystemState, b: SystemState) -> float:
     The minimum over relabelings of the largest per-column distance is a
     bottleneck assignment: bisect over the distinct column-pair distances
     for the smallest one whose thresholded graph has a perfect matching.
+    States with different shapes have no relabeling: DimensionError.
     """
+    if a.alpha.shape != b.alpha.shape or a.theta.shape != b.theta.shape:
+        raise DimensionError(
+            f"states differ in shape: alpha {a.alpha.shape} against "
+            f"{b.alpha.shape}, theta {a.theta.shape} against {b.theta.shape}")
     # cost[j, k]: distance when column j of a is relabeled as column k of b
     cost = np.maximum(
         np.abs(a.alpha[:, :, None] - b.alpha[:, None, :]).max(axis=0),

@@ -55,10 +55,6 @@ class MonotonicityError(PopdynError):
         )
 
 
-class UnderflowError(PopdynError):
-    """All multiplicative weights underflowed to zero simultaneously."""
-
-
 class BudgetError(PopdynError):
     """Enumeration would exceed the configured assignment budget."""
 

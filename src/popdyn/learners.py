@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ConvergenceError, EmptyLearnerError
 from .model import (
     EMPTY_MASS_TOL,
-    RiskFunction,
-    learner_avg_risk,
     require_choice,
     require_number,
     risk_gradient,
@@ -113,33 +111,16 @@ def gradient_step(theta_j, alpha_col, beta, risks, gamma_t: float) -> np.ndarray
     return theta_j - gamma_t * learner_gradient(theta_j, alpha_col, beta, risks)
 
 
-def group_minimize(weights, risks, method: str = "closed_form_quadratic",
-                   tolerance: float = 1e-10, max_iterations: int = 100,
-                   start=None) -> np.ndarray:
-    """Minimize sum_i w_i R_i(theta) over theta for nonnegative weights.
-
-    Closed form solves the weighted normal equations for quadratics; the
-    Newton path damps steps (halving until the objective decreases) so the
-    update stays risk reducing even far from the optimum, and is required
-    for custom risks.
-    """
+def group_minimize(weights, risks, tolerance: float = 1e-10,
+                   max_iterations: int = 100, start=None) -> np.ndarray:
+    """Minimize sum_i w_i R_i(theta) over theta for nonnegative weights by
+    damped Newton: steps are halved until the objective decreases, so the
+    update stays risk reducing even far from the optimum."""
     weights = np.asarray(weights, dtype=float)
     active = [(wi, r) for wi, r in zip(weights, risks) if wi != 0.0]
     if not active:
         raise EmptyLearnerError("group has no positive weight")
     d = active[0][1].dim
-    all_quadratic = all(r.kind == "quadratic" for _, r in active)
-    if method == "closed_form_quadratic":
-        if not all_quadratic:
-            return group_minimize(weights, risks, method="newton",
-                                  tolerance=tolerance,
-                                  max_iterations=max_iterations, start=start)
-        H = np.zeros((d, d))
-        b = np.zeros(d)
-        for wi, r in active:
-            H += wi * r.curvature
-            b += wi * (r.curvature @ r.center)
-        return np.linalg.solve(H, b)
 
     def objective(th):
         return sum(wi * risk_value(r, th) for wi, r in active)
@@ -152,7 +133,7 @@ def group_minimize(weights, risks, method: str = "closed_form_quadratic",
 
     if start is not None:
         theta = np.asarray(start, dtype=float).copy()
-    elif all_quadratic:
+    elif all(r.kind == "quadratic" for _, r in active):
         theta = sum(wi * r.center for wi, r in active) / sum(wi for wi, _ in active)
     else:
         theta = np.zeros(d)
@@ -193,25 +174,9 @@ def minimize_mixtures(scenario, W, method: str = "closed_form_quadratic",
     if method == "closed_form_quadratic" and scenario._quad is not None:
         H, b = scenario.normal_equations(W)
         return np.linalg.solve(H, b[:, :, None])[:, :, 0]
-    thetas = [group_minimize(w, scenario.risks, method=method,
-                             tolerance=tolerance, max_iterations=max_iterations,
+    thetas = [group_minimize(w, scenario.risks, tolerance=tolerance,
+                             max_iterations=max_iterations,
                              start=None if start is None else start[k])
               for k, w in enumerate(W.T)]
     return np.array(thetas).reshape(len(thetas), scenario.d)
 
-
-def full_minimize(alpha_col, beta, risks, method: str = "closed_form_quadratic",
-                  tolerance: float = 1e-10, max_iterations: int = 100,
-                  start=None) -> np.ndarray:
-    """argmin over theta of the learner's observed mixture risk."""
-    w, _ = _weights(alpha_col, beta)
-    return group_minimize(w, risks, method=method, tolerance=tolerance,
-                          max_iterations=max_iterations, start=start)
-
-
-def verify_learner_risk_reducing(theta_before, theta_after, alpha_col, beta,
-                                 risks, tol: float = 1e-10) -> bool:
-    """Runtime assertion hook: did the update not increase the mixture risk?"""
-    before = learner_avg_risk(alpha_col, beta, risks, theta_before)
-    after = learner_avg_risk(alpha_col, beta, risks, theta_after)
-    return after <= before + tol

@@ -22,7 +22,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionError, EmptyLearnerError, NonFiniteError, SimplexError
+from .errors import DimensionError, NonFiniteError, SimplexError
 
 if TYPE_CHECKING:  # rule configs live with their dynamics modules
     from .allocation import AllocationRule
@@ -342,41 +342,6 @@ def validate_state(state: SystemState, scenario: Scenario) -> None:
             f"got {state.theta.shape}"
         )
     require_finite(state.theta, "theta")
-
-
-def subpop_avg_risk(alpha_row, theta_all, risk: RiskFunction) -> float:
-    """Average risk sum_j alpha_ij R_i(theta_j) experienced by one subpopulation."""
-    alpha_row = np.asarray(alpha_row, dtype=float)
-    theta_all = np.asarray(theta_all, dtype=float)
-    if alpha_row.shape[0] != theta_all.shape[0]:
-        raise DimensionError(
-            f"{alpha_row.shape[0]} allocations for {theta_all.shape[0]} learners"
-        )
-    if np.any(alpha_row < -SIMPLEX_TOL) or abs(alpha_row.sum() - 1.0) > SIMPLEX_TOL:
-        raise SimplexError(f"allocation row not on simplex: {alpha_row!r}")
-    return float(sum(
-        a * risk_value(risk, th) for a, th in zip(alpha_row, theta_all) if a != 0.0
-    ))
-
-
-def learner_avg_risk(alpha_col, beta, risks, theta_j) -> float:
-    """Mass-normalized mixture risk observed by one learner.
-
-    Invariant to positive rescaling of alpha_col; raises EmptyLearnerError
-    when the mass falls below EMPTY_MASS_TOL rather than dividing by ~0.
-    """
-    alpha_col = np.asarray(alpha_col, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if alpha_col.shape != beta.shape or alpha_col.shape[0] != len(risks):
-        raise DimensionError("alpha_col, beta and risks must have equal length")
-    w = alpha_col * beta
-    mass = w.sum()
-    if mass < EMPTY_MASS_TOL:
-        raise EmptyLearnerError(f"learner mass {mass!r} below {EMPTY_MASS_TOL}")
-    total = sum(
-        wi * risk_value(r, theta_j) for wi, r in zip(w, risks) if wi != 0.0
-    )
-    return float(total / mass)
 
 
 def _total_risk(alpha: np.ndarray, R: np.ndarray, beta: np.ndarray):

@@ -16,7 +16,6 @@ from popdyn import (
     SystemState,
     classify_state,
     convex_hulls_disjoint,
-    detect_equilibrium,
     empirical_stability_probe,
     enumerate_split_equilibria,
     example_c1_stability_predicate,
@@ -38,10 +37,10 @@ from popdyn.goldens import (
     two_group_gap_curve,
     two_group_gap_scenario,
 )
-from popdyn.learners import full_minimize
 from popdyn.scenario_io import load_scenario, packaged_scenario
 
 from conftest import random_scenario, random_state
+from reference import detect_equilibrium, full_minimize
 
 
 # ---------------------------------------------------------------------------

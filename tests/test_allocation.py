@@ -1,18 +1,46 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popdyn import (
-    AllocationRule,
-    best_response_step,
-    mwud_step,
-    quadratic_risk,
-    verify_risk_reducing,
-)
+import reference
+from popdyn import AllocationRule, best_response, mwud, quadratic_risk
+from popdyn.engine import _update_alpha
 from popdyn.model import MONOTONE_TOL
+from reference import best_response_step, mwud_step, subpop_avg_risk
+
+
+def _engine_row(rule, alpha_row, risk_vector):
+    # engine._update_alpha on one row; it reads only the rule and schedule of
+    # its scenario, and a real one-row Scenario cannot have m > 1 learners
+    sc = SimpleNamespace(subpop_rule=rule, schedule=None, n=1)
+    return _update_alpha(np.array([alpha_row], dtype=float),
+                         np.array([risk_vector], dtype=float), sc, 0)[0]
+
+
+def engine_mwud_step(alpha_row, risk_vector, gamma, comparison="absolute",
+                     prev_mix_risk=None):
+    # the engine computes the relative denominator from the row itself
+    return _engine_row(mwud(gamma, comparison), alpha_row, risk_vector)
+
+
+def engine_best_response_step(alpha_row, risk_vector, tie_tolerance=0.0,
+                              tie_policy="split_evenly"):
+    return _engine_row(best_response(tie_tolerance, tie_policy), alpha_row,
+                       risk_vector)
+
+
+# the reference row rule and the engine's row kernel on the same cases
+BOTH_MWUD = pytest.mark.parametrize(
+    "mwud_step", [reference.mwud_step, engine_mwud_step],
+    ids=["reference", "engine"])
+BOTH_BEST_RESPONSE = pytest.mark.parametrize(
+    "best_response_step",
+    [reference.best_response_step, engine_best_response_step],
+    ids=["reference", "engine"])
 
 
 class TestMwudStep:
@@ -21,16 +49,19 @@ class TestMwudStep:
             out = mwud_step([0.5, 0.5], [1.0, 1.0], gamma)
             assert np.allclose(out, [0.5, 0.5])
 
-    def test_hand_computed_reweighting(self):
+    @BOTH_MWUD
+    def test_hand_computed_reweighting(self, mwud_step):
         # weights (0.5 * e^0, 0.5 * e^{-ln 2}) = (0.5, 0.25), renormalized
         out = mwud_step([0.5, 0.5], [0.0, math.log(2.0)], gamma=1.0)
         assert np.allclose(out, [2 / 3, 1 / 3], atol=1e-15)
 
-    def test_zero_mass_is_absorbing(self):
+    @BOTH_MWUD
+    def test_zero_mass_is_absorbing(self, mwud_step):
         out = mwud_step([0.0, 1.0], [0.0, 100.0], gamma=1.0)
         assert out[0] == 0.0 and out[1] == 1.0
 
-    def test_relative_comparison(self):
+    @BOTH_MWUD
+    def test_relative_comparison(self, mwud_step):
         row = np.array([0.5, 0.5])
         risks = np.array([1.0, 3.0])
         mix = float(row @ risks)  # 2.0
@@ -46,7 +77,8 @@ class TestMwudStep:
             mwud_step([0.5, 0.5], [1.0, 2.0], 1.0, comparison="relative",
                       prev_mix_risk=0.0)
 
-    def test_huge_risk_spread_does_not_underflow(self):
+    @BOTH_MWUD
+    def test_huge_risk_spread_does_not_underflow(self, mwud_step):
         # shift trick: the minimum-cost supported entry survives any spread
         out = mwud_step([0.5, 0.5], [0.0, 1e6], gamma=5.0)
         assert out[0] == 1.0 and out[1] == 0.0
@@ -109,34 +141,40 @@ class TestMwudStep:
 
 
 class TestBestResponseStep:
-    def test_unique_argmin(self):
+    @BOTH_BEST_RESPONSE
+    def test_unique_argmin(self, best_response_step):
         out = best_response_step([0.2, 0.5, 0.3], [0.2, 0.1, 0.3])
         assert np.array_equal(out, [0.0, 1.0, 0.0])
 
-    def test_symmetric_tie_splits_evenly(self):
+    @BOTH_BEST_RESPONSE
+    def test_symmetric_tie_splits_evenly(self, best_response_step):
         out = best_response_step([0.9, 0.1], [0.1, 0.1],
                                  tie_policy="split_evenly")
         assert np.array_equal(out, [0.5, 0.5])
 
-    def test_keep_previous_restricts_and_renormalizes(self):
+    @BOTH_BEST_RESPONSE
+    def test_keep_previous_restricts_and_renormalizes(self, best_response_step):
         out = best_response_step([0.3, 0.7], [0.1, 0.1 + 1e-12],
                                  tie_tolerance=1e-9,
                                  tie_policy="keep_previous")
         assert np.allclose(out, [0.3, 0.7])
 
-    def test_keep_previous_with_tied_subset(self):
+    @BOTH_BEST_RESPONSE
+    def test_keep_previous_with_tied_subset(self, best_response_step):
         out = best_response_step([0.2, 0.3, 0.5], [0.1, 0.1, 9.0],
                                  tie_tolerance=1e-6,
                                  tie_policy="keep_previous")
         assert np.allclose(out, [0.4, 0.6, 0.0])
 
-    def test_keep_previous_falls_back_when_unsupported(self):
+    @BOTH_BEST_RESPONSE
+    def test_keep_previous_falls_back_when_unsupported(self, best_response_step):
         out = best_response_step([0.0, 0.0, 1.0], [0.1, 0.1, 9.0],
                                  tie_tolerance=1e-6,
                                  tie_policy="keep_previous")
         assert np.allclose(out, [0.5, 0.5, 0.0])
 
-    def test_ties_exclude_learners_worse_than_the_row(self):
+    @BOTH_BEST_RESPONSE
+    def test_ties_exclude_learners_worse_than_the_row(self, best_response_step):
         # the row sits at R = 0; R = 0.25 is within the tolerance but worse
         out = best_response_step([1.0, 0.0], [0.0, 0.25], tie_tolerance=0.3)
         assert np.array_equal(out, [1.0, 0.0])
@@ -174,7 +212,6 @@ class TestBestResponseStep:
 class TestVerifyRiskReducing:
     def test_mwud_always_reduces(self):
         rng = np.random.default_rng(14)
-        rule = AllocationRule(kind="mwud")
         risk = quadratic_risk([0.0])
         for _ in range(1000):
             m = int(rng.integers(2, 5))
@@ -183,7 +220,8 @@ class TestVerifyRiskReducing:
             gamma = float(rng.uniform(0.05, 5))
             risks = np.array([float((t - 0.0) ** 2) for t in theta[:, 0]])
             out = mwud_step(row, risks, gamma)
-            assert verify_risk_reducing(rule, row, out, theta, risk)
+            assert (subpop_avg_risk(out, theta, risk)
+                    <= subpop_avg_risk(row, theta, risk) + 1e-10)
             # strict decrease away from fixed points
             supported = risks[row > 0]
             if supported.max() - supported.min() > 1e-12:
@@ -193,7 +231,6 @@ class TestVerifyRiskReducing:
 
     def test_best_response_attains_minimum(self):
         rng = np.random.default_rng(15)
-        rule = AllocationRule(kind="best_response")
         risk = quadratic_risk([0.0])
         for _ in range(200):
             m = int(rng.integers(2, 5))
@@ -201,15 +238,15 @@ class TestVerifyRiskReducing:
             theta = rng.uniform(-3, 3, (m, 1))
             risks = theta[:, 0] ** 2
             out = best_response_step(row, risks)
-            assert verify_risk_reducing(rule, row, out, theta, risk)
+            assert (subpop_avg_risk(out, theta, risk)
+                    <= subpop_avg_risk(row, theta, risk) + 1e-10)
             assert float(out @ risks) == pytest.approx(risks.min())
 
     def test_moving_mass_to_worse_learner_fails(self):
-        rule = AllocationRule(kind="mwud")
         risk = quadratic_risk([0.0])
         theta = np.array([[0.0], [1.0]])  # risks (0, 1)
-        assert not verify_risk_reducing(rule, [1.0, 0.0], [0.9, 0.1], theta,
-                                        risk)
+        assert not (subpop_avg_risk([0.9, 0.1], theta, risk)
+                    <= subpop_avg_risk([1.0, 0.0], theta, risk) + 1e-10)
 
 
 class TestRuleValidation:

@@ -208,7 +208,7 @@ class TestClassify:
         assert report["details"]["failed"] == ["optimality"]
 
     def test_non_equilibrium_exit_five(self, tmp_path):
-        from popdyn import full_minimize
+        from reference import full_minimize
         loaded = load_scenario(THREE_CENTERS)
         rng = np.random.default_rng(8)
         alpha = rng.dirichlet(np.ones(2), size=3)
@@ -572,6 +572,21 @@ class TestErrorHandling:
                    "--sigma", "1e-3", "--seed", "-1"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["competition", "--target-m", "3"],
+        ["probe", "--assignment", "0,1,1"]])
+    def test_bad_sigma_exits_one(self, command, value, three_centers,
+                                 tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main([command[0], THREE_CENTERS, *command[1:], "--sigma", value])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --sigma must be a finite number >= 0, got {value!r}\n")
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ValueError, match="sigma must be a number >= 0"):
+            perturb(three_centers.initial_state, float(value), seed=0)
 
     def test_missing_scenario_file(self, capsys):
         rc = main(["simulate", "/nonexistent/scenario.json", "--out", "/tmp/x"])

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from popdyn import (
+    DimensionError,
     EquilibriumDetector,
     MonotonicityError,
     NonFiniteError,
@@ -16,16 +18,11 @@ from popdyn import (
     SystemState,
     UpdateSchedule,
     best_response,
-    best_response_step,
     custom_risk,
-    detect_equilibrium,
     empirical_stability_probe,
     full_min,
-    full_minimize,
     gradient_step,
-    learner_avg_risk,
     mwud,
-    mwud_step,
     perturb,
     quadratic_risk,
     repeated_gd,
@@ -33,11 +30,8 @@ from popdyn import (
     state_distance_upto_permutation,
     step,
     step_size,
-    subpop_avg_risk,
     theta_for_assignment,
     total_risk,
-    verify_learner_risk_reducing,
-    verify_risk_reducing,
 )
 from popdyn import engine
 from popdyn.engine import _probe_batch, _update_alpha, _update_theta
@@ -45,6 +39,14 @@ from popdyn.goldens import partition_pair_scenario, partition_pair_state
 from popdyn.model import EMPTY_MASS_TOL, MONOTONE_TOL
 
 from conftest import random_scenario, random_state
+from reference import (
+    best_response_step,
+    detect_equilibrium,
+    full_minimize,
+    learner_avg_risk,
+    mwud_step,
+    subpop_avg_risk,
+)
 
 
 class TestStep:
@@ -218,10 +220,13 @@ class TestPerAgentGate:
                     for j in live])
         # away from the tolerance boundary
         assume(not any(MONOTONE_TOL / 4 <= r <= 2 * MONOTONE_TOL for r in rises))
-        bad_rows = [i for i in range(n) if not verify_risk_reducing(
-            rule, alpha[i], alpha2[i], theta, sc.risks[i], tol=MONOTONE_TOL)]
-        bad_learners = [j for j in live if not verify_learner_risk_reducing(
-            theta[j], theta2[j], alpha2[:, j], sc.beta, sc.risks, tol=MONOTONE_TOL)]
+        bad_rows = [i for i in range(n) if not (
+            subpop_avg_risk(alpha2[i], theta, sc.risks[i])
+            <= subpop_avg_risk(alpha[i], theta, sc.risks[i]) + MONOTONE_TOL)]
+        bad_learners = [j for j in live if not (
+            learner_avg_risk(alpha2[:, j], sc.beta, sc.risks, theta2[j])
+            <= learner_avg_risk(alpha2[:, j], sc.beta, sc.risks, theta[j])
+            + MONOTONE_TOL)]
         try:
             engine._core_step(alpha[None], theta[None], t, sc, R[None])
             err = None
@@ -733,7 +738,6 @@ class TestFastPathEquivalence:
 
     def test_vectorized_mwud_matches_row_updates(self):
         from popdyn.engine import _mwud_rows
-        from popdyn import mwud_step
         rng = np.random.default_rng(60)
         for comparison in ("absolute", "relative"):
             for _ in range(50):
@@ -828,7 +832,6 @@ class TestFastPathEquivalence:
 
     def test_batched_minimization_matches_full_minimize(self):
         from popdyn.engine import _update_theta
-        from popdyn import full_minimize
         rng = np.random.default_rng(61)
         for _ in range(20):
             n = int(rng.integers(2, 6))
@@ -962,6 +965,15 @@ class TestPermutationDistance:
         expected = min(level for level in np.unique(cost)
                        if not (cost > level)[linear_sum_assignment(cost > level)].any())
         assert state_distance_upto_permutation(a, b) == expected
+
+    def test_different_learner_counts_rejected(self):
+        three = SystemState(alpha=np.full((2, 3), 1 / 3), theta=np.zeros((3, 1)))
+        two = SystemState(alpha=np.full((2, 2), 0.5), theta=np.zeros((2, 1)))
+        for a, b in ((three, two), (two, three)):
+            with pytest.raises(DimensionError, match=re.escape(
+                    f"alpha {a.alpha.shape} against {b.alpha.shape}, "
+                    f"theta {a.theta.shape} against {b.theta.shape}")):
+                state_distance_upto_permutation(a, b)
 
     def test_distinct_states_positive_distance(self):
         a = SystemState(alpha=np.array([[1.0, 0.0]]), theta=np.array([[0.0], [1.0]]))

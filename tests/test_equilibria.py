@@ -23,7 +23,6 @@ from popdyn import (
     enumerate_split_equilibria,
     example_c1_stability_predicate,
     full_min,
-    full_minimize,
     mwud,
     potential_gradient,
     potential_value,
@@ -48,6 +47,7 @@ from popdyn.goldens import (
 from popdyn.model import EMPTY_MASS_TOL
 
 from conftest import random_scenario, random_state
+from reference import full_minimize
 
 
 def _line_scenario(centers, beta=None, m=2, offsets=None):
@@ -176,7 +176,6 @@ class TestClassifyState:
         sc = random_scenario(rng, 3, 2, 1)
         alpha = rng.dirichlet(np.ones(2), size=3)
         theta, _ = np.linalg.qr(rng.standard_normal((2, 2)))  # placeholder
-        from popdyn import full_minimize
         theta = np.vstack([
             full_minimize(alpha[:, j], sc.beta, sc.risks) for j in range(2)
         ])
@@ -201,7 +200,6 @@ class TestClassifyState:
     def test_uncovered_learner_blocks_stability(self):
         # residual shares above the empty-mass floor but below zero_tol: the
         # learner serves nobody, so the split market cannot be stable
-        from popdyn import full_minimize
         sc = _line_scenario([0.0, 1.0], beta=[0.5, 0.5])
         eps = 1e-9
         alpha = np.array([[1.0 - eps, eps], [1.0 - eps, eps]])
@@ -245,7 +243,6 @@ class TestBalancedEngineering:
         assert report.stability == "possibly_stable_not_asymptotic"
 
     def test_center_noise_destroys_balanced_verdicts(self):
-        from popdyn import full_minimize
         rng = np.random.default_rng(45)
         for _ in range(20):
             centers = 0.4 + 1e-3 * rng.standard_normal(2)

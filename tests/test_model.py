@@ -12,18 +12,17 @@ from popdyn import (
     SystemState,
     custom_risk,
     full_min,
-    learner_avg_risk,
     mwud,
     quadratic_risk,
     risk_gradient,
     risk_hessian,
     risk_value,
-    subpop_avg_risk,
     total_risk,
     validate_allocation,
 )
 
 from conftest import random_scenario, random_state
+from reference import learner_avg_risk, subpop_avg_risk
 
 
 def finite_diff_gradient(f, x, h=1e-6):
@@ -397,3 +396,29 @@ class TestScenarioValidation:
         # every comparison with NaN is False, so a NaN row passes range checks
         with pytest.raises(SimplexError, match=r"alpha\[1,0\]"):
             validate_allocation(np.array([[0.5, 0.5], [np.nan, np.nan]]), 2, 2)
+
+
+def test_public_api_is_pinned():
+    # removing a name breaks callers and adding one is a commitment: both
+    # must show up here
+    import popdyn
+    assert sorted(popdyn.__all__) == [
+        "AllocationRule", "BudgetError", "ConvergenceError", "DimensionError",
+        "EmptyLearnerError", "EquilibriumDetector", "EquilibriumReport",
+        "LearnerRule", "LoadedScenario", "MonotonicityError", "NonFiniteError",
+        "NotOptimalError", "PopdynError", "RiskFunction", "SCHEMA_VERSION",
+        "Scenario", "ScenarioFormatError", "SimplexError", "SplitAssignment",
+        "SplitError", "StepSchedule", "SystemState", "Trajectory",
+        "UpdateSchedule", "allocation", "best_response", "classify_state",
+        "convex_hulls_disjoint", "custom_risk", "empirical_stability_probe",
+        "engine", "enumerate_split_equilibria", "equilibria", "errors",
+        "example_c1_stability_predicate", "full_min", "gradient_step",
+        "group_minimize", "learner_gradient", "learners", "load_scenario",
+        "load_state", "model", "mwud", "parse_scenario", "perturb",
+        "potential_gradient", "potential_value", "quadratic_risk",
+        "repeated_gd", "risk_gradient", "risk_hessian", "risk_value",
+        "scenario_io", "scenario_to_dict", "simulate", "split_learner",
+        "state_distance_upto_permutation", "step", "step_size",
+        "theta_for_assignment", "total_risk", "validate_allocation",
+        "validate_state",
+    ]
