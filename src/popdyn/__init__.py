@@ -51,11 +51,8 @@ from .errors import (
 )
 from .learners import (
     LearnerRule,
-    StepSchedule,
     full_min,
-    gradient_step,
     group_minimize,
-    learner_gradient,
     repeated_gd,
     step_size,
 )

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, MonotonicityError
-from .learners import gradient_step, minimize_mixtures, step_size
+from .learners import minimize_mixtures, mixture_gradients, step_size
 from .model import (
     EMPTY_MASS_TOL,
     MONOTONE_TOL,
@@ -192,26 +192,17 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
         return theta, frozen, masses
     new = theta.copy()
     flat = new.reshape(-1, scenario.d)   # a view: writes land in new
-    cols = alpha.swapaxes(-1, -2).reshape(-1, scenario.n)[active]
-    W = (cols * scenario.beta).T
+    # one weight column beta_i alpha_ij per updating (trial, learner) pair
+    W = (alpha.swapaxes(-1, -2).reshape(-1, scenario.n)[active] * scenario.beta).T
     if rule.kind == "full_min":
-        flat[active] = minimize_mixtures(scenario, W, rule.method,
-                                         rule.tolerance, rule.max_iterations,
-                                         start=flat[active])
+        flat[active] = minimize_mixtures(scenario, W, rule.tolerance,
+                                         rule.max_iterations, start=flat[active])
         return new, frozen, masses
-    gamma_t = step_size(t, rule.schedule)
+    # each step moves down the mass-normalized mixture gradient
+    scale = step_size(t, rule) / masses.reshape(-1)[active, None]
     th = flat[active]
-    if scenario._quad is not None:
-        H, b = scenario.normal_equations(W)
-        # the mixture gradient 2 (H_j theta_j - b_j) / mass_j, for all pairs
-        scale = 2.0 * gamma_t / masses.reshape(-1)[active, None]
-        for _ in range(rule.inner_steps):
-            th = th - scale * ((H @ th[..., None])[..., 0] - b)
-    else:
-        for p, col in enumerate(cols):
-            for _ in range(rule.inner_steps):
-                th[p] = gradient_step(th[p], col, scenario.beta,
-                                      scenario.risks, gamma_t)
+    for _ in range(rule.inner_steps):
+        th = th - scale * mixture_gradients(scenario, W, th)
     flat[active] = th
     return new, frozen, masses
 
@@ -300,8 +291,7 @@ def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
 def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
              detector: Optional[EquilibriumDetector] = None) -> Trajectory:
     """Run up to max_steps updates, stopping early once the detector fires."""
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    require_number(max_steps, "max_steps", 1, integer=True)
     if detector is None:
         detector = EquilibriumDetector()
     validate_state(initial_state, scenario)
@@ -418,10 +408,8 @@ def state_distance_upto_permutation(a: SystemState, b: SystemState) -> float:
 def _probe_batch(scenario, eq_state, sigma, trials, seed, target="both",
                  max_steps=6000, return_tol=1e-4):
     """Run a probe's trials as one batch; returns one record per trial."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    require_number(trials, "trials", 1, integer=True)
+    require_number(max_steps, "max_steps", 1, integer=True)
     eq_risk = total_risk(eq_state, scenario)   # validates eq_state too
     escape_tol = 1e-9 * max(1.0, abs(eq_risk))
     starts = [perturb(eq_state, sigma, [seed, k], target) for k in range(trials)]

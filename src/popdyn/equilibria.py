@@ -28,7 +28,7 @@ from .errors import (
     NotOptimalError,
     SplitError,
 )
-from .learners import learner_gradient, minimize_mixtures
+from .learners import minimize_mixtures, mixture_gradients
 from .model import (
     EMPTY_MASS_TOL,
     Scenario,
@@ -201,12 +201,10 @@ def classify_state(state: SystemState, scenario: Scenario,
     beta, risks = scenario.beta, scenario.risks
     masses = beta @ alpha
 
-    grad_norms = {}
-    for j in range(scenario.m):
-        if masses[j] < EMPTY_MASS_TOL:
-            continue
-        g = learner_gradient(theta[j], alpha[:, j], beta, risks)
-        grad_norms[j] = float(np.linalg.norm(g))
+    live = np.flatnonzero(masses >= EMPTY_MASS_TOL)
+    G = (mixture_gradients(scenario, alpha[:, live] * beta[:, None], theta[live])
+         / masses[live, None])
+    grad_norms = {int(j): float(np.linalg.norm(g)) for j, g in zip(live, G)}
     worst = max(grad_norms.values(), default=0.0)
     if worst > 1e-6:
         raise NotOptimalError(

@@ -105,6 +105,9 @@ class RiskFunction:
 def quadratic_risk(center, curvature=None, offset: float = 0.0) -> RiskFunction:
     """Build a quadratic risk with center phi, SPD curvature A and offset c."""
     center = np.atleast_1d(require_finite(center, "center"))
+    if center.ndim != 1 or center.size == 0:
+        raise DimensionError(
+            f"center: expected a nonempty vector, got shape {center.shape}")
     d = center.shape[0]
     curvature = (np.eye(d) if curvature is None
                  else require_finite(curvature, "curvature"))
@@ -206,7 +209,8 @@ class Scenario:
         dims = {r.dim for r in risks}
         if len(dims) != 1:
             raise DimensionError(f"risks disagree on dimension: {dims}")
-        if not (1 <= self.m <= beta.shape[0]):
+        require_number(self.m, "m", 1, integer=True)
+        if self.m > beta.shape[0]:
             raise ValueError(
                 f"m: need 1 <= m <= n, got m={self.m}, n={beta.shape[0]}"
             )
@@ -334,7 +338,9 @@ class SystemState:
 
 
 def validate_state(state: SystemState, scenario: Scenario) -> None:
-    """Check state dimensions and allocation invariants against the scenario."""
+    """Check state dimensions, time step and allocation invariants against
+    the scenario."""
+    require_number(state.t, "t", 0, integer=True)
     validate_allocation(state.alpha, scenario.n, scenario.m)
     if state.theta.shape != (scenario.m, scenario.d):
         raise DimensionError(

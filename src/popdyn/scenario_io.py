@@ -17,7 +17,7 @@ from __future__ import annotations
 import inspect
 import json
 import re
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -156,13 +156,9 @@ def _build_kind(cfg, section, path=None, default=None, bound=()):
 def _fields(obj, make):
     """The keyword arguments of make that rebuild obj, as JSON values; None
     values are left out so that the constructor's default applies."""
-    values = dict(vars(obj))
-    for value in vars(obj).values():
-        if is_dataclass(value):  # repeated_gd keeps base and form in a StepSchedule
-            values.update(vars(value))
     out = {}
     for name in inspect.signature(make).parameters:
-        value = values[name]
+        value = getattr(obj, name)
         if isinstance(value, (np.ndarray, tuple)):
             value = np.asarray(value).tolist()
         if value is not None:

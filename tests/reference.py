@@ -2,10 +2,10 @@
 
 The library computes each concept once, batched over rows, learners and
 trials (``engine._core_step``, ``Scenario.risk_matrix``,
-``Scenario.normal_equations``, ``engine._watched_steps``).  These are the
-same concepts written one row, one learner or one trajectory at a time,
-straight from their definitions, so property tests can check the batched
-kernels against them.
+``Scenario.normal_equations``, ``learners.mixture_gradients``,
+``engine._watched_steps``).  These are the same concepts written one row,
+one learner or one trajectory at a time, straight from their definitions,
+so property tests can check the batched kernels against them.
 """
 
 from typing import Optional
@@ -13,12 +13,13 @@ from typing import Optional
 import numpy as np
 
 from popdyn.errors import DimensionError, EmptyLearnerError, SimplexError
-from popdyn.learners import _weights, group_minimize
+from popdyn.learners import group_minimize
 from popdyn.model import (
     EMPTY_MASS_TOL,
     MONOTONE_TOL,
     SIMPLEX_TOL,
     RiskFunction,
+    risk_gradient,
     risk_value,
 )
 
@@ -113,6 +114,34 @@ def learner_avg_risk(alpha_col, beta, risks, theta_j) -> float:
         wi * risk_value(r, theta_j) for wi, r in zip(w, risks) if wi != 0.0
     )
     return float(total / mass)
+
+
+def _weights(alpha_col, beta):
+    alpha_col = np.asarray(alpha_col, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    w = alpha_col * beta
+    mass = w.sum()
+    if mass < EMPTY_MASS_TOL:
+        raise EmptyLearnerError(f"learner mass {mass!r} below {EMPTY_MASS_TOL}")
+    return w, mass
+
+
+def learner_gradient(theta_j, alpha_col, beta, risks) -> np.ndarray:
+    """Gradient of the mass-normalized mixture risk at theta_j."""
+    w, mass = _weights(alpha_col, beta)
+    g = np.zeros_like(np.asarray(theta_j, dtype=float))
+    for wi, r in zip(w, risks):
+        if wi != 0.0:
+            g += wi * risk_gradient(r, theta_j)
+    return g / mass
+
+
+def gradient_step(theta_j, alpha_col, beta, risks, gamma_t: float) -> np.ndarray:
+    """One step theta - gamma^t * grad of the observed mixture risk."""
+    if gamma_t <= 0:
+        raise ValueError(f"gamma_t must be > 0, got {gamma_t}")
+    theta_j = np.asarray(theta_j, dtype=float)
+    return theta_j - gamma_t * learner_gradient(theta_j, alpha_col, beta, risks)
 
 
 def full_minimize(alpha_col, beta, risks, method: str = "closed_form_quadratic",

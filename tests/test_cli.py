@@ -162,7 +162,23 @@ class TestSimulate:
         rc = main(["simulate", THREE_CENTERS, "--max-steps", "0",
                    "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "max_steps must be >= 1" in capsys.readouterr().err
+        assert "max_steps must be an integer >= 1" in capsys.readouterr().err
+
+    def test_unoptimized_final_state_has_no_classification(self, tmp_path):
+        # one gradient step leaves the learners off their mixture optima, so
+        # classify_state raises NotOptimalError and the summary says null
+        scen = tmp_path / "gd.json"
+        data = json.loads(packaged_scenario("three_centers").read_text())
+        data["learner_rule"] = {"kind": "repeated_gd", "base": 0.4}
+        scen.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        rc = main(["simulate", str(scen), "--out", str(out), "--sigma", "1e-3",
+                   "--max-steps", "1"])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["steps"] == 1
+        assert summary["classification"] is None
+        assert summary["stability"] is None
 
     def test_empty_learner_cells_written_as_nan(self, tmp_path):
         scen = tmp_path / "empty.json"
@@ -551,6 +567,20 @@ class TestProbe:
         assert capsys.readouterr().err == (
             "error: --assignment must be 3 comma-separated learner indices in "
             f"[0, 2), got {assignment!r}\n")
+
+    def test_probe_state_file_matches_assignment(self, tmp_path, capsys):
+        loaded = load_scenario(THREE_CENTERS)
+        assignment = SplitAssignment((0, 1, 1))
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({
+            "alpha": assignment.to_alpha(2).tolist(),
+            "theta": theta_for_assignment(assignment, loaded.scenario).tolist()}))
+        args = ["--sigma", "1e-4", "--trials", "3", "--seed", "3"]
+        assert main(["probe", THREE_CENTERS, "--state", str(state), *args]) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert main(["probe", THREE_CENTERS, "--assignment", "0,1,1", *args]) == 0
+        assert from_file == json.loads(capsys.readouterr().out)
+        assert from_file["fraction_returned"] == 1.0
 
     def test_probe_requires_target_state(self, capsys):
         rc = main(["probe", THREE_CENTERS])

@@ -21,7 +21,6 @@ from popdyn import (
     custom_risk,
     empirical_stability_probe,
     full_min,
-    gradient_step,
     mwud,
     perturb,
     quadratic_risk,
@@ -43,6 +42,7 @@ from reference import (
     best_response_step,
     detect_equilibrium,
     full_minimize,
+    gradient_step,
     learner_avg_risk,
     mwud_step,
     subpop_avg_risk,
@@ -713,7 +713,7 @@ class TestFreezeThreshold:
             expected = full_minimize(alpha[:, 1], sc.beta, sc.risks)
         else:
             expected = gradient_step(theta[1], alpha[:, 1], sc.beta, sc.risks,
-                                     step_size(0, sc.learner_rule.schedule))
+                                     step_size(0, sc.learner_rule))
         assert theta2[1, 0] != theta[1, 0]
         assert np.abs(theta2[1] - expected).max() <= 1e-12
         assert theta2[2, 0] == theta[2, 0]
@@ -809,7 +809,7 @@ class TestFastPathEquivalence:
         sc = random_scenario(rng, n, m, int(rng.integers(1, 4)), learner=kind)
         rule = sc.learner_rule
         if kind == "repeated_gd":
-            rule = repeated_gd(base=rule.schedule.base, inner_steps=inner_steps)
+            rule = repeated_gd(base=rule.base, inner_steps=inner_steps)
         sc = replace(sc, learner_rule=rule)
         state = random_state(rng, sc)
         alpha = state.alpha.copy()
@@ -827,7 +827,7 @@ class TestFastPathEquivalence:
                 for _ in range(inner_steps):
                     expected = gradient_step(expected, alpha[:, j], sc.beta,
                                              sc.risks,
-                                             step_size(t, rule.schedule))
+                                             step_size(t, rule))
             assert np.abs(theta2[j] - expected).max() <= 1e-12
 
     def test_batched_minimization_matches_full_minimize(self):
@@ -861,7 +861,7 @@ class TestRuleVariants:
         rng = np.random.default_rng(63)
         from popdyn import Scenario, repeated_gd
         base = random_scenario(rng, 3, 2, 2, learner="repeated_gd")
-        rule = repeated_gd(base=base.learner_rule.schedule.base,
+        rule = repeated_gd(base=base.learner_rule.base,
                            inner_steps=3)
         sc = Scenario(beta=base.beta, risks=base.risks, m=2,
                       subpop_rule=base.subpop_rule, learner_rule=rule)
@@ -979,3 +979,33 @@ class TestPermutationDistance:
         a = SystemState(alpha=np.array([[1.0, 0.0]]), theta=np.array([[0.0], [1.0]]))
         b = SystemState(alpha=np.array([[0.6, 0.4]]), theta=np.array([[0.0], [1.0]]))
         assert state_distance_upto_permutation(a, b) == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("t", -1), ("t", -3), ("t", 1.5),
+    ("m", 1.5), ("m", 2.0),
+    ("max_steps", 2.5), ("max_steps", 2.0), ("max_steps", True),
+    ("trials", 2.5), ("trials", 2.0), ("trials", True),
+    ("probe max_steps", 2.5), ("probe max_steps", 2.0),
+    ("probe max_steps", True),
+])
+def test_integer_arguments_are_checked_at_the_boundary(argument, value):
+    # harmonic repeated GD divides by t + 1, so t = -1 would divide by zero
+    sc = Scenario(beta=np.full(3, 1 / 3),
+                  risks=tuple(quadratic_risk([c]) for c in (0.0, 1.0, 2.0)),
+                  m=2, subpop_rule=mwud(), learner_rule=repeated_gd(base=0.4))
+    state = SystemState(alpha=np.full((3, 2), 0.5), theta=np.array([[0.5], [1.5]]))
+    assignment = SplitAssignment((0, 1, 1))
+    eq_state = SystemState(assignment.to_alpha(2),
+                           theta_for_assignment(assignment, sc))
+    call = {
+        "t": lambda v: simulate(sc, replace(state, t=v), 5),
+        "m": lambda v: replace(sc, m=v),
+        "max_steps": lambda v: simulate(sc, state, v),
+        "trials": lambda v: empirical_stability_probe(sc, eq_state, 1e-3, v, 0),
+        "probe max_steps": lambda v: empirical_stability_probe(
+            sc, eq_state, 1e-3, 2, 0, max_steps=v),
+    }[argument]
+    name = argument.split()[-1]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        call(value)

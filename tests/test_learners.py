@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,31 +10,38 @@ from popdyn import (
     EmptyLearnerError,
     LearnerRule,
     Scenario,
-    StepSchedule,
     custom_risk,
     full_min,
-    gradient_step,
     group_minimize,
     mwud,
     quadratic_risk,
+    repeated_gd,
+    risk_gradient,
+    risk_hessian,
+    risk_value,
     step_size,
 )
-from popdyn.learners import minimize_mixtures
+from popdyn.learners import minimize_mixtures, mixture_gradients
 
 from conftest import random_scenario
-from reference import full_minimize, learner_avg_risk
+from reference import (
+    full_minimize,
+    gradient_step,
+    learner_avg_risk,
+    learner_gradient,
+)
 
 
 class TestStepSize:
     def test_harmonic_at_origin(self):
-        assert step_size(0, StepSchedule(form="harmonic", base=1.0)) == 1.0
+        assert step_size(0, repeated_gd(form="harmonic", base=1.0)) == 1.0
 
     def test_harmonic_tenth_step(self):
-        assert step_size(9, StepSchedule(form="harmonic", base=1.0)) == pytest.approx(0.1)
+        assert step_size(9, repeated_gd(form="harmonic", base=1.0)) == pytest.approx(0.1)
 
     def test_constant(self):
-        sched = StepSchedule(form="constant", base=0.3)
-        assert step_size(0, sched) == step_size(1000, sched) == 0.3
+        rule = repeated_gd(form="constant", base=0.3)
+        assert step_size(0, rule) == step_size(1000, rule) == 0.3
 
     def test_harmonic_partial_sums_diverge(self):
         # sum of 1/(t+1) up to 1e6 exceeds 10 (infinite-travel condition)
@@ -41,7 +50,7 @@ class TestStepSize:
 
     def test_base_must_be_positive(self):
         with pytest.raises(ValueError):
-            StepSchedule(base=0.0)
+            repeated_gd(base=0.0)
 
 
 class TestGradientStep:
@@ -127,7 +136,6 @@ class TestFullMinimize:
             assert np.abs(closed - newton).max() <= 1e-8
 
     def test_first_order_optimality(self):
-        from popdyn import learner_gradient
         rng = np.random.default_rng(23)
         for _ in range(50):
             n, d = int(rng.integers(1, 5)), int(rng.integers(1, 3))
@@ -246,10 +254,6 @@ class TestRuleValidation:
         with pytest.raises(ValueError):
             LearnerRule(kind="full_min", tolerance=0.0)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            LearnerRule(kind="full_min", method="bfgs")
-
     @pytest.mark.parametrize("field", ["inner_steps", "max_iterations"])
     @pytest.mark.parametrize("value", [2.5, "3", None, True])
     def test_integer_fields_reject_non_integers(self, field, value):
@@ -275,6 +279,13 @@ def _softplus_risks(centers):
 
         risks.append(custom_risk(d, value, gradient, hessian))
     return tuple(risks)
+
+
+def _as_custom(risk):
+    """The same risk through the custom-risk callbacks."""
+    return custom_risk(risk.dim, lambda th: risk_value(risk, th),
+                       lambda th: risk_gradient(risk, th),
+                       lambda th: risk_hessian(risk, th))
 
 
 def _mixture_weights(rng, n, k):
@@ -307,9 +318,10 @@ class TestMinimizeMixtures:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 6))
         sc = random_scenario(rng, n, 1, d)
+        sc = replace(sc, risks=tuple(_as_custom(r) for r in sc.risks))
         W = _mixture_weights(rng, n, k)
         start = rng.uniform(-3.0, 3.0, (k, d))
-        out = minimize_mixtures(sc, W, method="newton", start=start)
+        out = minimize_mixtures(sc, W, start=start)
         assert out.shape == (k, d)
         for j in range(k):
             expected = group_minimize(W[:, j], sc.risks, start=start[j])
@@ -330,3 +342,48 @@ class TestMinimizeMixtures:
             expected = group_minimize(W[:, j], risks, tolerance=1e-3,
                                       start=start[j])
             assert np.abs(out[j] - expected).max() <= 1e-12
+
+
+class TestMixtureGradients:
+    """The batched gradient kernel is mass times the scalar reference
+    learner_gradient, column by column."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(0, 5),
+           st.sampled_from(["quadratic", "custom", "mixed"]))
+    def test_matches_learner_gradient_times_mass(self, seed, d, k, kinds):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        sc = random_scenario(rng, n, 1, d)
+        if kinds != "quadratic":
+            custom = (np.ones(n, bool) if kinds == "custom"
+                      else rng.random(n) < 0.5)
+            sc = replace(sc, risks=tuple(_as_custom(r) if c else r
+                                         for r, c in zip(sc.risks, custom)))
+        W = _mixture_weights(rng, n, k)   # exact zeros included
+        theta = rng.uniform(-3.0, 3.0, (k, d))
+        out = mixture_gradients(sc, W, theta)
+        assert out.shape == (k, d)
+        for j in range(k):
+            expected = (learner_gradient(theta[j], W[:, j], np.ones(n), sc.risks)
+                        * W[:, j].sum())
+            assert np.abs(out[j] - expected).max() <= 1e-12 * max(
+                1.0, np.abs(expected).max())
+
+
+class TestGroupMinimizeLineSearch:
+    def test_ascent_direction_is_a_convergence_error(self):
+        # a wrong-sign hessian makes the Newton direction point uphill
+        risk = custom_risk(1, lambda th: float(th[0] ** 2),
+                           lambda th: 2 * th, lambda th: np.array([[-2.0]]))
+        with pytest.raises(ConvergenceError, match="not a descent direction"):
+            group_minimize([1.0], (risk,), start=[1.0])
+
+    def test_overshooting_newton_step_is_halved(self):
+        # pseudo-Huber sqrt(1 + theta^2): from theta = 2 the full Newton step
+        # -theta (1 + theta^2) lands at -8, uphill, and is halved twice
+        risk = custom_risk(1, lambda th: float(np.sqrt(1 + th[0] ** 2)),
+                           lambda th: th / np.sqrt(1 + th[0] ** 2),
+                           lambda th: np.array([[(1 + th[0] ** 2) ** -1.5]]))
+        out = group_minimize([1.0], (risk,), start=[2.0])
+        assert abs(out[0]) <= 1e-7

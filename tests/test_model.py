@@ -408,12 +408,12 @@ def test_public_api_is_pinned():
         "LearnerRule", "LoadedScenario", "MonotonicityError", "NonFiniteError",
         "NotOptimalError", "PopdynError", "RiskFunction", "SCHEMA_VERSION",
         "Scenario", "ScenarioFormatError", "SimplexError", "SplitAssignment",
-        "SplitError", "StepSchedule", "SystemState", "Trajectory",
+        "SplitError", "SystemState", "Trajectory",
         "UpdateSchedule", "allocation", "best_response", "classify_state",
         "convex_hulls_disjoint", "custom_risk", "empirical_stability_probe",
         "engine", "enumerate_split_equilibria", "equilibria", "errors",
-        "example_c1_stability_predicate", "full_min", "gradient_step",
-        "group_minimize", "learner_gradient", "learners", "load_scenario",
+        "example_c1_stability_predicate", "full_min",
+        "group_minimize", "learners", "load_scenario",
         "load_state", "model", "mwud", "parse_scenario", "perturb",
         "potential_gradient", "potential_value", "quadratic_risk",
         "repeated_gd", "risk_gradient", "risk_hessian", "risk_value",

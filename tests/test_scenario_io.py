@@ -114,6 +114,13 @@ class TestParsing:
                            match=r"population\.risks\[0\]\.center\[0\]"):
             load_scenario(path)
 
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema_version": 1,')
+        with pytest.raises(ScenarioFormatError,
+                           match=f"^{re.escape(str(path))}: invalid JSON"):
+            load_scenario(path)
+
     def test_schema_version_checked(self):
         data = base_dict()
         data["schema_version"] = 99
@@ -320,6 +327,7 @@ class TestConstructorFields:
         ("initial_alpha", {"kind": "uniform"}, "alpha"),
         ("initial_alpha", {"kind": "explicit",
                            "alpha": [[1.0, 0.0], [0.0, 1.0]]}, "concentration"),
+        ("learner_rule", {"kind": "full_min"}, "method"),
     ])
     def test_unknown_field_names_its_path(self, section, cfg, typo):
         data = self._with(section, {**cfg, typo: 5.0})
@@ -342,6 +350,11 @@ class TestConstructorFields:
         ("schedule", {"kind": "round_robin_subpops", "order": [1.0, 0]},
          "order[0]"),
         ("population.risks[1]", {"center": "x"}, "center"),
+        ("population.risks[1]", {"center": []}, "center"),
+        ("population.risks[1]", {"center": [[0.0]]}, "center"),
+        ("learners.init", {"kind": "explicit", "theta": [[0.0]]}, "theta"),
+        ("learners.init", {"kind": "centers_subset", "indices": [0, 5]},
+         "indices"),
     ])
     def test_rejected_value_names_its_path(self, section, cfg, field):
         with pytest.raises(ScenarioFormatError) as exc:
@@ -353,7 +366,8 @@ class TestConstructorFields:
         for path in ("seed", "max_steps", "learners.m", "learners.init.sigma",
                      "initial_alpha.concentration")
         for value in (None, "x", "1", True)
-    ] + [(path, 1.5) for path in ("seed", "max_steps", "learners.m")])
+    ] + [(path, 1.5) for path in ("seed", "max_steps", "learners.m")]
+      + [(path, "mwud") for path in ("subpop_rule", "learner_rule")])
     def test_top_level_scalars_name_the_field(self, path, value):
         data = base_dict()
         data["learners"]["init"] = {"kind": "random_gaussian"}
@@ -372,8 +386,8 @@ class TestConstructorFields:
                          "comparison": "relative"}),
         ("subpop_rule", {"kind": "best_response", "tie_tolerance": 0.25,
                          "tie_policy": "keep_previous"}),
-        ("learner_rule", {"kind": "full_min", "method": "newton",
-                          "tolerance": 1e-9, "max_iterations": 50}),
+        ("learner_rule", {"kind": "full_min", "tolerance": 1e-9,
+                          "max_iterations": 50}),
         ("learner_rule", {"kind": "repeated_gd", "base": 0.5,
                           "form": "constant", "inner_steps": 3}),
         ("schedule", {"kind": "custom_order", "subpops": [1],
