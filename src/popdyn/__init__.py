@@ -7,6 +7,8 @@ stability-certified, and compared against a brute-force social-welfare
 optimum.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "1.0.0"
 
 from .allocation import (
@@ -28,9 +30,7 @@ from .equilibria import (
     EquilibriumReport,
     SplitAssignment,
     classify_state,
-    convex_hulls_disjoint,
     enumerate_split_equilibria,
-    example_c1_stability_predicate,
     potential_gradient,
     potential_value,
     split_learner,
@@ -49,6 +49,7 @@ from .errors import (
     SimplexError,
     SplitError,
 )
+from .goldens import example_c1_stability_predicate
 from .learners import (
     LearnerRule,
     full_min,
@@ -78,4 +79,5 @@ from .scenario_io import (
     scenario_to_dict,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

