@@ -167,19 +167,28 @@ def _best_response_rows(alpha, R, tie_tolerance, tie_policy):
 def _update_alpha(alpha, R, scenario: Scenario, t: int):
     rule = scenario.subpop_rule
     rows = _subpop_subset(scenario.schedule, t, scenario.n)
-    new = alpha.copy()
     a, r = alpha[..., rows, :], R[..., rows, :]
     if rule.kind == "mwud":
-        new[..., rows, :] = _mwud_rows(a, r, rule.gamma, rule.comparison)
+        out = _mwud_rows(a, r, rule.gamma, rule.comparison)
     else:
-        new[..., rows, :] = _best_response_rows(a, r, rule.tie_tolerance,
-                                                rule.tie_policy)
+        out = _best_response_rows(a, r, rule.tie_tolerance, rule.tie_policy)
+    if isinstance(rows, slice):
+        return out   # every row updated: the rules return a fresh array
+    new = alpha.copy()
+    new[..., rows, :] = out
     return new
 
 
 def _update_theta(alpha, theta, scenario: Scenario, t: int):
-    """Returns (theta', frozen count, masses beta @ alpha) per trial; empty
-    learners stay put."""
+    """Returns (theta', frozen count, masses beta @ alpha) per trial, for
+    alpha (..., n, m) and theta (..., m, d).
+
+    One kernel call updates every (trial, learner) pair on the weights
+    W = beta_i alpha_ij.  A pair is held back when the schedule skips its
+    learner at step t or the learner is empty (mass below EMPTY_MASS_TOL);
+    only then are the updating pairs gathered and scattered back, and a held
+    pair keeps its theta exactly.  With no pair updating, theta itself is
+    returned."""
     rule = scenario.learner_rule
     indices = list(_learner_subset(scenario.schedule, t, scenario.m))
     scheduled = np.zeros(scenario.m, bool)
@@ -187,23 +196,25 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
     masses = scenario.beta @ alpha
     updating = scheduled & (masses >= EMPTY_MASS_TOL)
     frozen = len(indices) - updating.sum(axis=-1)
-    active = updating.ravel().nonzero()[0]   # rows of the flat arrays below
-    if not active.size:
-        return theta, frozen, masses
-    new = theta.copy()
-    flat = new.reshape(-1, scenario.d)   # a view: writes land in new
-    # one weight column beta_i alpha_ij per updating (trial, learner) pair
-    W = (alpha.swapaxes(-1, -2).reshape(-1, scenario.n)[active] * scenario.beta).T
+    W, th, mass = alpha * scenario.beta[:, None], theta, masses[..., None]
+    held = not updating.all()
+    if held:
+        if not updating.any():
+            return theta, frozen, masses
+        # the updating pairs' weight columns (n, k), parameters and masses
+        W, th, mass = W.swapaxes(-1, -2)[updating].T, th[updating], mass[updating]
     if rule.kind == "full_min":
-        flat[active] = minimize_mixtures(scenario, W, rule.tolerance,
-                                         rule.max_iterations, start=flat[active])
-        return new, frozen, masses
-    # each step moves down the mass-normalized mixture gradient
-    scale = step_size(t, rule) / masses.reshape(-1)[active, None]
-    th = flat[active]
-    for _ in range(rule.inner_steps):
-        th = th - scale * mixture_gradients(scenario, W, th)
-    flat[active] = th
+        th = minimize_mixtures(scenario, W, rule.tolerance, rule.max_iterations,
+                               start=th)
+    else:
+        # each step moves down the mass-normalized mixture gradient
+        scale = step_size(t, rule) / mass
+        for _ in range(rule.inner_steps):
+            th = th - scale * mixture_gradients(scenario, W, th)
+    if not held:
+        return th, frozen, masses
+    new = theta.copy()
+    new[updating] = th
     return new, frozen, masses
 
 
@@ -242,24 +253,19 @@ def _core_step(alpha, theta, t, scenario, R, labels=None):
         ("total", "allocation", "learner")[h], int(pos[1]) if h else None)
 
 
-def _delta(alpha_a, theta_a, alpha_b, theta_b):
-    """max(||alpha_a - alpha_b||_inf, ||Theta_a - Theta_b||_inf), one per
-    leading index."""
-    return np.maximum(np.abs(alpha_a - alpha_b).max(axis=(-2, -1)),
-                      np.abs(theta_a - theta_b).max(axis=(-2, -1)))
-
-
 def _steps(scenario: Scenario, alpha, theta, R, t: int, labels=None):
     """The step loop: endless sequential updates of K trials in lockstep
     from alpha (K, n, m), theta (K, m, d) and their risk matrices R at time
     t.  Yields (alpha, theta, R, total_risk, frozen, delta) after each step,
-    with the step's total, frozen count and delta per trial.  labels names
-    the trials in a MonotonicityError."""
+    with the step's total, frozen count and delta per trial: delta is
+    max(||alpha' - alpha||_inf, ||Theta' - Theta||_inf).  labels names the
+    trials in a MonotonicityError."""
     while True:
         alpha2, theta2, R2, total, frozen = _core_step(alpha, theta, t,
                                                        scenario, R, labels)
         alpha2 = renormalize_rows(alpha2)
-        delta = _delta(alpha2, theta2, alpha, theta)
+        delta = np.maximum(np.abs(alpha2 - alpha).max(axis=(-2, -1)),
+                           np.abs(theta2 - theta).max(axis=(-2, -1)))
         alpha, theta, R, t = alpha2, theta2, R2, t + 1
         yield alpha, theta, R, total, frozen, delta
 

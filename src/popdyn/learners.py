@@ -78,14 +78,16 @@ def _gradient_sum(weights, risks, theta):
 
 
 def mixture_gradients(scenario, W, theta) -> np.ndarray:
-    """Gradients (k, d) of the mixtures weighted by the columns of W (n, k),
-    each of positive mass, at theta (k, d): sum_i W_ik grad R_i(theta_k),
-    which is 2 (H_k theta_k - b_k) from the normal equations for quadratics."""
+    """Gradients (..., k, d) of the mixtures weighted by the columns of W
+    (..., n, k), each of positive mass, at theta (..., k, d):
+    sum_i W_ik grad R_i(theta_k), which is 2 (H_k theta_k - b_k) from the
+    normal equations for quadratics.  Leading axes index batches."""
     if scenario._quad is not None:
         H, b = scenario.normal_equations(W)
         return 2.0 * ((H @ theta[..., None])[..., 0] - b)
-    return np.array([_gradient_sum(w, scenario.risks, th)
-                     for w, th in zip(W.T, theta)]).reshape(theta.shape)
+    cols = W.swapaxes(-1, -2).reshape(-1, W.shape[-2])
+    return np.array([_gradient_sum(w, scenario.risks, th) for w, th in
+                     zip(cols, theta.reshape(-1, scenario.d))]).reshape(theta.shape)
 
 
 def group_minimize(weights, risks, tolerance: float = 1e-10,
@@ -149,15 +151,17 @@ def group_minimize(weights, risks, tolerance: float = 1e-10,
 
 def minimize_mixtures(scenario, W, tolerance: float = 1e-10,
                       max_iterations: int = 100, start=None) -> np.ndarray:
-    """Minimizers (k, d) of the mixtures weighted by the columns of W (n, k),
-    each of positive mass: one batched normal-equation solve for quadratics,
-    else group_minimize per column, from start[k] if given."""
+    """Minimizers (..., k, d) of the mixtures weighted by the columns of W
+    (..., n, k), each of positive mass: one batched normal-equation solve for
+    quadratics, else group_minimize per column, from the matching row of
+    start (..., k, d) if given.  Leading axes index batches."""
     if scenario._quad is not None:
         H, b = scenario.normal_equations(W)
-        return np.linalg.solve(H, b[:, :, None])[:, :, 0]
+        return np.linalg.solve(H, b[..., None])[..., 0]
+    cols = W.swapaxes(-1, -2).reshape(-1, W.shape[-2])
+    starts = ([None] * len(cols) if start is None
+              else np.reshape(start, (-1, scenario.d)))
     thetas = [group_minimize(w, scenario.risks, tolerance=tolerance,
-                             max_iterations=max_iterations,
-                             start=None if start is None else start[k])
-              for k, w in enumerate(W.T)]
-    return np.array(thetas).reshape(len(thetas), scenario.d)
-
+                             max_iterations=max_iterations, start=s)
+              for w, s in zip(cols, starts)]
+    return np.array(thetas).reshape(*W.shape[:-2], W.shape[-1], scenario.d)

@@ -286,6 +286,8 @@ def test_criterion_7_competition_cascade(tmp_path):
     assert int(rows[0]["m"]) == 2 and int(rows[-1]["m"]) == 12
     totals = [float(r["total_risk"]) for r in rows]
     assert all(b <= a + 1e-8 for a, b in zip(totals, totals[1:]))
+    # the strict-drop check below must check some split
+    assert any(row["grad_hypothesis"] == "1" for row in rows[:-1])
     for k, row in enumerate(rows[:-1]):
         if row["grad_hypothesis"] == "1":
             assert totals[k + 1] < totals[k] - 1e-6

@@ -799,10 +799,12 @@ class TestFastPathEquivalence:
                                                  rule.tie_policy)
         assert np.array_equal(_update_alpha(alpha, R, sc, t), expected)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["full_min", "repeated_gd"]),
-           st.integers(1, 4))
-    def test_learner_kernel_matches_scalar_rules(self, seed, kind, inner_steps):
+           st.integers(1, 4), st.sampled_from([1, 3]),
+           st.sampled_from(engine.SCHEDULE_KINDS), st.booleans())
+    def test_learner_kernel_matches_scalar_rules(self, seed, kind, inner_steps,
+                                                 K, schedule_kind, empty):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         m = int(rng.integers(2, n + 1))
@@ -810,25 +812,70 @@ class TestFastPathEquivalence:
         rule = sc.learner_rule
         if kind == "repeated_gd":
             rule = repeated_gd(base=rule.base, inner_steps=inner_steps)
-        sc = replace(sc, learner_rule=rule)
-        state = random_state(rng, sc)
-        alpha = state.alpha.copy()
-        alpha[:, 0] = 0.0  # learner 0 is empty and must stay frozen
-        alpha = alpha / alpha.sum(axis=1, keepdims=True)
+        learners = tuple(int(j) for j in np.flatnonzero(rng.random(m) < 0.5))
+        sc = replace(sc, learner_rule=rule,
+                     schedule=UpdateSchedule(kind=schedule_kind,
+                                             learners=learners))
+        alpha = rng.dirichlet(np.ones(m), size=(K, n))
+        if empty:   # one learner of one trial is empty and must be held
+            alpha[int(rng.integers(K)), :, int(rng.integers(m))] = 0.0
+            alpha = alpha / alpha.sum(axis=-1, keepdims=True)
+        theta = rng.uniform(-2.0, 2.0, (K, m, sc.d))
         t = int(rng.integers(0, 10))
-        theta2, frozen, _ = _update_theta(alpha, state.theta, sc, t)
-        assert frozen == 1
-        assert np.array_equal(theta2[0], state.theta[0])
-        for j in range(1, m):
-            if kind == "full_min":
-                expected = full_minimize(alpha[:, j], sc.beta, sc.risks)
+        scheduled = {"all_sequential": range(m), "round_robin_subpops": range(m),
+                     "round_robin_learners": [t % m],
+                     "custom_order": learners}[schedule_kind]
+        empties = [[j for j in scheduled if not alpha[k, :, j].any()]
+                   for k in range(K)]
+        pairs = [len(scheduled) - len(e) for e in empties]   # per trial
+        theta2, frozen, _ = _update_theta(alpha, theta, sc, t)
+        for k in range(K):
+            one, one_frozen, _ = _update_theta(alpha[k], theta[k], sc, t)
+            assert frozen[k] == one_frozen == len(empties[k])
+            # numpy multiplies a one-row matrix by a vector routine, whose
+            # rounding differs from a row of a matrix product; so a trial
+            # that updates one pair alone matches a batch that gathers
+            # several only to rounding
+            if pairs[k] != 1 or sum(pairs) == 1:
+                assert np.array_equal(theta2[k], one)
             else:
-                expected = state.theta[j]
-                for _ in range(inner_steps):
-                    expected = gradient_step(expected, alpha[:, j], sc.beta,
-                                             sc.risks,
-                                             step_size(t, rule))
-            assert np.abs(theta2[j] - expected).max() <= 1e-12
+                assert np.abs(theta2[k] - one).max() <= 1e-12
+            for j in range(m):
+                if j not in scheduled or j in empties[k]:
+                    assert np.array_equal(theta2[k, j], theta[k, j])
+                    continue
+                if kind == "full_min":
+                    expected = full_minimize(alpha[k, :, j], sc.beta, sc.risks)
+                else:
+                    expected = theta[k, j]
+                    for _ in range(inner_steps):
+                        expected = gradient_step(expected, alpha[k, :, j],
+                                                 sc.beta, sc.risks,
+                                                 step_size(t, rule))
+                assert np.abs(theta2[k, j] - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("schedule_kind", engine.SCHEDULE_KINDS)
+    @pytest.mark.parametrize("subpop", ["mwud", "best_response"])
+    @pytest.mark.parametrize("learner", ["full_min", "repeated_gd"])
+    def test_core_step_shares_no_memory_with_its_inputs(self, schedule_kind,
+                                                        subpop, learner):
+        # writable K=3 batches, as the probe steps them; the schedule updates
+        # some learner, so theta' is a new array (else it is theta itself)
+        rng = np.random.default_rng(63)
+        sc = random_scenario(rng, 5, 3, 2, learner=learner)
+        sc = replace(sc, subpop_rule=mwud() if subpop == "mwud" else best_response(),
+                     schedule=UpdateSchedule(kind=schedule_kind, subpops=(0, 2),
+                                             learners=(1, 2)))
+        alpha = np.stack([random_state(rng, sc).alpha for _ in range(3)])
+        theta = rng.uniform(-2.0, 2.0, (3, sc.m, sc.d))
+        R = sc.risk_matrix(theta)
+        inputs = (alpha, theta, R)
+        kept = [x.copy() for x in inputs]
+        out = engine._core_step(alpha, theta, 1, sc, R)
+        for x, x0 in zip(inputs, kept):
+            assert np.array_equal(x, x0)
+        for y in out[:3]:
+            assert not any(np.shares_memory(x, y) for x in inputs)
 
     def test_batched_minimization_matches_full_minimize(self):
         from popdyn.engine import _update_theta

@@ -371,6 +371,31 @@ class TestMixtureGradients:
                 1.0, np.abs(expected).max())
 
 
+class TestLeadingAxes:
+    """Both kernels take weights (..., n, k) and parameters (..., k, d): a
+    batch equals its slices, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(0, 4),
+           st.sampled_from([(), (1,), (3,), (2, 2)]), st.booleans())
+    def test_batch_matches_its_slices(self, seed, d, k, lead, custom):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        sc = random_scenario(rng, n, 1, d)
+        if custom:
+            sc = replace(sc, risks=tuple(_as_custom(r) for r in sc.risks))
+        W = np.stack([_mixture_weights(rng, n, k)
+                      for _ in np.ndindex(*lead)]).reshape(*lead, n, k)
+        theta = rng.uniform(-3.0, 3.0, (*lead, k, d))
+        mins = minimize_mixtures(sc, W, start=theta)
+        grads = mixture_gradients(sc, W, theta)
+        assert mins.shape == grads.shape == theta.shape
+        for i in np.ndindex(*lead):
+            assert np.array_equal(mins[i], minimize_mixtures(sc, W[i],
+                                                             start=theta[i]))
+            assert np.array_equal(grads[i], mixture_gradients(sc, W[i], theta[i]))
+
+
 class TestGroupMinimizeLineSearch:
     def test_ascent_direction_is_a_convergence_error(self):
         # a wrong-sign hessian makes the Newton direction point uphill
