@@ -210,8 +210,7 @@ def _run_phase(scenario, state, detector, max_steps):
     another learner (R_ij < mix_i - MONOTONE_TOL; a firing on such a saddle
     starts a fresh window) or max_steps run out: (state, R, steps,
     converged)."""
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    require_number(max_steps, "max_steps", 1, integer=True)
     steps = _watched_steps(scenario, state.alpha, state.theta,
                            scenario.risk_matrix(state.theta), state.t, detector)
     for used, (alpha, theta, R, *_, fired) in enumerate(steps, 1):

@@ -27,12 +27,8 @@ from .model import (
     MONOTONE_TOL,
     Scenario,
     SystemState,
-    _total_risk,
-    learner_risk_vector,
-    renormalize_rows,
     require_choice,
     require_number,
-    subpop_risk_vector,
     total_risk,
     validate_state,
 )
@@ -224,8 +220,8 @@ def _core_step(alpha, theta, t, scenario, R, labels=None):
     The gate: the total risk, each subpopulation's average risk at theta
     (allocation half) and each learner's mixture risk at alpha' (learner
     half) may rise by at most MONOTONE_TOL, checked in that order.  Returns
-    (alpha', theta', R', total_after, frozen), the last two of shape (K,);
-    R' is the risk matrices at theta' for reuse by the caller.
+    (alpha', theta', R', Q, frozen): R' = R(theta'), Q = alpha' * R' whose
+    sums the gate compared (its total is Q.sum(-1) @ beta), and frozen (K,).
     """
     beta = scenario.beta
     rows_before = (alpha * R).sum(axis=-1)
@@ -241,7 +237,7 @@ def _core_step(alpha, theta, t, scenario, R, labels=None):
           rows_after <= rows_before + MONOTONE_TOL,
           gains <= MONOTONE_TOL * masses)
     if ok[0].all() and ok[1].all() and ok[2].all():
-        return alpha2, theta2, R2, total_after, frozen
+        return alpha2, theta2, R2, Q, frozen
     h = next(h for h in range(3) if not ok[h].all())
     pos = tuple(np.argwhere(~ok[h])[0])   # (trial,) or (trial, index)
     before, after = ((total_before, total_after), (rows_before, rows_after),
@@ -256,18 +252,18 @@ def _core_step(alpha, theta, t, scenario, R, labels=None):
 def _steps(scenario: Scenario, alpha, theta, R, t: int, labels=None):
     """The step loop: endless sequential updates of K trials in lockstep
     from alpha (K, n, m), theta (K, m, d) and their risk matrices R at time
-    t.  Yields (alpha, theta, R, total_risk, frozen, delta) after each step,
-    with the step's total, frozen count and delta per trial: delta is
-    max(||alpha' - alpha||_inf, ||Theta' - Theta||_inf).  labels names the
-    trials in a MonotonicityError."""
+    t.  Yields (alpha, theta, R, Q, frozen, delta) after each step: the
+    state _core_step checked, kept as it is since the rules return
+    normalized rows, its products Q = alpha * R, and per trial the frozen
+    count and delta = max(||alpha' - alpha||_inf, ||Theta' - Theta||_inf).
+    labels names the trials in a MonotonicityError."""
     while True:
-        alpha2, theta2, R2, total, frozen = _core_step(alpha, theta, t,
-                                                       scenario, R, labels)
-        alpha2 = renormalize_rows(alpha2)
+        alpha2, theta2, R2, Q, frozen = _core_step(alpha, theta, t, scenario,
+                                                   R, labels)
         delta = np.maximum(np.abs(alpha2 - alpha).max(axis=(-2, -1)),
                            np.abs(theta2 - theta).max(axis=(-2, -1)))
         alpha, theta, R, t = alpha2, theta2, R2, t + 1
-        yield alpha, theta, R, total, frozen, delta
+        yield alpha, theta, R, Q, frozen, delta
 
 
 def step(state: SystemState, scenario: Scenario) -> SystemState:
@@ -282,16 +278,28 @@ def step(state: SystemState, scenario: Scenario) -> SystemState:
 def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
                    detector: EquilibriumDetector):
     """_steps for one trial (alpha (n, m), theta (m, d)) under the detector's
-    quiet-window rule: yields (alpha, theta, R, total, frozen, fired), fired
+    quiet-window rule: yields (alpha, theta, R, Q, frozen, fired), fired
     on a step that completes a window; the count then starts afresh."""
     quiet = 0
-    for alpha, theta, R, total, frozen, delta in _steps(
+    for alpha, theta, R, Q, frozen, delta in _steps(
             scenario, alpha[None], theta[None], R[None], t):
         quiet = quiet + 1 if delta[0] <= detector.state_tolerance else 0
         fired = quiet == detector.window
-        yield alpha[0], theta[0], R[0], total[0], int(frozen[0]), fired
+        yield alpha[0], theta[0], R[0], Q[0], int(frozen[0]), fired
         if fired:
             quiet = 0
+
+
+def _record(alpha, Q, beta):
+    """(total, subpopulation risks, learner risks, empty flags) of one state
+    from its products Q = alpha * R, summed as the gate sums them; a learner
+    of mass beta @ alpha below EMPTY_MASS_TOL is empty, with risk NaN."""
+    sub = Q.sum(axis=-1)
+    masses = beta @ alpha
+    empty = masses < EMPTY_MASS_TOL
+    learner = np.divide(beta @ Q, masses, out=np.full(masses.shape, np.nan),
+                        where=~empty)
+    return sub @ beta, sub, learner, empty
 
 
 def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
@@ -301,53 +309,38 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     if detector is None:
         detector = EquilibriumDetector()
     validate_state(initial_state, scenario)
-    beta = scenario.beta
     alpha = np.asarray(initial_state.alpha, dtype=float)
     theta = np.asarray(initial_state.theta, dtype=float)
     t0 = initial_state.t
     R = scenario.risk_matrix(theta)
 
     states = [SystemState(alpha=alpha, theta=theta, t=t0)]
-    totals = [_total_risk(alpha, R, beta)]
-    sub = [subpop_risk_vector(alpha, R)]
-    lr, emp = learner_risk_vector(alpha, beta, R)
-    learner = [lr]
-    empties = [emp]
+    records = [_record(alpha, alpha * R, scenario.beta)]
     frozen_total = 0
     converged_at = None
 
     steps = _watched_steps(scenario, alpha, theta, R, t0, detector)
-    for k, (alpha, theta, R, total, frozen, fired) in zip(range(max_steps),
-                                                          steps):
+    for k, (alpha, theta, R, Q, frozen, fired) in zip(range(max_steps), steps):
         frozen_total += frozen
         states.append(SystemState(alpha=alpha, theta=theta, t=t0 + k + 1))
-        totals.append(total)
-        sub.append(subpop_risk_vector(alpha, R))
-        lr, emp = learner_risk_vector(alpha, beta, R)
-        learner.append(lr)
-        empties.append(emp)
+        records.append(_record(alpha, Q, scenario.beta))
         if fired:
             converged_at = k - detector.window + 1
             break
 
-    return Trajectory(
-        states=states,
-        total_risks=np.array(totals),
-        subpop_risks=np.array(sub),
-        learner_risks=np.array(learner),
-        empty_flags=np.array(empties),
-        converged_at=converged_at,
-        frozen_learner_steps=frozen_total,
-    )
+    totals, sub, learner, empties = map(np.array, zip(*records))
+    return Trajectory(states, totals, sub, learner, empties, converged_at,
+                      frozen_total)
 
 
 def perturb(state: SystemState, sigma: float, seed, target: str = "both") -> SystemState:
     """Seeded Gaussian perturbation of the targeted state components.
 
-    Allocation rows receive noise magnitudes (|N(0, sigma)|), then are clipped
-    and renormalized: magnitudes keep every share strictly positive, which the
-    multiplicative dynamics need since they cannot revive an exactly-zero
-    share.  Parameters receive signed Gaussian noise.  Deterministic in seed.
+    Allocation rows receive noise magnitudes (|N(0, sigma)|), then are
+    divided by their sums: magnitudes keep every share strictly positive,
+    which the multiplicative dynamics need since they cannot revive an
+    exactly-zero share.  Parameters receive signed Gaussian noise.
+    Deterministic in seed.
     """
     require_number(sigma, "sigma", 0)
     if target not in ("theta_only", "alpha_only", "both"):
@@ -358,8 +351,8 @@ def perturb(state: SystemState, sigma: float, seed, target: str = "both") -> Sys
     alpha = state.alpha
     theta = state.theta
     if target in ("alpha_only", "both"):
-        noise = sigma * np.abs(rng.standard_normal(alpha.shape))
-        alpha = renormalize_rows(alpha + noise)
+        alpha = alpha + sigma * np.abs(rng.standard_normal(alpha.shape))
+        alpha = alpha / alpha.sum(axis=1, keepdims=True)
     if target in ("theta_only", "both"):
         theta = theta + sigma * rng.standard_normal(theta.shape)
     return SystemState(alpha=alpha, theta=theta, t=state.t)
@@ -426,9 +419,10 @@ def _probe_batch(scenario, eq_state, sigma, trials, seed, target="both",
     distance = np.full(trials, np.nan)
     live, escaped, t = np.arange(trials), np.zeros(trials, bool), 0
     while live.size:   # each pass drops the trials that finished
-        for alpha, theta, R, total, _, delta in _steps(
+        for alpha, theta, R, Q, _, delta in _steps(
                 scenario, alpha, theta, R, t, labels=live):
             t += 1
+            total = Q.sum(axis=-1) @ scenario.beta
             # Total risk is monotone, so dropping below the equilibrium level
             # is irreversible: the run can never return once clearly below it.
             escaped |= total < eq_risk - escape_tol

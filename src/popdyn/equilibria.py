@@ -33,8 +33,8 @@ from .model import (
     MONOTONE_TOL,
     Scenario,
     SystemState,
+    require_number,
     risk_gradient,
-    subpop_risk_vector,
     validate_allocation,
     validate_state,
 )
@@ -214,7 +214,7 @@ def classify_state(state: SystemState, scenario: Scenario,
         )
 
     R = scenario.risk_matrix(theta)
-    per_subpop = subpop_risk_vector(alpha, R)
+    per_subpop = (alpha * R).sum(axis=1)
     total = float(beta @ per_subpop)
 
     gap = None
@@ -402,8 +402,9 @@ def split_learner(state: SystemState, scenario: Scenario, j: int):
             f"cannot split: already {scenario.m} learners for {scenario.n} "
             "subpopulations"
         )
-    if not (0 <= j < scenario.m):
-        raise ValueError(f"learner index {j} out of range")
+    require_number(j, "j", 0, integer=True)
+    if j >= scenario.m:
+        raise ValueError(f"j must be < m={scenario.m}, got {j}")
     validate_state(state, scenario)
     half = state.alpha[:, j] / 2.0
     alpha = np.column_stack([state.alpha[:, :j], half,

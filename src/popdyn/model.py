@@ -29,8 +29,9 @@ if TYPE_CHECKING:  # rule configs live with their dynamics modules
     from .learners import LearnerRule
     from .engine import UpdateSchedule
 
-# Simplex tolerance: rows are renormalized after every allocation update,
-# so drift beyond this indicates a bug rather than accumulated rounding.
+# Simplex tolerance for a given allocation.  Both allocation rules return
+# rows that are nonnegative and sum to one within rounding, and the engine
+# keeps them as they are, so drift beyond this indicates a bug.
 SIMPLEX_TOL = 1e-10
 # A learner whose user mass sum_i alpha_ij beta_i falls below this is "empty".
 EMPTY_MASS_TOL = 1e-12
@@ -312,12 +313,6 @@ def validate_allocation(alpha, n: int, m: int, tol: float = SIMPLEX_TOL) -> np.n
     return alpha
 
 
-def renormalize_rows(alpha: np.ndarray) -> np.ndarray:
-    """Clip to nonnegative and rescale each row to sum exactly one."""
-    clipped = np.maximum(alpha, 0.0)
-    return clipped / clipped.sum(axis=-1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class SystemState:
     """Joint state (alpha, Theta) at time step t."""
@@ -350,29 +345,8 @@ def validate_state(state: SystemState, scenario: Scenario) -> None:
     require_finite(state.theta, "theta")
 
 
-def _total_risk(alpha: np.ndarray, R: np.ndarray, beta: np.ndarray):
-    # one total per leading index of R[..., i, j] = R_i(theta_j)
-    return (alpha * R).sum(axis=-1) @ beta
-
-
 def total_risk(state: SystemState, scenario: Scenario) -> float:
     """Total risk sum_ij beta_i alpha_ij R_i(theta_j), the dynamics' potential."""
     validate_state(state, scenario)
     R = scenario.risk_matrix(state.theta)
-    return float(_total_risk(state.alpha, R, scenario.beta))
-
-
-def subpop_risk_vector(alpha: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Per-subpopulation average risks from a precomputed risk matrix."""
-    return (alpha * R).sum(axis=1)
-
-
-def learner_risk_vector(alpha, beta, R):
-    """Per-learner mixture risks; empty learners yield NaN plus a flag array."""
-    w = alpha * beta[:, None]
-    masses = w.sum(axis=0)
-    empty = masses < EMPTY_MASS_TOL
-    vals = np.full(alpha.shape[1], np.nan)
-    ok = ~empty
-    vals[ok] = (w[:, ok] * R[:, ok]).sum(axis=0) / masses[ok]
-    return vals, empty
+    return float((state.alpha * R).sum(axis=1) @ scenario.beta)

@@ -184,6 +184,9 @@ def _population(betas, risks, normalize=False):
         raise ValueError("betas: expected a nonempty vector")
     if not isinstance(normalize, bool):
         raise ValueError(f"normalize must be true or false, got {normalize!r}")
+    if np.any(betas <= 0):   # before normalizing, so the file's value is named
+        i = int(np.argmin(betas))
+        raise ValueError(f"betas[{i}]={float(betas[i])!r} is not positive")
     if normalize:
         betas = betas / betas.sum()
     elif abs(betas.sum() - 1.0) > 1e-12:

@@ -358,7 +358,15 @@ class TestCompetition:
         rc = main(["competition", THREE_CENTERS, "--target-m", "3",
                    "--max-steps", "0", "--out", str(tmp_path / "c")])
         assert rc == 1
-        assert "max_steps must be >= 1" in capsys.readouterr().err
+        assert "max_steps must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_steps", [0, 2.5, True, None])
+    def test_phase_step_budget_is_a_positive_integer(self, max_steps):
+        loaded = load_scenario(THREE_CENTERS)
+        with pytest.raises(ValueError, match=r"^max_steps must be an integer "
+                                             r">= 1, got "):
+            cli._run_phase(loaded.scenario, loaded.initial_state,
+                           loaded.detector, max_steps)
 
     def test_invalid_target_exit_one(self, tmp_path):
         rc = main(["competition", THREE_CENTERS, "--target-m", "2",

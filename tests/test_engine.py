@@ -36,6 +36,7 @@ from popdyn import engine
 from popdyn.engine import _probe_batch, _update_alpha, _update_theta
 from popdyn.goldens import partition_pair_scenario, partition_pair_state
 from popdyn.model import EMPTY_MASS_TOL, MONOTONE_TOL
+from popdyn.scenario_io import load_scenario, packaged_scenario
 
 from conftest import random_scenario, random_state
 from reference import (
@@ -609,7 +610,7 @@ class TestBatchedProbeAgainstSerial:
 
         def spy(alpha, theta, t, scenario, R, labels=None):
             out = real(alpha, theta, t, scenario, R, labels)
-            for k, total in zip(labels, out[3]):
+            for k, total in zip(labels, out[3].sum(-1) @ scenario.beta):
                 per_trial.setdefault(int(k), []).append(total)
             return out
 
@@ -730,6 +731,124 @@ class TestFreezeThreshold:
         assert theta2[0, 1, 0] != theta[0, 1, 0] and theta2[1, 2, 0] != theta[1, 2, 0]
         for k in range(2):
             assert np.array_equal(theta2[k], _update_theta(alpha[k], theta[k], sc, 0)[0])
+
+    def test_frozen_and_empty_agree_in_the_same_step(self):
+        # rows 1 and 2 update but stay on learner 0, so learners 1 and 2 keep
+        # masses 2e-12 and 5e-13 through the step
+        sc, alpha, theta = self._setup("full_min")
+        sc = replace(sc, schedule=UpdateSchedule(
+            kind="custom_order", subpops=(1, 2), learners=(0, 1, 2)))
+        traj = simulate(sc, SystemState(alpha=alpha, theta=theta), 1,
+                        EquilibriumDetector(window=2))
+        assert np.array_equal(traj.final_state.alpha, alpha)
+        assert traj.frozen_learner_steps == 1
+        assert traj.empty_flags.tolist() == [[False, False, True]] * 2
+        assert np.isnan(traj.learner_risks).tolist() == [[False, False, True]] * 2
+        assert traj.final_state.theta[2, 0] == theta[2, 0]
+        assert traj.final_state.theta[1, 0] != theta[1, 0]
+
+
+SHIPPED = ("competition12", "competition50", "minority", "three_centers",
+           "two_group_gap")
+
+
+class TestKeptState:
+    """The engine keeps the state its gate checked, and every recorded risk
+    is a sum of the gate's own products Q = alpha' * R'."""
+
+    RULES = {"mwud": mwud(2.0), "mwud_relative": mwud(1.0, "relative"),
+             "best_response": best_response(),
+             "keep_previous": best_response(0.05, "keep_previous")}
+    SCHEDULES = {
+        "all_sequential": None,
+        "round_robin_subpops": UpdateSchedule(kind="round_robin_subpops"),
+        "round_robin_learners": UpdateSchedule(kind="round_robin_learners"),
+        "custom_order": UpdateSchedule(kind="custom_order", subpops=(0, 1),
+                                       learners=(0,)),
+    }
+
+    @staticmethod
+    def _simulate(scenario, state, max_steps, detector):
+        """simulate's trajectory, plus (alpha', Q) of every gated step."""
+        gated, real = [], engine._core_step
+
+        def spy(alpha, theta, t, scenario, R, labels=None):
+            out = real(alpha, theta, t, scenario, R, labels)
+            gated.append((out[0], out[3]))
+            return out
+
+        with mock.patch.object(engine, "_core_step", spy):
+            traj = simulate(scenario, state, max_steps, detector)
+        return traj, gated
+
+    def _check(self, scenario, traj, gated):
+        beta = scenario.beta
+        assert len(gated) == len(traj.states) - 1
+        for k, total in enumerate(traj.total_risks):
+            assert total == traj.subpop_risks[k] @ beta
+        for k, (alpha, Q) in enumerate(gated, 1):
+            masses = beta @ alpha[0]
+            empty = masses < EMPTY_MASS_TOL
+            assert np.array_equal(traj.states[k].alpha, alpha[0])
+            assert traj.total_risks[k] == (Q.sum(-1) @ beta)[0]
+            assert np.array_equal(traj.subpop_risks[k], Q[0].sum(-1))
+            assert np.array_equal(traj.empty_flags[k], empty)
+            assert np.array_equal(traj.learner_risks[k][~empty],
+                                  (beta @ Q[0])[~empty] / masses[~empty])
+            assert np.isnan(traj.learner_risks[k][empty]).all()
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_records_are_the_gates_sums(self, name):
+        loaded = load_scenario(packaged_scenario(name))
+        traj, gated = self._simulate(loaded.scenario, loaded.initial_state,
+                                     loaded.max_steps, loaded.detector)
+        self._check(loaded.scenario, traj, gated)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(sorted(RULES)),
+           st.sampled_from(sorted(SCHEDULES)),
+           st.sampled_from(["full_min", "repeated_gd"]))
+    def test_records_are_the_gates_sums(self, seed, rule, schedule, learner):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        sc = replace(random_scenario(rng, n, int(rng.integers(1, min(3, n) + 1)),
+                                     int(rng.integers(1, 3)), learner=learner,
+                                     offset_range=(0.1, 1.0)),
+                     subpop_rule=self.RULES[rule],
+                     schedule=self.SCHEDULES[schedule])
+        traj, gated = self._simulate(sc, random_state(rng, sc), 40,
+                                     EquilibriumDetector(window=41))
+        self._check(sc, traj, gated)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(sorted(RULES)),
+           st.sampled_from(sorted(SCHEDULES)))
+    def test_steps_yield_the_gates_products(self, seed, rule, schedule):
+        rng = np.random.default_rng(seed)
+        sc = replace(random_scenario(rng, 4, 2, 2, offset_range=(0.1, 1.0)),
+                     subpop_rule=self.RULES[rule],
+                     schedule=self.SCHEDULES[schedule])
+        alpha = np.stack([random_state(rng, sc).alpha for _ in range(3)])
+        theta = rng.uniform(-2.0, 2.0, (3, sc.m, sc.d))
+        steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0)
+        for alpha, _, R, Q, _, _ in itertools.islice(steps, 30):
+            assert np.array_equal(Q, alpha * R)
+
+    @pytest.mark.parametrize("schedule", ["all_sequential", "round_robin_subpops",
+                                          "round_robin_learners"])
+    @pytest.mark.parametrize("rule", ["mwud", "mwud_relative", "keep_previous"])
+    def test_rows_stay_normalized_without_a_second_pass(self, rule, schedule):
+        rng = np.random.default_rng(7)
+        sc = replace(random_scenario(rng, 5, 3, 2, learner="repeated_gd",
+                                     offset_range=(0.1, 1.0)),
+                     subpop_rule=self.RULES[rule],
+                     schedule=self.SCHEDULES[schedule])
+        alpha = np.stack([random_state(rng, sc).alpha for _ in range(4)])
+        theta = rng.uniform(-2.0, 2.0, (4, sc.m, sc.d))
+        steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0)
+        kept = np.array([alpha for alpha, *_ in itertools.islice(steps, 20_000)])
+        assert kept.min() >= 0.0
+        assert np.abs(kept.sum(-1) - 1.0).max() <= 1e-15
 
 
 class TestFastPathEquivalence:

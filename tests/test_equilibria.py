@@ -545,6 +545,24 @@ class TestSplitLearner:
         with pytest.raises(SplitError):
             split_learner(state, sc, 0)
 
+    @pytest.mark.parametrize("j, message", [
+        (1.5, "j must be an integer >= 0, got 1.5"),
+        (True, "j must be an integer >= 0, got True"),
+        (-1, "j must be an integer >= 0, got -1"),
+        (2, "j must be < m=2, got 2"),
+    ])
+    def test_learner_index_is_checked(self, j, message):
+        sc, state = self._converged_split()
+        with pytest.raises(ValueError) as exc:
+            split_learner(state, sc, j)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_index_is_accepted(self):
+        sc, state = self._converged_split()
+        a, _ = split_learner(state, sc, np.int64(1))
+        b, _ = split_learner(state, sc, 1)
+        assert np.array_equal(a.alpha, b.alpha)
+
 
 def _scalar_minimizers(alpha, scenario):
     """Per-learner full_minimize, empty learners left at 0 and flagged."""

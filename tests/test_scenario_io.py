@@ -90,6 +90,20 @@ class TestParsing:
                            match=r"population\.betas\[0\]"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("betas, message", [
+        ([1, -1, 0], "population.betas[1]=-1.0 is not positive"),
+        ([0, 0, 0], "population.betas[0]=0.0 is not positive"),
+        ([2, -1, 1], "population.betas[1]=-1.0 is not positive"),
+    ], ids=["zero-sum", "all-zero", "negative"])
+    def test_normalize_names_the_files_own_beta(self, betas, message):
+        # checked before dividing: no RuntimeWarning, no normalized value
+        data = base_dict()
+        data["population"]["betas"] = betas
+        data["population"]["normalize"] = True
+        with pytest.raises(ScenarioFormatError) as exc:
+            parse_scenario(data)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("field, value, path", [
         ("center", [float("inf")], r"population\.risks\[1\]\.center\[0\]"),
         ("center", [float("nan")], r"population\.risks\[1\]\.center\[0\]"),

@@ -1,6 +1,7 @@
 """Digest every CLI output of one checkout, to compare two checkouts.
 
     python3 tools/cli_digest.py [--root CHECKOUT] > digest.jsonl
+    python3 tools/cli_digest.py [--root CHECKOUT] --against OTHER
 
 Runs, each in a fresh interpreter with CHECKOUT/src first on the path
 (CHECKOUT defaults to the checkout holding this script):
@@ -18,13 +19,26 @@ output file: the run's name, its exit code, the file and the file's sha256
 and size.  ``probe`` writes its result to standard output,
 which is digested as ``stdout.json``.  Run it on two checkouts and diff the
 two outputs; the script uses the standard library only.
+
+``--against OTHER`` runs both checkouts instead and prints one JSON line per
+output file, with both exit codes and whether the digests agree.  Where they
+differ it adds, per value group, the largest absolute and relative
+difference of the numbers and the count of other values that differ.  A
+CSV column's group is its name without index suffixes (``alpha_2_1`` is in
+``alpha``), a JSON value's is its key path without list indices
+(``trial_records.distance``), and any other file compares line by line.
+The exit code is 1 when some output differs.
 """
 
 import argparse
+import csv
 import glob
 import hashlib
+import io
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -71,30 +85,120 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _outputs(root, workdir):
+    """Run every run of checkout root in workdir; yields (run, exit code,
+    path) per output file."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    for name, cli_args in _runs(root, workdir):
+        out = os.path.join(workdir, name)
+        os.makedirs(out)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from popdyn.cli import main;"
+             " sys.exit(main(sys.argv[1:]))",
+             *(a.format(out=name) for a in cli_args)],
+            env=env, cwd=workdir, capture_output=True, text=True)
+        if cli_args[0] == "probe":
+            with open(os.path.join(out, "stdout.json"), "w") as fh:
+                fh.write(proc.stdout)
+        for path in sorted(glob.glob(os.path.join(out, "*"))):
+            yield name, proc.returncode, path
+
+
+def _json_leaves(value, key=""):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _json_leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _json_leaves(v, key)
+    else:
+        yield key, value
+
+
+def _values(path):
+    """(group, value) pairs of one output file, in file order."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    try:
+        if path.endswith(".csv"):
+            header, *rows = csv.reader(io.StringIO(text))
+            groups = [re.sub(r"(_\d+)+$", "", c) for c in header]
+            return [pair for row in rows for pair in zip(groups, row)]
+        if path.endswith(".json"):
+            return list(_json_leaves(json.loads(text)))
+    except ValueError:   # empty or malformed: compared line by line
+        pass
+    return [("line", line) for line in text.splitlines()]
+
+
+def _number(value):
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _compare(path_a, path_b):
+    """Per group: the largest absolute and relative difference of numbers
+    and the count of other values that differ; None if the files' values do
+    not line up."""
+    a, b = _values(path_a), _values(path_b)
+    if [g for g, _ in a] != [g for g, _ in b]:
+        return None
+    groups = {}
+    for (group, x), (_, y) in zip(a, b):
+        diff = groups.setdefault(group, {"max_abs": 0.0, "max_rel": 0.0,
+                                         "other": 0})
+        u, v = _number(x), _number(y)
+        if (u is None or v is None
+                or not (math.isfinite(u) and math.isfinite(v))):
+            diff["other"] += str(x) != str(y)   # text, NaN or infinity
+        elif u != v:
+            gap = abs(u - v)
+            diff["max_abs"] = max(diff["max_abs"], gap)
+            diff["max_rel"] = max(diff["max_rel"], gap / max(abs(u), abs(v)))
+    return {g: d for g, d in groups.items()
+            if d["max_abs"] or d["other"]}
+
+
+def _against(root, other, tmp):
+    """Print one comparison line per output file of either checkout; True
+    if every output is identical."""
+    sides = [{(n, os.path.basename(p)): (c, p)
+              for n, c, p in _outputs(r, os.path.join(tmp, side))}
+             for r, side in ((root, "this"), (other, "against"))]
+    same_all = True
+    for key in sorted(sides[0].keys() | sides[1].keys()):
+        (code, path), (code_b, path_b) = (s.get(key, (None, None)) for s in sides)
+        same = (code == code_b and path is not None and path_b is not None
+                and _sha256(path) == _sha256(path_b))
+        line = {"run": key[0], "file": key[1], "exit": [code, code_b],
+                "same": same}
+        if not same and path is not None and path_b is not None:
+            line["groups"] = _compare(path, path_b)
+        print(json.dumps(line), flush=True)
+        same_all &= same
+    return same_all
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=os.path.dirname(HERE),
                         help="checkout whose src/ is run (default: this one)")
+    parser.add_argument("--against", metavar="OTHER",
+                        help="compare with checkout OTHER, value by value")
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
-    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as tmp:
-        for name, cli_args in _runs(root, tmp):
-            out = os.path.join(tmp, name)
-            os.makedirs(out)
-            proc = subprocess.run(
-                [sys.executable, "-c", "import sys; from popdyn.cli import main;"
-                 " sys.exit(main(sys.argv[1:]))",
-                 *(a.format(out=name) for a in cli_args)],
-                env=env, cwd=tmp, capture_output=True, text=True)
-            if cli_args[0] == "probe":
-                with open(os.path.join(out, "stdout.json"), "w") as fh:
-                    fh.write(proc.stdout)
-            for path in sorted(glob.glob(os.path.join(out, "*"))):
-                print(json.dumps({"run": name, "exit": proc.returncode,
-                                  "file": os.path.basename(path),
-                                  "sha256": _sha256(path),
-                                  "bytes": os.path.getsize(path)}), flush=True)
+        if args.against is not None:
+            return 0 if _against(root, os.path.abspath(args.against), tmp) else 1
+        for name, code, path in _outputs(root, tmp):
+            print(json.dumps({"run": name, "exit": code,
+                              "file": os.path.basename(path),
+                              "sha256": _sha256(path),
+                              "bytes": os.path.getsize(path)}), flush=True)
     return 0
 
 
