@@ -25,7 +25,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .engine import _probe_batch, _watched_steps, perturb, simulate
+from .engine import (PERTURB_TARGETS, _probe_batch, _watched_steps, perturb,
+                     simulate)
 from .equilibria import (
     DEFAULT_BUDGET,
     ZERO_TOL,
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma", type=_sigma, default=0.0,
                      help="perturb the initial state before simulating")
     sim.add_argument("--perturb-target", default="theta_only",
-                     choices=["theta_only", "alpha_only", "both"])
+                     choices=PERTURB_TARGETS)
     sim.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sim.set_defaults(func=cmd_simulate)
 
@@ -387,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     prb.add_argument("--sigma", type=_sigma, default=1e-3)
     prb.add_argument("--trials", type=int, default=10)
     prb.add_argument("--seed", type=int, default=None)
-    prb.add_argument("--perturb-target", default="both",
-                     choices=["theta_only", "alpha_only", "both"])
+    prb.add_argument("--perturb-target", default="both", choices=PERTURB_TARGETS)
     prb.set_defaults(func=cmd_probe)
 
     return parser

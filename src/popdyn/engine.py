@@ -39,6 +39,7 @@ SCHEDULE_KINDS = (
     "round_robin_learners",
     "custom_order",
 )
+PERTURB_TARGETS = ("theta_only", "alpha_only", "both")
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,30 @@ class UpdateSchedule:
                 if len(set(val)) != len(val):
                     raise ValueError(f"{name} repeats an index: {val}")
                 object.__setattr__(self, name, val)
+
+    def cycle(self, n: int, m: int) -> tuple:
+        """The schedule resolved for n subpopulations and m learners: one
+        entry (rows, learners, count) per step of its period, entry t % len
+        at step t.  rows indexes the rows of alpha that update (a slice when
+        all do), learners is the (m,) mask of scheduled learners and count
+        how many it marks.  An index out of range is a ValueError."""
+        cycled = {"round_robin_subpops": n, "round_robin_learners": m}
+        for name, size in (("order", cycled.get(self.kind)),
+                           ("subpops", n), ("learners", m)):
+            for k, i in enumerate(getattr(self, name) or ()):
+                if size is not None and i >= size:
+                    raise ValueError(
+                        f"schedule.{name}[{k}] must be < {size}, got {i}")
+        every = np.ones(m, bool)
+        if self.kind == "round_robin_subpops":
+            return tuple(([i], every, m) for i in self.order or range(n))
+        if self.kind == "round_robin_learners":
+            return tuple((slice(None), np.arange(m) == j, 1)
+                         for j in self.order or range(m))
+        if self.kind == "custom_order":
+            learners = np.isin(np.arange(m), self.learners or ())
+            return ((list(self.subpops or ()), learners, int(learners.sum())),)
+        return ((slice(None), every, m),)
 
 
 @dataclass(frozen=True)
@@ -106,29 +131,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _subpop_subset(schedule: Optional[UpdateSchedule], t: int, n: int):
-    # an index selecting the rows of alpha that update at step t
-    if schedule is None or schedule.kind == "all_sequential":
-        return slice(None)  # all rows
-    if schedule.kind == "round_robin_subpops":
-        order = schedule.order or tuple(range(n))
-        return [order[t % len(order)]]
-    if schedule.kind == "round_robin_learners":
-        return slice(None)
-    return list(schedule.subpops or ())
-
-
-def _learner_subset(schedule: Optional[UpdateSchedule], t: int, m: int):
-    if schedule is None or schedule.kind == "all_sequential":
-        return range(m)  # all columns
-    if schedule.kind == "round_robin_learners":
-        order = schedule.order or tuple(range(m))
-        return (order[t % len(order)],)
-    if schedule.kind == "round_robin_subpops":
-        return range(m)
-    return schedule.learners or ()
-
-
 def _mwud_rows(alpha, R, gamma, comparison):
     # every row at once; tests/reference.py has the one-row mwud_step
     cost = gamma * R
@@ -162,7 +164,7 @@ def _best_response_rows(alpha, R, tie_tolerance, tie_policy):
 
 def _update_alpha(alpha, R, scenario: Scenario, t: int):
     rule = scenario.subpop_rule
-    rows = _subpop_subset(scenario.schedule, t, scenario.n)
+    rows = scenario._cycle[t % len(scenario._cycle)][0]
     a, r = alpha[..., rows, :], R[..., rows, :]
     if rule.kind == "mwud":
         out = _mwud_rows(a, r, rule.gamma, rule.comparison)
@@ -179,39 +181,32 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
     """Returns (theta', frozen count, masses beta @ alpha) per trial, for
     alpha (..., n, m) and theta (..., m, d).
 
-    One kernel call updates every (trial, learner) pair on the weights
-    W = beta_i alpha_ij.  A pair is held back when the schedule skips its
-    learner at step t or the learner is empty (mass below EMPTY_MASS_TOL);
-    only then are the updating pairs gathered and scattered back, and a held
-    pair keeps its theta exactly.  With no pair updating, theta itself is
-    returned."""
+    One kernel call on the whole batch, with weights W = beta_i alpha_ij,
+    updates every (trial, learner) pair but the held ones: those whose
+    learner the schedule skips at step t or is empty (mass below
+    EMPTY_MASS_TOL).  A held pair keeps its theta exactly: full_min holds
+    it inside the kernel and a gradient step moves it by zero.  No pair's
+    arithmetic depends on another's, so a trial's update is the same in any
+    batch.  With no pair updating, theta itself is returned."""
     rule = scenario.learner_rule
-    indices = list(_learner_subset(scenario.schedule, t, scenario.m))
-    scheduled = np.zeros(scenario.m, bool)
-    scheduled[indices] = True
+    _, scheduled, count = scenario._cycle[t % len(scenario._cycle)]
     masses = scenario.beta @ alpha
     updating = scheduled & (masses >= EMPTY_MASS_TOL)
-    frozen = len(indices) - updating.sum(axis=-1)
-    W, th, mass = alpha * scenario.beta[:, None], theta, masses[..., None]
-    held = not updating.all()
-    if held:
-        if not updating.any():
-            return theta, frozen, masses
-        # the updating pairs' weight columns (n, k), parameters and masses
-        W, th, mass = W.swapaxes(-1, -2)[updating].T, th[updating], mass[updating]
+    frozen = count - updating.sum(axis=-1)
+    hold = None if updating.all() else ~updating
+    if hold is not None and hold.all():
+        return theta, frozen, masses
+    W = alpha * scenario.beta[:, None]
     if rule.kind == "full_min":
-        th = minimize_mixtures(scenario, W, rule.tolerance, rule.max_iterations,
-                               start=th)
-    else:
-        # each step moves down the mass-normalized mixture gradient
-        scale = step_size(t, rule) / mass
-        for _ in range(rule.inner_steps):
-            th = th - scale * mixture_gradients(scenario, W, th)
-    if not held:
-        return th, frozen, masses
-    new = theta.copy()
-    new[updating] = th
-    return new, frozen, masses
+        return (minimize_mixtures(scenario, W, rule.tolerance, rule.max_iterations,
+                                  start=theta, hold=hold), frozen, masses)
+    # each step moves down the mass-normalized gradient; a held pair's step is 0
+    gamma = step_size(t, rule)
+    scale = (gamma / masses if hold is None else np.divide(
+        gamma, masses, out=np.zeros_like(masses), where=updating))[..., None]
+    for _ in range(rule.inner_steps):
+        theta = theta - scale * mixture_gradients(scenario, W, theta)
+    return theta, frozen, masses
 
 
 def _core_step(alpha, theta, t, scenario, R, labels=None):
@@ -343,8 +338,7 @@ def perturb(state: SystemState, sigma: float, seed, target: str = "both") -> Sys
     Deterministic in seed.
     """
     require_number(sigma, "sigma", 0)
-    if target not in ("theta_only", "alpha_only", "both"):
-        raise ValueError(f"unknown perturbation target {target!r}")
+    require_choice(target, "target", PERTURB_TARGETS)
     if sigma == 0:
         return state
     rng = np.random.default_rng(seed)

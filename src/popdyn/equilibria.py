@@ -124,12 +124,9 @@ class EquilibriumReport:
 
 
 def _minimizers(alpha: np.ndarray, beta: np.ndarray, scenario: Scenario) -> tuple:
-    """Per-learner minimizers of the observed mixtures; empty learners flagged."""
-    W = alpha * beta[:, None]
-    empty = W.sum(axis=0) < EMPTY_MASS_TOL
-    theta = np.zeros((alpha.shape[1], scenario.d))
-    theta[~empty] = minimize_mixtures(scenario, W[:, ~empty])
-    return theta, empty
+    """Per-learner minimizers of the observed mixtures; empty learners at 0."""
+    empty = beta @ alpha < EMPTY_MASS_TOL
+    return minimize_mixtures(scenario, alpha * beta[:, None], hold=empty), empty
 
 
 def potential_value(alpha, scenario: Scenario) -> float:

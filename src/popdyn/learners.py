@@ -72,9 +72,9 @@ def step_size(t: int, rule: LearnerRule) -> float:
 
 
 def _gradient_sum(weights, risks, theta):
-    # sum_i w_i grad R_i(theta) over the nonzero weights
-    return sum(wi * risk_gradient(r, theta)
-               for wi, r in zip(weights, risks) if wi != 0.0)
+    # sum_i w_i grad R_i(theta) over the nonzero weights; 0 for none
+    return sum((wi * risk_gradient(r, theta) for wi, r in zip(weights, risks)
+                if wi != 0.0), np.zeros(len(theta)))
 
 
 def mixture_gradients(scenario, W, theta) -> np.ndarray:
@@ -150,18 +150,28 @@ def group_minimize(weights, risks, tolerance: float = 1e-10,
 
 
 def minimize_mixtures(scenario, W, tolerance: float = 1e-10,
-                      max_iterations: int = 100, start=None) -> np.ndarray:
+                      max_iterations: int = 100, start=None,
+                      hold=None) -> np.ndarray:
     """Minimizers (..., k, d) of the mixtures weighted by the columns of W
-    (..., n, k), each of positive mass: one batched normal-equation solve for
-    quadratics, else group_minimize per column, from the matching row of
-    start (..., k, d) if given.  Leading axes index batches."""
+    (..., n, k): one batched normal-equation solve for quadratics, else
+    group_minimize per column, from the matching row of start (..., k, d)
+    if given.  A column marked in hold (..., k) is not minimized and may
+    have any mass: it returns its row of start exactly, or 0 without a
+    start.  Every other column needs positive mass.  Leading axes index
+    batches."""
     if scenario._quad is not None:
         H, b = scenario.normal_equations(W)
+        if hold is not None:
+            # a held column solves I x = start, which LAPACK returns exactly
+            H = np.where(hold[..., None, None], np.eye(scenario.d), H)
+            b = np.where(hold[..., None], 0.0 if start is None else start, b)
         return np.linalg.solve(H, b[..., None])[..., 0]
     cols = W.swapaxes(-1, -2).reshape(-1, W.shape[-2])
     starts = ([None] * len(cols) if start is None
               else np.reshape(start, (-1, scenario.d)))
-    thetas = [group_minimize(w, scenario.risks, tolerance=tolerance,
+    held = np.zeros(len(cols), bool) if hold is None else np.ravel(hold)
+    thetas = [(np.zeros(scenario.d) if s is None else s) if h else
+              group_minimize(w, scenario.risks, tolerance=tolerance,
                              max_iterations=max_iterations, start=s)
-              for w, s in zip(cols, starts)]
+              for w, s, h in zip(cols, starts, held)]
     return np.array(thetas).reshape(*W.shape[:-2], W.shape[-1], scenario.d)

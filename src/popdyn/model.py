@@ -215,15 +215,10 @@ class Scenario:
             raise ValueError(
                 f"m: need 1 <= m <= n, got m={self.m}, n={beta.shape[0]}"
             )
-        if self.schedule is not None:
-            sched, n = self.schedule, beta.shape[0]
-            cycled = {"round_robin_subpops": n, "round_robin_learners": self.m}
-            for name, size in (("order", cycled.get(sched.kind)),
-                               ("subpops", n), ("learners", self.m)):
-                for k, i in enumerate(getattr(sched, name) or ()):
-                    if size is not None and i >= size:
-                        raise ValueError(
-                            f"schedule.{name}[{k}] must be < {size}, got {i}")
+        from .engine import UpdateSchedule   # engine imports this module
+        # the engine reads entry t % len at step t
+        object.__setattr__(self, "_cycle", (self.schedule or UpdateSchedule())
+                           .cycle(beta.shape[0], self.m))
 
     @property
     def n(self) -> int:
@@ -292,24 +287,26 @@ class Scenario:
         return self._quad[0]
 
 
-def validate_allocation(alpha, n: int, m: int, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Check alpha is an n x m row-stochastic matrix; returns it as float array."""
+def validate_allocation(alpha, n: int, m: int) -> np.ndarray:
+    """Check alpha is an n x m row-stochastic matrix within SIMPLEX_TOL;
+    returns it as float array."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (n, m):
         raise DimensionError(f"alpha: expected shape ({n},{m}), got {alpha.shape}")
     if not np.all(np.isfinite(alpha)):
         i, j = np.argwhere(~np.isfinite(alpha))[0]
         raise SimplexError(f"alpha[{i},{j}]={alpha[i, j]!r} is not finite")
-    if np.any(alpha < -tol) or np.any(alpha > 1 + tol):
+    if np.any(alpha < -SIMPLEX_TOL) or np.any(alpha > 1 + SIMPLEX_TOL):
         i, j = np.unravel_index(
             np.argmax(np.abs(alpha - np.clip(alpha, 0, 1))), alpha.shape
         )
         raise SimplexError(f"alpha[{i},{j}]={alpha[i, j]!r} outside [0,1]")
     sums = alpha.sum(axis=1)
-    bad = np.abs(sums - 1.0) > tol
+    bad = np.abs(sums - 1.0) > SIMPLEX_TOL
     if np.any(bad):
         i = int(np.argmax(np.abs(sums - 1.0)))
-        raise SimplexError(f"row {i} sums to {sums[i]!r}, expected 1 within {tol}")
+        raise SimplexError(f"row {i} sums to {sums[i]!r}, expected 1 "
+                           f"within {SIMPLEX_TOL}")
     return alpha
 
 

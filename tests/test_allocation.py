@@ -14,9 +14,10 @@ from reference import best_response_step, mwud_step, subpop_avg_risk
 
 
 def _engine_row(rule, alpha_row, risk_vector):
-    # engine._update_alpha on one row; it reads only the rule and schedule of
-    # its scenario, and a real one-row Scenario cannot have m > 1 learners
-    sc = SimpleNamespace(subpop_rule=rule, schedule=None, n=1)
+    # engine._update_alpha on one row; it reads only the rule and the cycle
+    # entry of its scenario, and a real one-row Scenario cannot have m > 1
+    # learners
+    sc = SimpleNamespace(subpop_rule=rule, _cycle=((slice(None), None, None),))
     return _update_alpha(np.array([alpha_row], dtype=float),
                          np.array([risk_vector], dtype=float), sc, 0)[0]
 

@@ -467,6 +467,11 @@ class TestPerturb:
         assert np.array_equal(a_only.theta, s0.theta)
         assert not np.array_equal(a_only.alpha, s0.alpha)
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3])
+    def test_unknown_target_rejected(self, three_centers, sigma):
+        with pytest.raises(ValueError, match="target must be one of"):
+            perturb(three_centers.initial_state, sigma, seed=3, target="theta")
+
     def test_alpha_rows_stay_on_simplex_and_interior(self):
         # vertex rows must pick up strictly positive mass everywhere, or the
         # multiplicative dynamics could never witness instability
@@ -610,8 +615,9 @@ class TestBatchedProbeAgainstSerial:
 
         def spy(alpha, theta, t, scenario, R, labels=None):
             out = real(alpha, theta, t, scenario, R, labels)
-            for k, total in zip(labels, out[3].sum(-1) @ scenario.beta):
-                per_trial.setdefault(int(k), []).append(total)
+            # each trial's total summed as total_risk sums one state's
+            for k, Q in zip(labels, out[3]):
+                per_trial.setdefault(int(k), []).append(Q.sum(-1) @ scenario.beta)
             return out
 
         with mock.patch.object(engine, "_core_step", spy):
@@ -622,11 +628,10 @@ class TestBatchedProbeAgainstSerial:
                                              max_steps, 1e-4)
             assert {key: record[key] for key in ("returned", "steps", "escaped_at")} \
                 == {key: expected[key] for key in ("returned", "steps", "escaped_at")}
-            assert record["distance"] == pytest.approx(expected["distance"],
-                                                       rel=0, abs=1e-12)
+            assert record["distance"] == expected["distance"]
             # a finished trial takes no further step
             assert len(per_trial[k]) == record["steps"]
-            assert np.abs(np.array(per_trial[k]) - totals).max() <= 1e-12
+            assert per_trial[k] == totals
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 3), st.integers(0, 3),
@@ -688,6 +693,48 @@ class TestBatchedProbeAgainstSerial:
             self._check(sc, eq_state, 1e-2, 6, 11, "theta_only", 60)
         first = empty[0]   # emptiness after the first step, per trial
         assert all(first[:, j].any() and not first[:, j].all() for j in (0, 1))
+
+
+class TestBatchIndependence:
+    """A trial steps as it would alone: in a batch of K trials, each one's
+    alpha, theta and products Q equal those of its own K=1 run, bit for
+    bit, whatever the schedule holds and whichever learners are empty."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(engine.SCHEDULE_KINDS),
+           st.sampled_from(["full_min", "repeated_gd"]), st.booleans(),
+           st.integers(3, 4))
+    def test_every_trial_matches_its_solo_run(self, seed, schedule_kind,
+                                              learner, custom, K):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(2, min(3, n) + 1))
+        sc = random_scenario(rng, n, m, int(rng.integers(1, 3)), learner=learner)
+        if custom:   # the same step rules as the probe test's custom risks
+            sc = replace(sc, risks=tuple(_custom_quadratic(r.center, r.offset)
+                                         for r in sc.risks),
+                         learner_rule=full_min(tolerance=1e-6)
+                         if learner == "full_min" else repeated_gd(base=0.45))
+        subpops, learners = (tuple(int(i) for i in np.flatnonzero(
+            rng.random(size) < 0.5)) for size in (n, m))
+        sc = replace(sc, subpop_rule=TestBatchedProbeAgainstSerial.RULES[
+                         int(rng.integers(4))],
+                     schedule=UpdateSchedule(kind=schedule_kind, subpops=subpops,
+                                             learners=learners))
+        alpha = rng.dirichlet(np.ones(m), size=(K, n))
+        alpha[0, :, int(rng.integers(m))] = 0.0   # exactly empty in trial 0
+        alpha /= alpha.sum(axis=-1, keepdims=True)
+        theta = rng.uniform(-2.0, 2.0, (K, m, sc.d))
+
+        def run(alpha, theta):
+            steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0)
+            return [(a, th, Q) for a, th, _, Q, *_ in itertools.islice(steps, 40)]
+
+        batch = run(alpha, theta)
+        for k in range(K):
+            for got, alone in zip(batch, run(alpha[k:k + 1], theta[k:k + 1])):
+                for x, y in zip(got, alone):
+                    assert np.array_equal(x[k], y[0])
 
 
 class TestFreezeThreshold:
@@ -946,19 +993,11 @@ class TestFastPathEquivalence:
                      "custom_order": learners}[schedule_kind]
         empties = [[j for j in scheduled if not alpha[k, :, j].any()]
                    for k in range(K)]
-        pairs = [len(scheduled) - len(e) for e in empties]   # per trial
         theta2, frozen, _ = _update_theta(alpha, theta, sc, t)
         for k in range(K):
             one, one_frozen, _ = _update_theta(alpha[k], theta[k], sc, t)
             assert frozen[k] == one_frozen == len(empties[k])
-            # numpy multiplies a one-row matrix by a vector routine, whose
-            # rounding differs from a row of a matrix product; so a trial
-            # that updates one pair alone matches a batch that gathers
-            # several only to rounding
-            if pairs[k] != 1 or sum(pairs) == 1:
-                assert np.array_equal(theta2[k], one)
-            else:
-                assert np.abs(theta2[k] - one).max() <= 1e-12
+            assert np.array_equal(theta2[k], one)
             for j in range(m):
                 if j not in scheduled or j in empties[k]:
                     assert np.array_equal(theta2[k, j], theta[k, j])

@@ -167,6 +167,21 @@ class TestClassifyState:
         assert report.stability == "unstable"
         assert report.margin == pytest.approx(0.0)
 
+    def test_margin_inside_strict_margin_is_unstable(self):
+        # each subpopulation would lose only 5e-10 by switching: a strict
+        # preference, but not one beyond STRICT_MARGIN
+        sc = _line_scenario([0.0, np.sqrt(5e-10)], beta=[0.5, 0.5])
+        assignment = SplitAssignment((0, 1))
+        state = SystemState(alpha=assignment.to_alpha(2),
+                            theta=theta_for_assignment(assignment, sc))
+        report = classify_state(state, sc)
+        [row] = enumerate_split_equilibria(sc)
+        assert row.assignment == assignment
+        for r in (report, row):
+            assert 0 < r.margin <= STRICT_MARGIN
+            assert r.margin == pytest.approx(5e-10, rel=1e-6)
+            assert r.stability == "unstable"
+
     def test_non_equilibrium_interior_state(self):
         rng = np.random.default_rng(44)
         sc = random_scenario(rng, 3, 2, 1)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from popdyn import (
     risk_value,
     step_size,
 )
+from popdyn import learners
 from popdyn.learners import minimize_mixtures, mixture_gradients
 
 from conftest import random_scenario
@@ -326,6 +328,53 @@ class TestMinimizeMixtures:
         for j in range(k):
             expected = group_minimize(W[:, j], sc.risks, start=start[j])
             assert np.abs(out[j] - expected).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 5),
+           st.booleans(), st.booleans())
+    def test_held_columns_keep_their_start(self, seed, d, k, custom, started):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        sc = random_scenario(rng, n, 1, d)
+        if custom:
+            sc = replace(sc, risks=tuple(_as_custom(r) for r in sc.risks))
+        W = _mixture_weights(rng, n, k)
+        hold = rng.random(k) < 0.5
+        W[:, hold & (rng.random(k) < 0.5)] = 0.0   # held columns may be empty
+        start = rng.uniform(-3.0, 3.0, (k, d)) if started else None
+        minimized, real = [], learners.group_minimize
+
+        def spy(weights, *args, **kwargs):
+            minimized.append(np.array(weights))
+            return real(weights, *args, **kwargs)
+
+        with mock.patch.object(learners, "group_minimize", spy):
+            out = minimize_mixtures(sc, W, start=start, hold=hold)
+        assert out.shape == (k, d)
+        for j in range(k):
+            if hold[j]:
+                assert np.array_equal(out[j], start[j] if started else np.zeros(d))
+            else:
+                expected = full_minimize(W[:, j], np.ones(n), sc.risks)
+                assert np.abs(out[j] - expected).max() <= 1e-12
+        # group_minimize ran on the custom risks' non-held columns only
+        free = W[:, ~hold].T if custom else []
+        assert len(minimized) == len(free)
+        assert all(np.array_equal(a, b) for a, b in zip(minimized, free))
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_held_empty_column_does_not_raise(self, custom):
+        sc = Scenario(beta=np.array([0.5, 0.5]),
+                      risks=(quadratic_risk([0.0]), quadratic_risk([2.0])), m=2,
+                      subpop_rule=mwud(), learner_rule=full_min())
+        if custom:
+            sc = replace(sc, risks=tuple(_as_custom(r) for r in sc.risks))
+        W = np.array([[0.5, 0.0], [0.5, 0.0]])
+        out = minimize_mixtures(sc, W, hold=np.array([False, True]))
+        assert out.tolist() == [[1.0], [0.0]]
+        # unheld, the empty column is an error
+        with pytest.raises(EmptyLearnerError if custom else np.linalg.LinAlgError):
+            minimize_mixtures(sc, W)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_custom_risks_match_group_minimize(self, k):

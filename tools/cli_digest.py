@@ -6,7 +6,10 @@
 Runs, each in a fresh interpreter with CHECKOUT/src first on the path
 (CHECKOUT defaults to the checkout holding this script):
 
-- ``simulate`` on every shipped scenario;
+- ``simulate`` on every shipped scenario, and on two derived ones that
+  hold learners back: ``competition12`` under a ``round_robin_learners``
+  schedule, and ``three_centers`` started with every subpopulation on
+  learner 0, so that learner 1 is empty on every step;
 - ``competition`` on ``competition12`` (to m=12) and ``competition50``
   (to m=50);
 - ``probe`` on ``three_centers`` and ``competition12``;
@@ -63,6 +66,19 @@ def _runs(root, workdir):
         scenarios[os.path.basename(src)[:-5]] = path
     runs = [(f"simulate-{name}", ["simulate", path, "--out", "{out}"])
             for name, path in scenarios.items()]
+    for base, name, change in (
+            ("competition12", "round_robin_learners",
+             {"schedule": {"kind": "round_robin_learners"}}),
+            ("three_centers", "empty_learner",
+             {"initial_alpha": {"kind": "explicit",
+                                "alpha": [[1, 0], [1, 0], [1, 0]]}})):
+        with open(os.path.join(workdir, scenarios[base])) as fh:
+            document = {**json.load(fh), **change}
+        path = os.path.join("scenarios", f"{base}-{name}.json")
+        with open(os.path.join(workdir, path), "w") as fh:
+            json.dump(document, fh, indent=2)
+        runs.append((f"simulate-{base}-{name}",
+                     ["simulate", path, "--out", "{out}"]))
     runs += [(f"competition-{name}", ["competition", scenarios[name],
                                       "--target-m", str(m), "--out", "{out}"])
              for name, m in (("competition12", 12), ("competition50", 50))]
