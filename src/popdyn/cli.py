@@ -32,13 +32,14 @@ from .equilibria import (
     ZERO_TOL,
     SplitAssignment,
     _split_rows,
+    _subpop_gradient_norms,
     classify_state,
     split_learner,
     theta_for_assignment,
 )
 from .errors import BudgetError, MonotonicityError, PopdynError
 from .goldens import golden_rows
-from .model import MONOTONE_TOL, SystemState, require_number, risk_gradient
+from .model import MONOTONE_TOL, SystemState, require_number
 from .scenario_io import (
     SCHEMA_VERSION,
     STREAM_PERTURB,
@@ -229,9 +230,8 @@ def cmd_competition(args) -> int:
     seed = args.seed if args.seed is not None else loaded.seed
     target_m = args.target_m
     if not scenario.m < target_m <= scenario.n:
-        print(f"error: need initial m={scenario.m} < target-m <= n={scenario.n}",
-              file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(
+            f"need initial m={scenario.m} < target-m <= n={scenario.n}")
     max_steps = loaded.max_steps if args.max_steps is None else args.max_steps
 
     header = (["phase", "m", "steps", "cumulative_steps", "total_risk",
@@ -256,11 +256,8 @@ def cmd_competition(args) -> int:
                         + list(per_subpop))
             break
         j = int(np.argmax(scenario.beta @ state.alpha))  # lowest index on ties
-        hypothesis = any(
-            float(np.linalg.norm(risk_gradient(scenario.risks[i],
-                                               state.theta[j]))) > ZERO_TOL
-            for i in range(scenario.n) if state.alpha[i, j] > ZERO_TOL
-        )
+        norms = _subpop_gradient_norms(scenario, state.theta)[:, j]
+        hypothesis = bool((norms[state.alpha[:, j] > ZERO_TOL] > ZERO_TOL).any())
         rows.append([phase, scenario.m, steps, cumulative, total,
                      float(per_subpop.max()), j, hypothesis]
                     + list(per_subpop))
@@ -309,8 +306,7 @@ def cmd_probe(args) -> int:
     elif args.state:
         state = load_state(args.state, scenario)
     else:
-        print("error: probe needs --state or --assignment", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("probe needs --state or --assignment")
     seed = args.seed if args.seed is not None else loaded.seed
     records = _probe_batch(scenario, state, args.sigma, args.trials, seed,
                            target=args.perturb_target)

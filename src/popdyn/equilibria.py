@@ -34,7 +34,6 @@ from .model import (
     Scenario,
     SystemState,
     require_number,
-    risk_gradient,
     validate_allocation,
     validate_state,
 )
@@ -155,21 +154,11 @@ def potential_gradient(alpha, scenario: Scenario) -> np.ndarray:
     return _potential_gradient_raw(alpha, scenario.beta, scenario)
 
 
-def split_certificate(R: np.ndarray, gamma_map) -> Optional[float]:
-    """Smallest slack min_{i, j != gamma(i)} R_i(theta_j) - R_i(theta_gamma(i)).
-
-    Positive margin means every subpopulation strictly prefers its own
-    learner.  None when there is a single learner (no comparisons exist).
-    """
-    if R.shape[1] == 1:
-        return None
-    return float(_split_margins(R.T, np.asarray(gamma_map))[1])
-
-
 def _split_margins(columns, gamma):
     """Own risks (..., n) and no-switching margins (...) of split
     assignments: columns[j] holds R_i(theta_j) and gamma the serving learner
-    of each subpopulation, both of shape (..., n).  One learner gives +inf."""
+    of each subpopulation, both of shape (..., n); the margin is the least
+    R_i(theta_j) - R_i(theta_gamma(i)) over j != gamma(i), +inf for m=1."""
     own = np.full(gamma.shape, np.nan)
     others = np.full(gamma.shape, np.inf)
     for j, col in enumerate(columns):
@@ -178,6 +167,15 @@ def _split_margins(columns, gamma):
         np.minimum(others, col, out=others, where=~mine)
     others -= own
     return own, others.min(axis=-1)
+
+
+def _subpop_gradient_norms(scenario: Scenario, theta) -> np.ndarray:
+    """Norms (n, k) of grad R_i(theta_j) for theta (k, d): one
+    mixture_gradients call whose batch i weighs subpopulation i alone."""
+    n, (k, d) = scenario.n, theta.shape
+    W = np.broadcast_to(np.eye(n)[:, :, None], (n, n, k))
+    G = mixture_gradients(scenario, W, np.broadcast_to(theta, (n, k, d)))
+    return np.linalg.norm(G, axis=-1)
 
 
 def classify_state(state: SystemState, scenario: Scenario,
@@ -195,8 +193,7 @@ def classify_state(state: SystemState, scenario: Scenario,
     is not an equilibrium.
     """
     validate_state(state, scenario)
-    alpha, theta = state.alpha, state.theta
-    beta, risks = scenario.beta, scenario.risks
+    alpha, theta, beta = state.alpha, state.theta, scenario.beta
     masses = beta @ alpha
 
     live = np.flatnonzero(masses >= EMPTY_MASS_TOL)
@@ -218,7 +215,7 @@ def classify_state(state: SystemState, scenario: Scenario,
     if (oracle_budget is not None
             and _stirling2(scenario.n, scenario.m) <= oracle_budget):
         totals = _split_catalog(scenario, True, oracle_budget)[1]
-        gap = total - float(totals[0])
+        gap = total - float(totals.min())
 
     binary = np.all((alpha <= ZERO_TOL) | (alpha >= 1 - ZERO_TOL))
     if binary and np.all(masses >= EMPTY_MASS_TOL):
@@ -226,15 +223,16 @@ def classify_state(state: SystemState, scenario: Scenario,
         # a learner can carry mass above the empty floor yet serve nobody at
         # ZERO_TOL resolution; such uncovered learners rule out stability
         uncovered = sorted(set(range(scenario.m)) - set(gamma_map))
-        margin = split_certificate(R, gamma_map)
-        stable = not uncovered and (margin is None or margin > STRICT_MARGIN)
+        margin = float(_split_margins(R.T, np.array(gamma_map))[1])
+        stable = not uncovered and margin > STRICT_MARGIN
         details = {"learner_gradient_norms": grad_norms}
         if uncovered:
             details["uncovered_learners"] = uncovered
         return EquilibriumReport(
             classification="split_market",
             stability="asymptotically_stable" if stable else "unstable",
-            total_risk=total, per_subpop_risks=per_subpop, margin=margin,
+            total_risk=total, per_subpop_risks=per_subpop,
+            margin=margin if scenario.m > 1 else None,
             welfare_gap=gap, assignment=SplitAssignment(gamma_map),
             details=details,
         )
@@ -242,15 +240,10 @@ def classify_state(state: SystemState, scenario: Scenario,
     support = alpha > ZERO_TOL
     multi_rows = np.where(support.sum(axis=1) >= 2)[0]
     if multi_rows.size > 0:
-        spreads = {}
-        opt_norms = {}
-        for i in multi_rows:
-            J = np.where(support[i])[0]
-            spreads[int(i)] = float(R[i, J].max() - R[i, J].min())
-            opt_norms[int(i)] = max(
-                float(np.linalg.norm(risk_gradient(risks[i], theta[j])))
-                for j in J
-            )
+        norms = _subpop_gradient_norms(scenario, theta)
+        spreads = {int(i): float(np.ptp(R[i, support[i]])) for i in multi_rows}
+        opt_norms = {int(i): float(norms[i, support[i]].max())
+                     for i in multi_rows}
         risk_equivalent = max(spreads.values()) <= ZERO_TOL
         optimal = max(opt_norms.values()) <= ZERO_TOL
         details = {
@@ -322,9 +315,9 @@ def _stirling2(n: int, m: int) -> int:
 
 
 def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
-    """Assignments (S, n), totals (S,), own risks (S, n) and no-switching
-    margins (S,) in enumerate_split_equilibria's order and under its budget
-    rule; row 0 is the welfare optimum."""
+    """Assignments (S, n) in _assignments order, totals (S,), group ids (S, m)
+    and group risks R[g, i] under enumerate_split_equilibria's budget rule;
+    the welfare optimum is totals.min()."""
     n, m = scenario.n, scenario.m
     required = _stirling2(n, m) if dedupe else m ** n
     if required > budget:
@@ -346,18 +339,19 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     totals = np.zeros(rows.shape[0])
     for j in range(m):
         totals += values[gid[:, j]]
-    order = np.argsort(totals, kind="stable")
-    rows, gid = rows[order], gid[order]
-    own, margins = _split_margins((R[gid[:, j]] for j in range(m)), rows)
-    return rows, totals[order], own, margins
+    return rows, totals, gid, R
 
 
 def _split_rows(scenario: Scenario, dedupe: bool, budget: int):
-    """(gamma_map, total, stability, margin, welfare_gap, own risks) for each
-    _split_catalog row: stable iff the margin exceeds STRICT_MARGIN, margin
-    None for a single learner, gap measured against the first row."""
-    rows, totals, own, margins = _split_catalog(scenario, dedupe, budget)
-    totals = totals.tolist()
+    """(gamma_map, total, stability, margin, welfare_gap, own risks) per
+    _split_catalog row, stably sorted by total: stable iff the margin exceeds
+    STRICT_MARGIN, margin None for one learner, gap against the first row."""
+    rows, totals, gid, R = _split_catalog(scenario, dedupe, budget)
+    order = np.argsort(totals, kind="stable")
+    rows, gid = rows[order], gid[order]
+    own, margins = _split_margins((R[gid[:, j]] for j in range(scenario.m)),
+                                  rows)
+    totals = totals[order].tolist()
     # one row list at a time: all S lists at once would add to the peak memory
     for gamma_map, total, margin, own_row in zip(
             map(np.ndarray.tolist, rows), totals, margins.tolist(), own):

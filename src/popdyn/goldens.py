@@ -82,7 +82,7 @@ def two_group_gap_curve(beta: float, eps: float = 0.01) -> dict:
     theta = theta_for_assignment(assignment, scenario)
     R = scenario.risk_matrix(theta)
     eq_risk = float(scenario.beta @ R[np.arange(3), [0, 1, 1]])
-    optimum = float(_split_catalog(scenario, True, DEFAULT_BUDGET)[1][0])
+    optimum = float(_split_catalog(scenario, True, DEFAULT_BUDGET)[1].min())
     return {
         "beta": beta,
         "eps": eps,

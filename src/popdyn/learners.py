@@ -157,15 +157,24 @@ def minimize_mixtures(scenario, W, tolerance: float = 1e-10,
     group_minimize per column, from the matching row of start (..., k, d)
     if given.  A column marked in hold (..., k) is not minimized and may
     have any mass: it returns its row of start exactly, or 0 without a
-    start.  Every other column needs positive mass.  Leading axes index
-    batches."""
+    start.  Every other column needs positive mass, or EmptyLearnerError
+    is raised.  Leading axes index batches."""
     if scenario._quad is not None:
         H, b = scenario.normal_equations(W)
         if hold is not None:
             # a held column solves I x = start, which LAPACK returns exactly
             H = np.where(hold[..., None, None], np.eye(scenario.d), H)
             b = np.where(hold[..., None], 0.0 if start is None else start, b)
-        return np.linalg.solve(H, b[..., None])[..., 0]
+        try:
+            return np.linalg.solve(H, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            empty = ~W.any(axis=-2) & (True if hold is None else ~hold)
+            if not empty.any():
+                raise
+            *batch, j = np.argwhere(empty)[0].tolist()
+            raise EmptyLearnerError(
+                f"mixture column W[{', '.join(map(str, [*batch, ':', j]))}] "
+                "has no positive weight") from None
     cols = W.swapaxes(-1, -2).reshape(-1, W.shape[-2])
     starts = ([None] * len(cols) if start is None
               else np.reshape(start, (-1, scenario.d)))

@@ -4,10 +4,14 @@ import pytest
 from popdyn import (
     Scenario,
     SystemState,
+    custom_risk,
     full_min,
     mwud,
     quadratic_risk,
     repeated_gd,
+    risk_gradient,
+    risk_hessian,
+    risk_value,
 )
 from popdyn.scenario_io import load_scenario, packaged_scenario
 
@@ -42,6 +46,13 @@ def random_scenario(rng, n, m, d, learner="full_min", gamma_range=(0.1, 5.0),
         rule = repeated_gd(base=0.45 / max_eig, form="harmonic")
     return Scenario(beta=beta, risks=tuple(risks), m=m,
                     subpop_rule=mwud(gamma), learner_rule=rule)
+
+
+def as_custom(risk):
+    """The same risk through the custom-risk callbacks."""
+    return custom_risk(risk.dim, lambda th: risk_value(risk, th),
+                       lambda th: risk_gradient(risk, th),
+                       lambda th: risk_hessian(risk, th))
 
 
 def random_state(rng, scenario):

@@ -368,10 +368,14 @@ class TestCompetition:
             cli._run_phase(loaded.scenario, loaded.initial_state,
                            loaded.detector, max_steps)
 
-    def test_invalid_target_exit_one(self, tmp_path):
+    def test_invalid_target_exit_one(self, tmp_path, capsys):
+        # three_centers has n=3 subpopulations and m=2 learners
         rc = main(["competition", THREE_CENTERS, "--target-m", "2",
                    "--out", str(tmp_path / "c")])
         assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: need initial m=2 < target-m <= n=3\n")
+        assert not (tmp_path / "c").exists()
 
     def test_cascade_is_translation_invariant(self, competition12_path,
                                               tmp_path):
@@ -622,8 +626,9 @@ class TestProbe:
         assert from_file["fraction_returned"] == 1.0
 
     def test_probe_requires_target_state(self, capsys):
-        rc = main(["probe", THREE_CENTERS])
-        assert rc == 1
+        assert main(["probe", THREE_CENTERS]) == 1
+        assert capsys.readouterr() == (
+            "", "error: probe needs --state or --assignment\n")
 
 
 class TestVersion:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from popdyn import (
     potential_gradient,
     potential_value,
     quadratic_risk,
+    risk_gradient,
     risk_value,
     simulate,
     split_learner,
@@ -33,7 +35,8 @@ from popdyn.equilibria import (
     DEFAULT_BUDGET,
     STRICT_MARGIN,
     _potential_gradient_raw,
-    split_certificate,
+    _split_catalog,
+    _subpop_gradient_norms,
 )
 from popdyn.goldens import (
     partition_pair_scenario,
@@ -42,7 +45,7 @@ from popdyn.goldens import (
 )
 from popdyn.model import EMPTY_MASS_TOL
 
-from conftest import random_scenario, random_state
+from conftest import as_custom, random_scenario, random_state
 from reference import convex_hulls_disjoint, full_minimize
 
 
@@ -419,10 +422,9 @@ def _reference_catalog(scenario, dedupe):
         theta = theta_for_assignment(SplitAssignment(gamma_map), scenario)
         R = scenario.risk_matrix(theta)
         own = R[np.arange(n), list(gamma_map)]
-        margin = split_certificate(R, gamma_map)
         slacks = [R[i, j] - own[i] for i in range(n) for j in range(m)
                   if j != gamma_map[i]]
-        assert margin == (min(slacks) if slacks else None)
+        margin = min(slacks) if slacks else None
         catalog[gamma_map] = (float(scenario.beta @ own), own, margin)
     return catalog
 
@@ -499,6 +501,60 @@ class TestEnumerateAgainstReference:
         maps = [r.assignment.gamma_map
                 for r in enumerate_split_equilibria(sc, dedupe=True)]
         assert maps == [(0, 0, 1), (0, 1, 1), (0, 1, 0)]
+
+
+class TestOptimumAndCertificates:
+    """classify_state reads the welfare optimum from the catalog's unsorted
+    totals and certifies a split with the margin kernel enumerate uses: both
+    agree with the sorted catalog bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.data(),
+           st.sampled_from([1, 2]), st.booleans(), st.booleans())
+    def test_classify_matches_the_catalog(self, seed, n, data, d, ties,
+                                          custom):
+        m = data.draw(st.integers(1, n))
+        sc = random_scenario(np.random.default_rng(seed), n, m, d)
+        if ties:   # two distinct risks at equal weights: exactly tied totals
+            sc = replace(sc, beta=np.full(n, 1.0 / n),
+                         risks=tuple(sc.risks[i % 2] for i in range(n)))
+        if custom:
+            sc = replace(sc, risks=tuple(as_custom(r) for r in sc.risks))
+        rows = {}
+        for dedupe in (False, True):
+            reports = enumerate_split_equilibria(sc, dedupe=dedupe)
+            totals = _split_catalog(sc, dedupe, DEFAULT_BUDGET)[1]
+            assert float(totals.min()) == reports[0].total_risk
+            rows.update((r.assignment.gamma_map, r) for r in reports)
+        optimum = reports[0].total_risk   # classify_state dedupes
+        for gamma_map, row in rows.items():
+            assignment = SplitAssignment(gamma_map)
+            state = SystemState(alpha=assignment.to_alpha(m),
+                                theta=theta_for_assignment(assignment, sc))
+            report = classify_state(state, sc, oracle_budget=DEFAULT_BUDGET)
+            assert report.welfare_gap == report.total_risk - optimum
+            assert report.margin == row.margin
+            assert report.stability == row.stability
+            if m == 1:
+                assert report.margin is None
+                assert report.stability == "asymptotically_stable"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 4),
+           st.booleans())
+    def test_subpop_gradient_norms_match_risk_gradient(self, seed, d, k,
+                                                       custom):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        sc = random_scenario(rng, n, 1, d, identity_curvature=False)
+        if custom:
+            sc = replace(sc, risks=tuple(as_custom(r) for r in sc.risks))
+        theta = rng.uniform(-3.0, 3.0, (k, d))
+        expected = np.array([[np.linalg.norm(risk_gradient(r, th))
+                              for th in theta] for r in sc.risks])
+        out = _subpop_gradient_norms(sc, theta)
+        assert out.shape == (n, k)
+        assert np.abs(out - expected).max() <= 1e-12 * max(1.0, expected.max())
 
 
 class TestWelfareGap:

@@ -13,13 +13,18 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
 - ``competition`` on ``competition12`` (to m=12) and ``competition50``
   (to m=50);
 - ``probe`` on ``three_centers`` and ``competition12``;
+- ``classify`` on ``three_centers`` at its split state (0, 1, 1) with the
+  optimal parameters and at its balanced initial state, and at that
+  balanced state on a copy whose risks have curvature [[2.0]], where the
+  subpopulation gradients are no longer those of identity curvature;
 - ``enumerate --dedupe`` on every shipped scenario with n <= 12;
 - ``goldens``.
 
 All runs start in one temporary directory, with relative paths, and write
-their outputs there; it is removed at the end.  Prints one JSON line per
+their outputs there, as do the derived scenarios and the state files that
+``classify`` reads; it is removed at the end.  Prints one JSON line per
 output file: the run's name, its exit code, the file and the file's sha256
-and size.  ``probe`` writes its result to standard output,
+and size.  ``probe`` and ``classify`` write their result to standard output,
 which is digested as ``stdout.json``.  Run it on two checkouts and diff the
 two outputs; the script uses the standard library only.
 
@@ -86,6 +91,7 @@ def _runs(root, workdir):
                                       "--assignment", "0,1,1"]),
              ("probe-competition12", ["probe", scenarios["competition12"],
                                       "--assignment", ",".join("0" * 6 + "1" * 6)])]
+    runs += _classify_runs(workdir, scenarios["three_centers"])
     for name, path in scenarios.items():
         with open(os.path.join(workdir, path)) as fh:
             n = len(json.load(fh)["population"]["betas"])
@@ -94,6 +100,33 @@ def _runs(root, workdir):
                                                "--out", "{out}/equilibria.csv"]))
     runs.append(("goldens", ["goldens", "--out", "{out}"]))
     return runs
+
+
+def _classify_runs(workdir, three_centers):
+    """classify runs on three_centers (centers 0, 1 and 2 at equal weights),
+    with their state files written to workdir/states."""
+    os.makedirs(os.path.join(workdir, "states"))
+    states = {
+        # group means: learner 0 serves center 0, learner 1 centers 1 and 2
+        "split": {"alpha": [[1, 0], [0, 1], [0, 1]], "theta": [[0.0], [1.5]]},
+        "balanced": {"alpha": [[0.5, 0.5]] * 3, "theta": [[1.0], [1.0]]},
+    }
+    for name, state in states.items():
+        with open(os.path.join(workdir, "states", f"{name}.json"), "w") as fh:
+            json.dump(state, fh)
+    with open(os.path.join(workdir, three_centers)) as fh:
+        document = json.load(fh)
+    for risk in document["population"]["risks"]:
+        risk["curvature"] = [[2.0]]
+    curved = os.path.join("scenarios", "three_centers-curvature2.json")
+    with open(os.path.join(workdir, curved), "w") as fh:
+        json.dump(document, fh, indent=2)
+    return [(f"classify-{label}", ["classify", path, "--state",
+                                   os.path.join("states", f"{state}.json")])
+            for label, path, state in (
+                ("three_centers-split", three_centers, "split"),
+                ("three_centers-balanced", three_centers, "balanced"),
+                ("three_centers-curvature2-balanced", curved, "balanced"))]
 
 
 def _sha256(path):
@@ -113,7 +146,7 @@ def _outputs(root, workdir):
              " sys.exit(main(sys.argv[1:]))",
              *(a.format(out=name) for a in cli_args)],
             env=env, cwd=workdir, capture_output=True, text=True)
-        if cli_args[0] == "probe":
+        if cli_args[0] in ("probe", "classify"):
             with open(os.path.join(out, "stdout.json"), "w") as fh:
                 fh.write(proc.stdout)
         for path in sorted(glob.glob(os.path.join(out, "*"))):
