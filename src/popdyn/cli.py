@@ -3,7 +3,8 @@
 Subcommands: simulate, classify, enumerate, competition, goldens, probe.
 All output files are written atomically (temp file + rename) so no command
 leaves partial CSV/JSON behind on failure.  Floats are written with 17
-significant digits; CSV follows RFC 4180 with '.' as the decimal separator.
+significant digits and '.' as the decimal separator.  CSV cells are never
+quoted because none needs it: numbers, dash-joined labels and fixed words.
 
 Exit codes: 0 success/converged/stable, 1 error, 2 max-steps without
 convergence, 3 risk-reducing violation (the total risk, or the average risk
@@ -15,8 +16,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
 import os
 import sys
@@ -29,9 +29,10 @@ from .engine import (PERTURB_TARGETS, _probe_batch, _watched_steps, perturb,
                      simulate)
 from .equilibria import (
     DEFAULT_BUDGET,
+    STRICT_MARGIN,
     ZERO_TOL,
     SplitAssignment,
-    _split_rows,
+    _split_ranking,
     _subpop_gradient_norms,
     classify_state,
     split_learner,
@@ -56,6 +57,8 @@ EXIT_NON_EQUILIBRIUM = 5
 EXIT_BUDGET = 6
 EXIT_GOLDEN_MISMATCH = 7
 
+CSV_CHUNK_CELLS = 1 << 15   # cells per %-template call: bounds those held
+
 
 def _fmt(x) -> str:
     if x is None:
@@ -69,13 +72,14 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, chunks) -> None:
+    """Temp file + rename: on any error, chunks' own too, path is untouched."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -83,34 +87,20 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _write_csv(path, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
-    _atomic_write(path, buf.getvalue())
+def _write_csv(path, header, line, count, cells) -> None:
+    """Header, then count rows in chunks of CSV_CHUNK_CELLS cells (one row at
+    least): cells(s) returns the rows of slice s as a 2-D array or row lists
+    whose cells fill line, one row's %-template."""
+    step = max(1, CSV_CHUNK_CELLS // line.count("%"))
+    blocks = (cells(slice(lo, lo + step)) for lo in range(0, count, step))
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], (
+        (line * len(block)) % tuple(np.asarray(block, object).ravel().tolist())
+        for block in blocks)))
 
 
-def _write_json(path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _trajectory_header(n, m, d):
-    return (["t", "total_risk"]
-            + [f"subpop_risk_{i + 1}" for i in range(n)]
-            + [f"learner_risk_{j + 1}" for j in range(m)]
-            + [f"alpha_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
-            + [f"theta_{j + 1}_{k + 1}" for j in range(m) for k in range(d)])
-
-
-def _trajectory_rows(traj):
-    for k, state in enumerate(traj.states):
-        yield ([state.t, traj.total_risks[k]]
-               + list(traj.subpop_risks[k])
-               + list(traj.learner_risks[k])
-               + list(state.alpha.ravel())
-               + list(state.theta.ravel()))
+def _write_table(path, header, rows) -> None:   # mixed types, via _fmt
+    _write_csv(path, header, ",".join(["%s"] * len(header)) + "\n", len(rows),
+               lambda s: [list(map(_fmt, row)) for row in rows[s]])
 
 
 def _summary(traj, scenario, budget):
@@ -137,7 +127,7 @@ def _summary(traj, scenario, budget):
         summary["welfare_gap"] = report.welfare_gap
     except PopdynError:
         pass
-    return summary
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_simulate(args) -> int:
@@ -158,9 +148,8 @@ def cmd_simulate(args) -> int:
     except MonotonicityError as exc:
         events.append(f"aborted: {exc}")
         _atomic_write(os.path.join(args.out, "events.log"),
-                      "\n".join(events) + "\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MONOTONE
+                      ["\n".join(events) + "\n"])
+        raise   # main reports it with EXIT_MONOTONE
 
     if traj.converged_at is not None:
         events.append(f"detector fired: quiet window starts at step "
@@ -171,12 +160,22 @@ def cmd_simulate(args) -> int:
         events.append(f"empty-learner freezes: {traj.frozen_learner_steps}")
 
     n, m, d = scenario.n, scenario.m, scenario.d
-    _write_csv(os.path.join(args.out, "trajectory.csv"),
-               _trajectory_header(n, m, d), _trajectory_rows(traj))
-    _write_json(os.path.join(args.out, "summary.json"),
-                _summary(traj, scenario, args.budget))
+    header = (["t", "total_risk"] + [f"subpop_risk_{i + 1}" for i in range(n)]
+              + [f"learner_risk_{j + 1}" for j in range(m)]
+              + [f"alpha_{i + 1}_{j + 1}" for i in range(n) for j in range(m)]
+              + [f"theta_{j + 1}_{k + 1}" for j in range(m) for k in range(d)])
+    _write_csv(os.path.join(args.out, "trajectory.csv"), header,
+               "%d" + ",%.17g" * (len(header) - 1) + "\n", len(traj.states),
+               lambda s: np.column_stack([
+                   np.array([x.t for x in traj.states[s]], dtype=object),
+                   traj.total_risks[s],
+                   traj.subpop_risks[s], traj.learner_risks[s],
+                   [x.alpha.ravel() for x in traj.states[s]],
+                   [x.theta.ravel() for x in traj.states[s]]]))
+    _atomic_write(os.path.join(args.out, "summary.json"),
+                  [_summary(traj, scenario, args.budget)])
     _atomic_write(os.path.join(args.out, "events.log"),
-                  "\n".join(events) + "\n")
+                  ["\n".join(events) + "\n"])
     return EXIT_OK if traj.converged_at is not None else EXIT_NO_CONVERGENCE
 
 
@@ -194,16 +193,20 @@ def cmd_classify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     loaded = load_scenario(args.scenario)
+    rows, totals, margins, _ = _split_ranking(loaded.scenario, args.dedupe,
+                                              args.budget)
     header = ["assignment", "total_risk", "classification", "stability",
               "margin", "welfare_gap"]
-    rows = [["-".join(map(str, gamma_map)), total, "split_market", stability,
-             margin, gap]
-            for gamma_map, total, stability, margin, gap, _ in _split_rows(
-                loaded.scenario, args.dedupe, args.budget)]
+    # one learner has no margin (+inf here): %.0s leaves its cell empty
+    line = ("-".join(["%d"] * rows.shape[1]) + ",%.17g,split_market,%s,"
+            + ("%.17g" if loaded.scenario.m > 1 else "%.0s") + ",%.17g\n")
     out = args.out or "equilibria.csv"
-    _write_csv(out, header, rows)
-    print(f"{len(rows)} assignments written to {out}; "
-          f"optimum total risk {rows[0][1]:.17g}")
+    _write_csv(out, header, line, len(totals), lambda s: np.column_stack([
+        rows[s].astype(object), totals[s], np.where(
+            margins[s] > STRICT_MARGIN, "asymptotically_stable", "unstable"),
+        margins[s], totals[s] - totals[0]]))
+    print(f"{len(totals)} assignments written to {out}; "
+          f"optimum total risk {totals[0]:.17g}")
     return EXIT_OK
 
 
@@ -269,7 +272,7 @@ def cmd_competition(args) -> int:
         state = SystemState(alpha=state.alpha, theta=theta, t=0)
         phase += 1
 
-    _write_csv(os.path.join(args.out, "competition.csv"), header, rows)
+    _write_table(os.path.join(args.out, "competition.csv"), header, rows)
     return EXIT_OK
 
 
@@ -278,7 +281,7 @@ def cmd_goldens(args) -> int:
               "ok"]
     rows = list(golden_rows())
     out = os.path.join(args.out, "goldens.csv")
-    _write_csv(out, header, rows)
+    _write_table(out, header, rows)
     failed = [row for row in rows if row[-1] is not None and not row[-1]]
     for row in failed:
         print("MISMATCH:", *map("=".join, zip(header, map(_fmt, row[:-1]))),

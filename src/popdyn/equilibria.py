@@ -342,23 +342,15 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     return rows, totals, gid, R
 
 
-def _split_rows(scenario: Scenario, dedupe: bool, budget: int):
-    """(gamma_map, total, stability, margin, welfare_gap, own risks) per
-    _split_catalog row, stably sorted by total: stable iff the margin exceeds
-    STRICT_MARGIN, margin None for one learner, gap against the first row."""
+def _split_ranking(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
+    """Assignments (S, n), totals, margins (+inf for one learner) and own
+    risks (S, n) of _split_catalog's rows, stably sorted by total."""
     rows, totals, gid, R = _split_catalog(scenario, dedupe, budget)
     order = np.argsort(totals, kind="stable")
     rows, gid = rows[order], gid[order]
     own, margins = _split_margins((R[gid[:, j]] for j in range(scenario.m)),
                                   rows)
-    totals = totals[order].tolist()
-    # one row list at a time: all S lists at once would add to the peak memory
-    for gamma_map, total, margin, own_row in zip(
-            map(np.ndarray.tolist, rows), totals, margins.tolist(), own):
-        stability = ("asymptotically_stable" if margin > STRICT_MARGIN
-                     else "unstable")
-        yield (gamma_map, total, stability,
-               margin if scenario.m > 1 else None, total - totals[0], own_row)
+    return rows, totals[order], margins, own
 
 
 def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
@@ -374,11 +366,16 @@ def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
     welfare_gap is measured against it.  BudgetError is raised when the
     assignments to visit, S(n, m) with dedupe and m**n without, exceed budget.
     """
-    return [EquilibriumReport("split_market", stability, total, own,
-                              margin=margin, welfare_gap=gap,
-                              assignment=SplitAssignment(gamma_map))
-            for gamma_map, total, stability, margin, gap, own
-            in _split_rows(scenario, dedupe, budget)]
+    rows, totals, margins, own = _split_ranking(scenario, dedupe, budget)
+    totals = totals.tolist()
+    return [EquilibriumReport(
+                "split_market",
+                "asymptotically_stable" if margin > STRICT_MARGIN else "unstable",
+                total, own_row, margin=margin if scenario.m > 1 else None,
+                welfare_gap=total - totals[0],
+                assignment=SplitAssignment(gamma_map))
+            for gamma_map, total, margin, own_row in zip(
+                map(np.ndarray.tolist, rows), totals, margins.tolist(), own)]
 
 
 def split_learner(state: SystemState, scenario: Scenario, j: int):

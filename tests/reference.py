@@ -10,8 +10,13 @@ so property tests can check the batched kernels against them.
 ``convex_hulls_disjoint`` is an independent oracle for stable split
 markets: a linear program tests whether the hulls of two learner groups'
 optima intersect.
+
+``csv_text`` is the CLI's CSV written the plain way: ``csv.writer`` with a
+cell rule per value type, one row at a time.
 """
 
+import csv
+import io
 import itertools
 from typing import Optional
 
@@ -215,3 +220,26 @@ def convex_hulls_disjoint(partition: SplitAssignment, centers) -> bool:
         if _hulls_intersect(centers[groups[a]], centers[groups[b]]):
             return False
     return True
+
+
+def csv_cell(x) -> str:
+    """The CLI's cell rule: None empty, bools 1/0, ints in full, every other
+    number with 17 significant digits."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+def csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([csv_cell(x) for x in row])
+    return buf.getvalue()

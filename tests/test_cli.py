@@ -1,9 +1,13 @@
 import csv
+import io
 import json
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popdyn import (
     EquilibriumDetector,
@@ -23,6 +27,8 @@ from popdyn.equilibria import (
     theta_for_assignment,
 )
 from popdyn.scenario_io import load_scenario, packaged_scenario
+
+from reference import csv_text
 
 THREE_CENTERS = str(packaged_scenario("three_centers"))
 TWO_GROUP = str(packaged_scenario("two_group_gap"))
@@ -306,6 +312,11 @@ class TestEnumerate:
                 assert float(row["margin"]) == report.margin
             assert row["stability"] == report.stability
             assert row["classification"] == report.classification
+        assert out.read_bytes() == csv_text(
+            list(rows[0]),
+            [["-".join(map(str, r.assignment.gamma_map)), r.total_risk,
+              r.classification, r.stability, r.margin, r.welfare_gap]
+             for r in reports]).encode()
 
     def test_oracle_builds_no_object_per_assignment(self, tmp_path,
                                                     monkeypatch):
@@ -339,6 +350,14 @@ class TestEnumerate:
                    "--out", str(tmp_path / "eq.csv")])
         assert rc == 6
         assert "8" in capsys.readouterr().err  # 2^3 assignments required
+
+    def test_budget_error_leaves_an_old_catalog_untouched(self, tmp_path):
+        out = tmp_path / "eq.csv"
+        out.write_bytes(b"old catalog\n")
+        assert main(["enumerate", TWO_GROUP, "--budget", "3",
+                     "--out", str(out)]) == 6
+        assert out.read_bytes() == b"old catalog\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestCompetition:
@@ -580,6 +599,80 @@ class TestGoldens:
         err = capsys.readouterr().err
         assert err.count("MISMATCH:") == 19
         assert "MISMATCH: golden=minority p1=0.050000000000000003" in err
+
+
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -5e-324, 1e-310, 2.2250738585072014e-308, 1.7e308,
+                     -1.7e308]),
+    st.floats())
+# per column kind: the writer's slot and the values drawn; a mixed column
+# holds cells rendered by _fmt, as competition and goldens write them
+COLUMNS = {
+    "float": ("%.17g", FLOATS),
+    "int": ("%d", st.integers()),
+    "mixed": ("%s", st.one_of(st.none(), st.booleans(), st.integers(),
+                              FLOATS)),
+}
+
+
+class TestCsvWriter:
+    # at least two columns: csv.writer quotes a row's one empty cell, and
+    # every CLI table has more than one column
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           kinds=st.lists(st.sampled_from(sorted(COLUMNS)), min_size=2,
+                          max_size=6))
+    def test_bytes_match_the_csv_module(self, tmp_path_factory, data, kinds):
+        # a few drawn rows repeated up to count, where count is 0, 1, 2 or
+        # a chunk's rows, one fewer, one more or twice and one more
+        chunk = cli.CSV_CHUNK_CELLS // len(kinds)
+        count = data.draw(st.sampled_from([0, 1, 2, chunk - 1, chunk,
+                                           chunk + 1, 2 * chunk + 1]))
+        pool = data.draw(st.lists(
+            st.tuples(*(COLUMNS[k][1] for k in kinds)), min_size=1,
+            max_size=5))
+        rows = [pool[i % len(pool)] for i in range(count)]
+        cells = np.array([[cli._fmt(x) if k == "mixed" else x
+                           for x, k in zip(row, kinds)] for row in rows],
+                         dtype=object)
+        header = [f"c{j}" for j in range(len(kinds))]
+        line = ",".join(COLUMNS[k][0] for k in kinds) + "\n"
+        path = tmp_path_factory.mktemp("csv") / "table.csv"
+        cli._write_csv(str(path), header, line, count, lambda s: cells[s])
+        assert path.read_bytes() == csv_text(header, rows).encode()
+
+    def test_no_cell_needs_quoting(self, tmp_path):
+        # the writer never quotes, so no cell may hold a comma, a quote or a
+        # newline: every file must split on "," and "\n" as csv reads it
+        assert main(["simulate", THREE_CENTERS, "--sigma", "1e-3",
+                     "--out", str(tmp_path / "simulate")]) == 0
+        assert main(["competition", THREE_CENTERS, "--target-m", "3",
+                     "--out", str(tmp_path / "competition")]) == 0
+        assert main(["goldens", "--out", str(tmp_path / "goldens")]) == 0
+        assert main(["enumerate", TWO_GROUP,
+                     "--out", str(tmp_path / "enumerate.csv")]) == 0
+        paths = sorted(tmp_path.rglob("*.csv"))
+        assert len(paths) == 4
+        for path in paths:
+            text = path.read_text()
+            assert text.endswith("\n") and '"' not in text and "\r" not in text
+            lines = [line.split(",") for line in text[:-1].split("\n")]
+            assert {len(cells) for cells in lines} == {len(lines[0])}
+            assert list(csv.reader(io.StringIO(text))) == lines
+
+    def test_failing_chunks_leave_the_target_untouched(self, tmp_path):
+        target = tmp_path / "table.csv"
+        target.write_bytes(b"old,table\n")
+
+        def chunks():
+            yield "new,table\n"
+            raise RuntimeError("second chunk failed")
+
+        with pytest.raises(RuntimeError, match="second chunk failed"):
+            cli._atomic_write(str(target), chunks())
+        assert target.read_bytes() == b"old,table\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestProbe:

@@ -225,6 +225,25 @@ class TestClassifyState:
         assert report.stability == "unstable"
         assert report.details["uncovered_learners"] == [1]
 
+    def test_uncovered_learner_blocks_stability_at_a_positive_margin(self):
+        # learner 2 holds 1e-9 shares of subpopulations 0 and 1 (above the
+        # empty-mass floor) yet serves nobody, while every no-switching
+        # inequality holds by about 24.94: only the uncovered learner makes
+        # this split unstable
+        sc = _line_scenario([0.0, 10.0, 10.5], m=3)
+        eps = 1e-9
+        alpha = np.array([[1.0 - eps, 0.0, eps], [0.0, 1.0 - eps, eps],
+                          [0.0, 1.0, 0.0]])
+        theta = np.vstack([
+            full_minimize(alpha[:, j], sc.beta, sc.risks) for j in range(3)
+        ])
+        np.testing.assert_allclose(theta.ravel(), [0.0, 10.25, 5.0], atol=1e-6)
+        report = classify_state(SystemState(alpha=alpha, theta=theta), sc)
+        assert report.classification == "split_market"
+        assert report.stability == "unstable"
+        assert report.margin == pytest.approx(24.9375, abs=1e-6)
+        assert report.details["uncovered_learners"] == [2]
+
     def test_single_learner_market_is_stable(self):
         sc = _line_scenario([0.0, 4.0], beta=[0.3, 0.7], m=1)
         state = SystemState(alpha=np.ones((2, 1)), theta=np.array([[2.8]]))

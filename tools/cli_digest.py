@@ -10,6 +10,7 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
   hold learners back: ``competition12`` under a ``round_robin_learners``
   schedule, and ``three_centers`` started with every subpopulation on
   learner 0, so that learner 1 is empty on every step;
+- ``simulate --sigma 1e-3`` on ``competition12``, a longer trajectory;
 - ``competition`` on ``competition12`` (to m=12) and ``competition50``
   (to m=50);
 - ``probe`` on ``three_centers`` and ``competition12``;
@@ -17,7 +18,10 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
   optimal parameters and at its balanced initial state, and at that
   balanced state on a copy whose risks have curvature [[2.0]], where the
   subpopulation gradients are no longer those of identity curvature;
-- ``enumerate --dedupe`` on every shipped scenario with n <= 12;
+- ``enumerate --dedupe`` on every shipped scenario with n <= 12, and on a
+  copy of ``three_centers`` with one learner, whose margin cells are empty;
+- ``enumerate`` without ``--dedupe`` on ``three_centers`` and
+  ``two_group_gap``;
 - ``goldens``.
 
 All runs start in one temporary directory, with relative paths, and write
@@ -77,13 +81,12 @@ def _runs(root, workdir):
             ("three_centers", "empty_learner",
              {"initial_alpha": {"kind": "explicit",
                                 "alpha": [[1, 0], [1, 0], [1, 0]]}})):
-        with open(os.path.join(workdir, scenarios[base])) as fh:
-            document = {**json.load(fh), **change}
-        path = os.path.join("scenarios", f"{base}-{name}.json")
-        with open(os.path.join(workdir, path), "w") as fh:
-            json.dump(document, fh, indent=2)
+        path = _derived(workdir, scenarios[base], name, change)
         runs.append((f"simulate-{base}-{name}",
                      ["simulate", path, "--out", "{out}"]))
+    runs.append(("simulate-competition12-sigma",
+                 ["simulate", scenarios["competition12"], "--sigma", "1e-3",
+                  "--out", "{out}"]))
     runs += [(f"competition-{name}", ["competition", scenarios[name],
                                       "--target-m", str(m), "--out", "{out}"])
              for name, m in (("competition12", 12), ("competition50", 50))]
@@ -98,8 +101,28 @@ def _runs(root, workdir):
         if n <= ENUMERATE_MAX_N:
             runs.append((f"enumerate-{name}", ["enumerate", path, "--dedupe",
                                                "--out", "{out}/equilibria.csv"]))
+    one_learner = _derived(workdir, scenarios["three_centers"], "m1", {
+        "learners": {"m": 1, "init": {"kind": "explicit", "theta": [[1.0]]}}})
+    runs.append(("enumerate-three_centers-m1", ["enumerate", one_learner,
+                                                "--dedupe", "--out",
+                                                "{out}/equilibria.csv"]))
+    runs += [(f"enumerate-{name}-all", ["enumerate", scenarios[name], "--out",
+                                        "{out}/equilibria.csv"])
+             for name in ("three_centers", "two_group_gap")]
     runs.append(("goldens", ["goldens", "--out", "{out}"]))
     return runs
+
+
+def _derived(workdir, path, name, change):
+    """Write a copy of the scenario at path (relative to workdir) with the
+    top-level keys of change replaced; returns the copy's relative path."""
+    with open(os.path.join(workdir, path)) as fh:
+        document = {**json.load(fh), **change}
+    base = os.path.splitext(os.path.basename(path))[0]
+    derived = os.path.join("scenarios", f"{base}-{name}.json")
+    with open(os.path.join(workdir, derived), "w") as fh:
+        json.dump(document, fh, indent=2)
+    return derived
 
 
 def _classify_runs(workdir, three_centers):
