@@ -209,30 +209,32 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
     return theta, frozen, masses
 
 
-def _core_step(alpha, theta, t, scenario, R, labels=None):
-    """Advance K trials one step; R must be the risk matrices at theta.
+def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
+               labels=None):
+    """Advance K trials one step; R must be the risk matrices at theta, and
+    rows_before = (alpha * R).sum(-1) and total_before = rows_before @ beta.
 
     The gate: the total risk, each subpopulation's average risk at theta
     (allocation half) and each learner's mixture risk at alpha' (learner
     half) may rise by at most MONOTONE_TOL, checked in that order.  Returns
-    (alpha', theta', R', Q, frozen): R' = R(theta'), Q = alpha' * R' whose
-    sums the gate compared (its total is Q.sum(-1) @ beta), and frozen (K,).
+    (alpha', theta', R', Q, rows, total, masses, frozen): R' = R(theta'),
+    Q = alpha' * R' and its sums that the gate compared, the next step's
+    sums before, and per trial beta @ alpha' and the frozen count.
     """
     beta = scenario.beta
-    rows_before = (alpha * R).sum(axis=-1)
     alpha2 = _update_alpha(alpha, R, scenario, t)
     theta2, frozen, masses = _update_theta(alpha2, theta, scenario, t)
     R2 = R if theta2 is theta else scenario.risk_matrix(theta2)
     P, Q = alpha2 * R, alpha2 * R2
-    total_before, total_after = rows_before @ beta, Q.sum(axis=-1) @ beta
-    rows_after = P.sum(axis=-1)
+    rows = Q.sum(axis=-1)
+    total_after, rows_after = rows @ beta, P.sum(axis=-1)
     gains = beta @ (Q - P)   # per learner: mass times mixture-risk change
     # each comparison is written so that a NaN trips it too
     ok = (total_after <= total_before + MONOTONE_TOL,
           rows_after <= rows_before + MONOTONE_TOL,
           gains <= MONOTONE_TOL * masses)
     if ok[0].all() and ok[1].all() and ok[2].all():
-        return alpha2, theta2, R2, Q, frozen
+        return alpha2, theta2, R2, Q, rows, total_after, masses, frozen
     h = next(h for h in range(3) if not ok[h].all())
     pos = tuple(np.argwhere(~ok[h])[0])   # (trial,) or (trial, index)
     before, after = ((total_before, total_after), (rows_before, rows_after),
@@ -247,18 +249,20 @@ def _core_step(alpha, theta, t, scenario, R, labels=None):
 def _steps(scenario: Scenario, alpha, theta, R, t: int, labels=None):
     """The step loop: endless sequential updates of K trials in lockstep
     from alpha (K, n, m), theta (K, m, d) and their risk matrices R at time
-    t.  Yields (alpha, theta, R, Q, frozen, delta) after each step: the
-    state _core_step checked, kept as it is since the rules return
-    normalized rows, its products Q = alpha * R, and per trial the frozen
-    count and delta = max(||alpha' - alpha||_inf, ||Theta' - Theta||_inf).
+    t.  Yields _core_step's (alpha, theta, R, Q, rows, total, masses,
+    frozen) and delta after each step: the state it checked, kept as it is
+    since the rules return normalized rows, what it returned beside it, and
+    per trial delta = max(||alpha' - alpha||_inf, ||Theta' - Theta||_inf).
     labels names the trials in a MonotonicityError."""
+    rows = (alpha * R).sum(axis=-1)
+    total = rows @ scenario.beta
     while True:
-        alpha2, theta2, R2, Q, frozen = _core_step(alpha, theta, t, scenario,
-                                                   R, labels)
+        alpha2, theta2, R, Q, rows, total, masses, frozen = _core_step(
+            alpha, theta, t, scenario, R, rows, total, labels)
         delta = np.maximum(np.abs(alpha2 - alpha).max(axis=(-2, -1)),
                            np.abs(theta2 - theta).max(axis=(-2, -1)))
-        alpha, theta, R, t = alpha2, theta2, R2, t + 1
-        yield alpha, theta, R, Q, frozen, delta
+        alpha, theta, t = alpha2, theta2, t + 1
+        yield alpha, theta, R, Q, rows, total, masses, frozen, delta
 
 
 def step(state: SystemState, scenario: Scenario) -> SystemState:
@@ -273,28 +277,28 @@ def step(state: SystemState, scenario: Scenario) -> SystemState:
 def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
                    detector: EquilibriumDetector):
     """_steps for one trial (alpha (n, m), theta (m, d)) under the detector's
-    quiet-window rule: yields (alpha, theta, R, Q, frozen, fired), fired
-    on a step that completes a window; the count then starts afresh."""
+    quiet-window rule: yields _steps' items for the trial, with in place of
+    delta fired, on a step that completes a window; the count then restarts."""
     quiet = 0
-    for alpha, theta, R, Q, frozen, delta in _steps(
+    for alpha, theta, R, Q, rows, total, masses, frozen, delta in _steps(
             scenario, alpha[None], theta[None], R[None], t):
         quiet = quiet + 1 if delta[0] <= detector.state_tolerance else 0
         fired = quiet == detector.window
-        yield alpha[0], theta[0], R[0], Q[0], int(frozen[0]), fired
+        yield (alpha[0], theta[0], R[0], Q[0], rows[0], total[0], masses[0],
+               int(frozen[0]), fired)
         if fired:
             quiet = 0
 
 
-def _record(alpha, Q, beta):
+def _record(Q, rows, total, masses, beta):
     """(total, subpopulation risks, learner risks, empty flags) of one state
-    from its products Q = alpha * R, summed as the gate sums them; a learner
-    of mass beta @ alpha below EMPTY_MASS_TOL is empty, with risk NaN."""
-    sub = Q.sum(axis=-1)
-    masses = beta @ alpha
+    from its products Q = alpha * R, their sums rows = Q.sum(-1) and
+    total = rows @ beta, and the learner masses beta @ alpha; a learner of
+    mass below EMPTY_MASS_TOL is empty, with risk NaN."""
     empty = masses < EMPTY_MASS_TOL
     learner = np.divide(beta @ Q, masses, out=np.full(masses.shape, np.nan),
                         where=~empty)
-    return sub @ beta, sub, learner, empty
+    return total, rows, learner, empty
 
 
 def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
@@ -310,15 +314,19 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     R = scenario.risk_matrix(theta)
 
     states = [SystemState(alpha=alpha, theta=theta, t=t0)]
-    records = [_record(alpha, alpha * R, scenario.beta)]
+    Q = alpha * R
+    rows = Q.sum(axis=-1)
+    records = [_record(Q, rows, rows @ scenario.beta, scenario.beta @ alpha,
+                       scenario.beta)]
     frozen_total = 0
     converged_at = None
 
     steps = _watched_steps(scenario, alpha, theta, R, t0, detector)
-    for k, (alpha, theta, R, Q, frozen, fired) in zip(range(max_steps), steps):
+    for k, (alpha, theta, _, *sums, frozen, fired) in zip(range(max_steps),
+                                                          steps):
         frozen_total += frozen
         states.append(SystemState(alpha=alpha, theta=theta, t=t0 + k + 1))
-        records.append(_record(alpha, Q, scenario.beta))
+        records.append(_record(*sums, scenario.beta))
         if fired:
             converged_at = k - detector.window + 1
             break
@@ -413,10 +421,9 @@ def _probe_batch(scenario, eq_state, sigma, trials, seed, target="both",
     distance = np.full(trials, np.nan)
     live, escaped, t = np.arange(trials), np.zeros(trials, bool), 0
     while live.size:   # each pass drops the trials that finished
-        for alpha, theta, R, Q, _, delta in _steps(
+        for alpha, theta, R, _, _, total, *_, delta in _steps(
                 scenario, alpha, theta, R, t, labels=live):
             t += 1
-            total = Q.sum(axis=-1) @ scenario.beta
             # Total risk is monotone, so dropping below the equilibrium level
             # is irreversible: the run can never return once clearly below it.
             escaped |= total < eq_risk - escape_tol

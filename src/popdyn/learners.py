@@ -158,13 +158,20 @@ def minimize_mixtures(scenario, W, tolerance: float = 1e-10,
     if given.  A column marked in hold (..., k) is not minimized and may
     have any mass: it returns its row of start exactly, or 0 without a
     start.  Every other column needs positive mass, or EmptyLearnerError
-    is raised.  Leading axes index batches."""
+    is raised.  Leading axes index batches.
+
+    With every curvature diagonal, so is H, and a positive diagonal is
+    solved as b / diag(H), which is what pivoted LU computes: LAPACK's bits,
+    but a -0.0 in b stays -0.0 where LAPACK may return +0.0."""
     if scenario._quad is not None:
         H, b = scenario.normal_equations(W)
         if hold is not None:
-            # a held column solves I x = start, which LAPACK returns exactly
+            # a held column solves I x = start, which returns start exactly
             H = np.where(hold[..., None, None], np.eye(scenario.d), H)
             b = np.where(hold[..., None], 0.0 if start is None else start, b)
+        h = H.diagonal(axis1=-2, axis2=-1)
+        if scenario._quad[4] and (h > 0.0).all():
+            return b / h
         try:
             return np.linalg.solve(H, b[..., None])[..., 0]
         except np.linalg.LinAlgError:

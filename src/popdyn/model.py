@@ -230,10 +230,13 @@ class Scenario:
 
     @cached_property
     def _quad(self):
-        """(phi, o, F, N) when every risk is quadratic, o the mean center.
-        With p_i = phi_i - o, row i of F is [vec(A_i), -2 A_i p_i,
+        """(phi, o, F, N, diagonal) when every risk is quadratic, o the mean
+        center.  With p_i = phi_i - o, row i of F is [vec(A_i), -2 A_i p_i,
         p_i^T A_i p_i + c_i], so R_i(theta) = F_i . [vec(t t^T), t, 1] at
-        t = theta - o; row i of N is [vec(A_i), A_i phi_i]."""
+        t = theta - o; row i of N is [vec(A_i), A_i phi_i].  diagonal: no
+        stored (symmetrized) A_i, so no H, has a nonzero off-diagonal entry;
+        minimize_mixtures then solves b / diag(H), LAPACK's bits but for a
+        -0.0 in b, which stays -0.0 where LAPACK may return +0.0."""
         if any(r.kind != "quadratic" for r in self.risks):
             return None
         A = np.stack([r.curvature for r in self.risks])
@@ -245,7 +248,8 @@ class Scenario:
         vecA = A.reshape(self.n, -1)
         F = np.column_stack([vecA, -2.0 * Ap, np.einsum("nd,nd->n", p, Ap) + c])
         N = np.column_stack([vecA, np.einsum("nde,ne->nd", A, phi)])
-        return phi, o, F, N
+        diagonal = not A[:, ~np.eye(self.d, dtype=bool)].any()
+        return phi, o, F, N, diagonal
 
     def risk_matrix(self, theta: np.ndarray) -> np.ndarray:
         """R[..., i, j] = R_i(theta[..., j, :]) for theta of shape (..., m, d).
@@ -256,7 +260,7 @@ class Scenario:
         risk_value is the exact path."""
         theta = np.asarray(theta, dtype=float)
         if self._quad is not None:
-            _, o, F, _ = self._quad
+            _, o, F, *_ = self._quad
             d = self.d
             t = (theta - o).swapaxes(-1, -2)   # (..., d, m)
             lead, m = t.shape[:-2], t.shape[-1]

@@ -228,8 +228,10 @@ class TestPerAgentGate:
             learner_avg_risk(alpha2[:, j], sc.beta, sc.risks, theta2[j])
             <= learner_avg_risk(alpha2[:, j], sc.beta, sc.risks, theta[j])
             + MONOTONE_TOL)]
+        rows = (alpha * R).sum(-1)[None]
         try:
-            engine._core_step(alpha[None], theta[None], t, sc, R[None])
+            engine._core_step(alpha[None], theta[None], t, sc, R[None], rows,
+                              rows @ sc.beta)
             err = None
         except MonotonicityError as exc:
             err = exc
@@ -613,8 +615,8 @@ class TestBatchedProbeAgainstSerial:
         per_trial = {}
         real = engine._core_step
 
-        def spy(alpha, theta, t, scenario, R, labels=None):
-            out = real(alpha, theta, t, scenario, R, labels)
+        def spy(alpha, theta, t, scenario, R, rows, total, labels=None):
+            out = real(alpha, theta, t, scenario, R, rows, total, labels)
             # each trial's total summed as total_risk sums one state's
             for k, Q in zip(labels, out[3]):
                 per_trial.setdefault(int(k), []).append(Q.sum(-1) @ scenario.beta)
@@ -819,8 +821,8 @@ class TestKeptState:
         """simulate's trajectory, plus (alpha', Q) of every gated step."""
         gated, real = [], engine._core_step
 
-        def spy(alpha, theta, t, scenario, R, labels=None):
-            out = real(alpha, theta, t, scenario, R, labels)
+        def spy(alpha, theta, t, scenario, R, rows, total, labels=None):
+            out = real(alpha, theta, t, scenario, R, rows, total, labels)
             gated.append((out[0], out[3]))
             return out
 
@@ -878,8 +880,30 @@ class TestKeptState:
         alpha = np.stack([random_state(rng, sc).alpha for _ in range(3)])
         theta = rng.uniform(-2.0, 2.0, (3, sc.m, sc.d))
         steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0)
-        for alpha, _, R, Q, _, _ in itertools.islice(steps, 30):
+        for alpha, _, R, Q, *_ in itertools.islice(steps, 30):
             assert np.array_equal(Q, alpha * R)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(sorted(RULES)),
+           st.sampled_from(sorted(SCHEDULES)),
+           st.sampled_from(["full_min", "repeated_gd"]), st.sampled_from([1, 3]))
+    def test_carried_sums_are_the_yielded_states(self, seed, rule, schedule,
+                                                 learner, K):
+        # the gate reuses a step's sums as the next step's sums before it:
+        # they must be those of the state the step yields, bit for bit
+        rng = np.random.default_rng(seed)
+        sc = replace(random_scenario(rng, 4, 2, int(rng.integers(1, 3)),
+                                     learner=learner, offset_range=(0.1, 1.0)),
+                     subpop_rule=self.RULES[rule],
+                     schedule=self.SCHEDULES[schedule])
+        alpha = np.stack([random_state(rng, sc).alpha for _ in range(K)])
+        theta = rng.uniform(-2.0, 2.0, (K, sc.m, sc.d))
+        steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0)
+        for alpha, _, R, _, rows, total, masses, *_ in itertools.islice(
+                steps, 30):
+            assert np.array_equal((alpha * R).sum(-1), rows)
+            assert np.array_equal((alpha * R).sum(-1) @ sc.beta, total)
+            assert np.array_equal(sc.beta @ alpha, masses)
 
     @pytest.mark.parametrize("schedule", ["all_sequential", "round_robin_subpops",
                                           "round_robin_learners"])
@@ -1027,12 +1051,14 @@ class TestFastPathEquivalence:
         alpha = np.stack([random_state(rng, sc).alpha for _ in range(3)])
         theta = rng.uniform(-2.0, 2.0, (3, sc.m, sc.d))
         R = sc.risk_matrix(theta)
-        inputs = (alpha, theta, R)
+        rows = (alpha * R).sum(-1)
+        inputs = (alpha, theta, R, rows, rows @ sc.beta)
         kept = [x.copy() for x in inputs]
-        out = engine._core_step(alpha, theta, 1, sc, R)
+        out = engine._core_step(*inputs[:2], 1, sc, *inputs[2:])
         for x, x0 in zip(inputs, kept):
             assert np.array_equal(x, x0)
-        for y in out[:3]:
+        # alpha', theta', R', Q, rows', total' and the masses
+        for y in out[:7]:
             assert not any(np.shares_memory(x, y) for x in inputs)
 
     def test_batched_minimization_matches_full_minimize(self):

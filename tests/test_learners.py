@@ -11,12 +11,14 @@ from popdyn import (
     EmptyLearnerError,
     LearnerRule,
     Scenario,
+    SystemState,
     custom_risk,
     full_min,
     group_minimize,
     mwud,
     quadratic_risk,
     repeated_gd,
+    simulate,
     step_size,
 )
 from popdyn import learners
@@ -382,6 +384,89 @@ class TestMinimizeMixtures:
             expected = group_minimize(W[:, j], risks, tolerance=1e-3,
                                       start=start[j])
             assert np.abs(out[j] - expected).max() <= 1e-12
+
+
+def _diagonal_scenario(rng, n, d):
+    # curvature diagonals spanning 1e-8 to 1e8
+    risks = tuple(quadratic_risk(rng.uniform(-3.0, 3.0, d),
+                                 np.diag(10.0 ** rng.uniform(-8.0, 8.0, d)))
+                  for _ in range(n))
+    return Scenario(beta=np.full(n, 1.0 / n), risks=risks, m=1,
+                    subpop_rule=mwud(), learner_rule=full_min())
+
+
+class TestDiagonalSolve:
+    """With every curvature diagonal, minimize_mixtures divides b by the
+    diagonal of H instead of calling LAPACK, and returns LAPACK's solution
+    bit for bit, but for the sign of a zero."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 5),
+           st.sampled_from([(), (1,), (3,), (2, 2)]), st.booleans(),
+           st.booleans())
+    def test_division_is_lapacks_solve(self, seed, d, k, lead, held, started):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        sc = _diagonal_scenario(rng, n, d)
+        W = np.stack([_mixture_weights(rng, n, k)
+                      for _ in np.ndindex(*lead)]).reshape(*lead, n, k)
+        hold = rng.random((*lead, k)) < 0.5 if held else None
+        if held:   # a held column may be empty
+            W = np.where(hold[..., None, :] & (rng.random(hold.shape) < 0.5)
+                         [..., None, :], 0.0, W)
+        start = rng.uniform(-3.0, 3.0, (*lead, k, d)) if started else None
+        if started:
+            start[rng.random(start.shape) < 0.2] = -0.0
+        H, b = sc.normal_equations(W)
+        if held:
+            H = np.where(hold[..., None, None], np.eye(d), H)
+            b = np.where(hold[..., None], 0.0 if start is None else start, b)
+        expected = np.linalg.solve(H, b[..., None])[..., 0]
+        with mock.patch("numpy.linalg.solve",
+                        side_effect=AssertionError("LAPACK was called")):
+            out = minimize_mixtures(sc, W, start=start, hold=hold)
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
+        if not (np.signbit(b) & (b == 0.0)).any():
+            assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+        if held:   # exactly start, -0.0 included, or +0.0 without one
+            kept = (start[hold] if started else np.zeros((hold.sum(), d)))
+            assert np.array_equal(out[hold].view(np.int64), kept.view(np.int64))
+
+    def test_unheld_empty_column_is_the_same_error(self):
+        sc = _diagonal_scenario(np.random.default_rng(5), 3, 2)
+        W = np.full((2, 3, 2), 0.5)
+        W[1, :, 0] = 0.0
+        with pytest.raises(EmptyLearnerError,
+                           match=r"^mixture column W\[1, :, 0\] has no positive "
+                                 r"weight$"):
+            minimize_mixtures(sc, W)
+        hold = np.array([[False, False], [False, True]])
+        with pytest.raises(EmptyLearnerError,
+                           match=r"^mixture column W\[1, :, 0\] has no positive "
+                                 r"weight$"):
+            minimize_mixtures(sc, W, hold=hold)
+
+    @pytest.mark.parametrize("curvature, solves", [
+        ([[1.0, 0.0], [0.0, 3.0]], False), ([[2.0, 0.5], [0.5, 1.0]], True)])
+    def test_only_full_curvatures_call_lapack(self, curvature, solves):
+        # a broken diagonal flag would cost the division path silently
+        rng = np.random.default_rng(8)
+        sc = Scenario(beta=np.full(6, 1 / 6),
+                      risks=tuple(quadratic_risk(c, curvature)
+                                  for c in rng.uniform(-2.0, 2.0, (6, 2))),
+                      m=2, subpop_rule=mwud(), learner_rule=full_min())
+        state = SystemState(rng.dirichlet(np.ones(2), size=6),
+                            rng.uniform(-2.0, 2.0, (2, 2)))
+        calls, real = [], np.linalg.solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        with mock.patch("numpy.linalg.solve", counting):
+            simulate(sc, state, 20)
+        assert (len(calls) > 0) == solves
 
 
 class TestMixtureGradients:

@@ -13,6 +13,11 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
 - ``simulate --sigma 1e-3`` on ``competition12``, a longer trajectory;
 - ``competition`` on ``competition12`` (to m=12) and ``competition50``
   (to m=50);
+- ``competition`` to m=12 and ``simulate --sigma 1e-3`` on two copies of
+  ``competition12`` whose risks all have one curvature: diag(1, 3), whose
+  normal equations are solved by division, and [[2, 0.5], [0.5, 1]], which
+  LAPACK solves (every shipped scenario has identity curvature, so the
+  other runs never reach LAPACK);
 - ``probe`` on ``three_centers`` and ``competition12``;
 - ``classify`` on ``three_centers`` at its split state (0, 1, 1) with the
   optimal parameters and at its balanced initial state, and at that
@@ -90,6 +95,19 @@ def _runs(root, workdir):
     runs += [(f"competition-{name}", ["competition", scenarios[name],
                                       "--target-m", str(m), "--out", "{out}"])
              for name, m in (("competition12", 12), ("competition50", 50))]
+    with open(os.path.join(workdir, scenarios["competition12"])) as fh:
+        population = json.load(fh)["population"]
+    for name, curvature in (("diagonal", [[1.0, 0.0], [0.0, 3.0]]),
+                            ("full", [[2.0, 0.5], [0.5, 1.0]])):
+        name = f"{name}_curvature"
+        path = _derived(workdir, scenarios["competition12"], name, {
+            "population": {**population, "risks": [
+                {**risk, "curvature": curvature}
+                for risk in population["risks"]]}})
+        runs += [(f"competition-competition12-{name}",
+                  ["competition", path, "--target-m", "12", "--out", "{out}"]),
+                 (f"simulate-competition12-{name}-sigma",
+                  ["simulate", path, "--sigma", "1e-3", "--out", "{out}"])]
     runs += [("probe-three_centers", ["probe", scenarios["three_centers"],
                                       "--assignment", "0,1,1"]),
              ("probe-competition12", ["probe", scenarios["competition12"],
