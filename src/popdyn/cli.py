@@ -16,6 +16,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -197,12 +198,17 @@ def cmd_enumerate(args) -> int:
                                               args.budget)
     header = ["assignment", "total_risk", "classification", "stability",
               "margin", "welfare_gap"]
+    m = loaded.scenario.m
     # one learner has no margin (+inf here): %.0s leaves its cell empty
-    line = ("-".join(["%d"] * rows.shape[1]) + ",%.17g,split_market,%s,"
-            + ("%.17g" if loaded.scenario.m > 1 else "%.0s") + ",%.17g\n")
+    line = ("%s,%.17g,split_market,%s," + ("%.17g" if m > 1 else "%.0s")
+            + ",%.17g\n")
+    # "j0-j1-...": per-label strings, "-" before all but the first column's
+    labels = [np.array([f"{sep}{j}" for j in range(m)]) for sep in ("", "-")]
     out = args.out or "equilibria.csv"
     _write_csv(out, header, line, len(totals), lambda s: np.column_stack([
-        rows[s].astype(object), totals[s], np.where(
+        functools.reduce(np.char.add, (labels[i > 0][column] for i, column in
+                                       enumerate(rows[s].T))).astype(object),
+        totals[s], np.where(
             margins[s] > STRICT_MARGIN, "asymptotically_stable", "unstable"),
         margins[s], totals[s] - totals[0]]))
     print(f"{len(totals)} assignments written to {out}; "

@@ -209,10 +209,16 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
     return theta, frozen, masses
 
 
+def _beta_sums(rows, beta):
+    """rows @ beta per trial, each a (1, n) @ (n,) product of its own: one
+    (K, n) @ (n,) product can differ from a trial's own in the last bit."""
+    return (rows[..., None, :] @ beta)[..., 0]
+
+
 def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
                labels=None):
     """Advance K trials one step; R must be the risk matrices at theta, and
-    rows_before = (alpha * R).sum(-1) and total_before = rows_before @ beta.
+    rows_before = (alpha * R).sum(-1) and total_before its _beta_sums.
 
     The gate: the total risk, each subpopulation's average risk at theta
     (allocation half) and each learner's mixture risk at alpha' (learner
@@ -227,7 +233,7 @@ def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
     R2 = R if theta2 is theta else scenario.risk_matrix(theta2)
     P, Q = alpha2 * R, alpha2 * R2
     rows = Q.sum(axis=-1)
-    total_after, rows_after = rows @ beta, P.sum(axis=-1)
+    total_after, rows_after = _beta_sums(rows, beta), P.sum(axis=-1)
     gains = beta @ (Q - P)   # per learner: mass times mixture-risk change
     # each comparison is written so that a NaN trips it too
     ok = (total_after <= total_before + MONOTONE_TOL,
@@ -255,7 +261,7 @@ def _steps(scenario: Scenario, alpha, theta, R, t: int, labels=None):
     per trial delta = max(||alpha' - alpha||_inf, ||Theta' - Theta||_inf).
     labels names the trials in a MonotonicityError."""
     rows = (alpha * R).sum(axis=-1)
-    total = rows @ scenario.beta
+    total = _beta_sums(rows, scenario.beta)
     while True:
         alpha2, theta2, R, Q, rows, total, masses, frozen = _core_step(
             alpha, theta, t, scenario, R, rows, total, labels)

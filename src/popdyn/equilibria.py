@@ -317,21 +317,39 @@ def _stirling2(n: int, m: int) -> int:
 def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     """Assignments (S, n) in _assignments order, totals (S,), group ids (S, m)
     and group risks R[g, i] under enumerate_split_equilibria's budget rule;
-    the welfare optimum is totals.min()."""
+    the welfare optimum is totals.min().
+
+    Each distinct (assignment, learner) group is solved once, keyed by its
+    member bitmask (subpopulation i at bit hi-1-i of word i // 64, which holds
+    [lo, hi)) and numbered in key order: by a cumsum over a table of all 2**n
+    keys when 2**n is at most twice the keys, else by sorting them."""
     n, m = scenario.n, scenario.m
     required = _stirling2(n, m) if dedupe else m ** n
     if required > budget:
         raise BudgetError(required, budget)
 
     rows = _assignments(n, m, dedupe)
-    # total risk decomposes over groups: key each (assignment, learner)
-    # group by its member bitmask and solve every distinct group once
-    keys = np.stack([np.packbits(rows == j, axis=1) for j in range(m)], axis=1)
-    keys = keys.view(f"V{keys.shape[2]}")[..., 0]
-    groups, gid = np.unique(keys, return_inverse=True)
+    i = np.arange(n)
+    words = [slice(lo, min(lo + 64, n)) for lo in range(0, n, 64)]
+    bit = 1 << (np.minimum(i | 63, n - 1) - i).astype(
+        np.min_scalar_type(2 ** min(n, 64) - 1))
+    keys = np.stack([np.einsum("si,i->s", rows[:, w] == j, bit[w])
+                     for j in range(m) for w in words], axis=1).reshape(
+        -1, len(words))   # s * m + j: learner j's group in assignment s
+    if 2 ** n <= 2 * len(keys):
+        seen = np.zeros(2 ** n, bool)
+        seen[keys[:, 0]] = True
+        groups = np.flatnonzero(seen).astype(bit.dtype)[:, None]
+        gid = np.cumsum(seen, dtype=bit.dtype)[keys[:, 0]] - 1
+    else:
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        new = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+        groups, gid = keys[new], np.empty(len(keys), np.intp)
+        gid[order] = np.cumsum(new) - 1
     gid = gid.reshape(rows.shape[0], m)
-    W = np.unpackbits(groups.view(np.uint8).reshape(len(groups), -1),
-                      axis=1, count=n) * scenario.beta
+    # np.take keeps W C-ordered: einsum's summation order follows the layout
+    W = (np.take(groups, i // 64, axis=1) & bit > 0) * scenario.beta
     thetas = minimize_mixtures(scenario, W.T)
     R = np.ascontiguousarray(scenario.risk_matrix(thetas).T)   # R[g, i]
     values = np.einsum("gi,gi->g", W, R)

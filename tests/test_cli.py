@@ -271,9 +271,9 @@ class TestEnumerate:
         assert float(rows[0]["welfare_gap"]) == 0.0
 
     @staticmethod
-    def _scenario_file(path, m):
+    def _scenario_file(path, m, n=5):
         rng = np.random.default_rng(52)
-        n, d = 5, 2
+        d = 2
         data = {
             "schema_version": 1,
             "population": {
@@ -290,10 +290,12 @@ class TestEnumerate:
         path.write_text(json.dumps(data))
         return str(path)
 
-    @pytest.mark.parametrize("dedupe", [True, False])
-    @pytest.mark.parametrize("m", [1, 3])
+    # m=11 at n=12 (66 assignments) has two-digit labels
+    @pytest.mark.parametrize("m, dedupe", [(1, True), (1, False), (3, True),
+                                           (3, False), (11, True)])
     def test_csv_round_trips_the_reports(self, tmp_path, m, dedupe):
-        scenario_path = self._scenario_file(tmp_path / "scenario.json", m)
+        scenario_path = self._scenario_file(tmp_path / "scenario.json", m,
+                                            12 if m > 10 else 5)
         out = tmp_path / "eq.csv"
         assert main(["enumerate", scenario_path, "--out", str(out)]
                     + ["--dedupe"] * dedupe) == 0
@@ -301,6 +303,8 @@ class TestEnumerate:
             load_scenario(scenario_path).scenario, dedupe=dedupe)
         rows = read_csv(out)
         assert len(rows) == len(reports)
+        assert m < 11 or {len(j) for r in rows
+                          for j in r["assignment"].split("-")} == {1, 2}
         for row, report in zip(rows, reports):
             assert row["assignment"] == "-".join(
                 str(j) for j in report.assignment.gamma_map)

@@ -699,8 +699,9 @@ class TestBatchedProbeAgainstSerial:
 
 class TestBatchIndependence:
     """A trial steps as it would alone: in a batch of K trials, each one's
-    alpha, theta and products Q equal those of its own K=1 run, bit for
-    bit, whatever the schedule holds and whichever learners are empty."""
+    alpha, theta, products Q and the gate's sums of Q (rows and total) equal
+    those of its own K=1 run, bit for bit, whatever the schedule holds and
+    whichever learners are empty."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(engine.SCHEDULE_KINDS),
@@ -730,7 +731,8 @@ class TestBatchIndependence:
 
         def run(alpha, theta):
             steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0)
-            return [(a, th, Q) for a, th, _, Q, *_ in itertools.islice(steps, 40)]
+            return [(a, th, Q, rows, total) for a, th, _, Q, rows, total, *_
+                    in itertools.islice(steps, 40)]
 
         batch = run(alpha, theta)
         for k in range(K):
@@ -902,7 +904,8 @@ class TestKeptState:
         for alpha, _, R, _, rows, total, masses, *_ in itertools.islice(
                 steps, 30):
             assert np.array_equal((alpha * R).sum(-1), rows)
-            assert np.array_equal((alpha * R).sum(-1) @ sc.beta, total)
+            # each trial's total is its own row's sum, as it would be alone
+            assert np.array_equal([row @ sc.beta for row in rows], total)
             assert np.array_equal(sc.beta @ alpha, masses)
 
     @pytest.mark.parametrize("schedule", ["all_sequential", "round_robin_subpops",

@@ -1,5 +1,7 @@
 import itertools
+import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from popdyn import (
     theta_for_assignment,
     total_risk,
 )
+from popdyn import equilibria
 from popdyn.equilibria import (
     DEFAULT_BUDGET,
     STRICT_MARGIN,
@@ -520,6 +523,45 @@ class TestEnumerateAgainstReference:
         maps = [r.assignment.gamma_map
                 for r in enumerate_split_equilibria(sc, dedupe=True)]
         assert maps == [(0, 0, 1), (0, 1, 1), (0, 1, 0)]
+
+
+class TestCatalogKeys:
+    """The catalog keys each (assignment, learner) group by its member
+    bitmask, in 64-bit words past n=64.  It numbers the keys through a table
+    of all 2**n when that is not much larger than the keys, and sorts them
+    otherwise; both number the same groups the same way."""
+
+    @pytest.mark.parametrize("n, m", [(12, 11), (64, 63), (65, 64), (70, 69)])
+    def test_sorted_keys_match_per_assignment_evaluation(self, n, m):
+        sc = random_scenario(np.random.default_rng(n), n, m, 1)
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            rows, totals, _, _ = _split_catalog(sc, True, DEFAULT_BUDGET)
+        assert lexsort.call_count == 1   # 2**n far exceeds the S * m keys
+        assert len(rows) == math.comb(n, 2)   # S(n, n - 1)
+        expected = np.array([
+            sc.beta @ sc.risk_matrix(theta_for_assignment(
+                SplitAssignment(row), sc))[np.arange(n), row] for row in rows])
+        assert np.abs(totals - expected).max() <= 1e-12
+        assert expected[totals.argmin()] <= expected.min() + 1e-12
+
+    @pytest.mark.parametrize("n, m, k", [(8, 2, 10), (10, 4, 30), (12, 11, 66)])
+    def test_table_and_sort_give_one_partition(self, n, m, k):
+        # k assignments alone are sorted; tiled until the keys reach 2**n,
+        # the same assignments go through the table
+        sc = random_scenario(np.random.default_rng(n), n, m, 1)
+        rows = equilibria._assignments(n, m, True)[:k]
+        out = {}
+        for copies in (1, -(-2 ** n // (k * m))):
+            with mock.patch.object(equilibria, "_assignments",
+                                   lambda *_: np.tile(rows, (copies, 1))), \
+                    mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+                out[lexsort.called] = _split_catalog(sc, True, DEFAULT_BUDGET)
+            assert lexsort.called == (copies == 1)
+        (_, sorted_totals, sorted_ids, sorted_R), (_, totals, ids, R) = (
+            out[True], out[False])
+        assert np.array_equal(ids[:k], sorted_ids)
+        assert np.array_equal(R, sorted_R)
+        assert np.array_equal(totals[:k], sorted_totals)
 
 
 class TestOptimumAndCertificates:

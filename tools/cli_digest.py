@@ -23,8 +23,13 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
   optimal parameters and at its balanced initial state, and at that
   balanced state on a copy whose risks have curvature [[2.0]], where the
   subpopulation gradients are no longer those of identity curvature;
-- ``enumerate --dedupe`` on every shipped scenario with n <= 12, and on a
-  copy of ``three_centers`` with one learner, whose margin cells are empty;
+- ``enumerate --dedupe`` on every shipped scenario with n <= 12; on a copy
+  of ``three_centers`` with one learner, whose margin cells are empty; on a
+  copy of ``competition12`` with m=11, whose labels run to two digits; and
+  on a copy of ``competition50`` widened to n=70 (20 more subpopulations,
+  the first 20 centers moved by (0.5, 0.5)) with m=69: its 2,415
+  assignments have far fewer group keys than the 2**70 possible, so the
+  catalog sorts them, and each key spans two 64-bit words;
 - ``enumerate`` without ``--dedupe`` on ``three_centers`` and
   ``two_group_gap``;
 - ``goldens``.
@@ -124,6 +129,21 @@ def _runs(root, workdir):
     runs.append(("enumerate-three_centers-m1", ["enumerate", one_learner,
                                                 "--dedupe", "--out",
                                                 "{out}/equilibria.csv"]))
+    with open(os.path.join(workdir, scenarios["competition50"])) as fh:
+        population = json.load(fh)["population"]
+    risks = population["risks"] + [   # 20 more: centers moved by (0.5, 0.5)
+        {**risk, "center": [x + 0.5 for x in risk["center"]]}
+        for risk in population["risks"][:20]]
+    for base, name, m, change in (
+            ("competition12", "m11", 11, {}),
+            ("competition50", "n70_m69", 69, {"population": {
+                **population, "betas": [1 / 70] * 70, "risks": risks}})):
+        path = _derived(workdir, scenarios[base], name, {**change, "learners": {
+            "m": m, "init": {"kind": "centers_subset",
+                             "indices": list(range(m))}}})
+        runs.append((f"enumerate-{base}-{name}", ["enumerate", path, "--dedupe",
+                                                  "--out",
+                                                  "{out}/equilibria.csv"]))
     runs += [(f"enumerate-{name}-all", ["enumerate", scenarios[name], "--out",
                                         "{out}/equilibria.csv"])
              for name in ("three_centers", "two_group_gap")]
