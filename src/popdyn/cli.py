@@ -41,7 +41,7 @@ from .equilibria import (
 )
 from .errors import BudgetError, MonotonicityError, PopdynError
 from .goldens import golden_rows
-from .model import MONOTONE_TOL, SystemState, require_number
+from .model import SystemState, require_number
 from .scenario_io import (
     SCHEMA_VERSION,
     STREAM_PERTURB,
@@ -216,22 +216,6 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _run_phase(scenario, state, detector, max_steps):
-    """Step until the detector fires where no positive share strictly prefers
-    another learner (R_ij < mix_i - MONOTONE_TOL; a firing on such a saddle
-    starts a fresh window) or max_steps run out: (state, R, steps,
-    converged)."""
-    require_number(max_steps, "max_steps", 1, integer=True)
-    steps = _watched_steps(scenario, state.alpha, state.theta,
-                           scenario.risk_matrix(state.theta), state.t, detector)
-    for used, (alpha, theta, R, *_, fired) in enumerate(steps, 1):
-        converged = fired and not ((alpha > 0.0) & (
-            R < (alpha * R).sum(axis=1, keepdims=True) - MONOTONE_TOL)).any()
-        if converged or used >= max_steps:
-            return (SystemState(alpha=alpha, theta=theta, t=state.t + used),
-                    R, used, converged)
-
-
 def cmd_competition(args) -> int:
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
@@ -242,6 +226,7 @@ def cmd_competition(args) -> int:
         raise ValueError(
             f"need initial m={scenario.m} < target-m <= n={scenario.n}")
     max_steps = loaded.max_steps if args.max_steps is None else args.max_steps
+    require_number(max_steps, "max_steps", 1, integer=True)
 
     header = (["phase", "m", "steps", "cumulative_steps", "total_risk",
                "worst_subpop_risk", "split_learner", "grad_hypothesis"]
@@ -250,21 +235,24 @@ def cmd_competition(args) -> int:
     cumulative = 0
     phase = 0
     while True:
-        state, R, steps, converged = _run_phase(scenario, state,
-                                                loaded.detector, max_steps)
+        loop = _watched_steps(scenario, state.alpha, state.theta,
+                              scenario.risk_matrix(state.theta), state.t,
+                              loaded.detector, max_steps)
+        for steps, (alpha, theta, _, _, per_subpop, total, masses, _,
+                    converged) in enumerate(loop, 1):
+            pass   # the last step ends the phase: it fired or used the budget
+        state = SystemState(alpha=alpha, theta=theta, t=state.t + steps)
         cumulative += steps
         if not converged:
             print(f"error: phase {phase} (m={scenario.m}) did not converge "
                   f"within {max_steps} steps", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        per_subpop = (state.alpha * R).sum(axis=1)
-        total = float(scenario.beta @ per_subpop)
         if scenario.m >= target_m:
             rows.append([phase, scenario.m, steps, cumulative, total,
                          float(per_subpop.max()), None, None]
                         + list(per_subpop))
             break
-        j = int(np.argmax(scenario.beta @ state.alpha))  # lowest index on ties
+        j = int(np.argmax(masses))  # lowest index on ties
         norms = _subpop_gradient_norms(scenario, state.theta)[:, j]
         hypothesis = bool((norms[state.alpha[:, j] > ZERO_TOL] > ZERO_TOL).any())
         rows.append([phase, scenario.m, steps, cumulative, total,

@@ -40,6 +40,9 @@ SCHEDULE_KINDS = (
     "custom_order",
 )
 PERTURB_TARGETS = ("theta_only", "alpha_only", "both")
+# the kinds that read each optional schedule field
+_SCHEDULE_FIELDS = {"order": ("round_robin_subpops", "round_robin_learners"),
+                    "subpops": ("custom_order",), "learners": ("custom_order",)}
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class UpdateSchedule:
     one index (subpopulation or learner) per step through ``order`` while the
     other side updates fully.  custom_order updates the fixed subsets
     ``subpops`` and ``learners`` every step; each index may appear at most
-    once per step.
+    once per step.  A field that the kind does not read is an error.
     """
 
     kind: str = "all_sequential"
@@ -60,9 +63,12 @@ class UpdateSchedule:
 
     def __post_init__(self):
         require_choice(self.kind, "kind", SCHEDULE_KINDS)
-        for name in ("order", "subpops", "learners"):
+        for name, kinds in _SCHEDULE_FIELDS.items():
             val = getattr(self, name)
             if val is not None:
+                if self.kind not in kinds:
+                    raise ValueError(f"{name}: unknown field for kind "
+                                     f"{self.kind!r}; only {kinds} read it")
                 if not isinstance(val, (list, tuple)):
                     raise ValueError(f"{name} must be a list of integers, got {val!r}")
                 val = tuple(int(require_number(i, f"{name}[{k}]", 0, integer=True))
@@ -81,7 +87,7 @@ class UpdateSchedule:
         for name, size in (("order", cycled.get(self.kind)),
                            ("subpops", n), ("learners", m)):
             for k, i in enumerate(getattr(self, name) or ()):
-                if size is not None and i >= size:
+                if i >= size:
                     raise ValueError(
                         f"schedule.{name}[{k}] must be < {size}, got {i}")
         every = np.ones(m, bool)
@@ -99,7 +105,10 @@ class UpdateSchedule:
 @dataclass(frozen=True)
 class EquilibriumDetector:
     """Declare convergence after `window` consecutive steps with state deltas
-    (max of infinity norms over alpha and Theta) at most state_tolerance."""
+    (max of infinity norms over alpha and Theta) at most state_tolerance,
+    ending at a stationary state: one where no positive share alpha_ij has
+    R_ij < sum_k alpha_ik R_ik - MONOTONE_TOL.  A window that ends anywhere
+    else, a slow pass by a saddle, starts a fresh one."""
 
     state_tolerance: float = 1e-9
     window: int = 10
@@ -115,7 +124,7 @@ class Trajectory:
 
     learner_risks entries are NaN wherever the learner was empty at that
     step (empty_flags marks them).  converged_at is the first index of the
-    quiet window found by the detector, or None.
+    quiet window on which the detector fired, the run's last, or None.
     """
 
     states: list
@@ -281,19 +290,27 @@ def step(state: SystemState, scenario: Scenario) -> SystemState:
 
 
 def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
-                   detector: EquilibriumDetector):
-    """_steps for one trial (alpha (n, m), theta (m, d)) under the detector's
-    quiet-window rule: yields _steps' items for the trial, with in place of
-    delta fired, on a step that completes a window; the count then restarts."""
+                   detector: EquilibriumDetector, max_steps: int):
+    """_steps for one trial (alpha (n, m), theta (m, d)): yields its items
+    for the trial, with fired in place of delta, and ends on the step that
+    fires or on the max_steps-th, which the caller validates.  A step fires
+    when it completes the detector's quiet window at a stationary state: no
+    positive share alpha_ij has R_ij below the gate's rows_i =
+    sum_k alpha_ik R_ik by more than MONOTONE_TOL.  A window completed
+    anywhere else restarts the count."""
     quiet = 0
-    for alpha, theta, R, Q, rows, total, masses, frozen, delta in _steps(
-            scenario, alpha[None], theta[None], R[None], t):
+    steps = _steps(scenario, alpha[None], theta[None], R[None], t)
+    for _, (alpha, theta, R, Q, rows, total, masses, frozen, delta) in zip(
+            range(max_steps), steps):
+        alpha, R, rows = alpha[0], R[0], rows[0]
         quiet = quiet + 1 if delta[0] <= detector.state_tolerance else 0
-        fired = quiet == detector.window
-        yield (alpha[0], theta[0], R[0], Q[0], rows[0], total[0], masses[0],
+        fired = quiet == detector.window and not (
+            (alpha > 0.0) & (R < rows[:, None] - MONOTONE_TOL)).any()
+        yield (alpha, theta[0], R, Q[0], rows, total[0], masses[0],
                int(frozen[0]), fired)
         if fired:
-            quiet = 0
+            return
+        quiet %= detector.window   # a window ended on a saddle: start afresh
 
 
 def _record(Q, rows, total, masses, beta):
@@ -327,15 +344,13 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     frozen_total = 0
     converged_at = None
 
-    steps = _watched_steps(scenario, alpha, theta, R, t0, detector)
-    for k, (alpha, theta, _, *sums, frozen, fired) in zip(range(max_steps),
-                                                          steps):
+    steps = _watched_steps(scenario, alpha, theta, R, t0, detector, max_steps)
+    for k, (alpha, theta, _, *sums, frozen, fired) in enumerate(steps):
         frozen_total += frozen
         states.append(SystemState(alpha=alpha, theta=theta, t=t0 + k + 1))
         records.append(_record(*sums, scenario.beta))
         if fired:
             converged_at = k - detector.window + 1
-            break
 
     totals, sub, learner, empties = map(np.array, zip(*records))
     return Trajectory(states, totals, sub, learner, empties, converged_at,

@@ -136,22 +136,15 @@ def potential_value(alpha, scenario: Scenario) -> float:
     return float((W * scenario.risk_matrix(theta[~empty])).sum())
 
 
-def _potential_gradient_raw(alpha, beta, scenario: Scenario) -> np.ndarray:
-    """Gradient entries beta_i * R_i(theta*_j(alpha)); beta need not sum to 1."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    theta, empty = _minimizers(alpha, beta, scenario)
+def potential_gradient(alpha, scenario: Scenario) -> np.ndarray:
+    """dF/dalpha_ij = beta_i R_i(theta*_j(alpha)); needs all learners non-empty."""
+    alpha = validate_allocation(alpha, scenario.n, scenario.m)
+    theta, empty = _minimizers(alpha, scenario.beta, scenario)
     if empty.any():
         raise EmptyLearnerError(
             f"potential gradient undefined with empty learners {np.where(empty)[0]}"
         )
-    return beta[:, None] * scenario.risk_matrix(theta)
-
-
-def potential_gradient(alpha, scenario: Scenario) -> np.ndarray:
-    """dF/dalpha_ij = beta_i R_i(theta*_j(alpha)); needs all learners non-empty."""
-    alpha = validate_allocation(alpha, scenario.n, scenario.m)
-    return _potential_gradient_raw(alpha, scenario.beta, scenario)
+    return scenario.beta[:, None] * scenario.risk_matrix(theta)
 
 
 def _split_margins(columns, gamma):
@@ -183,7 +176,7 @@ def classify_state(state: SystemState, scenario: Scenario,
     """Classify a candidate equilibrium and certify its stability.
 
     Requires Theta to minimize each non-empty learner's mixture risk
-    (gradient norm <= 1e-6), otherwise raises NotOptimalError.  A state whose
+    (gradient norm <= ZERO_TOL), otherwise raises NotOptimalError.  A state whose
     allocation is 0/1 with every learner serving someone is a split market,
     asymptotically stable iff every no-switching inequality is strict beyond
     STRICT_MARGIN.  A state where some subpopulation spreads over several
@@ -201,7 +194,7 @@ def classify_state(state: SystemState, scenario: Scenario,
          / masses[live, None])
     grad_norms = {int(j): float(np.linalg.norm(g)) for j, g in zip(live, G)}
     worst = max(grad_norms.values(), default=0.0)
-    if worst > 1e-6:
+    if worst > ZERO_TOL:
         raise NotOptimalError(
             "learner parameters are not optimal for this allocation; "
             f"gradient norms {grad_norms}"

@@ -6,6 +6,9 @@ trials (``engine._core_step``, ``Scenario.risk_matrix``,
 ``engine._watched_steps``).  These are the same concepts written one row,
 one learner or one trajectory at a time, straight from their definitions,
 so property tests can check the batched kernels against them.
+``detect_equilibrium`` rescans a recorded trajectory with the stop rule
+that ``simulate`` and every ``competition`` phase share: a quiet window
+counts only where it ends at a stationary state.
 
 ``convex_hulls_disjoint`` is an independent oracle for stable split
 markets: a linear program tests whether the hulls of two learner groups'
@@ -18,7 +21,6 @@ cell rule per value type, one row at a time.
 import csv
 import io
 import itertools
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -177,18 +179,28 @@ def full_minimize(alpha_col, beta, risks, method: str = "closed_form_quadratic",
                           max_iterations=max_iterations, start=start)
 
 
-def detect_equilibrium(trajectory, detector) -> Optional[int]:
-    """First index where the state stops moving for a full detector window:
-    a rescan of the recorded states."""
+def detect_equilibrium(trajectory, detector, scenario):
+    """A rescan of the recorded states under the detector's rule: returns
+    the first index of the first quiet window (detector.window steps in a
+    row whose state delta is at most state_tolerance) that ends at a
+    stationary state, where no positive share alpha_ij has
+    R_ij < sum_k alpha_ik R_ik - MONOTONE_TOL, or None; and the steps at
+    which a window ended anywhere else, a saddle, and the count restarted."""
     states = trajectory.states
     quiet = 0
+    restarts = []
     for k, (a, b) in enumerate(zip(states, states[1:])):
         delta = np.maximum(np.abs(a.alpha - b.alpha).max(),
                            np.abs(a.theta - b.theta).max())
         quiet = quiet + 1 if delta <= detector.state_tolerance else 0
-        if quiet >= detector.window:
-            return k - detector.window + 1
-    return None
+        if quiet == detector.window:
+            R = scenario.risk_matrix(b.theta)
+            mix = (b.alpha * R).sum(axis=1)
+            if not ((R < mix[:, None] - MONOTONE_TOL) & (b.alpha > 0.0)).any():
+                return k - detector.window + 1, restarts
+            restarts.append(k + 1)
+            quiet = 0
+    return None, restarts
 
 
 def _hulls_intersect(X: np.ndarray, Y: np.ndarray) -> bool:

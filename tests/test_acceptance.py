@@ -63,7 +63,8 @@ def monotonicity_sweep():
         # window larger than the horizon: every one of the 300 steps executes
         traj = simulate(sc, state, 300, EquilibriumDetector(window=301))
         increases = np.diff(traj.total_risks)
-        converged = detect_equilibrium(traj, EquilibriumDetector()) is not None
+        converged = detect_equilibrium(traj, EquilibriumDetector(),
+                                       sc)[0] is not None
         runs.append({
             "scenario": sc,
             "final_state": traj.final_state,

@@ -28,7 +28,7 @@ from popdyn.equilibria import (
 )
 from popdyn.scenario_io import load_scenario, packaged_scenario
 
-from reference import csv_text
+from reference import csv_text, detect_equilibrium
 
 THREE_CENTERS = str(packaged_scenario("three_centers"))
 TWO_GROUP = str(packaged_scenario("two_group_gap"))
@@ -383,14 +383,6 @@ class TestCompetition:
         assert rc == 1
         assert "max_steps must be an integer >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("max_steps", [0, 2.5, True, None])
-    def test_phase_step_budget_is_a_positive_integer(self, max_steps):
-        loaded = load_scenario(THREE_CENTERS)
-        with pytest.raises(ValueError, match=r"^max_steps must be an integer "
-                                             r">= 1, got "):
-            cli._run_phase(loaded.scenario, loaded.initial_state,
-                           loaded.detector, max_steps)
-
     def test_invalid_target_exit_one(self, tmp_path, capsys):
         # three_centers has n=3 subpopulations and m=2 learners
         rc = main(["competition", THREE_CENTERS, "--target-m", "2",
@@ -451,70 +443,58 @@ class TestCompetition:
         assert not (out / "competition.csv").exists()
 
 
-def on_saddle(scenario, state):
-    """Some positive share strictly prefers another learner (by 1e-8)."""
-    R = scenario.risk_matrix(state.theta)
-    mix = (state.alpha * R).sum(axis=1)
-    return bool(((R < mix[:, None] - 1e-8) & (state.alpha > 0.0)).any())
+def competition_phases(argv):
+    """Runs the competition command on argv; per phase, its start (scenario,
+    state, detector, max_steps) and its end (state, steps, converged), as
+    the loop that the command drains yields them."""
+    phases = []
+    real = cli._watched_steps
 
+    def record(scenario, alpha, theta, R, t, detector, max_steps):
+        for steps, item in enumerate(real(scenario, alpha, theta, R, t,
+                                          detector, max_steps), 1):
+            yield item
+        end = SystemState(alpha=item[0], theta=item[1], t=t + steps)
+        phases.append(((scenario, SystemState(alpha=alpha, theta=theta, t=t),
+                        detector, max_steps), (end, steps, item[-1])))
 
-def restart_reference(scenario, state, detector, max_steps):
-    """A competition phase as successive simulate calls: each detector firing
-    on a saddle restarts simulate from the final state.  Returns the final
-    state, the steps, the convergence flag and the saddle firings seen."""
-    used = saddles = 0
-    while True:
-        traj = simulate(scenario, state, max_steps - used, detector)
-        used += len(traj.states) - 1
-        state = traj.final_state
-        fired = traj.converged_at is not None
-        saddle = fired and on_saddle(scenario, state)
-        saddles += saddle
-        if fired and not saddle:
-            return state, used, True, saddles
-        if not fired or used >= max_steps:
-            return state, used, False, saddles
+    with mock.patch.object(cli, "_watched_steps", record):
+        assert main(["competition", *argv]) == 0
+    return phases
 
 
 @pytest.fixture(scope="module")
 def competition12_phases(tmp_path_factory, competition12_path):
-    """The (scenario, state, detector, max_steps) that start each phase of
-    the competition12 cascade to m=12."""
-    phases = []
-    real = cli._run_phase
-
-    def record(*args):
-        phases.append(args)
-        return real(*args)
-
-    with mock.patch.object(cli, "_run_phase", record):
-        rc = main(["competition", str(competition12_path), "--target-m", "12",
-                   "--out", str(tmp_path_factory.mktemp("c12"))])
-    assert rc == 0
-    return phases
+    return competition_phases([str(competition12_path), "--target-m", "12",
+                               "--out", str(tmp_path_factory.mktemp("c12"))])
 
 
 class TestPhaseRunner:
     def assert_same_phase(self, scenario, state, detector, max_steps):
-        """Returns the saddle firings, steps and convergence flag."""
-        ref_state, ref_steps, ref_converged, saddles = restart_reference(
-            scenario, state, detector, max_steps)
-        got_state, R, steps, converged = cli._run_phase(scenario, state,
-                                                        detector, max_steps)
-        assert np.array_equal(got_state.alpha, ref_state.alpha)
-        assert np.array_equal(got_state.theta, ref_state.theta)
-        assert got_state.t == ref_state.t
-        assert (steps, converged) == (ref_steps, ref_converged)
-        assert np.array_equal(R, scenario.risk_matrix(got_state.theta))
-        return saddles, steps, converged
+        """simulate from the start against the rescan of its states; returns
+        simulate's end (state, steps, converged) and the rescan's restarts."""
+        traj = simulate(scenario, state, max_steps, detector)
+        index, restarts = detect_equilibrium(traj, detector, scenario)
+        assert traj.converged_at == index
+        steps = len(traj.states) - 1
+        assert steps == (max_steps if index is None
+                         else index + detector.window)
+        return (traj.final_state, steps, index is not None), restarts
 
     def test_every_competition12_phase_matches_restarts(
             self, competition12_phases):
-        saddles = [self.assert_same_phase(*args)[0]
-                   for args in competition12_phases]
+        restarts = []
+        for start, (state, steps, converged) in competition12_phases:
+            (ref, ref_steps, ref_converged), saddles = self.assert_same_phase(
+                *start)
+            assert np.array_equal(state.alpha, ref.alpha)
+            assert np.array_equal(state.theta, ref.theta)
+            assert state.t == ref.t
+            assert (steps, converged) == (ref_steps, ref_converged)
+            restarts += saddles
         assert len(competition12_phases) == 11
         # the restart path was taken, so the fresh-window rule was exercised
-        assert sum(saddles) >= 1
+        assert len(restarts) >= 1
 
     @pytest.mark.parametrize("tolerance", [1e-4, 1e-6])
     def test_loose_detectors_fire_on_many_saddles(self, competition12_phases,
@@ -522,27 +502,45 @@ class TestPhaseRunner:
         # a loose tolerance fires while the state still creeps, so phases
         # restart several times inside one quiet stretch
         detector = EquilibriumDetector(state_tolerance=tolerance)
-        saddles = [self.assert_same_phase(scenario, state, detector, budget)[0]
-                   for scenario, state, _, budget in competition12_phases]
-        assert sum(saddles) >= 5
+        restarts = sum(len(self.assert_same_phase(
+            scenario, state, detector, budget)[1])
+            for (scenario, state, _, budget), _ in competition12_phases)
+        assert restarts >= 5
 
     def test_budget_ending_at_and_after_a_saddle_firing(
             self, competition12_phases):
         cases = 0
-        for scenario, state, detector, max_steps in competition12_phases:
-            traj = simulate(scenario, state, max_steps, detector)
-            if (traj.converged_at is None
-                    or not on_saddle(scenario, traj.final_state)):
+        for (scenario, state, detector, max_steps), _ in competition12_phases:
+            _, restarts = self.assert_same_phase(scenario, state, detector,
+                                                 max_steps)
+            if not restarts:
                 continue
-            first = len(traj.states) - 1   # the first firing is on a saddle
+            first = restarts[0]
             for budget in (first, first + 1):
-                assert self.assert_same_phase(scenario, state, detector,
-                                              budget) == (1, budget, False)
+                (_, steps, converged), saddles = self.assert_same_phase(
+                    scenario, state, detector, budget)
+                assert (saddles, steps, converged) == ([first], budget, False)
             cases += 1
         assert cases >= 1
 
+    def test_simulate_competition50_stops_where_phase_0_does(self, tmp_path):
+        # the quiet window of steps 35-45 ends on an unstable split (margin
+        # -0.421); simulate steps on, as the competition phase does
+        path = str(packaged_scenario("competition50"))
+        loaded = load_scenario(path)
+        traj = simulate(loaded.scenario, loaded.initial_state,
+                        loaded.max_steps, loaded.detector)
+        assert (traj.converged_at, len(traj.states) - 1) == (3160, 3170)
+        report = classify_state(traj.final_state, loaded.scenario)
+        assert report.stability == "asymptotically_stable"
+        _, (state, steps, converged) = competition_phases(
+            [path, "--target-m", "3", "--out", str(tmp_path)])[0]
+        assert (steps, converged) == (3170, True)
+        assert np.array_equal(state.alpha, traj.final_state.alpha)
+        assert np.array_equal(state.theta, traj.final_state.theta)
+
     def test_from_perturbed_competition12_starts(self, competition12_phases):
-        scenario, state, detector, max_steps = competition12_phases[0]
+        (scenario, state, detector, max_steps), _ = competition12_phases[0]
         for seed in range(3):
             start = perturb(state, 1e-2, seed, "both")
             self.assert_same_phase(scenario, start, detector, max_steps)

@@ -248,6 +248,13 @@ class TestSimulate:
         traj = simulate(three_centers.scenario, three_centers.initial_state, 1)
         assert len(traj.states) == 2
 
+    @pytest.mark.parametrize("max_steps", [0, 2.5, True, None])
+    def test_step_budget_is_a_positive_integer(self, three_centers, max_steps):
+        with pytest.raises(ValueError, match=r"^max_steps must be an integer "
+                                             r">= 1, got "):
+            simulate(three_centers.scenario, three_centers.initial_state,
+                     max_steps)
+
     def test_nonfinite_theta_rejected(self, three_centers):
         theta = three_centers.initial_state.theta.copy()
         theta[0, 0] = np.nan
@@ -284,6 +291,22 @@ class TestSimulate:
         assert traj.converged_at is not None
         final = traj.final_state.alpha
         assert np.abs(final - np.round(final)).max() <= 1e-12
+
+    @pytest.mark.parametrize("tie_tolerance, tie_policy, converged_at", [
+        (0.05, "split_evenly", 8), (0.05, "keep_previous", 5),
+        (0.5, "split_evenly", 10), (0.5, "keep_previous", 5)])
+    def test_best_response_ties_stop_at_a_stationary_state(
+            self, tie_tolerance, tie_policy, converged_at):
+        # here the tie cap leaves no kept share strictly better than its
+        # row's mixture, so the first quiet window ends the run
+        loaded = load_scenario(packaged_scenario("competition50"))
+        sc = replace(loaded.scenario,
+                     subpop_rule=best_response(tie_tolerance, tie_policy))
+        traj = simulate(sc, loaded.initial_state, loaded.max_steps,
+                        loaded.detector)
+        assert traj.converged_at == converged_at
+        assert detect_equilibrium(traj, loaded.detector, sc) == (converged_at,
+                                                                 [])
 
     def test_total_risk_monotone_and_components_not(self, three_centers):
         st = perturb(three_centers.initial_state, 1e-3, seed=2, target="theta_only")
@@ -414,7 +437,8 @@ class TestSchedules:
 class TestDetectEquilibrium:
     def test_stationary_trajectory_index_zero(self, three_centers):
         traj = simulate(three_centers.scenario, three_centers.initial_state, 30)
-        assert detect_equilibrium(traj, EquilibriumDetector()) == 0
+        assert detect_equilibrium(traj, EquilibriumDetector(),
+                                  three_centers.scenario) == (0, [])
 
     def test_moving_trajectory_absent(self):
         # harmonic gradient steps far from optimum keep moving for 50 steps
@@ -426,7 +450,7 @@ class TestDetectEquilibrium:
         )
         state = SystemState(alpha=np.ones((1, 1)), theta=np.array([[100.0]]))
         traj = simulate(sc, state, 50)
-        assert detect_equilibrium(traj, EquilibriumDetector()) is None
+        assert detect_equilibrium(traj, EquilibriumDetector(), sc) == (None, [])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12))
@@ -439,14 +463,15 @@ class TestDetectEquilibrium:
                                   window=window)
         traj = simulate(sc, random_state(rng, sc), int(rng.integers(1, 200)),
                         det)
-        assert traj.converged_at == detect_equilibrium(traj, det)
+        assert traj.converged_at == detect_equilibrium(traj, det, sc)[0]
 
     def test_tail_convergence_indexed_at_window_start(self, three_centers):
         st = perturb(three_centers.initial_state, 1e-3, seed=1, target="theta_only")
         traj = simulate(three_centers.scenario, st, 500, three_centers.detector)
         idx = traj.converged_at
         assert idx is not None and idx > 0
-        assert detect_equilibrium(traj, three_centers.detector) == idx
+        assert detect_equilibrium(traj, three_centers.detector,
+                                  three_centers.scenario)[0] == idx
 
 
 class TestPerturb:
@@ -697,6 +722,13 @@ class TestBatchedProbeAgainstSerial:
         assert all(first[:, j].any() and not first[:, j].all() for j in (0, 1))
 
 
+def _schedule(kind, subpops=None, learners=None):
+    """The schedule of kind, given the subsets that only custom_order reads."""
+    if kind != "custom_order":
+        return UpdateSchedule(kind=kind)
+    return UpdateSchedule(kind=kind, subpops=subpops, learners=learners)
+
+
 class TestBatchIndependence:
     """A trial steps as it would alone: in a batch of K trials, each one's
     alpha, theta, products Q and the gate's sums of Q (rows and total) equal
@@ -722,8 +754,7 @@ class TestBatchIndependence:
             rng.random(size) < 0.5)) for size in (n, m))
         sc = replace(sc, subpop_rule=TestBatchedProbeAgainstSerial.RULES[
                          int(rng.integers(4))],
-                     schedule=UpdateSchedule(kind=schedule_kind, subpops=subpops,
-                                             learners=learners))
+                     schedule=_schedule(schedule_kind, subpops, learners))
         alpha = rng.dirichlet(np.ones(m), size=(K, n))
         alpha[0, :, int(rng.integers(m))] = 0.0   # exactly empty in trial 0
         alpha /= alpha.sum(axis=-1, keepdims=True)
@@ -974,7 +1005,7 @@ class TestFastPathEquivalence:
                                  str(rng.choice(["split_evenly",
                                                  "keep_previous"])))
         subpops = tuple(int(i) for i in np.flatnonzero(rng.random(n) < 0.5))
-        schedule = UpdateSchedule(kind=schedule_kind, subpops=subpops)
+        schedule = _schedule(schedule_kind, subpops=subpops)
         sc = replace(random_scenario(rng, n, m, 1), subpop_rule=rule,
                      schedule=schedule)
         t = int(rng.integers(0, 10))
@@ -1007,8 +1038,7 @@ class TestFastPathEquivalence:
             rule = repeated_gd(base=rule.base, inner_steps=inner_steps)
         learners = tuple(int(j) for j in np.flatnonzero(rng.random(m) < 0.5))
         sc = replace(sc, learner_rule=rule,
-                     schedule=UpdateSchedule(kind=schedule_kind,
-                                             learners=learners))
+                     schedule=_schedule(schedule_kind, learners=learners))
         alpha = rng.dirichlet(np.ones(m), size=(K, n))
         if empty:   # one learner of one trial is empty and must be held
             alpha[int(rng.integers(K)), :, int(rng.integers(m))] = 0.0
@@ -1049,8 +1079,7 @@ class TestFastPathEquivalence:
         rng = np.random.default_rng(63)
         sc = random_scenario(rng, 5, 3, 2, learner=learner)
         sc = replace(sc, subpop_rule=mwud() if subpop == "mwud" else best_response(),
-                     schedule=UpdateSchedule(kind=schedule_kind, subpops=(0, 2),
-                                             learners=(1, 2)))
+                     schedule=_schedule(schedule_kind, (0, 2), (1, 2)))
         alpha = np.stack([random_state(rng, sc).alpha for _ in range(3)])
         theta = rng.uniform(-2.0, 2.0, (3, sc.m, sc.d))
         R = sc.risk_matrix(theta)

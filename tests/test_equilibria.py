@@ -37,7 +37,6 @@ from popdyn import equilibria
 from popdyn.equilibria import (
     DEFAULT_BUDGET,
     STRICT_MARGIN,
-    _potential_gradient_raw,
     _split_catalog,
     _subpop_gradient_norms,
 )
@@ -114,14 +113,6 @@ class TestPotentialGradient:
                   - potential_value(alpha - h * direction, sc)) / (2 * h)
             analytic = float((G * direction).sum())
             assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
-
-    def test_scales_linearly_in_beta(self):
-        rng = np.random.default_rng(42)
-        sc = random_scenario(rng, 3, 2, 1)
-        alpha = rng.dirichlet(np.ones(2), size=3)
-        base = _potential_gradient_raw(alpha, sc.beta, sc)
-        scaled = _potential_gradient_raw(alpha, 3.0 * sc.beta, sc)
-        assert np.allclose(scaled, 3.0 * base, atol=1e-12)
 
     def test_empty_learner_rejected(self):
         sc = _line_scenario([0.0, 1.0])

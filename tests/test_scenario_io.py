@@ -326,6 +326,10 @@ class TestConstructorFields:
         ("learner_rule", {"kind": "full_min"}, "gama"),
         ("learner_rule", {"kind": "repeated_gd"}, "gama"),
         ("schedule", {"kind": "round_robin_subpops"}, "gama"),
+        ("schedule", {"kind": "custom_order"}, "order"),
+        ("schedule", {"kind": "all_sequential"}, "order"),
+        ("schedule", {"kind": "round_robin_subpops"}, "subpops"),
+        ("schedule", {"kind": "round_robin_learners"}, "learners"),
         ("detector", {}, "gama"),
         ("population.risks[1]", {"kind": "quadratic", "center": [2.0]}, "gama"),
         ("", {}, "max_step"),
