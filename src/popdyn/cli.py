@@ -30,10 +30,10 @@ from .engine import (PERTURB_TARGETS, _probe_batch, _watched_steps, perturb,
                      simulate)
 from .equilibria import (
     DEFAULT_BUDGET,
-    STRICT_MARGIN,
     ZERO_TOL,
     SplitAssignment,
     _split_ranking,
+    _stability,
     _subpop_gradient_norms,
     classify_state,
     split_learner,
@@ -105,29 +105,22 @@ def _write_table(path, header, rows) -> None:   # mixed types, via _fmt
 
 
 def _summary(traj, scenario, budget):
-    final = traj.final_state
-    worst = float(traj.subpop_risks[-1].max())
+    try:   # a state classify_state rejects leaves the report's keys null
+        report = classify_state(traj.final_state, scenario,
+                                oracle_budget=budget).to_dict()
+    except PopdynError:
+        report = {}
     summary = {
         "converged": traj.converged_at is not None,
         "steps": len(traj.states) - 1,
         "converged_at": traj.converged_at,
         "final_total_risk": float(traj.total_risks[-1]),
-        "worst_subpop_risk": worst,
-        "classification": None,
-        "stability": None,
-        "margin": None,
-        "welfare_gap": None,
+        "worst_subpop_risk": float(traj.subpop_risks[-1].max()),
         "frozen_learner_steps": traj.frozen_learner_steps,
         "empty_learner_flagged": bool(traj.empty_flags.any()),
+        **{key: report.get(key) for key in ("classification", "stability",
+                                            "margin", "welfare_gap")},
     }
-    try:
-        report = classify_state(final, scenario, oracle_budget=budget)
-        summary["classification"] = report.classification
-        summary["stability"] = report.stability
-        summary["margin"] = report.margin
-        summary["welfare_gap"] = report.welfare_gap
-    except PopdynError:
-        pass
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
@@ -208,9 +201,7 @@ def cmd_enumerate(args) -> int:
     _write_csv(out, header, line, len(totals), lambda s: np.column_stack([
         functools.reduce(np.char.add, (labels[i > 0][column] for i, column in
                                        enumerate(rows[s].T))).astype(object),
-        totals[s], np.where(
-            margins[s] > STRICT_MARGIN, "asymptotically_stable", "unstable"),
-        margins[s], totals[s] - totals[0]]))
+        totals[s], _stability(margins[s]), margins[s], totals[s] - totals[0]]))
     print(f"{len(totals)} assignments written to {out}; "
           f"optimum total risk {totals[0]:.17g}")
     return EXIT_OK

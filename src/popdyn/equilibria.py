@@ -15,6 +15,7 @@ welfare oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -122,16 +123,27 @@ class EquilibriumReport:
         }
 
 
-def _minimizers(alpha: np.ndarray, beta: np.ndarray, scenario: Scenario) -> tuple:
+def _minimizers(alpha: np.ndarray, scenario: Scenario) -> tuple:
     """Per-learner minimizers of the observed mixtures; empty learners at 0."""
+    beta = scenario.beta
     empty = beta @ alpha < EMPTY_MASS_TOL
     return minimize_mixtures(scenario, alpha * beta[:, None], hold=empty), empty
+
+
+def _stability(margin, covered=True):
+    """A split market's verdict, elementwise: "asymptotically_stable" where
+    every learner serves someone and the no-switching margin exceeds
+    STRICT_MARGIN, "unstable" elsewhere; a str for scalar input."""
+    stable = np.greater(margin, STRICT_MARGIN)
+    stable &= covered   # in place: no second array per CSV chunk
+    verdict = np.where(stable, "asymptotically_stable", "unstable")
+    return verdict if verdict.ndim else str(verdict)
 
 
 def potential_value(alpha, scenario: Scenario) -> float:
     """F(alpha): total risk with every non-empty learner fully minimized."""
     alpha = validate_allocation(alpha, scenario.n, scenario.m)
-    theta, empty = _minimizers(alpha, scenario.beta, scenario)
+    theta, empty = _minimizers(alpha, scenario)
     W = alpha[:, ~empty] * scenario.beta[:, None]
     return float((W * scenario.risk_matrix(theta[~empty])).sum())
 
@@ -139,7 +151,7 @@ def potential_value(alpha, scenario: Scenario) -> float:
 def potential_gradient(alpha, scenario: Scenario) -> np.ndarray:
     """dF/dalpha_ij = beta_i R_i(theta*_j(alpha)); needs all learners non-empty."""
     alpha = validate_allocation(alpha, scenario.n, scenario.m)
-    theta, empty = _minimizers(alpha, scenario.beta, scenario)
+    theta, empty = _minimizers(alpha, scenario)
     if empty.any():
         raise EmptyLearnerError(
             f"potential gradient undefined with empty learners {np.where(empty)[0]}"
@@ -177,13 +189,13 @@ def classify_state(state: SystemState, scenario: Scenario,
 
     Requires Theta to minimize each non-empty learner's mixture risk
     (gradient norm <= ZERO_TOL), otherwise raises NotOptimalError.  A state whose
-    allocation is 0/1 with every learner serving someone is a split market,
-    asymptotically stable iff every no-switching inequality is strict beyond
-    STRICT_MARGIN.  A state where some subpopulation spreads over several
-    learners is a balanced candidate when the spread learners are risk
-    equivalent; it is possibly stable (never asymptotically) when they are
-    also optimal for that subpopulation, unstable otherwise.  Anything else
-    is not an equilibrium.
+    allocation is 0/1 with every learner carrying mass is a split market,
+    asymptotically stable (_stability) iff every learner serves someone and
+    every no-switching inequality is strict beyond STRICT_MARGIN.  A state
+    where some subpopulation spreads over several learners is a balanced
+    candidate when the spread learners are risk equivalent; it is possibly
+    stable (never asymptotically) when they are also optimal for that
+    subpopulation, unstable otherwise.  Anything else is not an equilibrium.
     """
     validate_state(state, scenario)
     alpha, theta, beta = state.alpha, state.theta, scenario.beta
@@ -193,8 +205,7 @@ def classify_state(state: SystemState, scenario: Scenario,
     G = (mixture_gradients(scenario, alpha[:, live] * beta[:, None], theta[live])
          / masses[live, None])
     grad_norms = {int(j): float(np.linalg.norm(g)) for j, g in zip(live, G)}
-    worst = max(grad_norms.values(), default=0.0)
-    if worst > ZERO_TOL:
+    if max(grad_norms.values(), default=0.0) > ZERO_TOL:
         raise NotOptimalError(
             "learner parameters are not optimal for this allocation; "
             f"gradient norms {grad_norms}"
@@ -203,12 +214,14 @@ def classify_state(state: SystemState, scenario: Scenario,
     R = scenario.risk_matrix(theta)
     per_subpop = (alpha * R).sum(axis=1)
     total = float(beta @ per_subpop)
-
     gap = None
     if (oracle_budget is not None
             and _stirling2(scenario.n, scenario.m) <= oracle_budget):
-        totals = _split_catalog(scenario, True, oracle_budget)[1]
-        gap = total - float(totals.min())
+        gap = total - _welfare_optimum(scenario, oracle_budget)
+    details = {"learner_gradient_norms": grad_norms}
+    report = functools.partial(EquilibriumReport, total_risk=total,
+                               per_subpop_risks=per_subpop, welfare_gap=gap,
+                               details=details)
 
     binary = np.all((alpha <= ZERO_TOL) | (alpha >= 1 - ZERO_TOL))
     if binary and np.all(masses >= EMPTY_MASS_TOL):
@@ -216,56 +229,29 @@ def classify_state(state: SystemState, scenario: Scenario,
         # a learner can carry mass above the empty floor yet serve nobody at
         # ZERO_TOL resolution; such uncovered learners rule out stability
         uncovered = sorted(set(range(scenario.m)) - set(gamma_map))
-        margin = float(_split_margins(R.T, np.array(gamma_map))[1])
-        stable = not uncovered and margin > STRICT_MARGIN
-        details = {"learner_gradient_norms": grad_norms}
         if uncovered:
             details["uncovered_learners"] = uncovered
-        return EquilibriumReport(
-            classification="split_market",
-            stability="asymptotically_stable" if stable else "unstable",
-            total_risk=total, per_subpop_risks=per_subpop,
-            margin=margin if scenario.m > 1 else None,
-            welfare_gap=gap, assignment=SplitAssignment(gamma_map),
-            details=details,
-        )
+        margin = float(_split_margins(R.T, np.array(gamma_map))[1])
+        return report("split_market", _stability(margin, not uncovered),
+                      margin=margin if scenario.m > 1 else None,
+                      assignment=SplitAssignment(gamma_map))
 
     support = alpha > ZERO_TOL
-    multi_rows = np.where(support.sum(axis=1) >= 2)[0]
-    if multi_rows.size > 0:
-        norms = _subpop_gradient_norms(scenario, theta)
-        spreads = {int(i): float(np.ptp(R[i, support[i]])) for i in multi_rows}
-        opt_norms = {int(i): float(norms[i, support[i]].max())
-                     for i in multi_rows}
-        risk_equivalent = max(spreads.values()) <= ZERO_TOL
+    multi_rows = np.flatnonzero(support.sum(axis=1) >= 2)
+    if multi_rows.size == 0:
+        details["failed"] = ["empty_learner_or_degenerate_support"]
+        return report("non_equilibrium", "unstable")
+    norms = _subpop_gradient_norms(scenario, theta)
+    spreads = {int(i): float(np.ptp(R[i, support[i]])) for i in multi_rows}
+    opt_norms = {int(i): float(norms[i, support[i]].max()) for i in multi_rows}
+    details.update(risk_spreads=spreads, subpop_gradient_norms=opt_norms)
+    if max(spreads.values()) <= ZERO_TOL:
         optimal = max(opt_norms.values()) <= ZERO_TOL
-        details = {
-            "risk_spreads": spreads,
-            "subpop_gradient_norms": opt_norms,
-            "learner_gradient_norms": grad_norms,
-        }
-        if risk_equivalent:
-            return EquilibriumReport(
-                classification="balanced_candidate",
-                stability=("possibly_stable_not_asymptotic" if optimal
-                           else "unstable"),
-                total_risk=total, per_subpop_risks=per_subpop,
-                welfare_gap=gap,
-                details={**details,
-                         "failed": [] if optimal else ["optimality"]},
-            )
-        return EquilibriumReport(
-            classification="non_equilibrium", stability="unstable",
-            total_risk=total, per_subpop_risks=per_subpop, welfare_gap=gap,
-            details={**details, "failed": ["risk_equivalence"]},
-        )
-
-    return EquilibriumReport(
-        classification="non_equilibrium", stability="unstable",
-        total_risk=total, per_subpop_risks=per_subpop, welfare_gap=gap,
-        details={"learner_gradient_norms": grad_norms,
-                 "failed": ["empty_learner_or_degenerate_support"]},
-    )
+        details["failed"] = [] if optimal else ["optimality"]
+        return report("balanced_candidate", "possibly_stable_not_asymptotic"
+                      if optimal else "unstable")
+    details["failed"] = ["risk_equivalence"]
+    return report("non_equilibrium", "unstable")
 
 
 def _assignments(n: int, m: int, dedupe: bool) -> np.ndarray:
@@ -297,8 +283,7 @@ def theta_for_assignment(assignment: SplitAssignment,
     if len(gamma_map) != scenario.n or max(gamma_map) >= scenario.m:
         raise ValueError(f"gamma map {gamma_map} must have {scenario.n} "
                          f"learner indices in [0, {scenario.m})")
-    return _minimizers(assignment.to_alpha(scenario.m), scenario.beta,
-                       scenario)[0]
+    return _minimizers(assignment.to_alpha(scenario.m), scenario)[0]
 
 
 def _stirling2(n: int, m: int) -> int:
@@ -309,8 +294,7 @@ def _stirling2(n: int, m: int) -> int:
 
 def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     """Assignments (S, n) in _assignments order, totals (S,), group ids (S, m)
-    and group risks R[g, i] under enumerate_split_equilibria's budget rule;
-    the welfare optimum is totals.min().
+    and group risks R[g, i] under enumerate_split_equilibria's budget rule.
 
     Each distinct (assignment, learner) group is solved once, keyed by its
     member bitmask (subpopulation i at bit hi-1-i of word i // 64, which holds
@@ -353,9 +337,17 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     return rows, totals, gid, R
 
 
+def _welfare_optimum(scenario: Scenario, budget: int) -> float:
+    """The social-welfare optimum: the least total risk of any split
+    assignment, under enumerate_split_equilibria's budget rule."""
+    return float(_split_catalog(scenario, True, budget)[1].min())
+
+
 def _split_ranking(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     """Assignments (S, n), totals, margins (+inf for one learner) and own
-    risks (S, n) of _split_catalog's rows, stably sorted by total."""
+    risks (S, n) of _split_catalog's rows, stably sorted by total, so that
+    totals[0] is the welfare optimum.  Its callers turn margins into verdicts
+    with _stability, one chunk or one report list at a time."""
     rows, totals, gid, R = _split_catalog(scenario, dedupe, budget)
     order = np.argsort(totals, kind="stable")
     rows, gid = rows[order], gid[order]
@@ -374,19 +366,21 @@ def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
     relabeling is kept.  All distinct groups go to one minimize_mixtures call.
     Reports come back sorted by total risk, exact ties in lexicographic
     assignment order; the first is the social-welfare optimum, and each
-    welfare_gap is measured against it.  BudgetError is raised when the
-    assignments to visit, S(n, m) with dedupe and m**n without, exceed budget.
+    welfare_gap is measured against it.  Each stability is _stability's
+    verdict on the report's margin, as in classify_state.  BudgetError is
+    raised when the assignments to visit, S(n, m) with dedupe and m**n
+    without, exceed budget.
     """
     rows, totals, margins, own = _split_ranking(scenario, dedupe, budget)
     totals = totals.tolist()
     return [EquilibriumReport(
-                "split_market",
-                "asymptotically_stable" if margin > STRICT_MARGIN else "unstable",
-                total, own_row, margin=margin if scenario.m > 1 else None,
+                "split_market", stability, total, own_row,
+                margin=margin if scenario.m > 1 else None,
                 welfare_gap=total - totals[0],
                 assignment=SplitAssignment(gamma_map))
-            for gamma_map, total, margin, own_row in zip(
-                map(np.ndarray.tolist, rows), totals, margins.tolist(), own)]
+            for gamma_map, total, stability, margin, own_row in zip(
+                map(np.ndarray.tolist, rows), totals,
+                _stability(margins).tolist(), margins.tolist(), own)]
 
 
 def split_learner(state: SystemState, scenario: Scenario, j: int):

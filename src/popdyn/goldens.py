@@ -13,7 +13,7 @@ from .allocation import mwud
 from .equilibria import (
     DEFAULT_BUDGET,
     SplitAssignment,
-    _split_catalog,
+    _welfare_optimum,
     classify_state,
     theta_for_assignment,
 )
@@ -82,7 +82,7 @@ def two_group_gap_curve(beta: float, eps: float = 0.01) -> dict:
     theta = theta_for_assignment(assignment, scenario)
     R = scenario.risk_matrix(theta)
     eq_risk = float(scenario.beta @ R[np.arange(3), [0, 1, 1]])
-    optimum = float(_split_catalog(scenario, True, DEFAULT_BUDGET)[1].min())
+    optimum = _welfare_optimum(scenario, DEFAULT_BUDGET)
     return {
         "beta": beta,
         "eps": eps,

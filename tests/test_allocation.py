@@ -78,6 +78,11 @@ class TestMwudStep:
             mwud_step([0.5, 0.5], [1.0, 2.0], 1.0, comparison="relative",
                       prev_mix_risk=0.0)
 
+    def test_engine_relative_requires_positive_mixture_risk(self):
+        # the subpopulation sits at its center (offset 0) on its one learner
+        with pytest.raises(ValueError, match="positive mixture risks"):
+            engine_mwud_step([1.0, 0.0], [0.0, 1.0], 1.0, comparison="relative")
+
     @BOTH_MWUD
     def test_huge_risk_spread_does_not_underflow(self, mwud_step):
         # shift trick: the minimum-cost supported entry survives any spread

@@ -749,12 +749,43 @@ class TestThetaForAssignment:
         assert str(exc.value) == (f"gamma map {gamma_map} must have 3 "
                                   "learner indices in [0, 2)")
 
+    def test_rejects_a_negative_index(self):
+        with pytest.raises(ValueError, match="learner indices must be nonnegative"):
+            SplitAssignment((-1, 0))
+
     @pytest.mark.parametrize("method", ["to_alpha", "groups"])
     def test_rejects_an_index_beyond_m(self, method):
         with pytest.raises(ValueError) as exc:
             getattr(SplitAssignment((0, 1, 2)), method)(2)
         assert str(exc.value) == ("gamma map (0, 1, 2) has a learner index "
                                   ">= m=2")
+
+
+class TestEquilibriumReportFields:
+    def test_verdicts_are_plain_strings(self):
+        sc = _line_scenario([0.0, 1.0, 2.0])
+        reports = enumerate_split_equilibria(sc)
+        best = reports[0].assignment
+        state = SystemState(alpha=best.to_alpha(2),
+                            theta=theta_for_assignment(best, sc))
+        reports.append(classify_state(state, sc))
+        assert {type(r.stability) for r in reports} == {str}
+        assert reports[-1].stability == "asymptotically_stable"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"classification": "stable"}, "unknown classification 'stable'"),
+        ({"stability": "stable"}, "unknown stability 'stable'"),
+        ({"classification": "balanced_candidate",
+          "stability": "asymptotically_stable"},
+         "only split markets can be asymptotically stable"),
+        ({"welfare_gap": -1e-6}, "welfare gap -1e-06 below -1e-08"),
+    ], ids=["classification", "stability", "stable-non-split", "negative-gap"])
+    def test_rejects_inconsistent_fields(self, fields, message):
+        report = {"classification": "split_market", "stability": "unstable",
+                  "total_risk": 1.0, "per_subpop_risks": np.ones(2), **fields}
+        with pytest.raises(ValueError) as exc:
+            equilibria.EquilibriumReport(**report)
+        assert str(exc.value) == message
 
 
 class TestOneKernel:

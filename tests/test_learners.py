@@ -537,3 +537,10 @@ class TestGroupMinimizeLineSearch:
                            lambda th: np.array([[(1 + th[0] ** 2) ** -1.5]]))
         out = group_minimize([1.0], (risk,), start=[2.0])
         assert abs(out[0]) <= 1e-7
+
+    def test_last_iteration_may_reach_the_minimizer(self):
+        # one Newton step solves a quadratic exactly; the check after the
+        # loop accepts the point the last iteration reached
+        risk = as_custom(quadratic_risk([1.0, 2.0]))
+        out = group_minimize([1.0], (risk,), max_iterations=1)
+        assert np.array_equal(out, [1.0, 2.0])

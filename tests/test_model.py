@@ -20,6 +20,7 @@ from popdyn import (
     total_risk,
     validate_allocation,
 )
+from popdyn.model import validate_state
 
 from conftest import random_scenario, random_state
 from reference import learner_avg_risk, subpop_avg_risk
@@ -267,6 +268,11 @@ class TestQuadraticSanity:
         with pytest.raises(NonFiniteError, match=field):
             quadratic_risk(**kwargs)
 
+    def test_curvature_must_match_the_center(self):
+        with pytest.raises(DimensionError) as exc:
+            quadratic_risk([0.0, 1.0], np.eye(3))
+        assert str(exc.value) == "curvature: expected shape (2,2), got (3, 3)"
+
     def test_curvature_must_be_spd(self):
         with pytest.raises(ValueError):
             quadratic_risk([0.0, 0.0], np.array([[1.0, 0.0], [0.0, -1.0]]))
@@ -376,6 +382,29 @@ class TestScenarioValidation:
             Scenario(beta=np.array([bad, 0.5]),
                      risks=(quadratic_risk([0.0]), quadratic_risk([1.0])),
                      m=1, subpop_rule=mwud(), learner_rule=full_min())
+
+    @pytest.mark.parametrize("beta, centers, message", [
+        ([[0.5, 0.5]], ([0.0], [1.0]), "beta must be a vector"),
+        ([0.5, 0.5], ([0.0],), "risks: 1 risk functions for 2 proportions"),
+        ([0.5, 0.5], ([0.0], [1.0, 1.0]), "risks disagree on dimension: {1, 2}"),
+    ], ids=["2d-beta", "one-risk", "mixed-dimensions"])
+    def test_shapes_must_agree(self, beta, centers, message):
+        with pytest.raises(DimensionError) as exc:
+            Scenario(beta=np.array(beta),
+                     risks=tuple(map(quadratic_risk, centers)),
+                     m=1, subpop_rule=mwud(), learner_rule=full_min())
+        assert str(exc.value) == message
+
+    def test_state_theta_shapes(self):
+        with pytest.raises(DimensionError, match=r"theta must have shape \(m, d\)"):
+            SystemState(alpha=np.ones((2, 1)), theta=np.zeros(1))
+        sc = Scenario(beta=np.array([0.5, 0.5]),
+                      risks=(quadratic_risk([0.0]), quadratic_risk([1.0])),
+                      m=1, subpop_rule=mwud(), learner_rule=full_min())
+        with pytest.raises(DimensionError) as exc:
+            validate_state(SystemState(alpha=np.ones((2, 1)),
+                                       theta=np.zeros((1, 2))), sc)
+        assert str(exc.value) == "theta: expected shape (1,1), got (1, 2)"
 
     def test_m_at_most_n(self):
         with pytest.raises(ValueError):

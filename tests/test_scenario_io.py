@@ -228,6 +228,10 @@ class TestParsing:
          {"betas": [0.0, 1.0]}),
         ("population.betas[1]=-0.5 is not positive", "population",
          {"betas": [1.5, -0.5]}),
+        ("population.betas: expected a nonempty vector", "population",
+         {"betas": []}),
+        ("population.risks: expected a list of 3 risk objects", "population",
+         {"betas": [0.25, 0.25, 0.5]}),
     ])
     def test_scenario_errors_start_with_the_file_path(self, path, section,
                                                       value):

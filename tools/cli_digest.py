@@ -11,6 +11,9 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
   schedule, and ``three_centers`` started with every subpopulation on
   learner 0, so that learner 1 is empty on every step;
 - ``simulate --sigma 1e-3`` on ``competition12``, a longer trajectory;
+- ``simulate`` on ``three_centers`` with ``--budget 1``, whose summary has
+  no welfare gap, and for one step on a copy with ``repeated_gd`` learners,
+  whose final state is not classified;
 - ``competition`` on ``competition12`` (to m=12) and ``competition50``
   (to m=50);
 - ``competition`` to m=12 and ``simulate --sigma 1e-3`` on two copies of
@@ -19,10 +22,14 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
   LAPACK solves (every shipped scenario has identity curvature, so the
   other runs never reach LAPACK);
 - ``probe`` on ``three_centers`` and ``competition12``;
-- ``classify`` on ``three_centers`` at its split state (0, 1, 1) with the
-  optimal parameters and at its balanced initial state, and at that
-  balanced state on a copy whose risks have curvature [[2.0]], where the
-  subpopulation gradients are no longer those of identity curvature;
+- ``classify`` at states that reach every branch of ``classify_state``:
+  on ``three_centers`` at its split state (0, 1, 1) with the optimal
+  parameters, at its balanced initial state, with one subpopulation spread
+  over learners of unequal risk, and with learner 1 empty; at that
+  balanced state on a copy whose risks have curvature [[2.0]]; and on
+  copies with other centers or learner counts, at a split with a negative
+  margin, a split with an uncovered learner, a one-learner split and a
+  balanced state that is possibly stable;
 - ``enumerate --dedupe`` on every shipped scenario with n <= 12; on a copy
   of ``three_centers`` with one learner, whose margin cells are empty; on a
   copy of ``competition12`` with m=11, whose labels run to two digits; and
@@ -44,12 +51,14 @@ two outputs; the script uses the standard library only.
 
 ``--against OTHER`` runs both checkouts instead and prints one JSON line per
 output file, with both exit codes and whether the digests agree.  Where they
-differ it adds, per value group, the largest absolute and relative
-difference of the numbers and the count of other values that differ.  A
-CSV column's group is its name without index suffixes (``alpha_2_1`` is in
-``alpha``), a JSON value's is its key path without list indices
-(``trial_records.distance``), and any other file compares line by line.
-The exit code is 1 when some output differs.
+differ it adds both files' row counts and, per value group over the rows
+both files have, the largest absolute and relative difference of the
+numbers and the count of other values that differ.  A CSV's rows are its
+data rows and a JSON document is one row; any other file compares line by
+line.  A CSV column's group is its name without index suffixes
+(``alpha_2_1`` is in ``alpha``), a JSON value's is its key path without
+list indices (``trial_records.distance``).  The exit code is 1 when some
+output differs.
 """
 
 import argparse
@@ -97,6 +106,16 @@ def _runs(root, workdir):
     runs.append(("simulate-competition12-sigma",
                  ["simulate", scenarios["competition12"], "--sigma", "1e-3",
                   "--out", "{out}"]))
+    # one gradient step leaves the learners off their optima: classify_state
+    # rejects the final state, and the summary's report keys are null
+    gd = _derived(workdir, scenarios["three_centers"], "repeated_gd",
+                  {"learner_rule": {"kind": "repeated_gd", "base": 0.4}})
+    runs += [("simulate-three_centers-repeated_gd-sigma",
+              ["simulate", gd, "--sigma", "1e-3", "--max-steps", "1",
+               "--out", "{out}"]),
+             ("simulate-three_centers-budget1",
+              ["simulate", scenarios["three_centers"], "--budget", "1",
+               "--out", "{out}"])]
     runs += [(f"competition-{name}", ["competition", scenarios[name],
                                       "--target-m", str(m), "--out", "{out}"])
              for name, m in (("competition12", 12), ("competition50", 50))]
@@ -164,30 +183,61 @@ def _derived(workdir, path, name, change):
 
 
 def _classify_runs(workdir, three_centers):
-    """classify runs on three_centers (centers 0, 1 and 2 at equal weights),
+    """classify runs that reach every branch of classify_state, on
+    three_centers (centers 0, 1 and 2 at equal weights) and on copies of it,
     with their state files written to workdir/states."""
     os.makedirs(os.path.join(workdir, "states"))
-    states = {
-        # group means: learner 0 serves center 0, learner 1 centers 1 and 2
-        "split": {"alpha": [[1, 0], [0, 1], [0, 1]], "theta": [[0.0], [1.5]]},
-        "balanced": {"alpha": [[0.5, 0.5]] * 3, "theta": [[1.0], [1.0]]},
-    }
-    for name, state in states.items():
-        with open(os.path.join(workdir, "states", f"{name}.json"), "w") as fh:
-            json.dump(state, fh)
     with open(os.path.join(workdir, three_centers)) as fh:
-        document = json.load(fh)
-    for risk in document["population"]["risks"]:
-        risk["curvature"] = [[2.0]]
-    curved = os.path.join("scenarios", "three_centers-curvature2.json")
-    with open(os.path.join(workdir, curved), "w") as fh:
-        json.dump(document, fh, indent=2)
+        population = json.load(fh)["population"]
+
+    def copy(name, centers, m, curvature=None):
+        """three_centers with these centers at equal weights and m learners."""
+        risk = {**population["risks"][0],
+                **({"curvature": curvature} if curvature else {})}
+        return _derived(workdir, three_centers, name, {
+            "population": {**population,
+                           "betas": [1 / len(centers)] * len(centers),
+                           "risks": [{**risk, "center": [c]} for c in centers]},
+            "learners": {"m": m, "init": {"kind": "explicit",
+                                          "theta": [[0.0]] * m}}})
+
+    eps = 1e-9
+    runs = (
+        # group means: learner 0 serves center 0, learner 1 centers 1 and 2
+        ("three_centers-split", three_centers,
+         {"alpha": [[1, 0], [0, 1], [0, 1]], "theta": [[0.0], [1.5]]}),
+        ("three_centers-balanced", three_centers,
+         {"alpha": [[0.5, 0.5]] * 3, "theta": [[1.0], [1.0]]}),
+        # the subpopulation gradients are no longer those of identity
+        # curvature
+        ("three_centers-curvature2-balanced",
+         copy("curvature2", [0.0, 1.0, 2.0], 2, [[2.0]]),
+         {"alpha": [[0.5, 0.5]] * 3, "theta": [[1.0], [1.0]]}),
+        # center 0 would rather switch to learner 1 at 1 than stay at 5
+        ("three_centers-far-split", copy("far", [0.0, 1.0, 10.0], 2),
+         {"alpha": [[1, 0], [0, 1], [1, 0]], "theta": [[5.0], [1.0]]}),
+        # learner 2 holds shares of 1e-9 and serves nobody, at a positive
+        # margin
+        ("three_centers-uncovered-split",
+         copy("uncovered", [0.0, 10.0, 10.5], 3),
+         {"alpha": [[1 - eps, 0, eps], [0, 1 - eps, eps], [0, 1, 0]],
+          "theta": [[0.0], [10.25], [5.0]]}),
+        ("three_centers-single-split", copy("single", [0.0, 1.0, 2.0], 1),
+         {"alpha": [[1]] * 3, "theta": [[1.0]]}),
+        # two subpopulations at one center, each split evenly
+        ("three_centers-twin-balanced", copy("twin", [1.0, 1.0], 2),
+         {"alpha": [[0.5, 0.5]] * 2, "theta": [[1.0], [1.0]]}),
+        # center 0 is split between learners at 0 and 1.2
+        ("three_centers-spread", three_centers,
+         {"alpha": [[0.5, 0.5], [0, 1], [0, 1]], "theta": [[0.0], [1.2]]}),
+        ("three_centers-empty_learner", three_centers,
+         {"alpha": [[1, 0]] * 3, "theta": [[1.0], [1.0]]}))
+    for label, _, state in runs:
+        with open(os.path.join(workdir, "states", f"{label}.json"), "w") as fh:
+            json.dump(state, fh)
     return [(f"classify-{label}", ["classify", path, "--state",
-                                   os.path.join("states", f"{state}.json")])
-            for label, path, state in (
-                ("three_centers-split", three_centers, "split"),
-                ("three_centers-balanced", three_centers, "balanced"),
-                ("three_centers-curvature2-balanced", curved, "balanced"))]
+                                   os.path.join("states", f"{label}.json")])
+            for label, path, _ in runs]
 
 
 def _sha256(path):
@@ -225,20 +275,20 @@ def _json_leaves(value, key=""):
         yield key, value
 
 
-def _values(path):
-    """(group, value) pairs of one output file, in file order."""
+def _rows(path):
+    """One output file's rows of (group, value) pairs, in file order."""
     with open(path, newline="") as fh:
         text = fh.read()
     try:
         if path.endswith(".csv"):
             header, *rows = csv.reader(io.StringIO(text))
             groups = [re.sub(r"(_\d+)+$", "", c) for c in header]
-            return [pair for row in rows for pair in zip(groups, row)]
+            return [list(zip(groups, row)) for row in rows]
         if path.endswith(".json"):
-            return list(_json_leaves(json.loads(text)))
+            return [list(_json_leaves(json.loads(text)))]
     except ValueError:   # empty or malformed: compared line by line
         pass
-    return [("line", line) for line in text.splitlines()]
+    return [[("line", line)] for line in text.splitlines()]
 
 
 def _number(value):
@@ -251,12 +301,16 @@ def _number(value):
 
 
 def _compare(path_a, path_b):
-    """Per group: the largest absolute and relative difference of numbers
-    and the count of other values that differ; None if the files' values do
-    not line up."""
-    a, b = _values(path_a), _values(path_b)
+    """Both files' row counts and, per group over the rows both have, the
+    largest absolute and relative difference of numbers and the count of
+    other values that differ; groups is None if those rows' values do not
+    line up."""
+    rows_a, rows_b = _rows(path_a), _rows(path_b)
+    a, b = ([pair for row in rows[:min(len(rows_a), len(rows_b))]
+             for pair in row] for rows in (rows_a, rows_b))
+    counts = {"rows": [len(rows_a), len(rows_b)]}
     if [g for g, _ in a] != [g for g, _ in b]:
-        return None
+        return {**counts, "groups": None}
     groups = {}
     for (group, x), (_, y) in zip(a, b):
         diff = groups.setdefault(group, {"max_abs": 0.0, "max_rel": 0.0,
@@ -269,8 +323,8 @@ def _compare(path_a, path_b):
             gap = abs(u - v)
             diff["max_abs"] = max(diff["max_abs"], gap)
             diff["max_rel"] = max(diff["max_rel"], gap / max(abs(u), abs(v)))
-    return {g: d for g, d in groups.items()
-            if d["max_abs"] or d["other"]}
+    return {**counts, "groups": {g: d for g, d in groups.items()
+                                 if d["max_abs"] or d["other"]}}
 
 
 def _against(root, other, tmp):
@@ -287,7 +341,7 @@ def _against(root, other, tmp):
         line = {"run": key[0], "file": key[1], "exit": [code, code_b],
                 "same": same}
         if not same and path is not None and path_b is not None:
-            line["groups"] = _compare(path, path_b)
+            line.update(_compare(path, path_b))
         print(json.dumps(line), flush=True)
         same_all &= same
     return same_all
