@@ -226,15 +226,16 @@ def cmd_competition(args) -> int:
     cumulative = 0
     phase = 0
     while True:
-        loop = _watched_steps(scenario, state.alpha, state.theta,
-                              scenario.risk_matrix(state.theta), state.t,
+        loop = _watched_steps(scenario, state.alpha[None], state.theta[None],
+                              scenario.risk_matrix(state.theta)[None], state.t,
                               loaded.detector, max_steps)
-        for steps, (alpha, theta, _, _, per_subpop, total, masses, _,
-                    converged) in enumerate(loop, 1):
+        for steps, (_, last, stop) in enumerate(loop, 1):
             pass   # the last step ends the phase: it fired or used the budget
-        state = SystemState(alpha=alpha, theta=theta, t=state.t + steps)
+        per_subpop, total, masses = last.rows[0], last.total[0], last.masses[0]
+        state = SystemState(alpha=last.alpha[0], theta=last.theta[0],
+                            t=state.t + steps)
         cumulative += steps
-        if not converged:
+        if stop[0] != "detector":
             print(f"error: phase {phase} (m={scenario.m}) did not converge "
                   f"within {max_steps} steps", file=sys.stderr)
             return EXIT_NO_CONVERGENCE

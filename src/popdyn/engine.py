@@ -15,6 +15,7 @@ monotone.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -224,6 +225,11 @@ def _beta_sums(rows, beta):
     return (rows[..., None, :] @ beta)[..., 0]
 
 
+# one step of K trials as the gate checked it, each field batched over them
+StepRecord = namedtuple("StepRecord",
+                        "alpha theta R Q rows total masses frozen")
+
+
 def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
                labels=None):
     """Advance K trials one step; R must be the risk matrices at theta, and
@@ -232,9 +238,9 @@ def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
     The gate: the total risk, each subpopulation's average risk at theta
     (allocation half) and each learner's mixture risk at alpha' (learner
     half) may rise by at most MONOTONE_TOL, checked in that order.  Returns
-    (alpha', theta', R', Q, rows, total, masses, frozen): R' = R(theta'),
-    Q = alpha' * R' and its sums that the gate compared, the next step's
-    sums before, and per trial beta @ alpha' and the frozen count.
+    the StepRecord: R' = R(theta'), Q = alpha' * R' and its sums that the
+    gate compared, the next step's sums before, and per trial
+    beta @ alpha' and the frozen count.
     """
     beta = scenario.beta
     alpha2 = _update_alpha(alpha, R, scenario, t)
@@ -249,7 +255,8 @@ def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
           rows_after <= rows_before + MONOTONE_TOL,
           gains <= MONOTONE_TOL * masses)
     if ok[0].all() and ok[1].all() and ok[2].all():
-        return alpha2, theta2, R2, Q, rows, total_after, masses, frozen
+        return StepRecord(alpha2, theta2, R2, Q, rows, total_after, masses,
+                          frozen)
     h = next(h for h in range(3) if not ok[h].all())
     pos = tuple(np.argwhere(~ok[h])[0])   # (trial,) or (trial, index)
     before, after = ((total_before, total_after), (rows_before, rows_after),
@@ -264,53 +271,62 @@ def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
 def _steps(scenario: Scenario, alpha, theta, R, t: int, labels=None):
     """The step loop: endless sequential updates of K trials in lockstep
     from alpha (K, n, m), theta (K, m, d) and their risk matrices R at time
-    t.  Yields _core_step's (alpha, theta, R, Q, rows, total, masses,
-    frozen) and delta after each step: the state it checked, kept as it is
-    since the rules return normalized rows, what it returned beside it, and
-    per trial delta = max(||alpha' - alpha||_inf, ||Theta' - Theta||_inf).
-    labels names the trials in a MonotonicityError."""
+    t.  Yields _core_step's StepRecord after each step: the state it
+    checked, kept as it is since the rules return normalized rows, and what
+    it returned beside it.  labels names the trials in a MonotonicityError."""
     rows = (alpha * R).sum(axis=-1)
     total = _beta_sums(rows, scenario.beta)
     while True:
-        alpha2, theta2, R, Q, rows, total, masses, frozen = _core_step(
-            alpha, theta, t, scenario, R, rows, total, labels)
-        delta = np.maximum(np.abs(alpha2 - alpha).max(axis=(-2, -1)),
-                           np.abs(theta2 - theta).max(axis=(-2, -1)))
-        alpha, theta, t = alpha2, theta2, t + 1
-        yield alpha, theta, R, Q, rows, total, masses, frozen, delta
+        s = _core_step(alpha, theta, t, scenario, R, rows, total, labels)
+        alpha, theta, R, rows, total, t = (s.alpha, s.theta, s.R, s.rows,
+                                           s.total, t + 1)
+        yield s
 
 
 def step(state: SystemState, scenario: Scenario) -> SystemState:
     """One sequential update: allocations first, then learner parameters."""
     validate_state(state, scenario)
     theta = state.theta[None]
-    alpha, theta, *_ = next(_steps(scenario, state.alpha[None], theta,
-                                   scenario.risk_matrix(theta), state.t))
-    return SystemState(alpha=alpha[0], theta=theta[0], t=state.t + 1)
+    s = next(_steps(scenario, state.alpha[None], theta,
+                    scenario.risk_matrix(theta), state.t))
+    return SystemState(alpha=s.alpha[0], theta=s.theta[0], t=state.t + 1)
 
 
 def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
-                   detector: EquilibriumDetector, max_steps: int):
-    """_steps for one trial (alpha (n, m), theta (m, d)): yields its items
-    for the trial, with fired in place of delta, and ends on the step that
-    fires or on the max_steps-th, which the caller validates.  A step fires
-    when it completes the detector's quiet window at a stationary state: no
-    positive share alpha_ij has R_ij below the gate's rows_i =
-    sum_k alpha_ik R_ik by more than MONOTONE_TOL.  A window completed
-    anywhere else restarts the count."""
-    quiet = 0
-    steps = _steps(scenario, alpha[None], theta[None], R[None], t)
-    for _, (alpha, theta, R, Q, rows, total, masses, frozen, delta) in zip(
-            range(max_steps), steps):
-        alpha, R, rows = alpha[0], R[0], rows[0]
-        quiet = quiet + 1 if delta[0] <= detector.state_tolerance else 0
-        fired = quiet == detector.window and not (
-            (alpha > 0.0) & (R < rows[:, None] - MONOTONE_TOL)).any()
-        yield (alpha, theta[0], R, Q[0], rows, total[0], masses[0],
-               int(frozen[0]), fired)
-        if fired:
-            return
-        quiet %= detector.window   # a window ended on a saddle: start afresh
+                   detector: EquilibriumDetector, max_steps: int, labels=None):
+    """The one stop rule over _steps of K trials (alpha (K, n, m)).  Yields
+    (live, step, stop) per step: the stepped trials' batch positions, their
+    StepRecord and each one's stop reason or None, which the caller may set.
+    A trial stops with "detector" on the step that completes the detector's
+    quiet window of deltas max(||alpha' - alpha||_inf, ||Theta' -
+    Theta||_inf) at a stationary state, where no positive share alpha_ij
+    has R_ij < rows_i - MONOTONE_TOL (a window ended anywhere else, a slow
+    pass by a saddle, restarts the count); else with "budget" on its
+    max_steps-th step.  A stopped trial leaves the batch, and the others
+    step on as they would alone; labels names them in a MonotonicityError."""
+    live, quiet, end = list(range(len(alpha))), [0] * len(alpha), t + max_steps
+    while live:
+        stop = [None] * len(live)
+        for s in _steps(scenario, alpha, theta, R, t,
+                        None if labels is None else labels[live]):
+            delta = np.maximum(np.abs(s.alpha - alpha).max(axis=(-2, -1)),
+                               np.abs(s.theta - theta).max(axis=(-2, -1)))
+            alpha, theta, t = s.alpha, s.theta, t + 1
+            for i, d in enumerate(delta.tolist()):
+                quiet[i] = quiet[i] + 1 if d <= detector.state_tolerance else 0
+                if quiet[i] == detector.window:
+                    quiet[i] = 0   # a window that ends on a saddle starts afresh
+                    if not ((alpha[i] > 0.0) & (s.R[i] < s.rows[i][:, None]
+                                                - MONOTONE_TOL)).any():
+                        stop[i] = "detector"
+            if t == end:
+                stop[:] = [reason or "budget" for reason in stop]
+            yield live, s, stop
+            if any(stop):
+                break
+        keep = [i for i, reason in enumerate(stop) if reason is None]
+        live, quiet = [live[i] for i in keep], [quiet[i] for i in keep]
+        alpha, theta, R = alpha[keep], theta[keep], s.R[keep]
 
 
 def _record(Q, rows, total, masses, beta):
@@ -342,15 +358,15 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     records = [_record(Q, rows, rows @ scenario.beta, scenario.beta @ alpha,
                        scenario.beta)]
     frozen_total = 0
-    converged_at = None
 
-    steps = _watched_steps(scenario, alpha, theta, R, t0, detector, max_steps)
-    for k, (alpha, theta, _, *sums, frozen, fired) in enumerate(steps):
-        frozen_total += frozen
-        states.append(SystemState(alpha=alpha, theta=theta, t=t0 + k + 1))
-        records.append(_record(*sums, scenario.beta))
-        if fired:
-            converged_at = k - detector.window + 1
+    steps = _watched_steps(scenario, alpha[None], theta[None], R[None], t0,
+                           detector, max_steps)
+    for k, (_, s, stop) in enumerate(steps, 1):
+        frozen_total += int(s.frozen[0])
+        states.append(SystemState(alpha=s.alpha[0], theta=s.theta[0], t=t0 + k))
+        records.append(_record(s.Q[0], s.rows[0], s.total[0], s.masses[0],
+                               scenario.beta))
+    converged_at = k - detector.window if stop[0] == "detector" else None
 
     totals, sub, learner, empties = map(np.array, zip(*records))
     return Trajectory(states, totals, sub, learner, empties, converged_at,
@@ -437,33 +453,26 @@ def _probe_batch(scenario, eq_state, sigma, trials, seed, target="both",
     starts = [perturb(eq_state, sigma, [seed, k], target) for k in range(trials)]
     alpha = np.stack([s.alpha for s in starts])
     theta = np.stack([s.theta for s in starts])
-    R = scenario.risk_matrix(theta)
-    steps, escaped_at = np.zeros((2, trials), int)   # escaped_at 0: never
-    distance = np.full(trials, np.nan)
-    live, escaped, t = np.arange(trials), np.zeros(trials, bool), 0
-    while live.size:   # each pass drops the trials that finished
-        for alpha, theta, R, _, _, total, *_, delta in _steps(
-                scenario, alpha, theta, R, t, labels=live):
-            t += 1
+    records = [dict.fromkeys(("returned", "steps", "escaped_at", "distance",
+                              "stop_reason")) for _ in range(trials)]
+    loop = _watched_steps(scenario, alpha, theta, scenario.risk_matrix(theta), 0,
+                          EquilibriumDetector(), max_steps, np.arange(trials))
+    for t, (live, s, stop) in enumerate(loop, 1):
+        for i, total in enumerate(s.total.tolist()):
+            r = records[live[i]]
             # Total risk is monotone, so dropping below the equilibrium level
             # is irreversible: the run can never return once clearly below it.
-            escaped |= total < eq_risk - escape_tol
-            done = (delta <= 1e-13) | (t >= max_steps)
-            for i in np.flatnonzero(done | escaped):
-                k = live[i]
-                if escaped[i] and not escaped_at[k]:
-                    escaped_at[k] = t
-                distance[k] = state_distance_upto_permutation(
-                    SystemState(alpha[i], theta[i], 0), eq_state)
-                done[i] |= distance[k] > return_tol
-            if done.any():
-                steps[live[done]] = t
-                live, escaped, alpha, theta, R = (
-                    x[~done] for x in (live, escaped, alpha, theta, R))
-                break
-    return [{"returned": bool(distance[k] <= return_tol), "steps": int(steps[k]),
-             "escaped_at": int(escaped_at[k]) or None,
-             "distance": float(distance[k])} for k in range(trials)]
+            if r["escaped_at"] is None and total < eq_risk - escape_tol:
+                r["escaped_at"] = t
+            if r["escaped_at"] is not None or stop[i]:
+                r["distance"] = state_distance_upto_permutation(
+                    SystemState(s.alpha[i], s.theta[i], 0), eq_state)
+                if stop[i] is None and r["distance"] > return_tol:
+                    stop[i] = "departed"
+            if stop[i]:
+                r.update(returned=r["distance"] <= return_tol, steps=t,
+                         stop_reason=stop[i])
+    return records
 
 
 def empirical_stability_probe(scenario: Scenario, eq_state: SystemState,
@@ -474,10 +483,11 @@ def empirical_stability_probe(scenario: Scenario, eq_state: SystemState,
 
     Trial k perturbs eq_state from the seed stream [seed, k].  The trials
     step as one batch, so a probe costs as many steps as its longest trial.
-    A trial stops when its state stops moving (delta <= 1e-13), once its
-    total risk is below the equilibrium's and it is farther than return_tol,
-    or at max_steps.  It has returned if it ends within return_tol of the
-    equilibrium, compared up to learner permutation.
+    A trial stops by the stop rule of simulate under the default
+    EquilibriumDetector ("detector", or "budget" at max_steps), or
+    "departed" once its total risk is below the equilibrium's and it is
+    farther than return_tol.  It has returned if it ends within return_tol
+    of the equilibrium, compared up to learner permutation.
     """
     records = _probe_batch(scenario, eq_state, sigma, trials, seed, target,
                            max_steps, return_tol)

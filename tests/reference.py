@@ -6,9 +6,10 @@ trials (``engine._core_step``, ``Scenario.risk_matrix``,
 ``engine._watched_steps``).  These are the same concepts written one row,
 one learner or one trajectory at a time, straight from their definitions,
 so property tests can check the batched kernels against them.
-``detect_equilibrium`` rescans a recorded trajectory with the stop rule
-that ``simulate`` and every ``competition`` phase share: a quiet window
-counts only where it ends at a stationary state.
+``detect_equilibrium`` rescans a recorded trajectory with the one stop
+rule that ``simulate``, every ``competition`` phase and every probe trial
+share: a quiet window counts only where it ends at a state that
+``stationary`` accepts.
 
 ``convex_hulls_disjoint`` is an independent oracle for stable split
 markets: a linear program tests whether the hulls of two learner groups'
@@ -179,6 +180,15 @@ def full_minimize(alpha_col, beta, risks, method: str = "closed_form_quadratic",
                           max_iterations=max_iterations, start=start)
 
 
+def stationary(state, scenario):
+    """No positive share alpha_ij has R_ij < sum_k alpha_ik R_ik -
+    MONOTONE_TOL: no subpopulation holds mass on a learner that is worse
+    for it than one it could move that mass to."""
+    R = scenario.risk_matrix(state.theta)
+    mix = (state.alpha * R).sum(axis=1)
+    return not ((R < mix[:, None] - MONOTONE_TOL) & (state.alpha > 0.0)).any()
+
+
 def detect_equilibrium(trajectory, detector, scenario):
     """A rescan of the recorded states under the detector's rule: returns
     the first index of the first quiet window (detector.window steps in a
@@ -194,9 +204,7 @@ def detect_equilibrium(trajectory, detector, scenario):
                            np.abs(a.theta - b.theta).max())
         quiet = quiet + 1 if delta <= detector.state_tolerance else 0
         if quiet == detector.window:
-            R = scenario.risk_matrix(b.theta)
-            mix = (b.alpha * R).sum(axis=1)
-            if not ((R < mix[:, None] - MONOTONE_TOL) & (b.alpha > 0.0)).any():
+            if stationary(b, scenario):
                 return k - detector.window + 1, restarts
             restarts.append(k + 1)
             quiet = 0

@@ -450,13 +450,15 @@ def competition_phases(argv):
     phases = []
     real = cli._watched_steps
 
-    def record(scenario, alpha, theta, R, t, detector, max_steps):
+    def record(scenario, alpha, theta, R, t, detector, max_steps, labels=None):
         for steps, item in enumerate(real(scenario, alpha, theta, R, t,
-                                          detector, max_steps), 1):
+                                          detector, max_steps, labels), 1):
             yield item
-        end = SystemState(alpha=item[0], theta=item[1], t=t + steps)
-        phases.append(((scenario, SystemState(alpha=alpha, theta=theta, t=t),
-                        detector, max_steps), (end, steps, item[-1])))
+        _, last, stop = item
+        end = SystemState(alpha=last.alpha[0], theta=last.theta[0], t=t + steps)
+        phases.append(((scenario, SystemState(alpha=alpha[0], theta=theta[0],
+                                              t=t), detector, max_steps),
+                       (end, steps, stop[0] == "detector")))
 
     with mock.patch.object(cli, "_watched_steps", record):
         assert main(["competition", *argv]) == 0
@@ -467,6 +469,27 @@ def competition_phases(argv):
 def competition12_phases(tmp_path_factory, competition12_path):
     return competition_phases([str(competition12_path), "--target-m", "12",
                                "--out", str(tmp_path_factory.mktemp("c12"))])
+
+
+class TestOneWatchedLoop:
+    def test_runs_phases_and_probe_trials_all_stop_in_it(
+            self, competition12_path, tmp_path):
+        # simulate, every competition phase and every probe trial stop by
+        # engine._watched_steps: with it broken, each of them fails
+        def forbidden(*args, **kwargs):
+            raise AssertionError("_watched_steps reached")
+
+        loaded = load_scenario(THREE_CENTERS)
+        with mock.patch.object(engine, "_watched_steps", forbidden), \
+                mock.patch.object(cli, "_watched_steps", forbidden):
+            with pytest.raises(AssertionError, match="reached"):
+                simulate(loaded.scenario, loaded.initial_state, 10)
+            with pytest.raises(AssertionError, match="reached"):
+                main(["competition", str(competition12_path), "--target-m",
+                      "3", "--out", str(tmp_path)])
+            with pytest.raises(AssertionError, match="reached"):
+                engine._probe_batch(loaded.scenario, loaded.initial_state,
+                                    1e-3, 2, 1)
 
 
 class TestPhaseRunner:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
@@ -24,9 +25,30 @@ def test_compare_reports_row_counts_and_the_shared_rows(tmp_path):
         "total_risk": {"max_abs": 0.25, "max_rel": 0.25 / 1.5, "other": 0}}}
 
 
-def test_compare_gives_no_groups_when_columns_differ(tmp_path):
+def test_compare_lists_groups_found_in_one_file_only(tmp_path):
+    # a new key is listed, and the groups both files have are still compared
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_text("t,total_risk\n0,1.0\n")
     b.write_text("t,margin\n0,1.0\n")
-    assert _cli_digest()._compare(str(a), str(b)) == {"rows": [1, 1],
-                                                      "groups": None}
+    assert _cli_digest()._compare(str(a), str(b)) == {
+        "rows": [1, 1], "groups": {}, "only": [["total_risk"], ["margin"]]}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"fraction": 0.5, "records": [
+        {"steps": 3, "distance": 0.25}, {"steps": 5, "distance": 1.0}]}))
+    b.write_text(json.dumps({"fraction": 0.5, "records": [
+        {"steps": 4, "distance": 0.25, "reason": "detector"},
+        {"steps": 5, "distance": 1.5, "reason": "departed"}]}))
+    assert _cli_digest()._compare(str(a), str(b)) == {
+        "rows": [1, 1], "only": [[], ["records.reason"]], "groups": {
+            "records.steps": {"max_abs": 1.0, "max_rel": 0.25, "other": 0},
+            "records.distance": {"max_abs": 0.5, "max_rel": 0.5 / 1.5,
+                                 "other": 0}}}
+
+
+def test_compare_counts_a_value_without_a_counterpart(tmp_path):
+    # a row whose group has more values in one file: the extra one differs
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,alpha_1_1,alpha_1_2\n0,0.5,0.5\n")
+    b.write_text("t,alpha_1_1,alpha_1_2,alpha_1_3\n0,0.5,0.5,0.0\n")
+    assert _cli_digest()._compare(str(a), str(b)) == {"rows": [1, 1], "groups": {
+        "alpha": {"max_abs": 0.0, "max_rel": 0.0, "other": 1}}}

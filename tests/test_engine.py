@@ -46,6 +46,7 @@ from reference import (
     gradient_step,
     learner_avg_risk,
     mwud_step,
+    stationary,
     subpop_avg_risk,
 )
 
@@ -542,16 +543,17 @@ class TestStabilityProbe:
         records = _probe_batch(three_centers.scenario, three_centers.initial_state,
                                1e-3, 4, 2, "both", 6000, 1e-4)
         assert [set(r) for r in records] == [{"returned", "steps", "escaped_at",
-                                              "distance"}] * 4
+                                              "distance", "stop_reason"}] * 4
         # the balanced point is left for a split market of lower total risk
         assert all(not r["returned"] and r["escaped_at"] is not None
                    and r["escaped_at"] <= r["steps"] and r["distance"] > 1e-4
-                   for r in records)
+                   and r["stop_reason"] == "departed" for r in records)
         sc = partition_pair_scenario([0.0], [1.0], [2.0], 1 / 3, 1 / 3)
         records = _probe_batch(sc, partition_pair_state(sc), 1e-4, 4, 1, "both",
                                6000, 1e-4)
         assert all(r["returned"] and r["escaped_at"] is None
-                   and r["distance"] <= 1e-4 for r in records)
+                   and r["distance"] <= 1e-4 and r["stop_reason"] == "detector"
+                   for r in records)
 
     def test_batch_steps_as_often_as_its_longest_trial(self):
         # a per-trial loop would step sum(steps) times, the batch max(steps)
@@ -593,32 +595,40 @@ class TestStabilityProbe:
 
 
 def _serial_trial(scenario, eq_state, sigma, seed, target, max_steps, return_tol):
-    """One probe trial replayed over the public step: the per-trial reference
-    the batched probe is pinned to.  Returns the trial's record and the total
-    risk after each of its steps."""
+    """One probe trial replayed over the public step with the stop rule
+    written out: a quiet count under the default detector that fires only
+    at a stationary state and otherwise restarts, the step budget, and the
+    departure test.  The per-trial reference the batched probe is pinned
+    to: returns the trial's record and the total risk after each step."""
+    detector = EquilibriumDetector()
     eq_risk = total_risk(eq_state, scenario)
     escape_tol = 1e-9 * max(1.0, abs(eq_risk))
     state = perturb(SystemState(eq_state.alpha, eq_state.theta, t=0), sigma, seed,
                     target)
-    escaped_at, totals = None, []
+    escaped_at, totals, quiet, reason = None, [], 0, None
     for k in range(1, max_steps + 1):
         nxt = step(state, scenario)
         delta = max(np.abs(nxt.alpha - state.alpha).max(),
                     np.abs(nxt.theta - state.theta).max())
         state = nxt
         totals.append(total_risk(state, scenario))
+        quiet = quiet + 1 if delta <= detector.state_tolerance else 0
+        if quiet == detector.window:
+            quiet = 0
+            if stationary(state, scenario):
+                reason = "detector"
+        if reason is None and k == max_steps:
+            reason = "budget"
         if escaped_at is None and totals[-1] < eq_risk - escape_tol:
             escaped_at = k
-        if escaped_at is not None:
+        if escaped_at is not None or reason is not None:
             distance = state_distance_upto_permutation(state, eq_state)
-            if distance > return_tol:
-                return {"returned": False, "steps": k, "escaped_at": escaped_at,
-                        "distance": distance}, totals
-        if delta <= 1e-13:
-            break
-    distance = state_distance_upto_permutation(state, eq_state)
-    return {"returned": distance <= return_tol, "steps": k,
-            "escaped_at": escaped_at, "distance": distance}, totals
+            if reason is None and distance > return_tol:
+                reason = "departed"
+        if reason is not None:
+            return {"returned": distance <= return_tol, "steps": k,
+                    "escaped_at": escaped_at, "distance": distance,
+                    "stop_reason": reason}, totals
 
 
 def _custom_quadratic(center, offset):
@@ -653,9 +663,7 @@ class TestBatchedProbeAgainstSerial:
         for k, record in enumerate(records):
             expected, totals = _serial_trial(sc, eq_state, sigma, [seed, k], target,
                                              max_steps, 1e-4)
-            assert {key: record[key] for key in ("returned", "steps", "escaped_at")} \
-                == {key: expected[key] for key in ("returned", "steps", "escaped_at")}
-            assert record["distance"] == expected["distance"]
+            assert record == expected
             # a finished trial takes no further step
             assert len(per_trial[k]) == record["steps"]
             assert per_trial[k] == totals
@@ -770,6 +778,99 @@ class TestBatchIndependence:
             for got, alone in zip(batch, run(alpha[k:k + 1], theta[k:k + 1])):
                 for x, y in zip(got, alone):
                     assert np.array_equal(x[k], y[0])
+
+
+class TestWatchedBatchIndependence:
+    """Each trial of a _watched_steps batch stops as its solo run (simulate)
+    does: at the same step, for the same reason, in the same state bit for
+    bit and through the same totals, whichever trials left before it."""
+
+    @staticmethod
+    def _batch(seed, rule, schedule_kind, learner):
+        """A random instance and K = 5 starts that end differently: a split
+        at its group optima, which the detector takes at the window's last
+        step; the same split with 1e-60 on every other learner, whose first
+        window may end on a saddle; three random starts."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        m = int(rng.integers(2, min(3, n) + 1))
+        sc = random_scenario(rng, n, m, int(rng.integers(1, 3)), learner=learner)
+        subpops, learners = (tuple(int(i) for i in np.flatnonzero(
+            rng.random(size) < 0.5)) for size in (n, m))
+        sc = replace(sc, subpop_rule=TestBatchedProbeAgainstSerial.RULES[rule],
+                     schedule=_schedule(schedule_kind, subpops, learners))
+        gamma_map = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
+        split = SplitAssignment(tuple(int(g) for g in rng.permutation(gamma_map)))
+        alpha = [split.to_alpha(m), split.to_alpha(m) + 1e-60]
+        theta = [theta_for_assignment(split, sc)] * 2
+        alpha += [rng.dirichlet(np.ones(m), size=n) for _ in range(3)]
+        theta += [rng.uniform(-2.0, 2.0, (m, sc.d)) for _ in range(3)]
+        alpha = np.array(alpha)
+        return sc, alpha / alpha.sum(-1, keepdims=True), np.array(theta)
+
+    @staticmethod
+    def _check(sc, alpha, theta, detector, max_steps):
+        """Asserts the batch against the solo runs; returns per trial its
+        stop step, its reason and its solo run's saddle restarts."""
+        ends, totals = [None] * len(alpha), [[] for _ in alpha]
+        loop = engine._watched_steps(sc, alpha, theta, sc.risk_matrix(theta), 0,
+                                     detector, max_steps, np.arange(len(alpha)))
+        for t, (live, s, stop) in enumerate(loop, 1):
+            for i, k in enumerate(live):
+                totals[k].append(s.total[i])
+                if stop[i] is not None:
+                    ends[k] = (t, stop[i], s.alpha[i], s.theta[i])
+        seen = []
+        for k, (t, reason, a, th) in enumerate(ends):
+            traj = simulate(sc, SystemState(alpha[k], theta[k]), max_steps,
+                            detector)
+            assert t == len(traj.states) - 1
+            assert reason == ("budget" if traj.converged_at is None
+                              else "detector")
+            assert np.array_equal(a, traj.final_state.alpha)
+            assert np.array_equal(th, traj.final_state.theta)
+            assert totals[k] == traj.total_risks[1:].tolist()
+            seen.append((t, reason, detect_equilibrium(traj, detector, sc)[1]))
+        return seen
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 3),
+           st.sampled_from(engine.SCHEDULE_KINDS),
+           st.sampled_from(["full_min", "repeated_gd"]),
+           st.sampled_from([EquilibriumDetector(), EquilibriumDetector(1e-6, 3)]),
+           st.integers(1, 300))
+    def test_every_trial_stops_as_it_would_alone(self, seed, rule, schedule_kind,
+                                                  learner, detector, max_steps):
+        sc, alpha, theta = self._batch(seed, rule, schedule_kind, learner)
+        self._check(sc, alpha, theta, detector, max_steps)
+
+    def test_one_batch_ends_every_way(self):
+        # the detector at steps 10, 20 and 58, the last after three saddle
+        # restarts; two trials at the budget, one after restarts of its own
+        sc, alpha, theta = self._batch(50, 0, "all_sequential", "full_min")
+        seen = self._check(sc, alpha, theta, EquilibriumDetector(), 60)
+        assert [(t, reason, len(restarts)) for t, reason, restarts in seen] == [
+            (10, "detector", 0), (58, "detector", 3), (60, "budget", 0),
+            (60, "budget", 4), (20, "detector", 0)]
+
+    def test_a_trip_after_a_drop_out_names_the_original_trial(self):
+        # an oversized constant gradient step doubles theta's distance to
+        # the center: trial 4 sits on the center and the detector takes it
+        # on its 10th step; trial 7, 1e-12 off, goes on alone and trips on
+        # its 27th, the step from t = 26
+        sc = Scenario(beta=np.array([1.0]), risks=(quadratic_risk([0.0]),), m=1,
+                      subpop_rule=mwud(),
+                      learner_rule=repeated_gd(base=1.5, form="constant"))
+        theta = np.array([[[0.0]], [[1e-12]]])
+        stops = []
+        with pytest.raises(MonotonicityError) as exc:
+            for live, _, stop in engine._watched_steps(
+                    sc, np.ones((2, 1, 1)), theta, sc.risk_matrix(theta), 0,
+                    EquilibriumDetector(), 100, np.array([4, 7])):
+                stops.append((list(live), list(stop)))
+        assert stops[9] == ([0, 1], ["detector", None])
+        assert stops[10:] == [([1], [None])] * 16
+        assert (exc.value.trial, exc.value.t) == (7, 26)
 
 
 class TestFreezeThreshold:

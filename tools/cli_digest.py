@@ -51,14 +51,15 @@ two outputs; the script uses the standard library only.
 
 ``--against OTHER`` runs both checkouts instead and prints one JSON line per
 output file, with both exit codes and whether the digests agree.  Where they
-differ it adds both files' row counts and, per value group over the rows
-both files have, the largest absolute and relative difference of the
-numbers and the count of other values that differ.  A CSV's rows are its
-data rows and a JSON document is one row; any other file compares line by
-line.  A CSV column's group is its name without index suffixes
-(``alpha_2_1`` is in ``alpha``), a JSON value's is its key path without
-list indices (``trial_records.distance``).  The exit code is 1 when some
-output differs.
+differ it adds both files' row counts and, per value group that both files
+have, over the rows both have, the largest absolute and relative difference
+of the numbers and the count of other values that differ; groups found in
+one file only (a new column or JSON key) are listed under ``only``.  A
+CSV's rows are its data rows and a JSON document is one row; any other file
+compares line by line.  A CSV column's group is its name without index
+suffixes (``alpha_2_1`` is in ``alpha``), a JSON value's is its key path
+without list indices (``trial_records.distance``).  The exit code is 1 when
+some output differs.
 """
 
 import argparse
@@ -66,6 +67,7 @@ import csv
 import glob
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -301,30 +303,41 @@ def _number(value):
 
 
 def _compare(path_a, path_b):
-    """Both files' row counts and, per group over the rows both have, the
-    largest absolute and relative difference of numbers and the count of
-    other values that differ; groups is None if those rows' values do not
-    line up."""
+    """Both files' row counts and, per group that both files have, over the
+    rows both have, the largest absolute and relative difference of numbers
+    and the count of other values that differ (a value with no counterpart
+    in the other file's row counts as one); plus "only", the groups found
+    in one file only, when there are any."""
     rows_a, rows_b = _rows(path_a), _rows(path_b)
-    a, b = ([pair for row in rows[:min(len(rows_a), len(rows_b))]
-             for pair in row] for rows in (rows_a, rows_b))
-    counts = {"rows": [len(rows_a), len(rows_b)]}
-    if [g for g, _ in a] != [g for g, _ in b]:
-        return {**counts, "groups": None}
-    groups = {}
-    for (group, x), (_, y) in zip(a, b):
-        diff = groups.setdefault(group, {"max_abs": 0.0, "max_rel": 0.0,
-                                         "other": 0})
-        u, v = _number(x), _number(y)
-        if (u is None or v is None
-                or not (math.isfinite(u) and math.isfinite(v))):
-            diff["other"] += str(x) != str(y)   # text, NaN or infinity
-        elif u != v:
-            gap = abs(u - v)
-            diff["max_abs"] = max(diff["max_abs"], gap)
-            diff["max_rel"] = max(diff["max_rel"], gap / max(abs(u), abs(v)))
-    return {**counts, "groups": {g: d for g, d in groups.items()
-                                 if d["max_abs"] or d["other"]}}
+    names_a, names_b = (dict.fromkeys(g for row in rows for g, _ in row)
+                        for rows in (rows_a, rows_b))
+    shared = [g for g in names_a if g in names_b]
+    groups = {g: {"max_abs": 0.0, "max_rel": 0.0, "other": 0} for g in shared}
+    for row_a, row_b in zip(rows_a, rows_b):
+        values_a, values_b = {}, {}
+        for values, row in ((values_a, row_a), (values_b, row_b)):
+            for group, x in row:
+                values.setdefault(group, []).append(x)
+        for group, diff in groups.items():
+            for x, y in itertools.zip_longest(values_a.get(group, ()),
+                                              values_b.get(group, ())):
+                u, v = _number(x), _number(y)
+                if (u is None or v is None
+                        or not (math.isfinite(u) and math.isfinite(v))):
+                    diff["other"] += str(x) != str(y)   # text, NaN, infinity
+                elif u != v:
+                    gap = abs(u - v)
+                    diff["max_abs"] = max(diff["max_abs"], gap)
+                    diff["max_rel"] = max(diff["max_rel"],
+                                          gap / max(abs(u), abs(v)))
+    result = {"rows": [len(rows_a), len(rows_b)],
+              "groups": {g: d for g, d in groups.items()
+                         if d["max_abs"] or d["other"]}}
+    only = [[g for g in names if g not in other]
+            for names, other in ((names_a, names_b), (names_b, names_a))]
+    if any(only):
+        result["only"] = only
+    return result
 
 
 def _against(root, other, tmp):
