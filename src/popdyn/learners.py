@@ -6,7 +6,7 @@ w_i = alpha_ij beta_i: repeated gradient descent steps down its gradient
 (minimize_mixtures).  For quadratics both use the normal equations
 H = sum_i w_i A_i, b = sum_i w_i A_i phi_i: the gradient is 2 (H theta - b)
 and the minimizer H^-1 b, for which unnormalized weights suffice.  Other
-risks sum their gradient callbacks and are minimized by damped Newton.
+risks sum their batched callbacks, minimized by one damped Newton.
 """
 
 from __future__ import annotations
@@ -71,10 +71,15 @@ def step_size(t: int, rule: LearnerRule) -> float:
     return rule.base
 
 
-def _gradient_sum(weights, risks, theta):
-    # sum_i w_i grad R_i(theta) over the nonzero weights; 0 for none
-    return sum((wi * risk_gradient(r, theta) for wi, r in zip(weights, risks)
-                if wi != 0.0), np.zeros(len(theta)))
+def _mix(W, risks, fn, theta) -> np.ndarray:
+    """sum_i W[..., i, k] fn(R_i, theta[..., k, :]) for W (..., n, k), one fn
+    call per risk on the batch; a zero weight adds 0, even to inf or NaN."""
+    total = 0.0
+    for w, r in zip(np.moveaxis(W, -2, 0), risks):
+        term = fn(r, theta)
+        w = w.reshape(w.shape + (1,) * (term.ndim - w.ndim))
+        total = total + np.multiply(w, term, out=np.zeros_like(term), where=w != 0)
+    return total
 
 
 def mixture_gradients(scenario, W, theta) -> np.ndarray:
@@ -85,109 +90,94 @@ def mixture_gradients(scenario, W, theta) -> np.ndarray:
     if scenario._quad is not None:
         H, b = scenario.normal_equations(W)
         return 2.0 * ((H @ theta[..., None])[..., 0] - b)
-    cols = W.swapaxes(-1, -2).reshape(-1, W.shape[-2])
-    return np.array([_gradient_sum(w, scenario.risks, th) for w, th in
-                     zip(cols, theta.reshape(-1, scenario.d))]).reshape(theta.shape)
+    return _mix(W, scenario.risks, risk_gradient, theta)
+
+
+def _require_mass(W, hold) -> None:
+    """EmptyLearnerError naming the first unheld column of W with no mass."""
+    empty = np.argwhere(~W.any(axis=-2) & (True if hold is None else ~hold))
+    if empty.size:
+        *batch, j = empty[0].tolist()
+        raise EmptyLearnerError(
+            f"mixture column W[{', '.join(map(str, [*batch, ':', j]))}] "
+            "has no positive weight") from None
+
+
+def _newton(W, risks, tolerance, max_iterations, start, hold) -> np.ndarray:
+    """minimize_mixtures' damped Newton, all unheld columns at once.  A column
+    is done at gradient norm <= tolerance or once its full step's predicted
+    decrease is below rounding; its step halves until its risk does not rise."""
+    _require_mass(W, hold)
+    theta = (np.zeros((*W.shape[:-2], W.shape[-1], risks[0].dim))
+             if start is None else np.array(start, dtype=float))
+    x = theta.reshape(-1, theta.shape[-1])   # a view, one row per column
+    live = np.arange(len(x)) if hold is None else np.flatnonzero(~hold)
+    w = np.moveaxis(W, -2, 0).reshape(len(risks), -1)[:, live]
+    value = _mix(w, risks, risk_value, x[live])
+    for iteration in range(max_iterations + 1):
+        g = _mix(w, risks, risk_gradient, x[live])
+        going = ~(np.linalg.norm(g, axis=-1) <= tolerance)   # NaN goes on
+        live, w, value, g = live[going], w[:, going], value[going], g[going]
+        if not live.size:
+            return theta
+        if iteration == max_iterations:
+            raise ConvergenceError("newton did not reach gradient norm "
+                                   f"{tolerance} in {max_iterations} iterations")
+        step = np.linalg.solve(_mix(w, risks, risk_hessian, x[live]),
+                               -g[..., None])[..., 0]
+        decrease = -(g * step).sum(axis=-1) / 2   # by the quadratic model
+        if not (decrease >= 0).all():
+            raise ConvergenceError(
+                "newton direction is not a descent direction (predicted change "
+                f"{-decrease.min():.3g}): the hessian is not positive definite")
+        going = ~(decrease <= np.finfo(float).eps * np.abs(value))
+        live, w, value, step = live[going], w[:, going], value[going], step[going]
+        if not live.size:
+            return theta
+        scale, search = 1.0, np.arange(live.size)
+        while search.size:
+            if not scale > 1e-12:
+                raise ConvergenceError("newton step failed to decrease the objective")
+            candidate = x[live[search]] + scale * step[search]
+            cand_value = _mix(w[:, search], risks, risk_value, candidate)
+            ok = cand_value <= value[search]
+            x[live[search[ok]]], value[search[ok]] = candidate[ok], cand_value[ok]
+            search, scale = search[~ok], scale * 0.5
 
 
 def group_minimize(weights, risks, tolerance: float = 1e-10,
                    max_iterations: int = 100, start=None) -> np.ndarray:
-    """Minimize sum_i w_i R_i(theta) over theta for nonnegative weights by
-    damped Newton: steps are halved until the objective decreases, so the
-    update stays risk reducing even far from the optimum."""
-    weights = np.asarray(weights, dtype=float)
-    active = [(wi, r) for wi, r in zip(weights, risks) if wi != 0.0]
-    if not active:
-        raise EmptyLearnerError("group has no positive weight")
-    d = active[0][1].dim
-
-    def objective(th):
-        return sum(wi * risk_value(r, th) for wi, r in active)
-
-    def grad(th):
-        return _gradient_sum(weights, risks, th)
-
-    def hess(th):
-        return sum(wi * risk_hessian(r, th) for wi, r in active)
-
-    if start is not None:
-        theta = np.asarray(start, dtype=float).copy()
-    elif all(r.kind == "quadratic" for _, r in active):
-        theta = sum(wi * r.center for wi, r in active) / sum(wi for wi, _ in active)
-    else:
-        theta = np.zeros(d)
-    value = objective(theta)
-    for _ in range(max_iterations):
-        g = grad(theta)
-        if np.linalg.norm(g) <= tolerance:
-            return theta
-        direction = np.linalg.solve(hess(theta), -g)
-        decrease = -(g @ direction) / 2   # predicted by the quadratic model
-        if not decrease >= 0:
-            raise ConvergenceError(
-                f"newton direction is not a descent direction (predicted "
-                f"change {-decrease:.3g}): the hessian is not positive definite")
-        if decrease <= np.finfo(float).eps * abs(value):
-            # the full step's predicted decrease is below the objective's
-            # rounding: no step can be seen to lower it, so theta is optimal
-            # to working precision
-            return theta
-        scale = 1.0
-        while scale > 1e-12:
-            candidate = theta + scale * direction
-            cand_value = objective(candidate)
-            if cand_value <= value:
-                theta, value = candidate, cand_value
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError("newton step failed to decrease the objective")
-    if np.linalg.norm(grad(theta)) <= tolerance:
-        return theta
-    raise ConvergenceError(
-        f"newton did not reach gradient norm {tolerance} in {max_iterations} iterations"
-    )
+    """Damped Newton on sum_i w_i R_i(theta), w_i >= 0, from start or 0."""
+    return _newton(np.asarray(weights, dtype=float)[:, None], risks, tolerance,
+                   max_iterations, None if start is None else [start], None)[0]
 
 
 def minimize_mixtures(scenario, W, tolerance: float = 1e-10,
                       max_iterations: int = 100, start=None,
                       hold=None) -> np.ndarray:
     """Minimizers (..., k, d) of the mixtures weighted by the columns of W
-    (..., n, k): one batched normal-equation solve for quadratics, else
-    group_minimize per column, from the matching row of start (..., k, d)
-    if given.  A column marked in hold (..., k) is not minimized and may
-    have any mass: it returns its row of start exactly, or 0 without a
-    start.  Every other column needs positive mass, or EmptyLearnerError
-    is raised.  Leading axes index batches.
+    (..., n, k): one batched normal-equation solve for quadratics, else one
+    damped Newton over every column, from the matching row of start
+    (..., k, d) if given, or 0.  A column marked in hold (..., k) is not
+    minimized and may have any mass: it returns its row of start exactly,
+    or 0 without a start.  Every other column needs positive mass, or
+    EmptyLearnerError is raised.  Leading axes index batches.
 
     With every curvature diagonal, so is H, and a positive diagonal is
     solved as b / diag(H), which is what pivoted LU computes: LAPACK's bits,
     but a -0.0 in b stays -0.0 where LAPACK may return +0.0."""
-    if scenario._quad is not None:
-        H, b = scenario.normal_equations(W)
-        if hold is not None:
-            # a held column solves I x = start, which returns start exactly
-            H = np.where(hold[..., None, None], np.eye(scenario.d), H)
-            b = np.where(hold[..., None], 0.0 if start is None else start, b)
-        h = H.diagonal(axis1=-2, axis2=-1)
-        if scenario._quad[4] and (h > 0.0).all():
-            return b / h
-        try:
-            return np.linalg.solve(H, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            empty = ~W.any(axis=-2) & (True if hold is None else ~hold)
-            if not empty.any():
-                raise
-            *batch, j = np.argwhere(empty)[0].tolist()
-            raise EmptyLearnerError(
-                f"mixture column W[{', '.join(map(str, [*batch, ':', j]))}] "
-                "has no positive weight") from None
-    cols = W.swapaxes(-1, -2).reshape(-1, W.shape[-2])
-    starts = ([None] * len(cols) if start is None
-              else np.reshape(start, (-1, scenario.d)))
-    held = np.zeros(len(cols), bool) if hold is None else np.ravel(hold)
-    thetas = [(np.zeros(scenario.d) if s is None else s) if h else
-              group_minimize(w, scenario.risks, tolerance=tolerance,
-                             max_iterations=max_iterations, start=s)
-              for w, s, h in zip(cols, starts, held)]
-    return np.array(thetas).reshape(*W.shape[:-2], W.shape[-1], scenario.d)
+    if scenario._quad is None:
+        return _newton(W, scenario.risks, tolerance, max_iterations, start, hold)
+    H, b = scenario.normal_equations(W)
+    if hold is not None:
+        # a held column solves I x = start, which returns start exactly
+        H = np.where(hold[..., None, None], np.eye(scenario.d), H)
+        b = np.where(hold[..., None], 0.0 if start is None else start, b)
+    h = H.diagonal(axis1=-2, axis2=-1)
+    if scenario._quad[4] and (h > 0.0).all():
+        return b / h
+    try:
+        return np.linalg.solve(H, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        _require_mass(W, hold)
+        raise

@@ -76,11 +76,20 @@ def require_choice(value, name: str, choices):
     raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def _as_vector(x, d, name) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (d,):
-        raise DimensionError(f"{name}: expected shape ({d},), got {arr.shape}")
-    return arr
+def _as_points(theta, d) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (d,):
+        raise DimensionError(f"theta: expected shape (..., {d}), got {theta.shape}")
+    return theta
+
+
+def _callback(fn, theta, tail, name) -> np.ndarray:
+    """fn(theta), checked so that an unbatched callback cannot broadcast."""
+    out, shape = np.asarray(fn(theta), dtype=float), theta.shape[:-1] + tail
+    if out.shape != shape:
+        raise DimensionError(f"custom risk {name}: expected shape {shape} at "
+                             f"theta of shape {theta.shape}, got {out.shape}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -89,9 +98,8 @@ class RiskFunction:
 
     ``quadratic`` kind evaluates (theta-center)^T curvature (theta-center)
     + offset with a symmetric positive-definite curvature matrix.  The
-    ``custom`` kind delegates to user callbacks (value, gradient, hessian)
-    that must themselves be strongly convex.
-    """
+    ``custom`` kind delegates to strongly convex batched callbacks: at theta
+    (..., d), value, gradient and hessian return (...), (..., d), (..., d, d)."""
 
     kind: str
     dim: int
@@ -136,36 +144,41 @@ def quadratic_risk(center, curvature=None, offset: float = 0.0) -> RiskFunction:
 
 
 def custom_risk(dim: int, value, gradient, hessian) -> RiskFunction:
-    """Build a risk from callbacks; caller guarantees strong convexity."""
-    return RiskFunction(
-        kind="custom", dim=int(dim),
-        value_fn=value, grad_fn=gradient, hess_fn=hessian,
-    )
+    """Build a risk from batched callbacks; caller guarantees strong convexity."""
+    require_number(dim, "dim", 1, integer=True)
+    for name, fn in dict(value=value, gradient=gradient, hessian=hessian).items():
+        if not callable(fn):
+            raise ValueError(f"{name} must be callable, got {fn!r}")
+    return RiskFunction(kind="custom", dim=int(dim), value_fn=value,
+                        grad_fn=gradient, hess_fn=hessian)
 
 
-def risk_value(risk: RiskFunction, theta) -> float:
-    """R_i(theta); exact (theta-phi)^T A (theta-phi) + c for quadratics."""
-    theta = _as_vector(theta, risk.dim, "theta")
+def risk_value(risk: RiskFunction, theta):
+    """R_i(theta) at theta (..., d), a float at one point; exact
+    (theta-phi)^T A (theta-phi) + c for quadratics."""
+    theta = _as_points(theta, risk.dim)
     if risk.kind == "quadratic":
-        diff = theta - risk.center
-        return float(diff @ risk.curvature @ diff) + risk.offset
-    return float(risk.value_fn(theta))
+        v = (theta - risk.center)[..., None, :]   # row vectors (..., 1, d)
+        out = (v @ risk.curvature @ v.swapaxes(-1, -2))[..., 0, 0] + risk.offset
+    else:
+        out = _callback(risk.value_fn, theta, (), "value")
+    return float(out) if out.ndim == 0 else out
 
 
 def risk_gradient(risk: RiskFunction, theta) -> np.ndarray:
-    """grad R_i(theta); 2 A (theta-phi) for quadratics."""
-    theta = _as_vector(theta, risk.dim, "theta")
+    """grad R_i at theta (..., d); 2 A (theta-phi) for quadratics."""
+    theta = _as_points(theta, risk.dim)
     if risk.kind == "quadratic":
-        return 2.0 * (risk.curvature @ (theta - risk.center))
-    return np.asarray(risk.grad_fn(theta), dtype=float)
+        return 2.0 * (risk.curvature @ (theta - risk.center)[..., None])[..., 0]
+    return _callback(risk.grad_fn, theta, (risk.dim,), "gradient")
 
 
 def risk_hessian(risk: RiskFunction, theta) -> np.ndarray:
-    """Hessian of R_i at theta; the constant 2A for quadratics."""
-    theta = _as_vector(theta, risk.dim, "theta")
+    """Hessian of R_i at theta (..., d); the constant 2A for quadratics."""
+    theta = _as_points(theta, risk.dim)
     if risk.kind == "quadratic":
-        return 2.0 * risk.curvature
-    return np.asarray(risk.hess_fn(theta), dtype=float)
+        return 2.0 * risk.curvature * np.ones(theta.shape[:-1] + (1, 1))
+    return _callback(risk.hess_fn, theta, (risk.dim,) * 2, "hessian")
 
 
 @dataclass(frozen=True)
@@ -234,9 +247,7 @@ class Scenario:
         center.  With p_i = phi_i - o, row i of F is [vec(A_i), -2 A_i p_i,
         p_i^T A_i p_i + c_i], so R_i(theta) = F_i . [vec(t t^T), t, 1] at
         t = theta - o; row i of N is [vec(A_i), A_i phi_i].  diagonal: no
-        stored (symmetrized) A_i, so no H, has a nonzero off-diagonal entry;
-        minimize_mixtures then solves b / diag(H), LAPACK's bits but for a
-        -0.0 in b, which stays -0.0 where LAPACK may return +0.0."""
+        stored (symmetrized) A_i, so no H, has a nonzero off-diagonal entry."""
         if any(r.kind != "quadratic" for r in self.risks):
             return None
         A = np.stack([r.curvature for r in self.risks])
@@ -257,7 +268,7 @@ class Scenario:
         Quadratics take one matrix product per leading index, expanded about
         the mean center o: the error is about
         eps * ||A_i|| * (|theta_j - o|^2 + |phi_i - o|^2), not eps * R_ij;
-        risk_value is the exact path."""
+        risk_value is the exact path, which other risks take on the batch."""
         theta = np.asarray(theta, dtype=float)
         if self._quad is not None:
             _, o, F, *_ = self._quad
@@ -270,9 +281,7 @@ class Scenario:
             G[..., d * d:-1, :] = t
             G[..., -1, :] = 1.0
             return F @ G
-        values = [[risk_value(r, th) for th in theta.reshape(-1, self.d)]
-                  for r in self.risks]
-        return np.moveaxis(np.reshape(values, (self.n, *theta.shape[:-1])), 0, -2)
+        return np.stack([risk_value(r, theta) for r in self.risks], axis=-2)
 
     def normal_equations(self, W: np.ndarray):
         """Normal equations of quadratic mixtures with weights W (..., n, k):

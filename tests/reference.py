@@ -3,9 +3,11 @@
 The library computes each concept once, batched over rows, learners and
 trials (``engine._core_step``, ``Scenario.risk_matrix``,
 ``Scenario.normal_equations``, ``learners.mixture_gradients``,
-``engine._watched_steps``).  These are the same concepts written one row,
-one learner or one trajectory at a time, straight from their definitions,
-so property tests can check the batched kernels against them.
+``learners.minimize_mixtures``, ``engine._watched_steps``).  These are the
+same concepts written one row, one learner or one trajectory at a time,
+straight from their definitions, so property tests can check the batched
+kernels against them; ``newton_minimize`` is the damped Newton of one
+mixture, evaluated one point at a time.
 ``detect_equilibrium`` rescans a recorded trajectory with the one stop
 rule that ``simulate``, every ``competition`` phase and every probe trial
 share: a quiet window counts only where it ends at a state that
@@ -27,14 +29,19 @@ import numpy as np
 from scipy.optimize import linprog
 
 from popdyn.equilibria import SplitAssignment
-from popdyn.errors import DimensionError, EmptyLearnerError, SimplexError
-from popdyn.learners import group_minimize
+from popdyn.errors import (
+    ConvergenceError,
+    DimensionError,
+    EmptyLearnerError,
+    SimplexError,
+)
 from popdyn.model import (
     EMPTY_MASS_TOL,
     MONOTONE_TOL,
     SIMPLEX_TOL,
     RiskFunction,
     risk_gradient,
+    risk_hessian,
     risk_value,
 )
 
@@ -176,8 +183,74 @@ def full_minimize(alpha_col, beta, risks, method: str = "closed_form_quadratic",
             H += wi * r.curvature
             b += wi * (r.curvature @ r.center)
         return np.linalg.solve(H, b)
-    return group_minimize(w, risks, tolerance=tolerance,
-                          max_iterations=max_iterations, start=start)
+    return newton_minimize(w, risks, tolerance=tolerance,
+                           max_iterations=max_iterations, start=start)
+
+
+def _gradient_sum(weights, risks, theta):
+    # sum_i w_i grad R_i(theta) over the nonzero weights; 0 for none
+    return sum((wi * risk_gradient(r, theta) for wi, r in zip(weights, risks)
+                if wi != 0.0), np.zeros(len(theta)))
+
+
+def newton_minimize(weights, risks, tolerance: float = 1e-10,
+                    max_iterations: int = 100, start=None) -> np.ndarray:
+    """Minimize sum_i w_i R_i(theta) over theta for nonnegative weights by
+    damped Newton, one mixture at a time: steps are halved until the
+    objective decreases, so the update stays risk reducing even far from
+    the optimum."""
+    weights = np.asarray(weights, dtype=float)
+    active = [(wi, r) for wi, r in zip(weights, risks) if wi != 0.0]
+    if not active:
+        raise EmptyLearnerError("group has no positive weight")
+    d = active[0][1].dim
+
+    def objective(th):
+        return sum(wi * risk_value(r, th) for wi, r in active)
+
+    def grad(th):
+        return _gradient_sum(weights, risks, th)
+
+    def hess(th):
+        return sum(wi * risk_hessian(r, th) for wi, r in active)
+
+    if start is not None:
+        theta = np.asarray(start, dtype=float).copy()
+    elif all(r.kind == "quadratic" for _, r in active):
+        theta = sum(wi * r.center for wi, r in active) / sum(wi for wi, _ in active)
+    else:
+        theta = np.zeros(d)
+    value = objective(theta)
+    for _ in range(max_iterations):
+        g = grad(theta)
+        if np.linalg.norm(g) <= tolerance:
+            return theta
+        direction = np.linalg.solve(hess(theta), -g)
+        decrease = -(g @ direction) / 2   # predicted by the quadratic model
+        if not decrease >= 0:
+            raise ConvergenceError(
+                f"newton direction is not a descent direction (predicted "
+                f"change {-decrease:.3g}): the hessian is not positive definite")
+        if decrease <= np.finfo(float).eps * abs(value):
+            # the full step's predicted decrease is below the objective's
+            # rounding: no step can be seen to lower it, so theta is optimal
+            # to working precision
+            return theta
+        scale = 1.0
+        while scale > 1e-12:
+            candidate = theta + scale * direction
+            cand_value = objective(candidate)
+            if cand_value <= value:
+                theta, value = candidate, cand_value
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError("newton step failed to decrease the objective")
+    if np.linalg.norm(grad(theta)) <= tolerance:
+        return theta
+    raise ConvergenceError(
+        f"newton did not reach gradient norm {tolerance} in {max_iterations} iterations"
+    )
 
 
 def stationary(state, scenario):

@@ -38,7 +38,7 @@ from popdyn.goldens import partition_pair_scenario, partition_pair_state
 from popdyn.model import EMPTY_MASS_TOL, MONOTONE_TOL
 from popdyn.scenario_io import load_scenario, packaged_scenario
 
-from conftest import random_scenario, random_state
+from conftest import as_custom, random_scenario, random_state
 from reference import (
     best_response_step,
     detect_equilibrium,
@@ -88,9 +88,9 @@ class TestStep:
             step(state, sc)
 
     def test_nan_total_risk_trips_the_gate(self):
-        nan_risk = custom_risk(1, value=lambda th: float("nan"),
-                               gradient=lambda th: np.zeros(1),
-                               hessian=lambda th: np.eye(1))
+        nan_risk = custom_risk(1, value=lambda th: np.full(th.shape[:-1], np.nan),
+                               gradient=lambda th: np.zeros(th.shape),
+                               hessian=lambda th: np.ones(th.shape + (1,)))
         sc = Scenario(beta=np.array([1.0]), risks=(nan_risk,), m=1,
                       subpop_rule=mwud(), learner_rule=repeated_gd())
         state = SystemState(alpha=np.ones((1, 1)), theta=np.zeros((1, 1)))
@@ -634,9 +634,23 @@ def _serial_trial(scenario, eq_state, sigma, seed, target, max_steps, return_tol
 def _custom_quadratic(center, offset):
     # a quadratic risk behind callbacks, so it takes the custom-risk paths
     return custom_risk(len(center),
-                       value=lambda th: float(((th - center) ** 2).sum()) + offset,
+                       value=lambda th: ((th - center) ** 2).sum(-1) + offset,
                        gradient=lambda th: 2.0 * (th - center),
-                       hessian=lambda th: 2.0 * np.eye(len(center)))
+                       hessian=lambda th: np.broadcast_to(
+                           2.0 * np.eye(len(center)), th.shape + th.shape[-1:]))
+
+
+def _custom_mirror(scenario):
+    """The scenario on _custom_quadratic risks, with learner rules fit for
+    them: damped Newton cannot reach a gradient norm whose step changes the
+    objective by less than its rounding, and random_scenario tuned its step
+    to the curvatures it drew, where these risks have identity curvature,
+    so 0.45 / 1."""
+    return replace(scenario, risks=tuple(_custom_quadratic(r.center, r.offset)
+                                         for r in scenario.risks),
+                   learner_rule=full_min(tolerance=1e-6)
+                   if scenario.learner_rule.kind == "full_min"
+                   else repeated_gd(base=0.45))
 
 
 class TestBatchedProbeAgainstSerial:
@@ -687,17 +701,7 @@ class TestBatchedProbeAgainstSerial:
         sc = random_scenario(rng, n, m, int(rng.integers(1, 3)),
                              learner=learner.split("custom_")[-1])
         if learner.startswith("custom"):
-            sc = replace(sc, risks=tuple(_custom_quadratic(r.center, r.offset)
-                                         for r in sc.risks))
-            if learner == "custom_full_min":
-                # damped Newton cannot reach a gradient norm whose step
-                # changes the objective by less than its rounding
-                sc = replace(sc, learner_rule=full_min(tolerance=1e-6))
-            else:
-                # random_scenario tuned the step to the curvatures it drew;
-                # these risks have identity curvature, so 0.45 / 1
-                sc = replace(sc, learner_rule=repeated_gd(base=0.45,
-                                                          form="harmonic"))
+            sc = _custom_mirror(sc)
         sc = replace(sc, subpop_rule=self.RULES[rule],
                      schedule=self.SCHEDULES[schedule])
         gamma_map = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
@@ -753,11 +757,8 @@ class TestBatchIndependence:
         n = int(rng.integers(2, 6))
         m = int(rng.integers(2, min(3, n) + 1))
         sc = random_scenario(rng, n, m, int(rng.integers(1, 3)), learner=learner)
-        if custom:   # the same step rules as the probe test's custom risks
-            sc = replace(sc, risks=tuple(_custom_quadratic(r.center, r.offset)
-                                         for r in sc.risks),
-                         learner_rule=full_min(tolerance=1e-6)
-                         if learner == "full_min" else repeated_gd(base=0.45))
+        if custom:
+            sc = _custom_mirror(sc)
         subpops, learners = (tuple(int(i) for i in np.flatnonzero(
             rng.random(size) < 0.5)) for size in (n, m))
         sc = replace(sc, subpop_rule=TestBatchedProbeAgainstSerial.RULES[
@@ -794,7 +795,10 @@ class TestWatchedBatchIndependence:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 6))
         m = int(rng.integers(2, min(3, n) + 1))
-        sc = random_scenario(rng, n, m, int(rng.integers(1, 3)), learner=learner)
+        sc = random_scenario(rng, n, m, int(rng.integers(1, 3)),
+                             learner=learner.split("custom_")[-1])
+        if learner.startswith("custom"):
+            sc = _custom_mirror(sc)
         subpops, learners = (tuple(int(i) for i in np.flatnonzero(
             rng.random(size) < 0.5)) for size in (n, m))
         sc = replace(sc, subpop_rule=TestBatchedProbeAgainstSerial.RULES[rule],
@@ -836,7 +840,8 @@ class TestWatchedBatchIndependence:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 3),
            st.sampled_from(engine.SCHEDULE_KINDS),
-           st.sampled_from(["full_min", "repeated_gd"]),
+           st.sampled_from(["full_min", "repeated_gd", "custom_full_min",
+                            "custom_repeated_gd"]),
            st.sampled_from([EquilibriumDetector(), EquilibriumDetector(1e-6, 3)]),
            st.integers(1, 300))
     def test_every_trial_stops_as_it_would_alone(self, seed, rule, schedule_kind,
@@ -874,13 +879,18 @@ class TestWatchedBatchIndependence:
 
 
 class TestFreezeThreshold:
-    """A learner updates at mass >= EMPTY_MASS_TOL (1e-12) and freezes below."""
+    """A learner updates at mass >= EMPTY_MASS_TOL (1e-12) and freezes
+    below, for quadratic risks and for their custom mirrors."""
 
     @staticmethod
-    def _setup(kind):
-        rule = full_min() if kind == "full_min" else repeated_gd(base=0.2)
+    def _setup(kind, custom=False):
+        # Newton's tolerance bounds the mass-weighted gradient, 4e-12 |theta|
+        # for a mass of 2e-12, so a custom learner that small needs a finer one
+        rule = (full_min(tolerance=1e-14) if kind == "full_min"
+                else repeated_gd(base=0.2))
+        risks = tuple(quadratic_risk([c]) for c in (0.0, 1.0, 2.0))
         sc = Scenario(beta=np.full(3, 1 / 3),
-                      risks=tuple(quadratic_risk([c]) for c in (0.0, 1.0, 2.0)),
+                      risks=tuple(map(as_custom, risks)) if custom else risks,
                       m=3, subpop_rule=mwud(), learner_rule=rule)
         # learner 1 carries mass 2e-12 and learner 2 mass 5e-13
         alpha = np.array([[1.0 - 7.5e-12, 6e-12, 1.5e-12], [1.0, 0.0, 0.0],
@@ -888,9 +898,10 @@ class TestFreezeThreshold:
         theta = np.array([[0.5], [5.0], [7.0]])
         return sc, alpha, theta
 
+    @pytest.mark.parametrize("custom", [False, True])
     @pytest.mark.parametrize("kind", ["full_min", "repeated_gd"])
-    def test_updates_at_2e12_and_freezes_at_5e13(self, kind):
-        sc, alpha, theta = self._setup(kind)
+    def test_updates_at_2e12_and_freezes_at_5e13(self, kind, custom):
+        sc, alpha, theta = self._setup(kind, custom)
         theta2, frozen, _ = _update_theta(alpha, theta, sc, 0)
         assert frozen == 1
         if kind == "full_min":
@@ -902,10 +913,11 @@ class TestFreezeThreshold:
         assert np.abs(theta2[1] - expected).max() <= 1e-12
         assert theta2[2, 0] == theta[2, 0]
 
+    @pytest.mark.parametrize("custom", [False, True])
     @pytest.mark.parametrize("kind", ["full_min", "repeated_gd"])
-    def test_batch_freezes_per_trial(self, kind):
+    def test_batch_freezes_per_trial(self, kind, custom):
         # learner 2 is empty in trial 0 only, learner 1 in trial 1 only
-        sc, alpha, theta = self._setup(kind)
+        sc, alpha, theta = self._setup(kind, custom)
         alpha = np.stack([alpha, alpha[:, [0, 2, 1]]])
         theta = np.stack([theta, theta])
         theta2, frozen, _ = _update_theta(alpha, theta, sc, 0)
@@ -915,10 +927,11 @@ class TestFreezeThreshold:
         for k in range(2):
             assert np.array_equal(theta2[k], _update_theta(alpha[k], theta[k], sc, 0)[0])
 
-    def test_frozen_and_empty_agree_in_the_same_step(self):
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_frozen_and_empty_agree_in_the_same_step(self, custom):
         # rows 1 and 2 update but stay on learner 0, so learners 1 and 2 keep
         # masses 2e-12 and 5e-13 through the step
-        sc, alpha, theta = self._setup("full_min")
+        sc, alpha, theta = self._setup("full_min", custom)
         sc = replace(sc, schedule=UpdateSchedule(
             kind="custom_order", subpops=(1, 2), learners=(0, 1, 2)))
         traj = simulate(sc, SystemState(alpha=alpha, theta=theta), 1,
@@ -1241,12 +1254,12 @@ class TestRuleVariants:
         def make(center):
             return custom_risk(
                 1,
-                value=lambda th, c=center: float((th[0] - c) ** 4
-                                                 + (th[0] - c) ** 2),
-                gradient=lambda th, c=center: np.array(
-                    [4 * (th[0] - c) ** 3 + 2 * (th[0] - c)]),
-                hessian=lambda th, c=center: np.array(
-                    [[12 * (th[0] - c) ** 2 + 2]]),
+                value=lambda th, c=center: ((th[..., 0] - c) ** 4
+                                            + (th[..., 0] - c) ** 2),
+                gradient=lambda th, c=center: (4 * (th - c) ** 3
+                                               + 2 * (th - c)),
+                hessian=lambda th, c=center: (12 * (th - c) ** 2
+                                              + 2)[..., None],
             )
 
         sc = Scenario(beta=np.array([0.4, 0.6]),

@@ -484,13 +484,13 @@ class TestEnumerateAgainstReference:
         for center in rng.uniform(-2, 2, (4, 2)):
             # a strongly convex non-quadratic: |theta - c|^2 + softplus(sum)
             def value(th, c=center):
-                return float((th - c) @ (th - c) + np.logaddexp(0, th.sum()))
+                return ((th - c) ** 2).sum(-1) + np.logaddexp(0, th.sum(-1))
 
             def gradient(th, c=center):
-                return 2 * (th - c) + 1 / (1 + np.exp(-th.sum()))
+                return 2 * (th - c) + 1 / (1 + np.exp(-th.sum(-1, keepdims=True)))
 
             def hessian(th, c=center):
-                s = 1 / (1 + np.exp(-th.sum()))
+                s = 1 / (1 + np.exp(-th.sum(-1)))[..., None, None]
                 return 2 * np.eye(2) + s * (1 - s) * np.ones((2, 2))
 
             risks.append(custom_risk(2, value, gradient, hessian))
@@ -791,13 +791,14 @@ class TestEquilibriumReportFields:
 class TestOneKernel:
     def test_quadratic_paths_make_no_per_group_solve(self, monkeypatch):
         # every quadratic minimization runs through the batched normal
-        # equations, so the scalar per-group solver must never be reached
+        # equations, so the damped Newton must never be reached
         import popdyn.learners
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("group_minimize called on a quadratic path")
+            raise AssertionError("damped Newton called on a quadratic path")
 
         monkeypatch.setattr(popdyn.learners, "group_minimize", forbidden)
+        monkeypatch.setattr(popdyn.learners, "_newton", forbidden)
         rng = np.random.default_rng(63)
         sc = random_scenario(rng, 6, 3, 2)
         reports = enumerate_split_equilibria(sc, dedupe=True)

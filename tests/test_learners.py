@@ -21,7 +21,6 @@ from popdyn import (
     simulate,
     step_size,
 )
-from popdyn import learners
 from popdyn.learners import minimize_mixtures, mixture_gradients
 
 from conftest import as_custom, random_scenario
@@ -30,6 +29,7 @@ from reference import (
     gradient_step,
     learner_avg_risk,
     learner_gradient,
+    newton_minimize,
 )
 
 
@@ -163,33 +163,36 @@ class TestFullMinimize:
     def test_custom_risk_newton(self):
         quartic = custom_risk(
             1,
-            value=lambda th: float(th[0] ** 4 + th[0] ** 2),
-            gradient=lambda th: np.array([4 * th[0] ** 3 + 2 * th[0]]),
-            hessian=lambda th: np.array([[12 * th[0] ** 2 + 2]]),
+            value=lambda th: th[..., 0] ** 4 + th[..., 0] ** 2,
+            gradient=lambda th: 4 * th ** 3 + 2 * th,
+            hessian=lambda th: (12 * th ** 2 + 2)[..., None],
         )
         out = full_minimize(np.array([1.0]), np.array([1.0]), (quartic,),
                             method="newton", start=np.array([5.0]))
         assert abs(out[0]) <= 1e-9
+        assert abs(group_minimize([1.0], (quartic,), start=[5.0])[0]) <= 1e-9
 
     def test_newton_iteration_budget(self):
         quartic = custom_risk(
             1,
-            value=lambda th: float(th[0] ** 4 + th[0] ** 2),
-            gradient=lambda th: np.array([4 * th[0] ** 3 + 2 * th[0]]),
-            hessian=lambda th: np.array([[12 * th[0] ** 2 + 2]]),
+            value=lambda th: th[..., 0] ** 4 + th[..., 0] ** 2,
+            gradient=lambda th: 4 * th ** 3 + 2 * th,
+            hessian=lambda th: (12 * th ** 2 + 2)[..., None],
         )
         with pytest.raises(ConvergenceError):
             full_minimize(np.array([1.0]), np.array([1.0]), (quartic,),
                           method="newton", max_iterations=1,
                           start=np.array([50.0]))
+        with pytest.raises(ConvergenceError, match="did not reach gradient norm"):
+            group_minimize([1.0], (quartic,), max_iterations=1, start=[50.0])
 
     def test_newton_start_within_rounding_of_optimum(self):
         # the full Newton step lowers the objective by less than its rounding:
         # the start is optimal to working precision, not a convergence failure
         def quad(a, c, o):
-            return custom_risk(1, lambda th: a * (th[0] - c) ** 2 + o,
-                               lambda th: np.array([2 * a * (th[0] - c)]),
-                               lambda th: np.array([[2 * a]]))
+            return custom_risk(1, lambda th: a * (th[..., 0] - c) ** 2 + o,
+                               lambda th: 2 * a * (th - c),
+                               lambda th: np.full(th.shape + (1,), 2 * a))
 
         rng = np.random.default_rng(0)
         for _ in range(300):
@@ -269,13 +272,13 @@ def _softplus_risks(centers):
         d = len(center)
 
         def value(th, c=center):
-            return float((th - c) @ (th - c) + np.logaddexp(0, th.sum()))
+            return ((th - c) ** 2).sum(-1) + np.logaddexp(0, th.sum(-1))
 
         def gradient(th, c=center):
-            return 2 * (th - c) + 1 / (1 + np.exp(-th.sum()))
+            return 2 * (th - c) + 1 / (1 + np.exp(-th.sum(-1, keepdims=True)))
 
         def hessian(th, d=d):
-            s = 1 / (1 + np.exp(-th.sum()))
+            s = 1 / (1 + np.exp(-th.sum(-1)))[..., None, None]
             return 2 * np.eye(d) + s * (1 - s) * np.ones((d, d))
 
         risks.append(custom_risk(d, value, gradient, hessian))
@@ -320,6 +323,8 @@ class TestMinimizeMixtures:
         for j in range(k):
             expected = group_minimize(W[:, j], sc.risks, start=start[j])
             assert np.abs(out[j] - expected).max() <= 1e-12
+            expected = newton_minimize(W[:, j], sc.risks, start=start[j])
+            assert np.abs(out[j] - expected).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 5),
@@ -334,14 +339,7 @@ class TestMinimizeMixtures:
         hold = rng.random(k) < 0.5
         W[:, hold & (rng.random(k) < 0.5)] = 0.0   # held columns may be empty
         start = rng.uniform(-3.0, 3.0, (k, d)) if started else None
-        minimized, real = [], learners.group_minimize
-
-        def spy(weights, *args, **kwargs):
-            minimized.append(np.array(weights))
-            return real(weights, *args, **kwargs)
-
-        with mock.patch.object(learners, "group_minimize", spy):
-            out = minimize_mixtures(sc, W, start=start, hold=hold)
+        out = minimize_mixtures(sc, W, start=start, hold=hold)
         assert out.shape == (k, d)
         for j in range(k):
             if hold[j]:
@@ -349,10 +347,6 @@ class TestMinimizeMixtures:
             else:
                 expected = full_minimize(W[:, j], np.ones(n), sc.risks)
                 assert np.abs(out[j] - expected).max() <= 1e-12
-        # group_minimize ran on the custom risks' non-held columns only
-        free = W[:, ~hold].T if custom else []
-        assert len(minimized) == len(free)
-        assert all(np.array_equal(a, b) for a, b in zip(minimized, free))
 
     @pytest.mark.parametrize("custom", [False, True])
     def test_held_empty_column_does_not_raise(self, custom):
@@ -365,8 +359,8 @@ class TestMinimizeMixtures:
         out = minimize_mixtures(sc, W, hold=np.array([False, True]))
         assert out.tolist() == [[1.0], [0.0]]
         # unheld, the empty column is the same error for either kind of risk
-        with pytest.raises(EmptyLearnerError, match=None if custom else
-                           r"^mixture column W\[:, 1\] has no positive weight$"):
+        with pytest.raises(EmptyLearnerError,
+                           match=r"^mixture column W\[:, 1\] has no positive weight$"):
             minimize_mixtures(sc, W)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
@@ -383,6 +377,9 @@ class TestMinimizeMixtures:
         for j in range(k):
             expected = group_minimize(W[:, j], risks, tolerance=1e-3,
                                       start=start[j])
+            assert np.abs(out[j] - expected).max() <= 1e-12
+            expected = newton_minimize(W[:, j], risks, tolerance=1e-3,
+                                       start=start[j])
             assert np.abs(out[j] - expected).max() <= 1e-12
 
 
@@ -524,19 +521,56 @@ class TestLeadingAxes:
 class TestGroupMinimizeLineSearch:
     def test_ascent_direction_is_a_convergence_error(self):
         # a wrong-sign hessian makes the Newton direction point uphill
-        risk = custom_risk(1, lambda th: float(th[0] ** 2),
-                           lambda th: 2 * th, lambda th: np.array([[-2.0]]))
+        risk = custom_risk(1, lambda th: th[..., 0] ** 2, lambda th: 2 * th,
+                           lambda th: np.full(th.shape + (1,), -2.0))
         with pytest.raises(ConvergenceError, match="not a descent direction"):
             group_minimize([1.0], (risk,), start=[1.0])
 
     def test_overshooting_newton_step_is_halved(self):
         # pseudo-Huber sqrt(1 + theta^2): from theta = 2 the full Newton step
         # -theta (1 + theta^2) lands at -8, uphill, and is halved twice
-        risk = custom_risk(1, lambda th: float(np.sqrt(1 + th[0] ** 2)),
-                           lambda th: th / np.sqrt(1 + th[0] ** 2),
-                           lambda th: np.array([[(1 + th[0] ** 2) ** -1.5]]))
+        risk = custom_risk(1, lambda th: np.sqrt(1 + th[..., 0] ** 2),
+                           lambda th: th / np.sqrt(1 + th ** 2),
+                           lambda th: ((1 + th ** 2) ** -1.5)[..., None])
         out = group_minimize([1.0], (risk,), start=[2.0])
         assert abs(out[0]) <= 1e-7
+
+    def test_uphill_steps_exhaust_the_halving(self):
+        # a gradient of the wrong sign makes the model promise a decrease
+        # that no step along it delivers
+        risk = custom_risk(1, lambda th: th[..., 0] ** 2, lambda th: -2 * th,
+                           lambda th: np.full(th.shape + (1,), 2.0))
+        with pytest.raises(ConvergenceError, match="failed to decrease"):
+            group_minimize([1.0], (risk,), start=[1.0])
+
+    def test_each_column_halves_on_its_own(self):
+        # pseudo-Huber columns from starts that need 0, 1, 2 and more
+        # halvings: each column follows its own scalar Newton
+        risk = custom_risk(1, lambda th: np.sqrt(1 + th[..., 0] ** 2),
+                           lambda th: th / np.sqrt(1 + th ** 2),
+                           lambda th: ((1 + th ** 2) ** -1.5)[..., None])
+        sc = Scenario(beta=np.array([1.0]), risks=(risk,), m=1,
+                      subpop_rule=mwud(), learner_rule=full_min())
+        start = np.array([[0.5], [-1.5], [2.0], [-6.0], [30.0]])
+        W = np.array([[1.0, 0.5, 2.0, 1.0, 0.25]])
+        out = minimize_mixtures(sc, W, start=start)
+        for j in range(len(start)):
+            expected = newton_minimize(W[:, j], (risk,), start=start[j])
+            assert np.abs(out[j] - expected).max() <= 1e-12
+            assert abs(out[j, 0]) <= 1e-7
+
+    def test_zero_weight_adds_exactly_zero(self):
+        # a risk that is NaN everywhere, and a column that gives it no weight
+        nan = custom_risk(1, lambda th: np.full(th.shape[:-1], np.nan),
+                          lambda th: np.full(th.shape, np.inf),
+                          lambda th: np.full(th.shape + (1,), np.nan))
+        sc = Scenario(beta=np.array([0.5, 0.5]),
+                      risks=(as_custom(quadratic_risk([1.0])), nan), m=1,
+                      subpop_rule=mwud(), learner_rule=full_min())
+        W = np.array([[0.5], [0.0]])
+        theta = np.array([[3.0]])
+        assert mixture_gradients(sc, W, theta).tolist() == [[2.0]]
+        assert minimize_mixtures(sc, W, start=theta).tolist() == [[1.0]]
 
     def test_last_iteration_may_reach_the_minimizer(self):
         # one Newton step solves a quadratic exactly; the check after the

@@ -22,7 +22,7 @@ from popdyn import (
 )
 from popdyn.model import validate_state
 
-from conftest import random_scenario, random_state
+from conftest import as_custom, random_scenario, random_state
 from reference import learner_avg_risk, subpop_avg_risk
 
 
@@ -114,16 +114,84 @@ class TestRiskHessian:
 
 
 class TestCustomRisk:
+    QUARTIC = dict(value=lambda th: th[..., 0] ** 4 + th[..., 0] ** 2,
+                   gradient=lambda th: 4 * th ** 3 + 2 * th,
+                   hessian=lambda th: (12 * th ** 2 + 2)[..., None])
+
     def test_callbacks_are_used(self):
-        r = custom_risk(
-            1,
-            value=lambda th: float(th[0] ** 4 + th[0] ** 2),
-            gradient=lambda th: np.array([4 * th[0] ** 3 + 2 * th[0]]),
-            hessian=lambda th: np.array([[12 * th[0] ** 2 + 2]]),
-        )
+        r = custom_risk(1, **self.QUARTIC)
         assert risk_value(r, [1.0]) == 2.0
         assert risk_gradient(r, [1.0])[0] == 6.0
         assert risk_hessian(r, [1.0])[0, 0] == 14.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 2.5), ("dim", 0), ("dim", -1), ("dim", True), ("dim", "3"),
+        ("dim", None), ("value", None), ("gradient", 1.0), ("hessian", "h")])
+    def test_rejects_a_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            custom_risk(**{"dim": 1, **self.QUARTIC, field: value})
+
+    def test_unbatched_callback_is_a_dimension_error(self):
+        # scalar-style callbacks serve one point, but would broadcast over
+        # a batch of them silently
+        r = custom_risk(2, lambda th: (th ** 2).sum(), lambda th: 2 * th,
+                        lambda th: 2 * np.eye(2))
+        assert risk_value(r, [1.0, 2.0]) == 5.0
+        assert risk_hessian(r, [1.0, 2.0]).tolist() == [[2.0, 0.0], [0.0, 2.0]]
+        with pytest.raises(DimensionError, match=r"^custom risk value: expected "
+                           r"shape \(3,\) at theta of shape \(3, 2\), got \(\)$"):
+            risk_value(r, np.ones((3, 2)))
+        with pytest.raises(DimensionError, match="^custom risk hessian"):
+            risk_hessian(r, np.ones((2, 2)))
+        sc = Scenario(beta=np.array([0.5, 0.5]), risks=(r, r), m=2,
+                      subpop_rule=mwud(), learner_rule=full_min())
+        with pytest.raises(DimensionError, match="^custom risk value"):
+            sc.risk_matrix(np.ones((2, 2)))
+        with pytest.raises(DimensionError, match="^theta: expected shape"):
+            risk_value(r, [1.0])
+
+    def test_risk_matrix_calls_each_value_callback_once(self):
+        calls = []
+
+        def make(c):
+            def value(th):
+                calls.append((c, th.shape))
+                return ((th - c) ** 2).sum(-1)
+            return custom_risk(2, value, lambda th: 2 * (th - c),
+                               lambda th: np.broadcast_to(2 * np.eye(2),
+                                                          th.shape + (2,)))
+
+        sc = Scenario(beta=np.full(4, 0.25), risks=tuple(map(make, range(4))),
+                      m=3, subpop_rule=mwud(), learner_rule=full_min())
+        theta = np.random.default_rng(0).uniform(-2.0, 2.0, (16, 3, 2))
+        R = sc.risk_matrix(theta)
+        assert calls == [(c, (16, 3, 2)) for c in range(4)]
+        assert R.shape == (16, 4, 3)
+        for t, j in np.ndindex(16, 3):
+            assert R[t, :, j].tolist() == [((theta[t, j] - c) ** 2).sum()
+                                           for c in range(4)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5),
+           st.sampled_from([(1,), (4,), (2, 3)]), st.booleans())
+    def test_batch_matches_its_points(self, seed, d, lead, custom):
+        # a batch of points evaluates each point as it would alone, bit for bit
+        rng = np.random.default_rng(seed)
+        Q = rng.standard_normal((d, d))
+        r = quadratic_risk(rng.uniform(-2, 2, d), Q @ Q.T + 0.3 * np.eye(d),
+                           offset=rng.uniform(0, 1))
+        if custom:
+            r = as_custom(r)
+        theta = rng.uniform(-3.0, 3.0, (*lead, d))
+        values, grads = risk_value(r, theta), risk_gradient(r, theta)
+        hessians = risk_hessian(r, theta)
+        assert values.shape == lead and grads.shape == theta.shape
+        assert hessians.shape == (*lead, d, d)
+        for i in np.ndindex(*lead):
+            assert values[i] == risk_value(r, theta[i])
+            assert isinstance(risk_value(r, theta[i]), float)
+            assert np.array_equal(grads[i], risk_gradient(r, theta[i]))
+            assert np.array_equal(hessians[i], risk_hessian(r, theta[i]))
 
 
 class TestSubpopAvgRisk:
