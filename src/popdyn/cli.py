@@ -6,11 +6,11 @@ leaves partial CSV/JSON behind on failure.  Floats are written with 17
 significant digits and '.' as the decimal separator.  CSV cells are never
 quoted because none needs it: numbers, dash-joined labels and fixed words.
 
-Exit codes: 0 success/converged/stable, 1 error, 2 max-steps without
-convergence, 3 risk-reducing violation (the total risk, or the average risk
-of one subpopulation or the mixture risk of one learner, rose in a step),
-4 unstable, 5 non-equilibrium, 6 enumeration budget exceeded, 7 golden
-mismatch.
+Exit codes: 0 success/converged/stable, 1 error (a usage error too), 2
+max-steps without convergence, 3 risk-reducing violation (the total risk,
+or the average risk of one subpopulation or the mixture risk of one
+learner, rose in a step), 4 unstable, 5 non-equilibrium, 6 enumeration
+budget exceeded, 7 golden mismatch.
 """
 
 from __future__ import annotations
@@ -26,17 +26,13 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .engine import (PERTURB_TARGETS, _probe_batch, _watched_steps, perturb,
-                     simulate)
+from .engine import PERTURB_TARGETS, _cascade, _probe_batch, perturb, simulate
 from .equilibria import (
     DEFAULT_BUDGET,
-    ZERO_TOL,
     SplitAssignment,
     _split_ranking,
     _stability,
-    _subpop_gradient_norms,
     classify_state,
-    split_learner,
     theta_for_assignment,
 )
 from .errors import BudgetError, MonotonicityError, PopdynError
@@ -210,10 +206,8 @@ def cmd_enumerate(args) -> int:
 def cmd_competition(args) -> int:
     loaded = load_scenario(args.scenario)
     scenario = loaded.scenario
-    state = loaded.initial_state
     seed = args.seed if args.seed is not None else loaded.seed
-    target_m = args.target_m
-    if not scenario.m < target_m <= scenario.n:
+    if not scenario.m < args.target_m <= scenario.n:
         raise ValueError(
             f"need initial m={scenario.m} < target-m <= n={scenario.n}")
     max_steps = loaded.max_steps if args.max_steps is None else args.max_steps
@@ -222,41 +216,18 @@ def cmd_competition(args) -> int:
     header = (["phase", "m", "steps", "cumulative_steps", "total_risk",
                "worst_subpop_risk", "split_learner", "grad_hypothesis"]
               + [f"subpop_risk_{i + 1}" for i in range(scenario.n)])
-    rows = []
-    cumulative = 0
-    phase = 0
-    while True:
-        loop = _watched_steps(scenario, state.alpha[None], state.theta[None],
-                              scenario.risk_matrix(state.theta)[None], state.t,
-                              loaded.detector, max_steps)
-        for steps, (_, last, stop) in enumerate(loop, 1):
-            pass   # the last step ends the phase: it fired or used the budget
-        per_subpop, total, masses = last.rows[0], last.total[0], last.masses[0]
-        state = SystemState(alpha=last.alpha[0], theta=last.theta[0],
-                            t=state.t + steps)
-        cumulative += steps
-        if stop[0] != "detector":
-            print(f"error: phase {phase} (m={scenario.m}) did not converge "
+    rows, cumulative = [], 0
+    for phase, p in enumerate(_cascade(
+            scenario, loaded.initial_state, args.target_m, loaded.detector,
+            max_steps, args.sigma, [seed, STREAM_PERTURB])):
+        cumulative += p.steps
+        if p.stop != "detector":
+            print(f"error: phase {phase} (m={p.scenario.m}) did not converge "
                   f"within {max_steps} steps", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        if scenario.m >= target_m:
-            rows.append([phase, scenario.m, steps, cumulative, total,
-                         float(per_subpop.max()), None, None]
-                        + list(per_subpop))
-            break
-        j = int(np.argmax(masses))  # lowest index on ties
-        norms = _subpop_gradient_norms(scenario, state.theta)[:, j]
-        hypothesis = bool((norms[state.alpha[:, j] > ZERO_TOL] > ZERO_TOL).any())
-        rows.append([phase, scenario.m, steps, cumulative, total,
-                     float(per_subpop.max()), j, hypothesis]
-                    + list(per_subpop))
-        state, scenario = split_learner(state, scenario, j)
-        rng = np.random.default_rng([seed, STREAM_PERTURB, phase])
-        theta = state.theta.copy()
-        for col in (j, scenario.m - 1):
-            theta[col] += args.sigma * rng.standard_normal(scenario.d)
-        state = SystemState(alpha=state.alpha, theta=theta, t=0)
-        phase += 1
+        rows.append([phase, p.scenario.m, p.steps, cumulative, p.total,
+                     float(p.rows.max()), p.split, p.hypothesis]
+                    + list(p.rows))
 
     _write_table(os.path.join(args.out, "competition.csv"), header, rows)
     return EXIT_OK
@@ -307,8 +278,8 @@ def cmd_probe(args) -> int:
 
 
 def _sigma(text: str) -> float:
-    # argparse turns a ValueError into its own usage error (exit 2); a
-    # PopdynError passes through to main, which reports it with exit 1
+    # argparse turns a ValueError into its own "invalid _sigma value"
+    # message; a PopdynError passes through to main with this one, exit 1
     try:
         return require_number(float(text), "--sigma", 0)
     except ValueError:
@@ -316,8 +287,14 @@ def _sigma(text: str) -> float:
             f"--sigma must be a finite number >= 0, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a PopdynError, exit 1: 2 is EXIT_NO_CONVERGENCE."""
+    def error(self, message):
+        raise PopdynError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="popdyn",
         description="Simulate and analyze multi-learner participation dynamics",
     )
@@ -367,9 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     prb = sub.add_parser("probe", help="empirical stability probe")
     prb.add_argument("scenario")
-    prb.add_argument("--state", default=None)
-    prb.add_argument("--assignment", default=None,
-                     help="comma-separated learner index per subpopulation")
+    target = prb.add_mutually_exclusive_group()
+    target.add_argument("--state", default=None)
+    target.add_argument("--assignment", default=None,
+                        help="comma-separated learner index per subpopulation")
     prb.add_argument("--sigma", type=_sigma, default=1e-3)
     prb.add_argument("--trials", type=int, default=10)
     prb.add_argument("--seed", type=int, default=None)

@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .equilibria import ZERO_TOL, _subpop_gradient_norms, split_learner
 from .errors import DimensionError, MonotonicityError
 from .learners import minimize_mixtures, mixture_gradients, step_size
 from .model import (
@@ -268,65 +269,57 @@ def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
         ("total", "allocation", "learner")[h], int(pos[1]) if h else None)
 
 
-def _steps(scenario: Scenario, alpha, theta, R, t: int, labels=None):
-    """The step loop: endless sequential updates of K trials in lockstep
-    from alpha (K, n, m), theta (K, m, d) and their risk matrices R at time
-    t.  Yields _core_step's StepRecord after each step: the state it
-    checked, kept as it is since the rules return normalized rows, and what
-    it returned beside it.  labels names the trials in a MonotonicityError."""
-    rows = (alpha * R).sum(axis=-1)
-    total = _beta_sums(rows, scenario.beta)
-    while True:
-        s = _core_step(alpha, theta, t, scenario, R, rows, total, labels)
-        alpha, theta, R, rows, total, t = (s.alpha, s.theta, s.R, s.rows,
-                                           s.total, t + 1)
-        yield s
-
-
-def step(state: SystemState, scenario: Scenario) -> SystemState:
-    """One sequential update: allocations first, then learner parameters."""
-    validate_state(state, scenario)
-    theta = state.theta[None]
-    s = next(_steps(scenario, state.alpha[None], theta,
-                    scenario.risk_matrix(theta), state.t))
-    return SystemState(alpha=s.alpha[0], theta=s.theta[0], t=state.t + 1)
-
-
 def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
                    detector: EquilibriumDetector, max_steps: int, labels=None):
-    """The one stop rule over _steps of K trials (alpha (K, n, m)).  Yields
-    (live, step, stop) per step: the stepped trials' batch positions, their
-    StepRecord and each one's stop reason or None, which the caller may set.
-    A trial stops with "detector" on the step that completes the detector's
-    quiet window of deltas max(||alpha' - alpha||_inf, ||Theta' -
+    """The step loop and its one stop rule: sequential updates of K trials
+    in lockstep from alpha (K, n, m), theta (K, m, d) and their risk
+    matrices R at time t.  Yields (live, step, stop) per step: the stepped
+    trials' batch positions, _core_step's StepRecord (the state it checked,
+    kept as it is since the rules return normalized rows, and what it
+    returned beside it) and each one's stop reason or None, which the caller
+    may set.  A trial stops with "detector" on the step that completes the
+    detector's quiet window of deltas max(||alpha' - alpha||_inf, ||Theta' -
     Theta||_inf) at a stationary state, where no positive share alpha_ij
     has R_ij < rows_i - MONOTONE_TOL (a window ended anywhere else, a slow
     pass by a saddle, restarts the count); else with "budget" on its
     max_steps-th step.  A stopped trial leaves the batch, and the others
     step on as they would alone; labels names them in a MonotonicityError."""
     live, quiet, end = list(range(len(alpha))), [0] * len(alpha), t + max_steps
+    rows = (alpha * R).sum(axis=-1)
+    total = _beta_sums(rows, scenario.beta)
     while live:
+        s = _core_step(alpha, theta, t, scenario, R, rows, total, labels)
+        delta = np.maximum(np.abs(s.alpha - alpha).max(axis=(-2, -1)),
+                           np.abs(s.theta - theta).max(axis=(-2, -1)))
+        alpha, theta, R, rows, total, t = (s.alpha, s.theta, s.R, s.rows,
+                                           s.total, t + 1)
         stop = [None] * len(live)
-        for s in _steps(scenario, alpha, theta, R, t,
-                        None if labels is None else labels[live]):
-            delta = np.maximum(np.abs(s.alpha - alpha).max(axis=(-2, -1)),
-                               np.abs(s.theta - theta).max(axis=(-2, -1)))
-            alpha, theta, t = s.alpha, s.theta, t + 1
-            for i, d in enumerate(delta.tolist()):
-                quiet[i] = quiet[i] + 1 if d <= detector.state_tolerance else 0
-                if quiet[i] == detector.window:
-                    quiet[i] = 0   # a window that ends on a saddle starts afresh
-                    if not ((alpha[i] > 0.0) & (s.R[i] < s.rows[i][:, None]
-                                                - MONOTONE_TOL)).any():
-                        stop[i] = "detector"
-            if t == end:
-                stop[:] = [reason or "budget" for reason in stop]
-            yield live, s, stop
-            if any(stop):
-                break
-        keep = [i for i, reason in enumerate(stop) if reason is None]
-        live, quiet = [live[i] for i in keep], [quiet[i] for i in keep]
-        alpha, theta, R = alpha[keep], theta[keep], s.R[keep]
+        for i, d in enumerate(delta.tolist()):
+            quiet[i] = quiet[i] + 1 if d <= detector.state_tolerance else 0
+            if quiet[i] == detector.window:
+                quiet[i] = 0   # a window that ends on a saddle starts afresh
+                if not ((alpha[i] > 0.0) & (R[i] < rows[i][:, None]
+                                            - MONOTONE_TOL)).any():
+                    stop[i] = "detector"
+        if t == end:
+            stop[:] = [reason or "budget" for reason in stop]
+        yield live, s, stop
+        if any(stop):   # the others' rows and totals are theirs alone
+            keep = [i for i, reason in enumerate(stop) if reason is None]
+            live, quiet = [live[i] for i in keep], [quiet[i] for i in keep]
+            alpha, theta, R = alpha[keep], theta[keep], R[keep]
+            rows, total = rows[keep], total[keep]
+            labels = None if labels is None else labels[keep]
+
+
+def step(state: SystemState, scenario: Scenario) -> SystemState:
+    """One sequential update: allocations first, then learner parameters."""
+    validate_state(state, scenario)
+    theta = state.theta[None]
+    _, s, _ = next(_watched_steps(scenario, state.alpha[None], theta,
+                                  scenario.risk_matrix(theta), state.t,
+                                  EquilibriumDetector(), 1))
+    return SystemState(alpha=s.alpha[0], theta=s.theta[0], t=state.t + 1)
 
 
 def _record(Q, rows, total, masses, beta):
@@ -347,12 +340,10 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     if detector is None:
         detector = EquilibriumDetector()
     validate_state(initial_state, scenario)
-    alpha = np.asarray(initial_state.alpha, dtype=float)
-    theta = np.asarray(initial_state.theta, dtype=float)
-    t0 = initial_state.t
+    alpha, theta, t0 = initial_state.alpha, initial_state.theta, initial_state.t
     R = scenario.risk_matrix(theta)
 
-    states = [SystemState(alpha=alpha, theta=theta, t=t0)]
+    states = [initial_state]
     Q = alpha * R
     rows = Q.sum(axis=-1)
     records = [_record(Q, rows, rows @ scenario.beta, scenario.beta @ alpha,
@@ -371,6 +362,44 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     totals, sub, learner, empties = map(np.array, zip(*records))
     return Trajectory(states, totals, sub, learner, empties, converged_at,
                       frozen_total)
+
+
+# one cascade phase; rows and total are the gate's sums at its last step
+Phase = namedtuple("Phase", "scenario start end steps stop rows total split "
+                            "hypothesis")
+
+
+def _cascade(scenario: Scenario, state: SystemState, target_m: int,
+             detector: EquilibriumDetector, max_steps: int, sigma: float, seed):
+    """The competition cascade from state up to target_m > m learners: yields
+    one Phase per phase, each a run of the watched loop.  A phase that stops
+    on the detector below target_m splits its largest-mass learner j (lowest
+    index on ties; hypothesis: some subpopulation j serves, share above
+    ZERO_TOL, has gradient norm above ZERO_TOL at j), and the next starts
+    from split_learner's state with both twins nudged by N(0, sigma) draws
+    from the seed stream [*seed, phase].  The last phase, which reaches
+    target_m or ends on its budget, has split and hypothesis None."""
+    for phase in range(target_m - scenario.m + 1):
+        loop = _watched_steps(scenario, state.alpha[None], state.theta[None],
+                              scenario.risk_matrix(state.theta)[None], state.t,
+                              detector, max_steps)
+        for steps, (_, last, stop) in enumerate(loop, 1):
+            pass   # the last step ends the phase: it fired or used the budget
+        end = SystemState(last.alpha[0], last.theta[0], state.t + steps)
+        record = Phase(scenario, state, end, steps, stop[0], last.rows[0],
+                       last.total[0], None, None)
+        if stop[0] != "detector" or scenario.m == target_m:
+            yield record
+            return
+        j = int(np.argmax(last.masses[0]))   # lowest index on ties
+        norms = _subpop_gradient_norms(scenario, end.theta[j:j + 1])[:, 0]
+        yield record._replace(split=j, hypothesis=bool(
+            (norms[end.alpha[:, j] > ZERO_TOL] > ZERO_TOL).any()))
+        state, scenario = split_learner(end, scenario, j)
+        theta = state.theta.copy()   # the twins, j and the new m - 1
+        theta[[j, -1]] += sigma * np.random.default_rng(
+            [*seed, phase]).standard_normal((2, scenario.d))
+        state = SystemState(state.alpha, theta, 0)
 
 
 def perturb(state: SystemState, sigma: float, seed, target: str = "both") -> SystemState:

@@ -34,7 +34,8 @@ class LearnerRule:
     kind="repeated_gd" takes inner_steps gradient steps of size
     step_size(t, rule) per time step; kind="full_min" re-minimizes the
     observed mixture risk, in closed form for quadratics or by damped Newton
-    (tolerance, max_iterations) otherwise.
+    otherwise, within max_iterations steps, to a gradient norm of the
+    learner's mass-normalized mixture risk at most tolerance.
     """
 
     kind: str
@@ -105,8 +106,9 @@ def _require_mass(W, hold) -> None:
 
 def _newton(W, risks, tolerance, max_iterations, start, hold) -> np.ndarray:
     """minimize_mixtures' damped Newton, all unheld columns at once.  A column
-    is done at gradient norm <= tolerance or once its full step's predicted
-    decrease is below rounding; its step halves until its risk does not rise."""
+    is done once the gradient norm of its mass-normalized mixture is <=
+    tolerance or its full step's predicted decrease is below rounding; its
+    step halves until its risk does not rise."""
     _require_mass(W, hold)
     theta = (np.zeros((*W.shape[:-2], W.shape[-1], risks[0].dim))
              if start is None else np.array(start, dtype=float))
@@ -116,7 +118,8 @@ def _newton(W, risks, tolerance, max_iterations, start, hold) -> np.ndarray:
     value = _mix(w, risks, risk_value, x[live])
     for iteration in range(max_iterations + 1):
         g = _mix(w, risks, risk_gradient, x[live])
-        going = ~(np.linalg.norm(g, axis=-1) <= tolerance)   # NaN goes on
+        # g / mass is the normalized mixture's gradient; NaN goes on
+        going = ~(np.linalg.norm(g, axis=-1) <= tolerance * w.sum(axis=0))
         live, w, value, g = live[going], w[:, going], value[going], g[going]
         if not live.size:
             return theta
@@ -147,7 +150,8 @@ def _newton(W, risks, tolerance, max_iterations, start, hold) -> np.ndarray:
 
 def group_minimize(weights, risks, tolerance: float = 1e-10,
                    max_iterations: int = 100, start=None) -> np.ndarray:
-    """Damped Newton on sum_i w_i R_i(theta), w_i >= 0, from start or 0."""
+    """Damped Newton on sum_i w_i R_i(theta), w_i >= 0, from start or 0, to a
+    gradient norm of the normalized sum_i w_i R_i / sum_i w_i <= tolerance."""
     return _newton(np.asarray(weights, dtype=float)[:, None], risks, tolerance,
                    max_iterations, None if start is None else [start], None)[0]
 

@@ -198,7 +198,8 @@ def newton_minimize(weights, risks, tolerance: float = 1e-10,
     """Minimize sum_i w_i R_i(theta) over theta for nonnegative weights by
     damped Newton, one mixture at a time: steps are halved until the
     objective decreases, so the update stays risk reducing even far from
-    the optimum."""
+    the optimum.  It stops once the normalized mixture sum_i w_i R_i /
+    sum_i w_i has gradient norm at most tolerance."""
     weights = np.asarray(weights, dtype=float)
     active = [(wi, r) for wi, r in zip(weights, risks) if wi != 0.0]
     if not active:
@@ -223,7 +224,7 @@ def newton_minimize(weights, risks, tolerance: float = 1e-10,
     value = objective(theta)
     for _ in range(max_iterations):
         g = grad(theta)
-        if np.linalg.norm(g) <= tolerance:
+        if np.linalg.norm(g) <= tolerance * weights.sum():
             return theta
         direction = np.linalg.solve(hess(theta), -g)
         decrease = -(g @ direction) / 2   # predicted by the quadratic model

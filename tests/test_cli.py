@@ -18,7 +18,7 @@ from popdyn import (
     goldens,
 )
 from popdyn.cli import main
-from popdyn.engine import perturb, simulate
+from popdyn.engine import perturb, simulate, step
 from popdyn.equilibria import (
     EquilibriumReport,
     SplitAssignment,
@@ -26,7 +26,7 @@ from popdyn.equilibria import (
     enumerate_split_equilibria,
     theta_for_assignment,
 )
-from popdyn.scenario_io import load_scenario, packaged_scenario
+from popdyn.scenario_io import STREAM_PERTURB, load_scenario, packaged_scenario
 
 from reference import csv_text, detect_equilibrium
 
@@ -443,45 +443,37 @@ class TestCompetition:
         assert not (out / "competition.csv").exists()
 
 
-def competition_phases(argv):
-    """Runs the competition command on argv; per phase, its start (scenario,
-    state, detector, max_steps) and its end (state, steps, converged), as
-    the loop that the command drains yields them."""
-    phases = []
-    real = cli._watched_steps
-
-    def record(scenario, alpha, theta, R, t, detector, max_steps, labels=None):
-        for steps, item in enumerate(real(scenario, alpha, theta, R, t,
-                                          detector, max_steps, labels), 1):
-            yield item
-        _, last, stop = item
-        end = SystemState(alpha=last.alpha[0], theta=last.theta[0], t=t + steps)
-        phases.append(((scenario, SystemState(alpha=alpha[0], theta=theta[0],
-                                              t=t), detector, max_steps),
-                       (end, steps, stop[0] == "detector")))
-
-    with mock.patch.object(cli, "_watched_steps", record):
-        assert main(["competition", *argv]) == 0
-    return phases
+def competition_phases(path, target_m):
+    """The cascade that the competition command runs on the scenario at
+    path, to target_m learners at its default --sigma and the scenario's
+    seed, from _cascade's records: per phase, its start (scenario, state,
+    detector, max_steps) and its end (state, steps, converged)."""
+    loaded = load_scenario(path)
+    return [((p.scenario, p.start, loaded.detector, loaded.max_steps),
+             (p.end, p.steps, p.stop == "detector"))
+            for p in engine._cascade(loaded.scenario, loaded.initial_state,
+                                     target_m, loaded.detector,
+                                     loaded.max_steps, 1e-3,
+                                     [loaded.seed, STREAM_PERTURB])]
 
 
 @pytest.fixture(scope="module")
-def competition12_phases(tmp_path_factory, competition12_path):
-    return competition_phases([str(competition12_path), "--target-m", "12",
-                               "--out", str(tmp_path_factory.mktemp("c12"))])
+def competition12_phases(competition12_path):
+    return competition_phases(str(competition12_path), 12)
 
 
 class TestOneWatchedLoop:
     def test_runs_phases_and_probe_trials_all_stop_in_it(
             self, competition12_path, tmp_path):
-        # simulate, every competition phase and every probe trial stop by
-        # engine._watched_steps: with it broken, each of them fails
+        # step, simulate, every competition phase and every probe trial step
+        # by engine._watched_steps: with it broken, each of them fails
         def forbidden(*args, **kwargs):
             raise AssertionError("_watched_steps reached")
 
         loaded = load_scenario(THREE_CENTERS)
-        with mock.patch.object(engine, "_watched_steps", forbidden), \
-                mock.patch.object(cli, "_watched_steps", forbidden):
+        with mock.patch.object(engine, "_watched_steps", forbidden):
+            with pytest.raises(AssertionError, match="reached"):
+                step(loaded.initial_state, loaded.scenario)
             with pytest.raises(AssertionError, match="reached"):
                 simulate(loaded.scenario, loaded.initial_state, 10)
             with pytest.raises(AssertionError, match="reached"):
@@ -490,6 +482,52 @@ class TestOneWatchedLoop:
             with pytest.raises(AssertionError, match="reached"):
                 engine._probe_batch(loaded.scenario, loaded.initial_state,
                                     1e-3, 2, 1)
+
+
+class TestCascade:
+    def test_records_are_the_rows_the_command_writes(
+            self, competition12_phases, competition12_path, tmp_path):
+        assert main(["competition", str(competition12_path), "--target-m",
+                     "12", "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "competition.csv")
+        assert [(int(r["m"]), int(r["steps"])) for r in rows] == [
+            (scenario.m, steps)
+            for (scenario, *_), (_, steps, _) in competition12_phases]
+
+    @pytest.mark.parametrize("max_steps, phases", [(1, 1), (400, 10)])
+    def test_a_phase_ending_on_its_budget_is_the_last(self, competition12_path,
+                                                      max_steps, phases):
+        # competition12's phases take 24 to 302 steps up to m=10 and 504 at
+        # m=11: a budget of 1 ends the first phase, one of 400 the tenth
+        loaded = load_scenario(str(competition12_path))
+        records = list(engine._cascade(loaded.scenario, loaded.initial_state,
+                                       12, loaded.detector, max_steps, 1e-3,
+                                       [loaded.seed, STREAM_PERTURB]))
+        assert len(records) == phases
+        assert [p.stop for p in records] == ["detector"] * (
+            len(records) - 1) + ["budget"]
+        assert records[-1].steps == max_steps
+        assert [p.split is None for p in records] == [
+            p.hypothesis is None for p in records] == [False] * (
+            len(records) - 1) + [True]
+
+    def test_each_phase_starts_from_the_split_before_it(
+            self, competition12_path):
+        loaded = load_scenario(str(competition12_path))
+        records = list(engine._cascade(loaded.scenario, loaded.initial_state,
+                                       4, loaded.detector, loaded.max_steps,
+                                       1e-3, [loaded.seed, STREAM_PERTURB]))
+        assert [p.scenario.m for p in records] == [2, 3, 4]
+        assert [p.stop for p in records] == ["detector"] * 3
+        assert [p.split is None for p in records] == [
+            p.hypothesis is None for p in records] == [False, False, True]
+        assert all(isinstance(p.hypothesis, bool) for p in records[:-1])
+        # each phase starts where the split of the one before it leaves off
+        for before, after in zip(records, records[1:]):
+            assert after.scenario.m == before.scenario.m + 1
+            assert after.start.t == 0
+            assert np.array_equal(after.start.alpha[:, -1],
+                                  before.end.alpha[:, before.split] / 2)
 
 
 class TestPhaseRunner:
@@ -546,7 +584,7 @@ class TestPhaseRunner:
             cases += 1
         assert cases >= 1
 
-    def test_simulate_competition50_stops_where_phase_0_does(self, tmp_path):
+    def test_simulate_competition50_stops_where_phase_0_does(self):
         # the quiet window of steps 35-45 ends on an unstable split (margin
         # -0.421); simulate steps on, as the competition phase does
         path = str(packaged_scenario("competition50"))
@@ -556,8 +594,7 @@ class TestPhaseRunner:
         assert (traj.converged_at, len(traj.states) - 1) == (3160, 3170)
         report = classify_state(traj.final_state, loaded.scenario)
         assert report.stability == "asymptotically_stable"
-        _, (state, steps, converged) = competition_phases(
-            [path, "--target-m", "3", "--out", str(tmp_path)])[0]
+        _, (state, steps, converged) = competition_phases(path, 3)[0]
         assert (steps, converged) == (3170, True)
         assert np.array_equal(state.alpha, traj.final_state.alpha)
         assert np.array_equal(state.theta, traj.final_state.theta)
@@ -779,6 +816,34 @@ class TestErrorHandling:
         assert not list(tmp_path.iterdir())
         with pytest.raises(ValueError, match="sigma must be a number >= 0"):
             perturb(three_centers.initial_state, float(value), seed=0)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["probe", THREE_CENTERS, "--trials", "abc"],
+         "argument --trials: invalid int value: 'abc'"),
+        (["competition", THREE_CENTERS],
+         "the following arguments are required: --target-m"),
+        (["simulate"], "the following arguments are required: scenario"),
+        (["simulate", THREE_CENTERS, "--bogus"],
+         "unrecognized arguments: --bogus"),
+        # --state names no file: the clash is reported before any is read
+        (["probe", THREE_CENTERS, "--state", "missing.json", "--assignment",
+          "0,1,1"], "argument --assignment: not allowed with argument --state"),
+    ])
+    def test_usage_errors_exit_one(self, argv, message, tmp_path, monkeypatch,
+                                   capsys):
+        # exit 2 is EXIT_NO_CONVERGENCE: a usage error must not look like one
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["probe", "--help"],
+                                      ["--version"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
     def test_missing_scenario_file(self, capsys):
         rc = main(["simulate", "/nonexistent/scenario.json", "--out", "/tmp/x"])

@@ -1,8 +1,13 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+# the tool's output at the last change that altered a CLI output; such a
+# change rewrites this file and records its --against report
+DIGEST = pathlib.Path(__file__).resolve().parent / "data" / "cli_digest.jsonl"
 
 
 def _cli_digest():
@@ -52,3 +57,18 @@ def test_compare_counts_a_value_without_a_counterpart(tmp_path):
     b.write_text("t,alpha_1_1,alpha_1_2,alpha_1_3\n0,0.5,0.5,0.0\n")
     assert _cli_digest()._compare(str(a), str(b)) == {"rows": [1, 1], "groups": {
         "alpha": {"max_abs": 0.0, "max_rel": 0.0, "other": 1}}}
+
+
+def test_every_cli_output_is_byte_identical_to_the_digest():
+    # every run of the tool, on this checkout: its exit code and each output
+    # file's sha256 and size (the digests are of one numpy build's floats)
+    def keyed(text):
+        return {(d["run"], d["file"]): d for d in map(json.loads,
+                                                      text.splitlines())}
+
+    proc = subprocess.run([sys.executable, str(TOOL)], capture_output=True,
+                          text=True, check=True)
+    got, want = keyed(proc.stdout), keyed(DIGEST.read_text())
+    differ = [f"{run} {file}" for run, file in sorted(got.keys() | want.keys())
+              if got.get((run, file)) != want.get((run, file))]
+    assert not differ, f"outputs that differ from {DIGEST.name}: {differ}"

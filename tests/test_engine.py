@@ -51,6 +51,16 @@ from reference import (
 )
 
 
+def _stepped(sc, alpha, theta, steps, t=0, labels=None):
+    """The StepRecords of steps steps of the watched loop from alpha, theta
+    at time t, under a detector whose window exceeds the run, so that every
+    trial steps to the budget."""
+    loop = engine._watched_steps(sc, alpha, theta, sc.risk_matrix(theta), t,
+                                 EquilibriumDetector(window=steps + 1), steps,
+                                 labels)
+    return (s for _, s, _ in loop)
+
+
 class TestStep:
     def test_balanced_start_is_exact_fixed_point(self, three_centers):
         s0 = three_centers.initial_state
@@ -139,8 +149,7 @@ class TestPerAgentGate:
                                                                [0.0, 1.0]])
         with mock.patch.object(engine, "_update_alpha",
                                lambda *args: np.stack(planted)):
-            steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 3,
-                                  labels=np.array([4, 7]))
+            steps = _stepped(sc, alpha, theta, 1, 3, labels=np.array([4, 7]))
             with pytest.raises(MonotonicityError) as exc:
                 next(steps)
         err = exc.value
@@ -580,8 +589,7 @@ class TestStabilityProbe:
                       learner_rule=repeated_gd(base=1.5, form="constant"))
         alpha = np.ones((2, 1, 1))
         theta = np.array([[[0.0]], [[1.0]]])
-        steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0,
-                              labels=np.array([4, 7]))
+        steps = _stepped(sc, alpha, theta, 1, labels=np.array([4, 7]))
         with pytest.raises(MonotonicityError, match="step 0 of trial 7") as exc:
             next(steps)
         assert exc.value.trial == 7
@@ -770,9 +778,8 @@ class TestBatchIndependence:
         theta = rng.uniform(-2.0, 2.0, (K, m, sc.d))
 
         def run(alpha, theta):
-            steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0)
             return [(a, th, Q, rows, total) for a, th, _, Q, rows, total, *_
-                    in itertools.islice(steps, 40)]
+                    in _stepped(sc, alpha, theta, 40)]
 
         batch = run(alpha, theta)
         for k in range(K):
@@ -1026,8 +1033,7 @@ class TestKeptState:
                      schedule=self.SCHEDULES[schedule])
         alpha = np.stack([random_state(rng, sc).alpha for _ in range(3)])
         theta = rng.uniform(-2.0, 2.0, (3, sc.m, sc.d))
-        steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0)
-        for alpha, _, R, Q, *_ in itertools.islice(steps, 30):
+        for alpha, _, R, Q, *_ in _stepped(sc, alpha, theta, 30):
             assert np.array_equal(Q, alpha * R)
 
     @settings(max_examples=60, deadline=None)
@@ -1045,9 +1051,8 @@ class TestKeptState:
                      schedule=self.SCHEDULES[schedule])
         alpha = np.stack([random_state(rng, sc).alpha for _ in range(K)])
         theta = rng.uniform(-2.0, 2.0, (K, sc.m, sc.d))
-        steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0)
-        for alpha, _, R, _, rows, total, masses, *_ in itertools.islice(
-                steps, 30):
+        for alpha, _, R, _, rows, total, masses, *_ in _stepped(sc, alpha,
+                                                                theta, 30):
             assert np.array_equal((alpha * R).sum(-1), rows)
             # each trial's total is its own row's sum, as it would be alone
             assert np.array_equal([row @ sc.beta for row in rows], total)
@@ -1064,8 +1069,8 @@ class TestKeptState:
                      schedule=self.SCHEDULES[schedule])
         alpha = np.stack([random_state(rng, sc).alpha for _ in range(4)])
         theta = rng.uniform(-2.0, 2.0, (4, sc.m, sc.d))
-        steps = engine._steps(sc, alpha, theta, sc.risk_matrix(theta), 0)
-        kept = np.array([alpha for alpha, *_ in itertools.islice(steps, 20_000)])
+        kept = np.array([alpha for alpha, *_ in _stepped(sc, alpha, theta,
+                                                          20_000)])
         assert kept.min() >= 0.0
         assert np.abs(kept.sum(-1) - 1.0).max() <= 1e-15
 

@@ -363,6 +363,22 @@ class TestMinimizeMixtures:
                            match=r"^mixture column W\[:, 1\] has no positive weight$"):
             minimize_mixtures(sc, W)
 
+    def test_a_light_learner_is_minimized_as_tightly(self):
+        # 2e-12 of mass on center 0 at theta = 5: the weighted mixture's
+        # gradient 2e-11 is below the tolerance 1e-10, the normalized one's
+        # 10 is not, so Newton moves it to 0 as the closed form does
+        sc = Scenario(beta=np.ones(3) / 3,
+                      risks=tuple(quadratic_risk([c]) for c in (0.0, 1.0, 2.0)),
+                      m=2, subpop_rule=mwud(), learner_rule=full_min())
+        custom = replace(sc, risks=tuple(map(as_custom, sc.risks)))
+        W = np.array([[2e-12, 0.5], [0.0, 0.5], [0.0, 0.5]])
+        start = np.array([[5.0], [1.0]])
+        assert minimize_mixtures(sc, W, start=start).tolist() == [[0.0], [1.0]]
+        out = minimize_mixtures(custom, W, start=start)
+        assert np.abs(out - [[0.0], [1.0]]).max() <= 1e-12
+        assert abs(group_minimize(W[:, 0], custom.risks, start=[5.0])[0]) <= 1e-12
+        assert abs(newton_minimize(W[:, 0], custom.risks, start=[5.0])[0]) <= 1e-12
+
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_custom_risks_match_group_minimize(self, k):
         rng = np.random.default_rng(27)
