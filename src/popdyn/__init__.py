@@ -19,7 +19,6 @@ from .allocation import (
 from .engine import (
     EquilibriumDetector,
     Trajectory,
-    UpdateSchedule,
     empirical_stability_probe,
     perturb,
     simulate,
@@ -61,6 +60,7 @@ from .model import (
     RiskFunction,
     Scenario,
     SystemState,
+    UpdateSchedule,
     custom_risk,
     quadratic_risk,
     risk_gradient,

@@ -38,12 +38,10 @@ class AllocationRule:
 
     def __post_init__(self):
         require_choice(self.kind, "kind", ("mwud", "best_response"))
-        if self.kind == "mwud":
-            require_number(self.gamma, "gamma", 0, strict=True)
-            require_choice(self.comparison, "comparison", COMPARISONS)
-        else:
-            require_number(self.tie_tolerance, "tie_tolerance", 0)
-            require_choice(self.tie_policy, "tie_policy", TIE_POLICIES)
+        require_number(self.gamma, "gamma", 0, strict=True)
+        require_choice(self.comparison, "comparison", COMPARISONS)
+        require_number(self.tie_tolerance, "tie_tolerance", 0)
+        require_choice(self.tie_policy, "tie_policy", TIE_POLICIES)
 
 
 def mwud(gamma: float = 1.0, comparison: str = "absolute") -> AllocationRule:

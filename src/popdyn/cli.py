@@ -216,21 +216,23 @@ def cmd_competition(args) -> int:
     header = (["phase", "m", "steps", "cumulative_steps", "total_risk",
                "worst_subpop_risk", "split_learner", "grad_hypothesis"]
               + [f"subpop_risk_{i + 1}" for i in range(scenario.n)])
-    rows, cumulative = [], 0
+    rows, cumulative, code = [], 0, EXIT_OK
     for phase, p in enumerate(_cascade(
             scenario, loaded.initial_state, args.target_m, loaded.detector,
             max_steps, args.sigma, [seed, STREAM_PERTURB])):
         cumulative += p.steps
-        if p.stop != "detector":
+        if p.stop != "detector":   # the last phase
             print(f"error: phase {phase} (m={p.scenario.m}) did not converge "
                   f"within {max_steps} steps", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+            code = EXIT_NO_CONVERGENCE
+            break
         rows.append([phase, p.scenario.m, p.steps, cumulative, p.total,
                      float(p.rows.max()), p.split, p.hypothesis]
                     + list(p.rows))
 
-    _write_table(os.path.join(args.out, "competition.csv"), header, rows)
-    return EXIT_OK
+    if rows:   # the phases that converged, when a later one did not
+        _write_table(os.path.join(args.out, "competition.csv"), header, rows)
+    return code
 
 
 def cmd_goldens(args) -> int:

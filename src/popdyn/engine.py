@@ -35,73 +35,7 @@ from .model import (
     validate_state,
 )
 
-SCHEDULE_KINDS = (
-    "all_sequential",
-    "round_robin_subpops",
-    "round_robin_learners",
-    "custom_order",
-)
 PERTURB_TARGETS = ("theta_only", "alpha_only", "both")
-# the kinds that read each optional schedule field
-_SCHEDULE_FIELDS = {"order": ("round_robin_subpops", "round_robin_learners"),
-                    "subpops": ("custom_order",), "learners": ("custom_order",)}
-
-
-@dataclass(frozen=True)
-class UpdateSchedule:
-    """Which subpopulations and learners update at each time step.
-
-    all_sequential updates everyone every step.  The round-robin kinds cycle
-    one index (subpopulation or learner) per step through ``order`` while the
-    other side updates fully.  custom_order updates the fixed subsets
-    ``subpops`` and ``learners`` every step; each index may appear at most
-    once per step.  A field that the kind does not read is an error.
-    """
-
-    kind: str = "all_sequential"
-    order: Optional[tuple] = None
-    subpops: Optional[tuple] = None
-    learners: Optional[tuple] = None
-
-    def __post_init__(self):
-        require_choice(self.kind, "kind", SCHEDULE_KINDS)
-        for name, kinds in _SCHEDULE_FIELDS.items():
-            val = getattr(self, name)
-            if val is not None:
-                if self.kind not in kinds:
-                    raise ValueError(f"{name}: unknown field for kind "
-                                     f"{self.kind!r}; only {kinds} read it")
-                if not isinstance(val, (list, tuple)):
-                    raise ValueError(f"{name} must be a list of integers, got {val!r}")
-                val = tuple(int(require_number(i, f"{name}[{k}]", 0, integer=True))
-                            for k, i in enumerate(val))
-                if len(set(val)) != len(val):
-                    raise ValueError(f"{name} repeats an index: {val}")
-                object.__setattr__(self, name, val)
-
-    def cycle(self, n: int, m: int) -> tuple:
-        """The schedule resolved for n subpopulations and m learners: one
-        entry (rows, learners, count) per step of its period, entry t % len
-        at step t.  rows indexes the rows of alpha that update (a slice when
-        all do), learners is the (m,) mask of scheduled learners and count
-        how many it marks.  An index out of range is a ValueError."""
-        cycled = {"round_robin_subpops": n, "round_robin_learners": m}
-        for name, size in (("order", cycled.get(self.kind)),
-                           ("subpops", n), ("learners", m)):
-            for k, i in enumerate(getattr(self, name) or ()):
-                if i >= size:
-                    raise ValueError(
-                        f"schedule.{name}[{k}] must be < {size}, got {i}")
-        every = np.ones(m, bool)
-        if self.kind == "round_robin_subpops":
-            return tuple(([i], every, m) for i in self.order or range(n))
-        if self.kind == "round_robin_learners":
-            return tuple((slice(None), np.arange(m) == j, 1)
-                         for j in self.order or range(m))
-        if self.kind == "custom_order":
-            learners = np.isin(np.arange(m), self.learners or ())
-            return ((list(self.subpops or ()), learners, int(learners.sum())),)
-        return ((slice(None), every, m),)
 
 
 @dataclass(frozen=True)
@@ -314,12 +248,7 @@ def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
 
 def step(state: SystemState, scenario: Scenario) -> SystemState:
     """One sequential update: allocations first, then learner parameters."""
-    validate_state(state, scenario)
-    theta = state.theta[None]
-    _, s, _ = next(_watched_steps(scenario, state.alpha[None], theta,
-                                  scenario.risk_matrix(theta), state.t,
-                                  EquilibriumDetector(), 1))
-    return SystemState(alpha=s.alpha[0], theta=s.theta[0], t=state.t + 1)
+    return simulate(scenario, state, 1).final_state
 
 
 def _record(Q, rows, total, masses, beta):

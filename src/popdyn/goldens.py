@@ -27,15 +27,17 @@ GOLDEN_TOL = 1e-9   # a computed value matches its closed form this closely
 TIE_BAND = 1e-6
 
 
+def _golden_scenario(beta, centers, m: int, gamma: float) -> Scenario:
+    """Identity-curvature risks at centers, m learners, MWUD at gamma and
+    full minimization."""
+    return Scenario(beta=beta,
+                    risks=tuple(quadratic_risk(c) for c in centers), m=m,
+                    subpop_rule=mwud(gamma=gamma), learner_rule=full_min())
+
+
 def minority_scenario(beta: float, phi: float = 10.0) -> Scenario:
     """Two subpopulations (sizes beta, 1-beta), optima 0 and phi, one learner."""
-    return Scenario(
-        beta=np.array([beta, 1.0 - beta]),
-        risks=(quadratic_risk([0.0]), quadratic_risk([phi])),
-        m=1,
-        subpop_rule=mwud(gamma=1.0),
-        learner_rule=full_min(),
-    )
+    return _golden_scenario([beta, 1.0 - beta], ([0.0], [phi]), 1, 1.0)
 
 
 def minority_closed_forms(beta: float, phi: float = 10.0) -> dict:
@@ -58,14 +60,8 @@ def two_group_gap_scenario(beta: float, eps: float = 0.01,
     if not 0 < beta < 0.5:
         raise ValueError("beta must lie in (0, 1/2)")
     phi = (1.0 - beta) / (1.0 - 2.0 * beta) - eps
-    return Scenario(
-        beta=np.array([beta, beta, 1.0 - 2.0 * beta]),
-        risks=(quadratic_risk([0.0]), quadratic_risk([1.0]),
-               quadratic_risk([phi])),
-        m=2,
-        subpop_rule=mwud(gamma=gamma),
-        learner_rule=full_min(),
-    )
+    return _golden_scenario([beta, beta, 1.0 - 2.0 * beta],
+                            ([0.0], [1.0], [phi]), 2, gamma)
 
 
 def two_group_gap_curve(beta: float, eps: float = 0.01) -> dict:
@@ -102,14 +98,8 @@ def partition_pair_scenario(phi1, phi2, phi3, beta2: float, beta3: float,
     beta1 = 1.0 - beta2 - beta3
     if beta1 <= 0:
         raise ValueError("beta2 + beta3 must be < 1")
-    return Scenario(
-        beta=np.array([beta1, beta2, beta3]),
-        risks=(quadratic_risk(phi1), quadratic_risk(phi2),
-               quadratic_risk(phi3)),
-        m=2,
-        subpop_rule=mwud(gamma=gamma),
-        learner_rule=full_min(),
-    )
+    return _golden_scenario([beta1, beta2, beta3], (phi1, phi2, phi3), 2,
+                            gamma)
 
 
 def partition_pair_state(scenario: Scenario) -> SystemState:

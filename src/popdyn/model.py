@@ -27,7 +27,6 @@ from .errors import DimensionError, NonFiniteError, SimplexError
 if TYPE_CHECKING:  # rule configs live with their dynamics modules
     from .allocation import AllocationRule
     from .learners import LearnerRule
-    from .engine import UpdateSchedule
 
 # Simplex tolerance for a given allocation.  Both allocation rules return
 # rows that are nonnegative and sum to one within rounding, and the engine
@@ -181,6 +180,74 @@ def risk_hessian(risk: RiskFunction, theta) -> np.ndarray:
     return _callback(risk.hess_fn, theta, (risk.dim,) * 2, "hessian")
 
 
+SCHEDULE_KINDS = (
+    "all_sequential",
+    "round_robin_subpops",
+    "round_robin_learners",
+    "custom_order",
+)
+# the kinds that read each optional schedule field
+_SCHEDULE_FIELDS = {"order": ("round_robin_subpops", "round_robin_learners"),
+                    "subpops": ("custom_order",), "learners": ("custom_order",)}
+
+
+@dataclass(frozen=True)
+class UpdateSchedule:
+    """Which subpopulations and learners update at each time step.
+
+    all_sequential updates everyone every step.  The round-robin kinds cycle
+    one index (subpopulation or learner) per step through ``order`` while the
+    other side updates fully.  custom_order updates the fixed subsets
+    ``subpops`` and ``learners`` every step; each index may appear at most
+    once per step.  A field that the kind does not read is an error.
+    """
+
+    kind: str = "all_sequential"
+    order: Optional[tuple] = None
+    subpops: Optional[tuple] = None
+    learners: Optional[tuple] = None
+
+    def __post_init__(self):
+        require_choice(self.kind, "kind", SCHEDULE_KINDS)
+        for name, kinds in _SCHEDULE_FIELDS.items():
+            val = getattr(self, name)
+            if val is not None:
+                if self.kind not in kinds:
+                    raise ValueError(f"{name}: unknown field for kind "
+                                     f"{self.kind!r}; only {kinds} read it")
+                if not isinstance(val, (list, tuple)):
+                    raise ValueError(f"{name} must be a list of integers, got {val!r}")
+                val = tuple(int(require_number(i, f"{name}[{k}]", 0, integer=True))
+                            for k, i in enumerate(val))
+                if len(set(val)) != len(val):
+                    raise ValueError(f"{name} repeats an index: {val}")
+                object.__setattr__(self, name, val)
+
+    def cycle(self, n: int, m: int) -> tuple:
+        """The schedule resolved for n subpopulations and m learners: one
+        entry (rows, learners, count) per step of its period, entry t % len
+        at step t.  rows indexes the rows of alpha that update (a slice when
+        all do), learners is the (m,) mask of scheduled learners and count
+        how many it marks.  An index out of range is a ValueError."""
+        cycled = {"round_robin_subpops": n, "round_robin_learners": m}
+        for name, size in (("order", cycled.get(self.kind)),
+                           ("subpops", n), ("learners", m)):
+            for k, i in enumerate(getattr(self, name) or ()):
+                if i >= size:
+                    raise ValueError(
+                        f"schedule.{name}[{k}] must be < {size}, got {i}")
+        every = np.ones(m, bool)
+        if self.kind == "round_robin_subpops":
+            return tuple(([i], every, m) for i in self.order or range(n))
+        if self.kind == "round_robin_learners":
+            return tuple((slice(None), np.arange(m) == j, 1)
+                         for j in self.order or range(m))
+        if self.kind == "custom_order":
+            learners = np.isin(np.arange(m), self.learners or ())
+            return ((list(self.subpops or ()), learners, int(learners.sum())),)
+        return ((slice(None), every, m),)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable problem instance.
@@ -197,7 +264,7 @@ class Scenario:
     m: int
     subpop_rule: "AllocationRule"
     learner_rule: "LearnerRule"
-    schedule: Optional["UpdateSchedule"] = None
+    schedule: Optional[UpdateSchedule] = None
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float).copy()
@@ -228,7 +295,6 @@ class Scenario:
             raise ValueError(
                 f"m: need 1 <= m <= n, got m={self.m}, n={beta.shape[0]}"
             )
-        from .engine import UpdateSchedule   # engine imports this module
         # the engine reads entry t % len at step t
         object.__setattr__(self, "_cycle", (self.schedule or UpdateSchedule())
                            .cycle(beta.shape[0], self.m))

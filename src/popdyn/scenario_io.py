@@ -23,12 +23,13 @@ from importlib import resources
 import numpy as np
 
 from .allocation import best_response, mwud
-from .engine import EquilibriumDetector, UpdateSchedule
+from .engine import EquilibriumDetector
 from .errors import ScenarioFormatError
 from .learners import full_min, repeated_gd
 from .model import (
     Scenario,
     SystemState,
+    UpdateSchedule,
     quadratic_risk,
     require_finite,
     require_number,

@@ -267,3 +267,15 @@ class TestRuleValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             AllocationRule(kind="softmax")
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("best_response", "gamma", float("nan")),
+        ("best_response", "comparison", "bogus"),
+        ("mwud", "tie_tolerance", -5.0),
+        ("mwud", "tie_policy", "bogus"),
+    ])
+    def test_every_field_is_checked_whatever_the_kind(self, kind, field,
+                                                      value):
+        # a field the kind does not read is still a field of the rule
+        with pytest.raises(ValueError, match=f"^{field}"):
+            AllocationRule(kind=kind, **{field: value})

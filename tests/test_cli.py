@@ -426,6 +426,22 @@ class TestCompetition:
             "error: phase 0 (m=2) did not converge within 1 steps\n")
         assert not (out / "competition.csv").exists()
 
+    def test_exit_two_keeps_the_phases_that_converged(
+            self, competition12_path, tmp_path, capsys):
+        # phase 0 converges within 40 steps and phase 1 does not: the file
+        # holds phase 0's row as the run under the default budget writes it
+        args = ["competition", str(competition12_path), "--target-m", "6"]
+        assert main(args + ["--out", str(tmp_path / "full")]) == 0
+        capsys.readouterr()
+        assert main(args + ["--max-steps", "40",
+                            "--out", str(tmp_path / "cut")]) == 2
+        assert capsys.readouterr().err == (
+            "error: phase 1 (m=3) did not converge within 40 steps\n")
+        cut = (tmp_path / "cut" / "competition.csv").read_bytes()
+        full = (tmp_path / "full" / "competition.csv").read_bytes()
+        assert cut.count(b"\n") == 2
+        assert full.startswith(cut)
+
     def test_risk_increase_exit_three(self, competition12_path, tmp_path,
                                       capsys):
         # main's handler: the phase runner does not catch the gate's error

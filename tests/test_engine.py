@@ -32,7 +32,7 @@ from popdyn import (
     theta_for_assignment,
     total_risk,
 )
-from popdyn import engine
+from popdyn import engine, model
 from popdyn.engine import _probe_batch, _update_alpha, _update_theta
 from popdyn.goldens import partition_pair_scenario, partition_pair_state
 from popdyn.model import EMPTY_MASS_TOL, MONOTONE_TOL
@@ -756,7 +756,7 @@ class TestBatchIndependence:
     whichever learners are empty."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(engine.SCHEDULE_KINDS),
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(model.SCHEDULE_KINDS),
            st.sampled_from(["full_min", "repeated_gd"]), st.booleans(),
            st.integers(3, 4))
     def test_every_trial_matches_its_solo_run(self, seed, schedule_kind,
@@ -846,7 +846,7 @@ class TestWatchedBatchIndependence:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 3),
-           st.sampled_from(engine.SCHEDULE_KINDS),
+           st.sampled_from(model.SCHEDULE_KINDS),
            st.sampled_from(["full_min", "repeated_gd", "custom_full_min",
                             "custom_repeated_gd"]),
            st.sampled_from([EquilibriumDetector(), EquilibriumDetector(1e-6, 3)]),
@@ -1145,7 +1145,7 @@ class TestFastPathEquivalence:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["full_min", "repeated_gd"]),
            st.integers(1, 4), st.sampled_from([1, 3]),
-           st.sampled_from(engine.SCHEDULE_KINDS), st.booleans())
+           st.sampled_from(model.SCHEDULE_KINDS), st.booleans())
     def test_learner_kernel_matches_scalar_rules(self, seed, kind, inner_steps,
                                                  K, schedule_kind, empty):
         rng = np.random.default_rng(seed)
@@ -1188,7 +1188,7 @@ class TestFastPathEquivalence:
                                                  step_size(t, rule))
                 assert np.abs(theta2[k, j] - expected).max() <= 1e-12
 
-    @pytest.mark.parametrize("schedule_kind", engine.SCHEDULE_KINDS)
+    @pytest.mark.parametrize("schedule_kind", model.SCHEDULE_KINDS)
     @pytest.mark.parametrize("subpop", ["mwud", "best_response"])
     @pytest.mark.parametrize("learner", ["full_min", "repeated_gd"])
     def test_core_step_shares_no_memory_with_its_inputs(self, schedule_kind,

@@ -84,3 +84,20 @@ def test_no_subcommand_loads_scipy(tmp_path):
     codes, scipy_modules = json.loads(out.stdout)
     assert codes == [0] * len(commands)
     assert scipy_modules == []
+
+
+def test_model_imports_no_module_built_on_it():
+    # the engine, the classifier, the file format, the CLI and the goldens
+    # all import model: an import back, at module level or inside a
+    # function, would make a cycle
+    imported = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "popdyn" / "model.py")
+                                   .read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            imported.update(part for name in names for part in name.split("."))
+    assert "errors" in imported
+    assert imported.isdisjoint({"engine", "equilibria", "scenario_io", "cli",
+                                "goldens"})

@@ -39,7 +39,11 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
   catalog sorts them, and each key spans two 64-bit words;
 - ``enumerate`` without ``--dedupe`` on ``three_centers`` and
   ``two_group_gap``;
-- ``goldens``.
+- ``goldens``;
+- on a ``best_response`` copy of ``three_centers``: ``simulate``, ``simulate
+  --sigma 1e-3 --perturb-target both``, ``probe --assignment 0,1,1`` and
+  ``competition --target-m 3``; and ``simulate`` on a copy whose rule has
+  ``tie_tolerance`` 0.05 and ``tie_policy`` ``keep_previous``.
 
 All runs start in one temporary directory, with relative paths, and write
 their outputs there, as do the derived scenarios and the state files that
@@ -169,7 +173,27 @@ def _runs(root, workdir):
                                         "{out}/equilibria.csv"])
              for name in ("three_centers", "two_group_gap")]
     runs.append(("goldens", ["goldens", "--out", "{out}"]))
-    return runs
+    return runs + _best_response_runs(workdir, scenarios["three_centers"])
+
+
+def _best_response_runs(workdir, three_centers):
+    """Runs on best-response copies of three_centers: no shipped scenario
+    uses that rule.  The second copy keeps the previous row over a tied set
+    0.05 wide."""
+    path = _derived(workdir, three_centers, "best_response",
+                    {"subpop_rule": {"kind": "best_response"}})
+    ties = _derived(workdir, three_centers, "best_response_ties", {
+        "subpop_rule": {"kind": "best_response", "tie_tolerance": 0.05,
+                        "tie_policy": "keep_previous"}})
+    name = "three_centers-best_response"
+    return [(f"simulate-{name}", ["simulate", path, "--out", "{out}"]),
+            (f"simulate-{name}-sigma",
+             ["simulate", path, "--sigma", "1e-3", "--perturb-target", "both",
+              "--out", "{out}"]),
+            (f"probe-{name}", ["probe", path, "--assignment", "0,1,1"]),
+            (f"competition-{name}", ["competition", path, "--target-m", "3",
+                                     "--out", "{out}"]),
+            (f"simulate-{name}_ties", ["simulate", ties, "--out", "{out}"])]
 
 
 def _derived(workdir, path, name, change):
