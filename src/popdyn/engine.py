@@ -377,9 +377,11 @@ def state_distance_upto_permutation(a: SystemState, b: SystemState) -> float:
     """State delta minimized over learner column relabelings, exactly.
 
     The minimum over relabelings of the largest per-column distance is a
-    bottleneck assignment: bisect over the distinct column-pair distances
-    for the smallest one whose thresholded graph has a perfect matching.
-    States with different shapes have no relabeling: DimensionError.
+    bottleneck assignment: the smallest distinct column-pair distance whose
+    thresholded graph has a perfect matching.  No relabeling beats the
+    largest of the row and column minima, so that level is tried first and
+    the bisection runs only over the levels above it.  States with
+    different shapes have no relabeling: DimensionError.
     """
     if a.alpha.shape != b.alpha.shape or a.theta.shape != b.theta.shape:
         raise DimensionError(
@@ -390,14 +392,17 @@ def state_distance_upto_permutation(a: SystemState, b: SystemState) -> float:
         np.abs(a.alpha[:, :, None] - b.alpha[:, None, :]).max(axis=0),
         np.abs(a.theta[:, None, :] - b.theta[None, :, :]).max(axis=2))
     prefs = np.argsort(cost, axis=1).tolist()   # cheapest columns first
-    levels = np.unique(cost)
-    lo, hi = 0, len(levels) - 1
+    levels = np.unique(cost)   # a NaN sorts last
+    # a NaN fills a learner's row or column, so then the bound is NaN too
+    lo = mid = int(np.searchsorted(levels, max(cost.min(axis=1).max(),
+                                               cost.min(axis=0).max())))
+    hi = len(levels) - 1
     while lo < hi:
-        mid = (lo + hi) // 2
         if _perfect_matching(prefs, (cost <= levels[mid]).sum(axis=1).tolist()):
             hi = mid
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     return float(levels[lo])
 
 

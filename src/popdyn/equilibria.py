@@ -52,6 +52,9 @@ ZERO_TOL = 1e-6
 # Assignments the welfare oracle visits before raising BudgetError.
 DEFAULT_BUDGET = int(2e7)
 
+# Cells of one block of the oracle's streamed margins and optimum.
+CHUNK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SplitAssignment:
@@ -159,19 +162,27 @@ def potential_gradient(alpha, scenario: Scenario) -> np.ndarray:
     return scenario.beta[:, None] * scenario.risk_matrix(theta)
 
 
-def _split_margins(columns, gamma):
-    """Own risks (..., n) and no-switching margins (...) of split
-    assignments: columns[j] holds R_i(theta_j) and gamma the serving learner
-    of each subpopulation, both of shape (..., n); the margin is the least
-    R_i(theta_j) - R_i(theta_gamma(i)) over j != gamma(i), +inf for m=1."""
-    own = np.full(gamma.shape, np.nan)
-    others = np.full(gamma.shape, np.inf)
-    for j, col in enumerate(columns):
-        mine = gamma == j
-        np.copyto(own, col, where=mine)
-        np.minimum(others, col, out=others, where=~mine)
-    others -= own
-    return own, others.min(axis=-1)
+def _split_margins(R, member, gid, rows, own=None):
+    """No-switching margins (S,) of split assignments from per-group tables,
+    R[g, i] = R_i(theta_g) and member[g, i] = (i in g), with gid (S, m) the
+    groups by learner and rows (S, n) the learners by subpopulation: the least
+    R_i(theta_j) - R_i(theta_rows[s, i]) over i and j != rows[s, i], +inf for
+    m=1, CHUNK_CELLS cells at a time.  own (S, n) receives the own risks."""
+    others = np.where(member, np.inf, R)   # no group is a rival to its own
+    margins = np.empty(len(rows))
+    i = np.arange(rows.shape[1])
+    step = max(1, CHUNK_CELLS // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        g = gid[lo:lo + step]
+        mine = R[np.take_along_axis(g, rows[lo:lo + step], axis=1), i]
+        if own is not None:
+            own[lo:lo + step] = mine
+        least = others[g[:, 0]]
+        for j in range(1, g.shape[1]):
+            np.minimum(least, others[g[:, j]], out=least)
+        least -= mine
+        margins[lo:lo + step] = least.min(axis=1)
+    return margins
 
 
 def _subpop_gradient_norms(scenario: Scenario, theta) -> np.ndarray:
@@ -225,13 +236,16 @@ def classify_state(state: SystemState, scenario: Scenario,
 
     binary = np.all((alpha <= ZERO_TOL) | (alpha >= 1 - ZERO_TOL))
     if binary and np.all(masses >= EMPTY_MASS_TOL):
-        gamma_map = tuple(int(j) for j in alpha.argmax(axis=1))
+        gamma = alpha.argmax(axis=1)
+        gamma_map = tuple(gamma.tolist())
         # a learner can carry mass above the empty floor yet serve nobody at
         # ZERO_TOL resolution; such uncovered learners rule out stability
         uncovered = sorted(set(range(scenario.m)) - set(gamma_map))
         if uncovered:
             details["uncovered_learners"] = uncovered
-        margin = float(_split_margins(R.T, np.array(gamma_map))[1])
+        j = np.arange(scenario.m)
+        margin = float(_split_margins(R.T, gamma == j[:, None], j[None],
+                                      gamma[None])[0])
         return report("split_market", _stability(margin, not uncovered),
                       margin=margin if scenario.m > 1 else None,
                       assignment=SplitAssignment(gamma_map))
@@ -254,12 +268,13 @@ def classify_state(state: SystemState, scenario: Scenario,
     return report("non_equilibrium", "unstable")
 
 
-def _assignments(n: int, m: int, dedupe: bool) -> np.ndarray:
+def _assignments(n: int, m: int, dedupe: bool, used: int = 0) -> np.ndarray:
     """Every surjective map of n subpopulations onto m learners as an (S, n)
     array in lexicographic order; with dedupe only the restricted growth
-    strings (labels in first-occurrence order), one per relabeling."""
+    strings (labels in first-occurrence order), one per relabeling.  With
+    used, the rows continue a prefix that already holds labels 0..used-1."""
     rows = np.zeros((1, 0), dtype=np.min_scalar_type(m - 1))
-    seen = np.zeros((1, m), dtype=bool)   # the labels each prefix uses
+    seen = (np.arange(m) < used)[None]   # the labels each prefix uses
     for k in range(n):
         parent = np.repeat(np.arange(len(rows)), m)
         label = np.tile(np.arange(m, dtype=rows.dtype), len(rows))
@@ -293,13 +308,15 @@ def _stirling2(n: int, m: int) -> int:
 
 
 def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
-    """Assignments (S, n) in _assignments order, totals (S,), group ids (S, m)
-    and group risks R[g, i] under enumerate_split_equilibria's budget rule.
+    """Assignments (S, n) in _assignments order, totals (S,), group ids
+    (S, m), and per distinct group g its risks R[g, i] and members
+    member[g, i], under enumerate_split_equilibria's budget rule.
 
     Each distinct (assignment, learner) group is solved once, keyed by its
     member bitmask (subpopulation i at bit hi-1-i of word i // 64, which holds
     [lo, hi)) and numbered in key order: by a cumsum over a table of all 2**n
-    keys when 2**n is at most twice the keys, else by sorting them."""
+    keys when 2**n is at most twice the keys, else by sorting them.  A total
+    sums its groups' values in label order from 0.0."""
     n, m = scenario.n, scenario.m
     required = _stirling2(n, m) if dedupe else m ** n
     if required > budget:
@@ -326,7 +343,8 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
         gid[order] = np.cumsum(new) - 1
     gid = gid.reshape(rows.shape[0], m)
     # np.take keeps W C-ordered: einsum's summation order follows the layout
-    W = (np.take(groups, i // 64, axis=1) & bit > 0) * scenario.beta
+    member = np.take(groups, i // 64, axis=1) & bit > 0
+    W = member * scenario.beta
     thetas = minimize_mixtures(scenario, W.T)
     R = np.ascontiguousarray(scenario.risk_matrix(thetas).T)   # R[g, i]
     values = np.einsum("gi,gi->g", W, R)
@@ -334,26 +352,59 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     totals = np.zeros(rows.shape[0])
     for j in range(m):
         totals += values[gid[:, j]]
-    return rows, totals, gid, R
+    return rows, totals, gid, R, member
 
 
 def _welfare_optimum(scenario: Scenario, budget: int) -> float:
     """The social-welfare optimum: the least total risk of any split
-    assignment, under enumerate_split_equilibria's budget rule."""
-    return float(_split_catalog(scenario, True, budget)[1].min())
+    assignment, bit for bit the least of _split_catalog's totals, under its
+    budget rule.  Where 2**n is at most twice the catalog's S * m keys, the
+    values of all 2**n - 1 groups are solved in one minimize_mixtures call
+    and the restricted growth strings are walked as blocks of prefixes (the
+    first n - n // 2 labels, u distinct) against the suffixes that complete
+    u labels to m, CHUNK_CELLS totals at a time, each summed in label order
+    from 0.0; elsewhere S(n, m) is small and the catalog is read."""
+    n, m = scenario.n, scenario.m
+    count = _stirling2(n, m)
+    if 2 ** n > 2 * m * count:
+        return float(_split_catalog(scenario, True, budget)[1].min())
+    if count > budget:
+        raise BudgetError(count, budget)
+    bit = 1 << np.arange(n - 1, -1, -1)   # subpopulation i at bit n-1-i
+    W = (np.arange(1, 2 ** n)[:, None] & bit > 0) * scenario.beta
+    R = np.ascontiguousarray(
+        scenario.risk_matrix(minimize_mixtures(scenario, W.T)).T)
+    value = np.r_[np.inf, np.einsum("gi,gi->g", W, R)]   # value[mask]
+    q = n // 2   # the suffix length
+    best = np.inf
+    for u in range(max(1, m - q), min(n - q, m) + 1):
+        # member masks (rows, m) by label: the prefixes using u labels, and
+        # the suffixes that complete them to m
+        prefixes, suffixes = (
+            np.stack([(rows == j) @ b for j in range(m)], axis=1)
+            for rows, b in ((_assignments(n - q, u, True), bit[:n - q]),
+                            (_assignments(q, m, True, u), bit[n - q:])))
+        step = max(1, CHUNK_CELLS // len(suffixes))
+        for block in np.split(prefixes, range(step, len(prefixes), step)):
+            totals = np.zeros((len(block), len(suffixes)))
+            for j in range(m):
+                totals += value[block[:, j, None] | suffixes[:, j]]
+            best = np.minimum(best, totals.min())
+    return float(best)
 
 
-def _split_ranking(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
-    """Assignments (S, n), totals, margins (+inf for one learner) and own
-    risks (S, n) of _split_catalog's rows, stably sorted by total, so that
-    totals[0] is the welfare optimum.  Its callers turn margins into verdicts
-    with _stability, one chunk or one report list at a time."""
-    rows, totals, gid, R = _split_catalog(scenario, dedupe, budget)
+def _split_ranking(scenario: Scenario, dedupe: bool, budget: int,
+                   own: bool = False) -> tuple:
+    """Assignments (S, n), totals and margins (+inf for one learner) of
+    _split_catalog's rows, stably sorted by total, so that totals[0] is the
+    welfare optimum, and with own their own risks (S, n), else None.  Its
+    callers turn margins into verdicts with _stability, one chunk or one
+    report list at a time."""
+    rows, totals, gid, R, member = _split_catalog(scenario, dedupe, budget)
     order = np.argsort(totals, kind="stable")
     rows, gid = rows[order], gid[order]
-    own, margins = _split_margins((R[gid[:, j]] for j in range(scenario.m)),
-                                  rows)
-    return rows, totals[order], margins, own
+    own = np.empty(rows.shape) if own else None
+    return rows, totals[order], _split_margins(R, member, gid, rows, own), own
 
 
 def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
@@ -363,15 +414,16 @@ def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
     Non-surjective assignments are skipped: an empty learner can always adopt
     some subpopulation's optimum without increasing total risk, so surjective
     assignments dominate.  With dedupe, one representative per learner
-    relabeling is kept.  All distinct groups go to one minimize_mixtures call.
-    Reports come back sorted by total risk, exact ties in lexicographic
-    assignment order; the first is the social-welfare optimum, and each
-    welfare_gap is measured against it.  Each stability is _stability's
-    verdict on the report's margin, as in classify_state.  BudgetError is
-    raised when the assignments to visit, S(n, m) with dedupe and m**n
-    without, exceed budget.
+    relabeling is kept.  All distinct groups go to one minimize_mixtures call,
+    and each report's margin and own risks are read from the per-group
+    tables.  Reports come back sorted by total risk, exact ties in
+    lexicographic assignment order; the first is the social-welfare optimum,
+    and each welfare_gap is measured against it.  Each stability is
+    _stability's verdict on the report's margin, as in classify_state.
+    BudgetError is raised when the assignments to visit, S(n, m) with dedupe
+    and m**n without, exceed budget.
     """
-    rows, totals, margins, own = _split_ranking(scenario, dedupe, budget)
+    rows, totals, margins, own = _split_ranking(scenario, dedupe, budget, True)
     totals = totals.tolist()
     return [EquilibriumReport(
                 "split_market", stability, total, own_row,

@@ -13,6 +13,10 @@ rule that ``simulate``, every ``competition`` phase and every probe trial
 share: a quiet window counts only where it ends at a state that
 ``stationary`` accepts.
 
+``split_margins`` is the no-switching margin of split assignments taken
+one learner label at a time over whole (S, n) arrays, the form the
+oracle's chunked per-group kernel (``equilibria._split_margins``) replaced.
+
 ``convex_hulls_disjoint`` is an independent oracle for stable split
 markets: a linear program tests whether the hulls of two learner groups'
 optima intersect.
@@ -283,6 +287,21 @@ def detect_equilibrium(trajectory, detector, scenario):
             restarts.append(k + 1)
             quiet = 0
     return None, restarts
+
+
+def split_margins(columns, gamma):
+    """Own risks (..., n) and no-switching margins (...) of split
+    assignments: columns[j] holds R_i(theta_j) and gamma the serving learner
+    of each subpopulation, both of shape (..., n); the margin is the least
+    R_i(theta_j) - R_i(theta_gamma(i)) over j != gamma(i), +inf for m=1."""
+    own = np.full(gamma.shape, np.nan)
+    others = np.full(gamma.shape, np.inf)
+    for j, col in enumerate(columns):
+        mine = gamma == j
+        np.copyto(own, col, where=mine)
+        np.minimum(others, col, out=others, where=~mine)
+    others -= own
+    return own, others.min(axis=-1)
 
 
 def _hulls_intersect(X: np.ndarray, Y: np.ndarray) -> bool:

@@ -1348,6 +1348,47 @@ class TestPermutationDistance:
                        if not (cost > level)[linear_sum_assignment(cost > level)].any())
         assert state_distance_upto_permutation(a, b) == expected
 
+    def test_settled_at_the_bound_by_one_matching(self):
+        # the largest row or column minimum is a lower bound; a relabeled copy
+        # moved slightly reaches it, so one matching decides
+        rng = np.random.default_rng(37)
+        a = SystemState(alpha=rng.dirichlet(np.ones(6), size=4),
+                        theta=rng.uniform(-1, 1, (6, 2)))
+        perm = rng.permutation(6)
+        b = SystemState(alpha=a.alpha[:, perm],
+                        theta=a.theta[perm] + rng.uniform(0, 1e-3, (6, 2)))
+        with mock.patch.object(engine, "_perfect_matching",
+                               wraps=engine._perfect_matching) as spy:
+            distance = state_distance_upto_permutation(a, b)
+        assert spy.call_count == 1
+        assert distance == np.abs(a.theta[perm] - b.theta).max()
+
+    def test_bound_not_reached_when_two_rows_share_a_cheapest_column(self):
+        # learners 0 and 1 of a are both 1 from learner 0 of b, and learner 2
+        # of a is 2 from b's learners 1 and 2: every minimum is at most 2, yet
+        # a relabeling must send learner 0 or 1 of a at least 9 away
+        alpha = np.full((2, 3), 1 / 3)
+        a = SystemState(alpha=alpha, theta=[[1.0, 0.0], [-1.0, 0.0], [10.0, 2.0]])
+        b = SystemState(alpha=alpha, theta=[[0.0, 0.0], [10.0, 0.0], [10.0, 4.0]])
+        brute = min(float(np.abs(a.theta[list(p)] - b.theta).max())
+                    for p in itertools.permutations(range(3)))
+        with mock.patch.object(engine, "_perfect_matching",
+                               wraps=engine._perfect_matching) as spy:
+            assert state_distance_upto_permutation(a, b) == brute == 9.0
+        assert spy.call_count > 1
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("field", ["alpha", "theta"])
+    def test_nan_entry_gives_nan(self, side, field):
+        # a NaN leaves one learner with no finite distance: no relabeling
+        # avoids it
+        rng = np.random.default_rng(38)
+        states = {k: {"alpha": rng.dirichlet(np.ones(3), size=2),
+                      "theta": rng.uniform(-1, 1, (3, 1))} for k in "ab"}
+        states[side][field][1, 1 if field == "alpha" else 0] = np.nan
+        a, b = (SystemState(**states[k]) for k in "ab")
+        assert np.isnan(state_distance_upto_permutation(a, b))
+
     def test_different_learner_counts_rejected(self):
         three = SystemState(alpha=np.full((2, 3), 1 / 3), theta=np.zeros((3, 1)))
         two = SystemState(alpha=np.full((2, 2), 0.5), theta=np.zeros((2, 1)))

@@ -38,7 +38,11 @@ from popdyn.equilibria import (
     DEFAULT_BUDGET,
     STRICT_MARGIN,
     _split_catalog,
+    _split_margins,
+    _split_ranking,
+    _stirling2,
     _subpop_gradient_norms,
+    _welfare_optimum,
 )
 from popdyn.goldens import (
     partition_pair_scenario,
@@ -48,7 +52,7 @@ from popdyn.goldens import (
 from popdyn.model import EMPTY_MASS_TOL
 
 from conftest import as_custom, random_scenario, random_state
-from reference import convex_hulls_disjoint, full_minimize
+from reference import convex_hulls_disjoint, full_minimize, split_margins
 
 
 def _line_scenario(centers, beta=None, m=2, offsets=None):
@@ -526,7 +530,7 @@ class TestCatalogKeys:
     def test_sorted_keys_match_per_assignment_evaluation(self, n, m):
         sc = random_scenario(np.random.default_rng(n), n, m, 1)
         with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-            rows, totals, _, _ = _split_catalog(sc, True, DEFAULT_BUDGET)
+            rows, totals, *_ = _split_catalog(sc, True, DEFAULT_BUDGET)
         assert lexsort.call_count == 1   # 2**n far exceeds the S * m keys
         assert len(rows) == math.comb(n, 2)   # S(n, n - 1)
         expected = np.array([
@@ -548,10 +552,11 @@ class TestCatalogKeys:
                     mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
                 out[lexsort.called] = _split_catalog(sc, True, DEFAULT_BUDGET)
             assert lexsort.called == (copies == 1)
-        (_, sorted_totals, sorted_ids, sorted_R), (_, totals, ids, R) = (
-            out[True], out[False])
+        (_, sorted_totals, sorted_ids, sorted_R, sorted_member), (
+            _, totals, ids, R, member) = out[True], out[False]
         assert np.array_equal(ids[:k], sorted_ids)
         assert np.array_equal(R, sorted_R)
+        assert np.array_equal(member, sorted_member)
         assert np.array_equal(totals[:k], sorted_totals)
 
 
@@ -607,6 +612,119 @@ class TestOptimumAndCertificates:
         out = _subpop_gradient_norms(sc, theta)
         assert out.shape == (n, k)
         assert np.abs(out - expected).max() <= 1e-12 * max(1.0, expected.max())
+
+
+def _bits(x):
+    """x's bit patterns, with every NaN as np.nan's."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+def _oracle_scenario(seed, n, m, d, custom, ties):
+    sc = random_scenario(np.random.default_rng(seed), n, m, d)
+    if ties:   # two distinct risks at equal weights: exactly tied totals
+        sc = replace(sc, beta=np.full(n, 1.0 / n),
+                     risks=tuple(sc.risks[i % 2] for i in range(n)))
+    if custom:
+        sc = replace(sc, risks=tuple(as_custom(r) for r in sc.risks))
+    return sc
+
+
+class TestStreamedOracle:
+    """The margins are read chunk by chunk from per-group tables, and the
+    welfare optimum walks prefix blocks against suffix tables over a table
+    of every group: both agree with the whole-array forms bit for bit and
+    hold no array that grows as S(n, m) * n."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 7), st.data(),
+           st.sampled_from([1, 2]), st.booleans(), st.booleans(),
+           st.sampled_from([1, 5, equilibria.CHUNK_CELLS]))
+    def test_chunked_margins_match_the_reference(self, seed, n, data, d,
+                                                 custom, nan, chunk):
+        m = data.draw(st.integers(1, min(n, 4)))
+        dedupe = data.draw(st.booleans())
+        sc = _oracle_scenario(seed, n, m, d, custom, False)
+        rows, _, gid, R, member = _split_catalog(sc, dedupe, DEFAULT_BUDGET)
+        if nan:   # one group's risk for one subpopulation
+            R = R.copy()
+            R[data.draw(st.integers(0, len(R) - 1)),
+              data.draw(st.integers(0, n - 1))] = np.nan
+        want_own, want = split_margins([R[gid[:, j]] for j in range(m)], rows)
+        own = np.empty(rows.shape)
+        with mock.patch.object(equilibria, "CHUNK_CELLS", chunk):
+            margins = _split_margins(R, member, gid, rows, own)
+        assert np.array_equal(_bits(margins), _bits(want))
+        assert np.array_equal(_bits(own), _bits(want_own))
+        if m == 1:
+            assert np.isposinf(margins[~np.isnan(margins)]).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.data(),
+           st.booleans(), st.booleans())
+    def test_reports_keep_their_own_risk_rows(self, seed, n, data, custom,
+                                              dedupe):
+        m = data.draw(st.integers(1, min(n, 4)))
+        sc = _oracle_scenario(seed, n, m, 2, custom, False)
+        rows, totals, gid, R, _ = _split_catalog(sc, dedupe, DEFAULT_BUDGET)
+        order = np.argsort(totals, kind="stable")
+        own, margins = split_margins(
+            [R[gid[order, j]] for j in range(m)], rows[order])
+        reports = enumerate_split_equilibria(sc, dedupe=dedupe)
+        assert np.array_equal(_bits([r.per_subpop_risks for r in reports]),
+                              _bits(own))
+        assert [r.margin for r in reports] == (
+            margins.tolist() if m > 1 else [None] * len(reports))
+        assert _split_ranking(sc, dedupe, DEFAULT_BUDGET)[3] is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8), st.data(),
+           st.sampled_from([1, 2, 3]), st.booleans(), st.booleans(),
+           st.sampled_from([1, 7, equilibria.CHUNK_CELLS]))
+    def test_optimum_is_the_first_report(self, seed, n, data, d, custom,
+                                         ties, chunk):
+        m = data.draw(st.integers(1, min(n, 5)))
+        sc = _oracle_scenario(seed, n, m, d, custom and n <= 6, ties)
+        # the catalog is read only where 2**n outgrows its S(n, m) * m keys
+        catalog = 2 ** n > 2 * m * _stirling2(n, m)
+        with mock.patch.object(equilibria, "CHUNK_CELLS", chunk), \
+                mock.patch.object(equilibria, "_split_catalog",
+                                  wraps=_split_catalog) as spy:
+            optimum = _welfare_optimum(sc, DEFAULT_BUDGET)
+        assert spy.called == catalog
+        first = enumerate_split_equilibria(sc, dedupe=True)[0].total_risk
+        assert _bits(optimum) == _bits(first)
+
+    def test_optimum_budget_rule(self):
+        sc = random_scenario(np.random.default_rng(7), 8, 3, 1)
+        count = _stirling2(8, 3)
+        assert _welfare_optimum(sc, count) == float(
+            _split_catalog(sc, True, count)[1].min())
+        with pytest.raises(BudgetError):
+            _welfare_optimum(sc, count - 1)
+
+    @staticmethod
+    def _peak(fn, *args):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_optimum_holds_less_than_one_float_per_assignment(self):
+        n, m = 13, 4
+        sc = random_scenario(np.random.default_rng(13), n, m, 1)
+        # the catalog's totals alone were S(n, m) float64s
+        assert self._peak(_welfare_optimum, sc, DEFAULT_BUDGET) < (
+            8 * _stirling2(n, m))
+
+    def test_ranking_holds_less_than_one_float_table(self):
+        n, m = 12, 4
+        sc = random_scenario(np.random.default_rng(12), n, m, 1)
+        assert self._peak(_split_ranking, sc, True, DEFAULT_BUDGET) < (
+            8 * _stirling2(n, m) * n)
 
 
 class TestWelfareGap:

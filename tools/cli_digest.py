@@ -30,6 +30,10 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
   copies with other centers or learner counts, at a split with a negative
   margin, a split with an uncovered learner, a one-learner split and a
   balanced state that is possibly stable;
+- ``classify --budget`` on a copy of ``competition12`` with m=4, at a split
+  state with the optimal parameters: its welfare gap is measured against
+  the optimum over all S(12, 4) = 611,501 assignments, which is exactly the
+  budget;
 - ``enumerate --dedupe`` on every shipped scenario with n <= 12; on a copy
   of ``three_centers`` with one learner, whose margin cells are empty; on a
   copy of ``competition12`` with m=11, whose labels run to two digits; and
@@ -42,8 +46,13 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
 - ``goldens``;
 - on a ``best_response`` copy of ``three_centers``: ``simulate``, ``simulate
   --sigma 1e-3 --perturb-target both``, ``probe --assignment 0,1,1`` and
-  ``competition --target-m 3``; and ``simulate`` on a copy whose rule has
-  ``tie_tolerance`` 0.05 and ``tie_policy`` ``keep_previous``.
+  ``competition --target-m 3``; and ``simulate --sigma 1e-3
+  --perturb-target alpha_only`` on a copy whose rule has ``tie_tolerance``
+  0.05 and ``tie_policy`` ``keep_previous``: both learners start at one
+  parameter, so every row is tied, and ``keep_previous`` keeps the
+  perturbed rows where ``split_evenly`` would return to even ones (with
+  ``--perturb-target both``, or unperturbed, the two policies write the
+  same trajectory).
 
 All runs start in one temporary directory, with relative paths, and write
 their outputs there, as do the derived scenarios and the state files that
@@ -169,6 +178,7 @@ def _runs(root, workdir):
         runs.append((f"enumerate-{base}-{name}", ["enumerate", path, "--dedupe",
                                                   "--out",
                                                   "{out}/equilibria.csv"]))
+    runs.append(_classify_budget_run(workdir, scenarios["competition12"]))
     runs += [(f"enumerate-{name}-all", ["enumerate", scenarios[name], "--out",
                                         "{out}/equilibria.csv"])
              for name in ("three_centers", "two_group_gap")]
@@ -193,7 +203,28 @@ def _best_response_runs(workdir, three_centers):
             (f"probe-{name}", ["probe", path, "--assignment", "0,1,1"]),
             (f"competition-{name}", ["competition", path, "--target-m", "3",
                                      "--out", "{out}"]),
-            (f"simulate-{name}_ties", ["simulate", ties, "--out", "{out}"])]
+            (f"simulate-{name}_ties",
+             ["simulate", ties, "--sigma", "1e-3", "--perturb-target",
+              "alpha_only", "--out", "{out}"])]
+
+
+def _classify_budget_run(workdir, competition12):
+    """classify on an m=4 copy of competition12 (equal weights, identity
+    curvatures) at a split of its centers into four groups, each learner at
+    its group's mean center, with the budget at S(12, 4)."""
+    gamma = [0, 0, 0, 1, 2, 3, 1, 3, 0, 1, 2, 0]
+    path = _derived(workdir, competition12, "m4", {"learners": {
+        "m": 4, "init": {"kind": "centers_subset", "indices": [0, 3, 4, 5]}}})
+    with open(os.path.join(workdir, path)) as fh:
+        centers = [r["center"] for r in json.load(fh)["population"]["risks"]]
+    theta = [[sum(x) / len(x) for x in zip(*(c for c, g in zip(centers, gamma)
+                                             if g == j))] for j in range(4)]
+    state = os.path.join("states", "competition12-m4-split.json")
+    with open(os.path.join(workdir, state), "w") as fh:
+        json.dump({"alpha": [[int(g == j) for j in range(4)] for g in gamma],
+                   "theta": theta}, fh)
+    return ("classify-competition12-m4-split-budget",
+            ["classify", path, "--state", state, "--budget", "611501"])
 
 
 def _derived(workdir, path, name, change):
