@@ -703,6 +703,21 @@ class TestStreamedOracle:
         with pytest.raises(BudgetError):
             _welfare_optimum(sc, count - 1)
 
+    def test_optimum_keeps_a_nan_total(self):
+        # a NaN group value makes the catalog's least total NaN, and so the
+        # streamed minimum, after blocks of finite totals
+        sc = random_scenario(np.random.default_rng(8), 8, 3, 1)
+        real = equilibria.minimize_mixtures
+
+        def spoiled(scenario, W):   # subpopulation 0 alone has a NaN optimum
+            theta = real(scenario, W)
+            theta[(W[0] > 0) & ~(W[1:] > 0).any(axis=0)] = np.nan
+            return theta
+
+        with mock.patch.object(equilibria, "minimize_mixtures", spoiled):
+            assert np.isnan(_split_catalog(sc, True, DEFAULT_BUDGET)[1].min())
+            assert np.isnan(_welfare_optimum(sc, DEFAULT_BUDGET))
+
     @staticmethod
     def _peak(fn, *args):
         import tracemalloc
