@@ -251,17 +251,6 @@ def step(state: SystemState, scenario: Scenario) -> SystemState:
     return simulate(scenario, state, 1).final_state
 
 
-def _record(Q, rows, total, masses, beta):
-    """(total, subpopulation risks, learner risks, empty flags) of one state
-    from its products Q = alpha * R, their sums rows = Q.sum(-1) and
-    total = rows @ beta, and the learner masses beta @ alpha; a learner of
-    mass below EMPTY_MASS_TOL is empty, with risk NaN."""
-    empty = masses < EMPTY_MASS_TOL
-    learner = np.divide(beta @ Q, masses, out=np.full(masses.shape, np.nan),
-                        where=~empty)
-    return total, rows, learner, empty
-
-
 def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
              detector: Optional[EquilibriumDetector] = None) -> Trajectory:
     """Run up to max_steps updates, stopping early once the detector fires."""
@@ -272,11 +261,11 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     alpha, theta, t0 = initial_state.alpha, initial_state.theta, initial_state.t
     R = scenario.risk_matrix(theta)
 
-    states = [initial_state]
-    Q = alpha * R
+    # per state: total, subpopulation risks, beta @ Q and learner masses,
+    # from Q = alpha * R and its sums rows
+    beta, states, Q = scenario.beta, [initial_state], alpha * R
     rows = Q.sum(axis=-1)
-    records = [_record(Q, rows, rows @ scenario.beta, scenario.beta @ alpha,
-                       scenario.beta)]
+    records = [(rows @ beta, rows, beta @ Q, beta @ alpha)]
     frozen_total = 0
 
     steps = _watched_steps(scenario, alpha[None], theta[None], R[None], t0,
@@ -284,11 +273,14 @@ def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
     for k, (_, s, stop) in enumerate(steps, 1):
         frozen_total += int(s.frozen[0])
         states.append(SystemState(alpha=s.alpha[0], theta=s.theta[0], t=t0 + k))
-        records.append(_record(s.Q[0], s.rows[0], s.total[0], s.masses[0],
-                               scenario.beta))
+        records.append((s.total[0], s.rows[0], beta @ s.Q[0], s.masses[0]))
     converged_at = k - detector.window if stop[0] == "detector" else None
 
-    totals, sub, learner, empties = map(np.array, zip(*records))
+    totals, sub, mixed, masses = map(np.array, zip(*records))
+    # a learner of mass below EMPTY_MASS_TOL is empty, with risk NaN
+    empties = masses < EMPTY_MASS_TOL
+    learner = np.divide(mixed, masses, out=np.full(masses.shape, np.nan),
+                        where=~empties)
     return Trajectory(states, totals, sub, learner, empties, converged_at,
                       frozen_total)
 

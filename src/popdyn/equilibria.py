@@ -15,6 +15,7 @@ welfare oracle.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -226,9 +227,9 @@ def classify_state(state: SystemState, scenario: Scenario,
     per_subpop = (alpha * R).sum(axis=1)
     total = float(beta @ per_subpop)
     gap = None
-    if (oracle_budget is not None
-            and _stirling2(scenario.n, scenario.m) <= oracle_budget):
-        gap = total - _welfare_optimum(scenario, oracle_budget)
+    if oracle_budget is not None:   # past the oracle's budget: unknown
+        with contextlib.suppress(BudgetError):
+            gap = total - _welfare_optimum(scenario, oracle_budget)
     details = {"learner_gradient_norms": grad_norms}
     report = functools.partial(EquilibriumReport, total_risk=total,
                                per_subpop_risks=per_subpop, welfare_gap=gap,
@@ -307,16 +308,32 @@ def _stirling2(n: int, m: int) -> int:
                for k in range(m + 1)) // math.factorial(m)
 
 
+def _group_table(scenario: Scenario, member) -> tuple:
+    """Risks R[g, i] = R_i(theta_g) (G, n) and values (G,) of the groups
+    with members member (G, n), each solved with weights beta_i on its
+    members: the one place the oracle solves groups.  A value's bits
+    depend on the layout of W = member * beta, since einsum's summation
+    order follows it, and on the rows solved together, since the solve's
+    products change path with the batch size.  So W is made C-ordered
+    here, and callers that must agree bit for bit pass the same rows."""
+    W = np.multiply(member, scenario.beta, order="C")
+    R = np.ascontiguousarray(
+        scenario.risk_matrix(minimize_mixtures(scenario, W.T)).T)
+    return R, np.einsum("gi,gi->g", W, R)
+
+
 def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     """Assignments (S, n) in _assignments order, totals (S,), group ids
-    (S, m), and per distinct group g its risks R[g, i] and members
+    (S, m), and per group g its _group_table risks R[g, i] and members
     member[g, i], under enumerate_split_equilibria's budget rule.
 
-    Each distinct (assignment, learner) group is solved once, keyed by its
-    member bitmask (subpopulation i at bit hi-1-i of word i // 64, which holds
-    [lo, hi)) and numbered in key order: by a cumsum over a table of all 2**n
-    keys when 2**n is at most twice the keys, else by sorting them.  A total
-    sums its groups' values in label order from 0.0."""
+    Each (assignment, learner) group is keyed by its member bitmask
+    (subpopulation i at bit hi-1-i of word i // 64, which holds [lo, hi)).
+    When 2**n is at most twice the keys, every mask 1 .. 2**n - 1 is a
+    group, numbered mask - 1: the table rows are _welfare_optimum's
+    value[mask] table.  Otherwise only the distinct keys are groups,
+    numbered in key order by sorting them.  A total sums its groups'
+    values in label order from 0.0."""
     n, m = scenario.n, scenario.m
     required = _stirling2(n, m) if dedupe else m ** n
     if required > budget:
@@ -330,11 +347,9 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     keys = np.stack([np.einsum("si,i->s", rows[:, w] == j, bit[w])
                      for j in range(m) for w in words], axis=1).reshape(
         -1, len(words))   # s * m + j: learner j's group in assignment s
-    if 2 ** n <= 2 * len(keys):
-        seen = np.zeros(2 ** n, bool)
-        seen[keys[:, 0]] = True
-        groups = np.flatnonzero(seen).astype(bit.dtype)[:, None]
-        gid = np.cumsum(seen, dtype=bit.dtype)[keys[:, 0]] - 1
+    if 2 ** n <= 2 * len(keys):   # one word: bit n-1-i
+        groups = np.arange(1, 2 ** n, dtype=bit.dtype)[:, None]
+        gid = keys[:, 0] - 1
     else:
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
@@ -342,12 +357,8 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
         groups, gid = keys[new], np.empty(len(keys), np.intp)
         gid[order] = np.cumsum(new) - 1
     gid = gid.reshape(rows.shape[0], m)
-    # np.take keeps W C-ordered: einsum's summation order follows the layout
     member = np.take(groups, i // 64, axis=1) & bit > 0
-    W = member * scenario.beta
-    thetas = minimize_mixtures(scenario, W.T)
-    R = np.ascontiguousarray(scenario.risk_matrix(thetas).T)   # R[g, i]
-    values = np.einsum("gi,gi->g", W, R)
+    R, values = _group_table(scenario, member)
 
     totals = np.zeros(rows.shape[0])
     for j in range(m):
@@ -359,11 +370,12 @@ def _welfare_optimum(scenario: Scenario, budget: int) -> float:
     """The social-welfare optimum: the least total risk of any split
     assignment, bit for bit the least of _split_catalog's totals, under its
     budget rule.  Where 2**n is at most twice the catalog's S * m keys, the
-    values of all 2**n - 1 groups are solved in one minimize_mixtures call
-    and the restricted growth strings are walked as blocks of prefixes (the
-    first n - n // 2 labels, u distinct) against the suffixes that complete
-    u labels to m, CHUNK_CELLS totals at a time, each summed in label order
-    from 0.0; elsewhere S(n, m) is small and the catalog is read."""
+    catalog's group table, the values of all 2**n - 1 groups, is solved
+    as value[mask] and the restricted growth strings are walked as blocks
+    of prefixes (the first n - n // 2 labels, u distinct) against the
+    suffixes that complete u labels to m, CHUNK_CELLS totals at a time,
+    each summed in label order from 0.0; elsewhere S(n, m) is small and
+    the catalog is read."""
     n, m = scenario.n, scenario.m
     count = _stirling2(n, m)
     if 2 ** n > 2 * m * count:
@@ -371,10 +383,8 @@ def _welfare_optimum(scenario: Scenario, budget: int) -> float:
     if count > budget:
         raise BudgetError(count, budget)
     bit = 1 << np.arange(n - 1, -1, -1)   # subpopulation i at bit n-1-i
-    W = (np.arange(1, 2 ** n)[:, None] & bit > 0) * scenario.beta
-    R = np.ascontiguousarray(
-        scenario.risk_matrix(minimize_mixtures(scenario, W.T)).T)
-    value = np.r_[np.inf, np.einsum("gi,gi->g", W, R)]   # value[mask]
+    value = np.r_[np.inf, _group_table(
+        scenario, np.arange(1, 2 ** n)[:, None] & bit > 0)[1]]   # value[mask]
     q = n // 2   # the suffix length
     best = np.inf
     for u in range(max(1, m - q), min(n - q, m) + 1):
@@ -414,9 +424,9 @@ def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
     Non-surjective assignments are skipped: an empty learner can always adopt
     some subpopulation's optimum without increasing total risk, so surjective
     assignments dominate.  With dedupe, one representative per learner
-    relabeling is kept.  All distinct groups go to one minimize_mixtures call,
-    and each report's margin and own risks are read from the per-group
-    tables.  Reports come back sorted by total risk, exact ties in
+    relabeling is kept.  The catalog's groups are solved in one _group_table
+    call, and each report's margin and own risks are read from the
+    per-group tables.  Reports come back sorted by total risk, exact ties in
     lexicographic assignment order; the first is the social-welfare optimum,
     and each welfare_gap is measured against it.  Each stability is
     _stability's verdict on the report's margin, as in classify_state.

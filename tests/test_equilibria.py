@@ -522,9 +522,10 @@ class TestEnumerateAgainstReference:
 
 class TestCatalogKeys:
     """The catalog keys each (assignment, learner) group by its member
-    bitmask, in 64-bit words past n=64.  It numbers the keys through a table
-    of all 2**n when that is not much larger than the keys, and sorts them
-    otherwise; both number the same groups the same way."""
+    bitmask, in 64-bit words past n=64.  When 2**n is not much larger than
+    the keys, every mask is a group numbered mask - 1; otherwise the
+    distinct keys alone are groups, numbered by sorting them.  Both give
+    each assignment the same groups, risks and totals."""
 
     @pytest.mark.parametrize("n, m", [(12, 11), (64, 63), (65, 64), (70, 69)])
     def test_sorted_keys_match_per_assignment_evaluation(self, n, m):
@@ -554,10 +555,35 @@ class TestCatalogKeys:
             assert lexsort.called == (copies == 1)
         (_, sorted_totals, sorted_ids, sorted_R, sorted_member), (
             _, totals, ids, R, member) = out[True], out[False]
-        assert np.array_equal(ids[:k], sorted_ids)
-        assert np.array_equal(R, sorted_R)
-        assert np.array_equal(member, sorted_member)
+        ids = ids[:k]
+        assert np.array_equal(R[ids], sorted_R[sorted_ids])
+        assert np.array_equal(member[ids], sorted_member[sorted_ids])
         assert np.array_equal(totals[:k], sorted_totals)
+        # learner j's mask in row s: subpopulation i at bit n-1-i
+        masks = (rows[:, None, :] == np.arange(m)[:, None]) @ (
+            1 << np.arange(n - 1, -1, -1))
+        assert np.array_equal(ids, masks - 1)
+
+    @pytest.mark.parametrize("n, m, d", [(6, 2, 2), (8, 3, 1), (10, 4, 3)])
+    def test_catalog_and_optimum_solve_one_group_table(self, n, m, d):
+        # both take the table path: 2**n is at most twice the S * m keys
+        sc = random_scenario(np.random.default_rng(n), n, m, d)
+        real, calls = equilibria._group_table, []
+
+        def spy(scenario, member):
+            calls.append((member, real(scenario, member)))
+            return calls[-1][1]
+
+        with mock.patch.object(equilibria, "_group_table", spy):
+            _split_catalog(sc, True, DEFAULT_BUDGET)
+            _welfare_optimum(sc, DEFAULT_BUDGET)
+        assert len(calls) == 2
+        masks = np.arange(1, 2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+        for member, _ in calls:
+            assert np.array_equal(member, masks.astype(bool))
+        (_, (R, values)), (_, (R2, values2)) = calls
+        assert np.array_equal(_bits(values), _bits(values2))
+        assert np.array_equal(_bits(R), _bits(R2))
 
 
 class TestOptimumAndCertificates:
@@ -743,6 +769,18 @@ class TestStreamedOracle:
 
 
 class TestWelfareGap:
+    def test_gap_is_none_when_the_oracle_raises_budget_error(self):
+        # the oracle alone applies its budget rule; classify_state has none
+        sc = two_group_gap_scenario(0.4)
+        state = partition_pair_state(sc)
+        with mock.patch.object(equilibria, "_welfare_optimum",
+                               side_effect=BudgetError(3, 2)) as oracle:
+            report = classify_state(state, sc, oracle_budget=DEFAULT_BUDGET)
+        oracle.assert_called_once_with(sc, DEFAULT_BUDGET)
+        assert report.welfare_gap is None
+        assert report.to_dict()["welfare_gap"] is None
+        assert report.classification == "split_market"
+
     def test_positive_for_locked_in_equilibrium(self):
         sc = two_group_gap_scenario(0.4, 0.01)
         state = partition_pair_state(sc)
@@ -762,6 +800,18 @@ class TestWelfareGap:
             report = classify_state(traj.final_state, sc,
                                     oracle_budget=DEFAULT_BUDGET)
             assert report.welfare_gap >= -1e-8
+
+
+class TestGoldenScenarioArguments:
+    @pytest.mark.parametrize("beta", [0.0, -0.1, 0.5, 0.7])
+    def test_gap_family_needs_beta_inside_the_open_half(self, beta):
+        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1/2\)$"):
+            two_group_gap_scenario(beta)
+
+    @pytest.mark.parametrize("beta2, beta3", [(0.5, 0.5), (0.6, 0.7)])
+    def test_partition_pair_needs_a_positive_first_weight(self, beta2, beta3):
+        with pytest.raises(ValueError, match=r"^beta2 \+ beta3 must be < 1$"):
+            partition_pair_scenario([0.0], [1.0], [2.0], beta2, beta3)
 
 
 class TestSplitLearner:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,17 @@ class TestCustomRisk:
             assert isinstance(risk_value(r, theta[i]), float)
             assert np.array_equal(grads[i], risk_gradient(r, theta[i]))
             assert np.array_equal(hessians[i], risk_hessian(r, theta[i]))
+
+
+class TestQuadraticOnly:
+    @pytest.mark.parametrize("call", [
+        lambda sc: sc.normal_equations(np.ones((sc.n, 1))),
+        lambda sc: sc.centers()])
+    def test_custom_risk_scenario_has_no_quadratic_forms(self, call):
+        sc = random_scenario(np.random.default_rng(3), 3, 2, 2)
+        sc = replace(sc, risks=tuple(as_custom(r) for r in sc.risks))
+        with pytest.raises(ValueError, match="only defined for quadratic"):
+            call(sc)
 
 
 class TestSubpopAvgRisk:
