@@ -322,6 +322,14 @@ def _group_table(scenario: Scenario, member) -> tuple:
     return R, np.einsum("gi,gi->g", W, R)
 
 
+def _mask_members(n: int):
+    """Members (2**n - 1, n) of every group, numbered by its member mask:
+    row mask - 1 holds group mask, subpopulation i at bit n-1-i.  The
+    group table that _split_catalog and _welfare_optimum share."""
+    bit = 1 << np.arange(n - 1, -1, -1)
+    return np.arange(1, 2 ** n)[:, None] & bit > 0
+
+
 def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     """Assignments (S, n) in _assignments order, totals (S,), group ids
     (S, m), and per group g its _group_table risks R[g, i] and members
@@ -330,10 +338,13 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     Each (assignment, learner) group is keyed by its member bitmask
     (subpopulation i at bit hi-1-i of word i // 64, which holds [lo, hi)).
     When 2**n is at most twice the keys, every mask 1 .. 2**n - 1 is a
-    group, numbered mask - 1: the table rows are _welfare_optimum's
-    value[mask] table.  Otherwise only the distinct keys are groups,
-    numbered in key order by sorting them.  A total sums its groups'
-    values in label order from 0.0."""
+    group (_mask_members), numbered mask - 1: the table rows are
+    _welfare_optimum's value[mask] table.  Masks with more than n - m + 1
+    members occur in no assignment yet are solved too (466 of 511 at
+    n=9, m=8), so a custom risk whose solve fails on one of them makes
+    this raise.  Otherwise only the distinct keys are groups, numbered in
+    key order by sorting them.  A total sums its groups' values in label
+    order from 0.0."""
     n, m = scenario.n, scenario.m
     required = _stirling2(n, m) if dedupe else m ** n
     if required > budget:
@@ -348,16 +359,15 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
                      for j in range(m) for w in words], axis=1).reshape(
         -1, len(words))   # s * m + j: learner j's group in assignment s
     if 2 ** n <= 2 * len(keys):   # one word: bit n-1-i
-        groups = np.arange(1, 2 ** n, dtype=bit.dtype)[:, None]
-        gid = keys[:, 0] - 1
+        member, gid = _mask_members(n), keys[:, 0] - 1
     else:
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
         new = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
-        groups, gid = keys[new], np.empty(len(keys), np.intp)
+        gid = np.empty(len(keys), np.intp)
         gid[order] = np.cumsum(new) - 1
+        member = np.take(keys[new], i // 64, axis=1) & bit > 0
     gid = gid.reshape(rows.shape[0], m)
-    member = np.take(groups, i // 64, axis=1) & bit > 0
     R, values = _group_table(scenario, member)
 
     totals = np.zeros(rows.shape[0])
@@ -383,8 +393,7 @@ def _welfare_optimum(scenario: Scenario, budget: int) -> float:
     if count > budget:
         raise BudgetError(count, budget)
     bit = 1 << np.arange(n - 1, -1, -1)   # subpopulation i at bit n-1-i
-    value = np.r_[np.inf, _group_table(
-        scenario, np.arange(1, 2 ** n)[:, None] & bit > 0)[1]]   # value[mask]
+    value = np.r_[np.inf, _group_table(scenario, _mask_members(n))[1]]
     q = n // 2   # the suffix length
     best = np.inf
     for u in range(max(1, m - q), min(n - q, m) + 1):

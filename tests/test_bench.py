@@ -24,6 +24,9 @@ def _result_line(wall, setup=0.2, rss=40.0, failed=0, attempted=10):
 def _checkout(path, src_lines, test_lines):
     (path / "src" / "popdyn").mkdir(parents=True)
     (path / "tests").mkdir()
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "perfbench/run.py"], "run_seconds": 2,
+        "workloads": [{"name": "oracle"}, {"name": "gd50"}]}))
     (path / "src" / "popdyn" / "a.py").write_text(
         '"""Doc."""\n\n' + "x = 1\n" * src_lines)
     (path / "tests" / "test_a.py").write_text("# note\n" + "y = 2\n" * test_lines)
@@ -86,20 +89,23 @@ def test_main_alternates_the_checkouts_and_writes_both_sides(tmp_path,
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     out = tmp_path / "BENCH.json"
     assert bench.main(["--root", str(change), "--against", str(parent),
-                       "--out", str(out), "--seeds", "1", "2", "3",
-                       "--seconds", "2", "--workloads", "oracle", "gd50"]) == 0
-    runs = [(side, cmd[cmd.index("--workload") + 1])
-            for side, cmd in calls if "pytest" not in cmd]
-    # the first side alternates from pair to pair
-    assert [side for side, _ in runs[::2]] == ["change", "parent"] * 3
-    assert len(runs) == 12
-    assert all(cmd[cmd.index("--trace") + 1] == "0"
-               and cmd[cmd.index("--seconds") + 1] == "2.0"
-               for _, cmd in calls if "pytest" not in cmd)
+                       "--out", str(out)]) == 0
+    runs = [(side, cmd) for side, cmd in calls if "pytest" not in cmd]
+    # the first side alternates from pair to pair; the workloads, command
+    # and run length are BENCHMARK.json's
+    assert [side for side, _ in runs[::2]] == ["change", "parent"] * 5
+    assert [cmd[cmd.index("--workload") + 1] for _, cmd in runs[::2]] == [
+        "oracle", "gd50"] * 5
+    assert len(runs) == 20
+    assert all(cmd[:2] == ["python3", "perfbench/run.py"]
+               and cmd[cmd.index("--trace") + 1] == "0"
+               and cmd[cmd.index("--seconds") + 1] == "2"
+               for _, cmd in runs)
     data = json.loads(out.read_text())
-    assert data["change"]["workloads"]["oracle"]["median"]["wall_s"] == 0.2
-    assert data["parent"]["workloads"]["gd50"]["median"]["wall_s"] == 2
-    assert data["parent"]["workloads"]["gd50"]["seeds"] == [1, 2, 3]
+    assert data["seconds"] == 2
+    assert data["change"]["workloads"]["oracle"]["median"]["wall_s"] == 0.3
+    assert data["parent"]["workloads"]["gd50"]["median"]["wall_s"] == 3
+    assert data["parent"]["workloads"]["gd50"]["seeds"] == [1, 2, 3, 4, 5]
     assert data["change"]["line_counts"] == {
         "src": {"lines": 6, "code": 4}, "tests": {"lines": 3, "code": 2}}
     assert data["parent"]["line_counts"]["src"] == {"lines": 8, "code": 6}
@@ -107,8 +113,10 @@ def test_main_alternates_the_checkouts_and_writes_both_sides(tmp_path,
 
 
 def test_a_failed_perfbench_run_stops_the_script(tmp_path, monkeypatch):
+    root = _checkout(tmp_path / "change", 1, 1)
     monkeypatch.setattr(bench.subprocess, "run", lambda cmd, cwd, **kw:
                         subprocess.CompletedProcess(cmd, 1, "", "boom"))
     with pytest.raises(SystemExit, match="boom"):
-        bench.main(["--root", str(tmp_path), "--against", str(tmp_path),
-                    "--out", str(tmp_path / "B.json"), "--no-suite"])
+        bench.main(["--root", str(root), "--against", str(root),
+                    "--out", str(tmp_path / "B.json")])
+    assert not (tmp_path / "B.json").exists()

@@ -1,28 +1,31 @@
 """Benchmark one checkout against its parent and write a BENCH file.
 
     python3 tools/bench.py --against PARENT --out BENCH_<pr>.json
-        [--root CHECKOUT] [--seeds 1 2 3] [--seconds 10]
-        [--workloads cascade50 gd50 oracle certify] [--no-suite]
+        [--root CHECKOUT]
 
-CHECKOUT defaults to the checkout holding this script.  For every seed and
-workload, each checkout's own ``perfbench/run.py`` runs unchanged, in a
-subprocess started from that checkout's root with ``--trace 0``.  The two
-checkouts alternate, and the one that goes first alternates from pair to
-pair, so that the machine's slow swings in speed fall on both alike.  Each
-run's last line of standard output is its result (``correct``,
-``attempted``, ``failed`` and the end-to-end ``metrics``).
+CHECKOUT defaults to the checkout holding this script.  The benchmark is
+the one CHECKOUT's ``BENCHMARK.json`` declares: its command, its workloads
+and its ``run_seconds``.  For every seed in SEEDS and every workload, each
+checkout runs that command unchanged, in a subprocess started from the
+checkout's root, with ``--workload``, ``--seed``, ``--seconds
+run_seconds`` and ``--trace 0``.  The two checkouts alternate, and the one
+that goes first alternates from pair to pair, so that the machine's slow
+swings in speed fall on both alike.  Each run's last line of standard
+output is its result (``correct``, ``attempted``, ``failed`` and the
+end-to-end ``metrics``).
 
-The output holds, per side (``change`` is CHECKOUT, ``parent`` is PARENT):
+The output holds the run length, and per side (``change`` is
+CHECKOUT, ``parent`` is PARENT):
 - per workload, the medians of ``wall_s``, ``setup_s`` and
   ``peak_rss_mb`` over the seeds, the seeds, the run count, the summed
   ``attempted`` and ``failed`` counts, whether every run was correct, and
   each run's metrics;
-- the total and code lines of ``src/popdyn`` and of ``tests``, counted as
+- the total and code lines of ``src/popdyn`` and of ``tests``, as
   ``tools/src_size.py`` counts them;
-- unless ``--no-suite``, the tier-1 suite's outcome counts and time, from
-  the summary line of ``python3 -m pytest -q`` run in that checkout.
+- the tier-1 suite's outcome counts and time, from the summary line of
+  ``python3 -m pytest -q`` run in that checkout.
 
-A perfbench or suite run that fails to start or to give a result stops the
+A benchmark or suite run that fails to start or to give a result stops the
 script with exit 1.  The script uses the standard library only.
 """
 
@@ -37,9 +40,9 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
-from src_size import count  # noqa: E402
+from src_size import folder_size  # noqa: E402
 
-WORKLOADS = ("cascade50", "gd50", "oracle", "certify")
+SEEDS = (1, 2, 3, 4, 5)
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 # "596 passed, 1 xfailed in 62.26s (0:01:02)"
 _SUITE_COUNT = re.compile(r"(\d+) (passed|failed|xfailed|xpassed|skipped|"
@@ -88,16 +91,10 @@ def summarize(seeds, results):
 
 def line_counts(root):
     """Total and code lines of root's src/popdyn and tests modules."""
-    out = {}
-    for part in (os.path.join("src", "popdyn"), "tests"):
-        folder = os.path.join(root, part)
-        totals = [0, 0]
-        for name in sorted(os.listdir(folder)):
-            if name.endswith(".py"):
-                with open(os.path.join(folder, name)) as fh:
-                    totals = [a + b for a, b in zip(totals, count(fh.read()))]
-        out[part.split(os.sep)[0]] = {"lines": totals[0], "code": totals[1]}
-    return out
+    folders = {"src": os.path.join(root, "src", "popdyn"),
+               "tests": os.path.join(root, "tests")}
+    return {part: dict(zip(("lines", "code"), folder_size(folder)[-1][1:]))
+            for part, folder in folders.items()}
 
 
 def _run(cmd, root):
@@ -105,13 +102,12 @@ def _run(cmd, root):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def run_perfbench(root, workload, seed, seconds):
+def run_perfbench(root, command, workload, seed, seconds):
     code, stdout, stderr = _run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
-         workload, "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", "0"], root)
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"], root)
     if code != 0:
-        raise SystemExit(f"perfbench {workload} seed {seed} in {root} "
+        raise SystemExit(f"{workload} seed {seed} in {root} "
                          f"exited {code}:\n{stderr}")
     return parse_result(stdout)
 
@@ -134,36 +130,33 @@ def main(argv=None):
     parser.add_argument("--against", required=True, metavar="PARENT",
                         help="checkout measured as the parent")
     parser.add_argument("--out", required=True, help="BENCH file to write")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                        default=list(WORKLOADS))
-    parser.add_argument("--no-suite", action="store_true",
-                        help="skip the test suites")
     args = parser.parse_args(argv)
     sides = {"change": os.path.abspath(args.root),
              "parent": os.path.abspath(args.against)}
-    results = {side: {w: [] for w in args.workloads} for side in sides}
+    with open(os.path.join(sides["change"], "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    results = {side: {w: [] for w in workloads} for side in sides}
     pair = 0
-    for seed in args.seeds:
-        for workload in args.workloads:
+    for seed in SEEDS:
+        for workload in workloads:
             order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
             for side in order:
-                result = run_perfbench(sides[side], workload, seed,
-                                       args.seconds)
+                result = run_perfbench(sides[side], spec["command"],
+                                       workload, seed, seconds)
                 results[side][workload].append(result)
                 print(json.dumps({"side": side, "workload": workload,
                                   "seed": seed, **result}), flush=True)
             pair += 1
-    bench = {"seconds": args.seconds}
+    bench = {"seconds": seconds}
     for side, root in sides.items():
         bench[side] = {
-            "workloads": {w: summarize(args.seeds, runs)
+            "workloads": {w: summarize(SEEDS, runs)
                           for w, runs in results[side].items()},
             "line_counts": line_counts(root),
+            "suite": run_suite(root),
         }
-        if not args.no_suite:
-            bench[side]["suite"] = run_suite(root)
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")

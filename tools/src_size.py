@@ -48,6 +48,17 @@ def count(text):
     return len(text.splitlines()), len(code - _docstring_lines(ast.parse(text)))
 
 
+def folder_size(folder):
+    """Rows (name, total lines, code lines) of folder's modules in name
+    order, then ("total", ...) of their sums."""
+    rows = []
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name)) as fh:
+                rows.append((name, *count(fh.read())))
+    return rows + [("total", sum(r[1] for r in rows), sum(r[2] for r in rows))]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=os.path.dirname(HERE),
@@ -55,15 +66,9 @@ def main(argv=None):
                              "(default: this one)")
     args = parser.parse_args(argv)
     package = os.path.join(os.path.abspath(args.root), "src", "popdyn")
-    totals = [0, 0]
     print(f"{'module':<16}{'lines':>7}{'code':>7}")
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name)) as fh:
-                sizes = count(fh.read())
-            totals = [a + b for a, b in zip(totals, sizes)]
-            print(f"{name:<16}{sizes[0]:>7}{sizes[1]:>7}")
-    print(f"{'total':<16}{totals[0]:>7}{totals[1]:>7}")
+    for name, lines, code in folder_size(package):
+        print(f"{name:<16}{lines:>7}{code:>7}")
     return 0
 
 
