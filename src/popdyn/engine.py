@@ -78,31 +78,32 @@ class Trajectory:
 
 def _mwud_rows(alpha, R, gamma, comparison):
     # every row at once; tests/reference.py has the one-row mwud_step
-    cost = gamma * R
+    cost = gamma * R   # a fresh buffer, worked on in place below
     if comparison == "relative":
-        mix = (alpha * R).sum(axis=-1)
+        mix = np.add.reduce(alpha * R, axis=-1)
         if np.any(mix <= 0):
             raise ValueError("relative comparison needs positive mixture risks")
-        cost = cost / mix[..., None]
-    support = alpha > 0.0
-    shift = np.where(support, cost, np.inf).min(axis=-1)
+        cost /= mix[..., None]
+    shift = np.minimum.reduce(cost, axis=-1, where=alpha > 0.0, initial=np.inf)
     # arg <= 0 keeps exp finite, so an unsupported share stays exactly zero
-    arg = np.minimum(shift[..., None] - cost, 0.0)
-    weights = alpha * np.exp(arg)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    np.minimum(np.subtract(shift[..., None], cost, out=cost), 0.0, out=cost)
+    np.exp(cost, out=cost)
+    cost *= alpha
+    cost /= np.add.reduce(cost, axis=-1, keepdims=True)
+    return cost
 
 
 def _best_response_rows(alpha, R, tie_tolerance, tie_policy):
     # every row at once; tests/reference.py has the one-row best_response_step
-    low = R.min(axis=-1, keepdims=True)
-    avg = (alpha * R).sum(axis=-1, keepdims=True)
+    low = np.minimum.reduce(R, axis=-1, keepdims=True)
+    avg = np.add.reduce(alpha * R, axis=-1, keepdims=True)
     tied = R <= np.minimum(low + tie_tolerance,
                            np.maximum(avg + MONOTONE_TOL, low))
-    even = tied / tied.sum(axis=-1, keepdims=True)
+    even = tied / np.add.reduce(tied, axis=-1, keepdims=True)
     if tie_policy == "split_evenly":
         return even
     prev = np.where(tied, alpha, 0.0)
-    mass = prev.sum(axis=-1, keepdims=True)
+    mass = np.add.reduce(prev, axis=-1, keepdims=True)
     # rows with no previous mass on the tied set fall back to the even split
     return np.where(mass > 0.0, prev / np.where(mass > 0.0, mass, 1.0), even)
 
@@ -110,13 +111,14 @@ def _best_response_rows(alpha, R, tie_tolerance, tie_policy):
 def _update_alpha(alpha, R, scenario: Scenario, t: int):
     rule = scenario.subpop_rule
     rows = scenario._cycle[t % len(scenario._cycle)][0]
-    a, r = alpha[..., rows, :], R[..., rows, :]
+    every = isinstance(rows, slice)   # a slice: every row updates
+    a, r = (alpha, R) if every else (alpha[..., rows, :], R[..., rows, :])
     if rule.kind == "mwud":
         out = _mwud_rows(a, r, rule.gamma, rule.comparison)
     else:
         out = _best_response_rows(a, r, rule.tie_tolerance, rule.tie_policy)
-    if isinstance(rows, slice):
-        return out   # every row updated: the rules return a fresh array
+    if every:
+        return out   # the rules return a fresh array
     new = alpha.copy()
     new[..., rows, :] = out
     return new
@@ -137,9 +139,9 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
     _, scheduled, count = scenario._cycle[t % len(scenario._cycle)]
     masses = scenario.beta @ alpha
     updating = scheduled & (masses >= EMPTY_MASS_TOL)
-    frozen = count - updating.sum(axis=-1)
-    hold = None if updating.all() else ~updating
-    if hold is not None and hold.all():
+    frozen = count - np.add.reduce(updating, axis=-1)
+    hold = None if np.logical_and.reduce(updating, axis=None) else ~updating
+    if hold is not None and np.logical_and.reduce(hold, axis=None):
         return theta, frozen, masses
     W = alpha * scenario.beta[:, None]
     if rule.kind == "full_min":
@@ -172,24 +174,31 @@ def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
 
     The gate: the total risk, each subpopulation's average risk at theta
     (allocation half) and each learner's mixture risk at alpha' (learner
-    half) may rise by at most MONOTONE_TOL, checked in that order.  Returns
-    the StepRecord: R' = R(theta'), Q = alpha' * R' and its sums that the
-    gate compared, the next step's sums before, and per trial
-    beta @ alpha' and the frozen count.
+    half) may rise by at most MONOTONE_TOL, checked in that order on every
+    step.  Returns the StepRecord: R' = R(theta'), Q = alpha' * R' and its
+    sums that the gate compared, the next step's sums before, and per trial
+    beta @ alpha' and the frozen count.  When the learner update leaves
+    every bit of theta unchanged, R' is R itself and Q is P = alpha' * R.
     """
     beta = scenario.beta
     alpha2 = _update_alpha(alpha, R, scenario, t)
     theta2, frozen, masses = _update_theta(alpha2, theta, scenario, t)
-    R2 = R if theta2 is theta else scenario.risk_matrix(theta2)
-    P, Q = alpha2 * R, alpha2 * R2
-    rows = Q.sum(axis=-1)
-    total_after, rows_after = _beta_sums(rows, beta), P.sum(axis=-1)
+    P = alpha2 * R
+    rows_after = np.add.reduce(P, axis=-1)
+    # bytes, not ==: -0.0 == +0.0 holds and NaN == NaN does not
+    if theta2 is theta or theta2.tobytes() == theta.tobytes():
+        R2, Q, rows = R, P, rows_after
+    else:
+        R2 = scenario.risk_matrix(theta2)
+        Q = alpha2 * R2
+        rows = np.add.reduce(Q, axis=-1)
+    total_after = _beta_sums(rows, beta)
     gains = beta @ (Q - P)   # per learner: mass times mixture-risk change
     # each comparison is written so that a NaN trips it too
     ok = (total_after <= total_before + MONOTONE_TOL,
           rows_after <= rows_before + MONOTONE_TOL,
           gains <= MONOTONE_TOL * masses)
-    if ok[0].all() and ok[1].all() and ok[2].all():
+    if all(np.logical_and.reduce(c, axis=None) for c in ok):
         return StepRecord(alpha2, theta2, R2, Q, rows, total_after, masses,
                           frozen)
     h = next(h for h in range(3) if not ok[h].all())
@@ -223,8 +232,9 @@ def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
     total = _beta_sums(rows, scenario.beta)
     while live:
         s = _core_step(alpha, theta, t, scenario, R, rows, total, labels)
-        delta = np.maximum(np.abs(s.alpha - alpha).max(axis=(-2, -1)),
-                           np.abs(s.theta - theta).max(axis=(-2, -1)))
+        delta = np.maximum(
+            np.maximum.reduce(np.abs(s.alpha - alpha), axis=(-2, -1)),
+            np.maximum.reduce(np.abs(s.theta - theta), axis=(-2, -1)))
         alpha, theta, R, rows, total, t = (s.alpha, s.theta, s.R, s.rows,
                                            s.total, t + 1)
         stop = [None] * len(live)

@@ -178,7 +178,7 @@ def minimize_mixtures(scenario, W, tolerance: float = 1e-10,
         H = np.where(hold[..., None, None], np.eye(scenario.d), H)
         b = np.where(hold[..., None], 0.0 if start is None else start, b)
     h = H.diagonal(axis1=-2, axis2=-1)
-    if scenario._quad[4] and (h > 0.0).all():
+    if scenario._quad[4] and np.logical_and.reduce(h > 0.0, axis=None):
         return b / h
     try:
         return np.linalg.solve(H, b[..., None])[..., 0]

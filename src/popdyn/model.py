@@ -342,8 +342,9 @@ class Scenario:
             t = (theta - o).swapaxes(-1, -2)   # (..., d, m)
             lead, m = t.shape[:-2], t.shape[-1]
             G = np.empty((*lead, d * d + d + 1, m))   # [vec(t t^T); t; 1]
-            G[..., :d * d, :] = (t[..., :, None, :] * t[..., None, :, :]
-                                 ).reshape(*lead, d * d, m)
+            outer = G[..., :d * d, :]
+            outer.shape = (*lead, d, d, m)   # a view: raises rather than copy
+            np.multiply(t[..., :, None, :], t[..., None, :, :], out=outer)
             G[..., d * d:-1, :] = t
             G[..., -1, :] = 1.0
             return F @ G

@@ -1075,6 +1075,82 @@ class TestKeptState:
         assert np.abs(kept.sum(-1) - 1.0).max() <= 1e-15
 
 
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestCarriedRisk:
+    """A step whose learner update leaves every bit of Theta unchanged
+    carries R into its record instead of recomputing it.  Every record still
+    holds R = R(theta) and Q = alpha * R bit for bit, and no later step
+    writes into a record that a caller keeps."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(sorted(TestKeptState.RULES)),
+           st.sampled_from(["full_min", "repeated_gd"]),
+           st.sampled_from(["diagonal", "full", "custom"]),
+           st.sampled_from(model.SCHEDULE_KINDS), st.integers(1, 4))
+    def test_records_hold_the_risks_at_their_theta(self, seed, rule, learner,
+                                                   risks, schedule_kind, K):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, min(3, n) + 1))
+        d = 2 if risks == "full" else int(rng.integers(1, 3))
+        sc = random_scenario(rng, n, m, d, learner=learner,
+                             identity_curvature=risks != "full")
+        if risks == "custom":
+            sc = replace(sc, risks=tuple(map(as_custom, sc.risks)))
+        subpops, learners = (tuple(int(i) for i in np.flatnonzero(
+            rng.random(size) < 0.5)) for size in (n, m))
+        sc = replace(sc, subpop_rule=TestKeptState.RULES[rule],
+                     schedule=_schedule(schedule_kind, subpops, learners))
+        alpha = rng.dirichlet(np.ones(m), size=(K, n))
+        theta = rng.uniform(-2.0, 2.0, (K, m, d))
+        records, copies = [], []
+        # a short window lets trials leave the batch at different steps
+        for _, s, _ in engine._watched_steps(
+                sc, alpha, theta, sc.risk_matrix(theta), 0,
+                EquilibriumDetector(1e-6, 3), 60):
+            records.append(s)
+            copies.append([np.copy(x) for x in s])
+        for s, kept in zip(records, copies):
+            assert _same_bits(s.R, sc.risk_matrix(s.theta))
+            assert _same_bits(s.Q, s.alpha * s.R)
+            assert all(_same_bits(x, y) for x, y in zip(s, kept))
+
+    def test_a_still_theta_carries_the_previous_risks(self, three_centers):
+        # three_centers at an optimal split, theta nudged off it: full_min
+        # moves theta onto the split's minimizers on step 1, and the split's
+        # one-hot rows then hold it there bit for bit
+        sc = three_centers.scenario
+        split = SplitAssignment((0, 0, 1))
+        start = perturb(SystemState(split.to_alpha(2),
+                                    theta_for_assignment(split, sc)),
+                        0.1, 5, "theta_only")
+        theta = start.theta[None]
+        R, moved = sc.risk_matrix(theta), []
+        for _, s, _ in engine._watched_steps(sc, start.alpha[None], theta, R, 0,
+                                             EquilibriumDetector(), 100):
+            moved.append(s.theta.tobytes() != theta.tobytes())
+            assert (s.R is R) != moved[-1]
+            assert _same_bits(s.R, sc.risk_matrix(s.theta))
+            theta, R = s.theta, s.R
+        assert moved == [True] + [False] * 10
+
+    def test_a_zero_that_changes_sign_is_a_move(self):
+        # centers -1 and 1 of equal mass: full_min takes the one learner from
+        # -0.0 to +0.0, which == calls equal, on step 1, then holds it there
+        sc = Scenario(beta=np.array([0.5, 0.5]),
+                      risks=(quadratic_risk([-1.0]), quadratic_risk([1.0])), m=1,
+                      subpop_rule=mwud(), learner_rule=full_min())
+        theta = np.array([[[-0.0]]])
+        R = sc.risk_matrix(theta)
+        first, second = (s for _, s, _ in engine._watched_steps(
+            sc, np.ones((1, 2, 1)), theta, R, 0, EquilibriumDetector(), 2))
+        assert np.signbit(theta).all() and not np.signbit(first.theta).any()
+        assert first.R is not R and second.R is first.R
+
+
 class TestFastPathEquivalence:
     """The engine's vectorized paths must match the per-row / per-column
     operations exactly."""
