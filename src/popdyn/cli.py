@@ -54,6 +54,10 @@ EXIT_NON_EQUILIBRIUM = 5
 EXIT_BUDGET = 6
 EXIT_GOLDEN_MISMATCH = 7
 
+# an error's exit code: that of the first class it is an instance of
+_EXIT_CODES = ((BudgetError, EXIT_BUDGET), (MonotonicityError, EXIT_MONOTONE),
+               ((PopdynError, ValueError), EXIT_ERROR))
+
 CSV_CHUNK_CELLS = 1 << 15   # cells per %-template call: bounds those held
 
 
@@ -211,7 +215,6 @@ def cmd_competition(args) -> int:
         raise ValueError(
             f"need initial m={scenario.m} < target-m <= n={scenario.n}")
     max_steps = loaded.max_steps if args.max_steps is None else args.max_steps
-    require_number(max_steps, "max_steps", 1, integer=True)
 
     header = (["phase", "m", "steps", "cumulative_steps", "total_risk",
                "worst_subpop_risk", "split_learner", "grad_hypothesis"]
@@ -261,7 +264,7 @@ def cmd_probe(args) -> int:
             raise ValueError(f"--assignment must be {scenario.n} comma-"
                              f"separated learner indices in [0, {scenario.m}),"
                              f" got {args.assignment!r}")
-        assignment = SplitAssignment(indices)
+        assignment = SplitAssignment(map(int, indices))
         theta = theta_for_assignment(assignment, scenario)
         state = SystemState(alpha=assignment.to_alpha(scenario.m),
                             theta=theta, t=0)
@@ -279,14 +282,19 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-def _sigma(text: str) -> float:
-    # argparse turns a ValueError into its own "invalid _sigma value"
-    # message; a PopdynError passes through to main with this one, exit 1
-    try:
-        return require_number(float(text), "--sigma", 0)
-    except ValueError:
-        raise PopdynError(
-            f"--sigma must be a finite number >= 0, got {text!r}") from None
+def _nonnegative(name: str, kind=float):
+    """The argparse type of option name: kind(text), a finite number >= 0
+    (an integer for kind int).  argparse turns a ValueError into its own
+    "invalid ... value" message; a PopdynError passes through to main with
+    one naming the option, exit 1."""
+    what = "an integer" if kind is int else "a finite number"
+
+    def parse(text: str):
+        try:
+            return require_number(kind(text), name, 0, integer=kind is int)
+        except ValueError:
+            raise PopdynError(f"{name} must be {what} >= 0, got {text!r}") from None
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the coupled dynamics")
     sim.add_argument("scenario")
     sim.add_argument("--out", default="out")
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=_nonnegative("--seed", int), default=None)
     sim.add_argument("--max-steps", type=int, default=None)
-    sim.add_argument("--sigma", type=_sigma, default=0.0,
+    sim.add_argument("--sigma", type=_nonnegative("--sigma"), default=0.0,
                      help="perturb the initial state before simulating")
     sim.add_argument("--perturb-target", default="theta_only",
                      choices=PERTURB_TARGETS)
@@ -334,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="split learners until target-m is reached")
     comp.add_argument("scenario")
     comp.add_argument("--target-m", type=int, required=True)
-    comp.add_argument("--sigma", type=_sigma, default=1e-3)
-    comp.add_argument("--seed", type=int, default=None)
+    comp.add_argument("--sigma", type=_nonnegative("--sigma"), default=1e-3)
+    comp.add_argument("--seed", type=_nonnegative("--seed", int), default=None)
     comp.add_argument("--out", default="out")
     comp.add_argument("--max-steps", type=int, default=None)
     comp.set_defaults(func=cmd_competition)
@@ -350,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--state", default=None)
     target.add_argument("--assignment", default=None,
                         help="comma-separated learner index per subpopulation")
-    prb.add_argument("--sigma", type=_sigma, default=1e-3)
+    prb.add_argument("--sigma", type=_nonnegative("--sigma"), default=1e-3)
     prb.add_argument("--trials", type=int, default=10)
-    prb.add_argument("--seed", type=int, default=None)
+    prb.add_argument("--seed", type=_nonnegative("--seed", int), default=None)
     prb.add_argument("--perturb-target", default="both", choices=PERTURB_TARGETS)
     prb.set_defaults(func=cmd_probe)
 
@@ -363,15 +371,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except MonotonicityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MONOTONE
     except (PopdynError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

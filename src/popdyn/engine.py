@@ -212,22 +212,26 @@ def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
         ("total", "allocation", "learner")[h], int(pos[1]) if h else None)
 
 
-def _watched_steps(scenario: Scenario, alpha, theta, R, t: int,
+def _watched_steps(scenario: Scenario, alpha, theta, t: int,
                    detector: EquilibriumDetector, max_steps: int, labels=None):
     """The step loop and its one stop rule: sequential updates of K trials
-    in lockstep from alpha (K, n, m), theta (K, m, d) and their risk
-    matrices R at time t.  Yields (live, step, stop) per step: the stepped
-    trials' batch positions, _core_step's StepRecord (the state it checked,
-    kept as it is since the rules return normalized rows, and what it
-    returned beside it) and each one's stop reason or None, which the caller
-    may set.  A trial stops with "detector" on the step that completes the
-    detector's quiet window of deltas max(||alpha' - alpha||_inf, ||Theta' -
-    Theta||_inf) at a stationary state, where no positive share alpha_ij
-    has R_ij < rows_i - MONOTONE_TOL (a window ended anywhere else, a slow
-    pass by a saddle, restarts the count); else with "budget" on its
-    max_steps-th step.  A stopped trial leaves the batch, and the others
-    step on as they would alone; labels names them in a MonotonicityError."""
+    in lockstep from alpha (K, n, m) and theta (K, m, d) at time t.  The
+    loop checks max_steps, an integer >= 1, and evaluates the risk matrices
+    at theta itself, so the gate's first baseline is always the start's own
+    risk.  Yields (live, step, stop) per step: the stepped trials' batch
+    positions, _core_step's StepRecord (the state it checked, kept as it is
+    since the rules return normalized rows, and what it returned beside it)
+    and each one's stop reason or None, which the caller may set.  A trial
+    stops with "detector" on the step that completes the detector's quiet
+    window of deltas max(||alpha' - alpha||_inf, ||Theta' - Theta||_inf) at
+    a stationary state, where no positive share alpha_ij has R_ij < rows_i
+    - MONOTONE_TOL (a window ended anywhere else, a slow pass by a saddle,
+    restarts the count); else with "budget" on its max_steps-th step.  A
+    stopped trial leaves the batch, and the others step on as they would
+    alone; labels names them in a MonotonicityError."""
+    require_number(max_steps, "max_steps", 1, integer=True)
     live, quiet, end = list(range(len(alpha))), [0] * len(alpha), t + max_steps
+    R = scenario.risk_matrix(theta)
     rows = (alpha * R).sum(axis=-1)
     total = _beta_sums(rows, scenario.beta)
     while live:
@@ -264,23 +268,21 @@ def step(state: SystemState, scenario: Scenario) -> SystemState:
 def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
              detector: Optional[EquilibriumDetector] = None) -> Trajectory:
     """Run up to max_steps updates, stopping early once the detector fires."""
-    require_number(max_steps, "max_steps", 1, integer=True)
     if detector is None:
         detector = EquilibriumDetector()
     validate_state(initial_state, scenario)
     alpha, theta, t0 = initial_state.alpha, initial_state.theta, initial_state.t
-    R = scenario.risk_matrix(theta)
 
     # per state: total, subpopulation risks, beta @ Q and learner masses,
     # from Q = alpha * R and its sums rows
-    beta, states, Q = scenario.beta, [initial_state], alpha * R
+    beta, states = scenario.beta, [initial_state]
+    Q = alpha * scenario.risk_matrix(theta)
     rows = Q.sum(axis=-1)
     records = [(rows @ beta, rows, beta @ Q, beta @ alpha)]
     frozen_total = 0
 
-    steps = _watched_steps(scenario, alpha[None], theta[None], R[None], t0,
-                           detector, max_steps)
-    for k, (_, s, stop) in enumerate(steps, 1):
+    for k, (_, s, stop) in enumerate(_watched_steps(
+            scenario, alpha[None], theta[None], t0, detector, max_steps), 1):
         frozen_total += int(s.frozen[0])
         states.append(SystemState(alpha=s.alpha[0], theta=s.theta[0], t=t0 + k))
         records.append((s.total[0], s.rows[0], beta @ s.Q[0], s.masses[0]))
@@ -312,8 +314,7 @@ def _cascade(scenario: Scenario, state: SystemState, target_m: int,
     target_m or ends on its budget, has split and hypothesis None."""
     for phase in range(target_m - scenario.m + 1):
         loop = _watched_steps(scenario, state.alpha[None], state.theta[None],
-                              scenario.risk_matrix(state.theta)[None], state.t,
-                              detector, max_steps)
+                              state.t, detector, max_steps)
         for steps, (_, last, stop) in enumerate(loop, 1):
             pass   # the last step ends the phase: it fired or used the budget
         end = SystemState(last.alpha[0], last.theta[0], state.t + steps)
@@ -412,7 +413,7 @@ def _probe_batch(scenario, eq_state, sigma, trials, seed, target="both",
                  max_steps=6000, return_tol=1e-4):
     """Run a probe's trials as one batch; returns one record per trial."""
     require_number(trials, "trials", 1, integer=True)
-    require_number(max_steps, "max_steps", 1, integer=True)
+    require_number(return_tol, "return_tol", 0)
     eq_risk = total_risk(eq_state, scenario)   # validates eq_state too
     escape_tol = 1e-9 * max(1.0, abs(eq_risk))
     starts = [perturb(eq_state, sigma, [seed, k], target) for k in range(trials)]
@@ -420,8 +421,8 @@ def _probe_batch(scenario, eq_state, sigma, trials, seed, target="both",
     theta = np.stack([s.theta for s in starts])
     records = [dict.fromkeys(("returned", "steps", "escaped_at", "distance",
                               "stop_reason")) for _ in range(trials)]
-    loop = _watched_steps(scenario, alpha, theta, scenario.risk_matrix(theta), 0,
-                          EquilibriumDetector(), max_steps, np.arange(trials))
+    loop = _watched_steps(scenario, alpha, theta, 0, EquilibriumDetector(),
+                          max_steps, np.arange(trials))
     for t, (live, s, stop) in enumerate(loop, 1):
         for i, total in enumerate(s.total.tolist()):
             r = records[live[i]]

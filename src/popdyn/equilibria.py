@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -64,7 +65,12 @@ class SplitAssignment:
     gamma_map: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma_map", tuple(map(int, self.gamma_map)))
+        gamma_map = tuple(self.gamma_map)
+        # int() would truncate 1.5 and take True as 1
+        if not all(isinstance(j, numbers.Integral) and not isinstance(j, bool)
+                   for j in gamma_map):
+            raise ValueError(f"learner indices must be integers, got {gamma_map!r}")
+        object.__setattr__(self, "gamma_map", tuple(map(int, gamma_map)))
         if self.gamma_map and min(self.gamma_map) < 0:
             raise ValueError("learner indices must be nonnegative")
 

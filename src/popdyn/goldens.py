@@ -74,10 +74,7 @@ def two_group_gap_curve(beta: float, eps: float = 0.01) -> dict:
     """
     scenario = two_group_gap_scenario(beta, eps)
     phi = float(scenario.risks[2].center[0])
-    assignment = SplitAssignment((0, 1, 1))
-    theta = theta_for_assignment(assignment, scenario)
-    R = scenario.risk_matrix(theta)
-    eq_risk = float(scenario.beta @ R[np.arange(3), [0, 1, 1]])
+    eq_risk = total_risk(partition_pair_state(scenario), scenario)
     optimum = _welfare_optimum(scenario, DEFAULT_BUDGET)
     return {
         "beta": beta,

@@ -152,6 +152,7 @@ def group_minimize(weights, risks, tolerance: float = 1e-10,
                    max_iterations: int = 100, start=None) -> np.ndarray:
     """Damped Newton on sum_i w_i R_i(theta), w_i >= 0, from start or 0, to a
     gradient norm of the normalized sum_i w_i R_i / sum_i w_i <= tolerance."""
+    full_min(tolerance, max_iterations)   # checks both as LearnerRule does
     return _newton(np.asarray(weights, dtype=float)[:, None], risks, tolerance,
                    max_iterations, None if start is None else [start], None)[0]
 

@@ -383,6 +383,15 @@ class TestCompetition:
         assert rc == 1
         assert "max_steps must be an integer >= 1" in capsys.readouterr().err
 
+    def test_a_bad_step_budget_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        rc = main(["competition", THREE_CENTERS, "--target-m", "3",
+                   "--max-steps", "0", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: max_steps must be an integer >= 1, got 0\n")
+        assert not out.exists()
+
     def test_invalid_target_exit_one(self, tmp_path, capsys):
         # three_centers has n=3 subpopulations and m=2 learners
         rc = main(["competition", THREE_CENTERS, "--target-m", "2",
@@ -832,6 +841,19 @@ class TestErrorHandling:
         assert not list(tmp_path.iterdir())
         with pytest.raises(ValueError, match="sigma must be a number >= 0"):
             perturb(three_centers.initial_state, float(value), seed=0)
+
+    @pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--sigma", "1e-3"], ["competition", "--target-m", "3"],
+        ["probe", "--assignment", "0,1,1"]])
+    def test_bad_seed_names_the_option(self, command, value, tmp_path,
+                                       monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main([command[0], THREE_CENTERS, *command[1:], "--seed", value])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", f"error: --seed must be an integer >= 0, got {value!r}\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, message", [
         (["probe", THREE_CENTERS, "--trials", "abc"],

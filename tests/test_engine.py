@@ -55,7 +55,7 @@ def _stepped(sc, alpha, theta, steps, t=0, labels=None):
     """The StepRecords of steps steps of the watched loop from alpha, theta
     at time t, under a detector whose window exceeds the run, so that every
     trial steps to the budget."""
-    loop = engine._watched_steps(sc, alpha, theta, sc.risk_matrix(theta), t,
+    loop = engine._watched_steps(sc, alpha, theta, t,
                                  EquilibriumDetector(window=steps + 1), steps,
                                  labels)
     return (s for _, s, _ in loop)
@@ -538,6 +538,17 @@ class TestStabilityProbe:
                                          seed=2)
         assert frac == 0.0
 
+    @pytest.mark.parametrize("return_tol", [float("nan"), -1.0, float("inf"),
+                                            None])
+    def test_return_tolerance_is_a_finite_number(self, three_centers,
+                                                  return_tol):
+        with pytest.raises(ValueError) as exc:
+            empirical_stability_probe(three_centers.scenario,
+                                      three_centers.initial_state, 1e-3, 2, 0,
+                                      return_tol=return_tol)
+        assert str(exc.value) == (
+            f"return_tol must be a number >= 0, got {return_tol!r}")
+
     def test_unperturbed_trivially_returns(self, three_centers):
         frac = empirical_stability_probe(three_centers.scenario,
                                          three_centers.initial_state, 0.0, 1, seed=3)
@@ -824,7 +835,7 @@ class TestWatchedBatchIndependence:
         """Asserts the batch against the solo runs; returns per trial its
         stop step, its reason and its solo run's saddle restarts."""
         ends, totals = [None] * len(alpha), [[] for _ in alpha]
-        loop = engine._watched_steps(sc, alpha, theta, sc.risk_matrix(theta), 0,
+        loop = engine._watched_steps(sc, alpha, theta, 0,
                                      detector, max_steps, np.arange(len(alpha)))
         for t, (live, s, stop) in enumerate(loop, 1):
             for i, k in enumerate(live):
@@ -877,7 +888,7 @@ class TestWatchedBatchIndependence:
         stops = []
         with pytest.raises(MonotonicityError) as exc:
             for live, _, stop in engine._watched_steps(
-                    sc, np.ones((2, 1, 1)), theta, sc.risk_matrix(theta), 0,
+                    sc, np.ones((2, 1, 1)), theta, 0,
                     EquilibriumDetector(), 100, np.array([4, 7])):
                 stops.append((list(live), list(stop)))
         assert stops[9] == ([0, 1], ["detector", None])
@@ -1109,7 +1120,7 @@ class TestCarriedRisk:
         records, copies = [], []
         # a short window lets trials leave the batch at different steps
         for _, s, _ in engine._watched_steps(
-                sc, alpha, theta, sc.risk_matrix(theta), 0,
+                sc, alpha, theta, 0,
                 EquilibriumDetector(1e-6, 3), 60):
             records.append(s)
             copies.append([np.copy(x) for x in s])
@@ -1129,7 +1140,7 @@ class TestCarriedRisk:
                         0.1, 5, "theta_only")
         theta = start.theta[None]
         R, moved = sc.risk_matrix(theta), []
-        for _, s, _ in engine._watched_steps(sc, start.alpha[None], theta, R, 0,
+        for _, s, _ in engine._watched_steps(sc, start.alpha[None], theta, 0,
                                              EquilibriumDetector(), 100):
             moved.append(s.theta.tobytes() != theta.tobytes())
             assert (s.R is R) != moved[-1]
@@ -1146,9 +1157,68 @@ class TestCarriedRisk:
         theta = np.array([[[-0.0]]])
         R = sc.risk_matrix(theta)
         first, second = (s for _, s, _ in engine._watched_steps(
-            sc, np.ones((1, 2, 1)), theta, R, 0, EquilibriumDetector(), 2))
+            sc, np.ones((1, 2, 1)), theta, 0, EquilibriumDetector(), 2))
         assert np.signbit(theta).all() and not np.signbit(first.theta).any()
         assert first.R is not R and second.R is first.R
+
+
+class TestWatchedLoopStart:
+    """The watched loop evaluates its start's risk matrices and checks its
+    step budget itself: no caller can hand the gate another baseline or an
+    unchecked budget."""
+
+    def test_a_fixed_point_records_its_own_risks(self, three_centers):
+        # the split (0, 1, 1) at its group optima is a bitwise fixed point:
+        # theta never moves, so every record carries the loop's first R
+        sc = three_centers.scenario
+        split = SplitAssignment((0, 1, 1))
+        start = SystemState(split.to_alpha(2), theta_for_assignment(split, sc))
+        records = [s for _, s, _ in engine._watched_steps(
+            sc, start.alpha[None], start.theta[None], 0, EquilibriumDetector(),
+            100)]
+        assert len(records) == EquilibriumDetector().window
+        assert all(s.R is records[0].R for s in records)
+        for s in records:
+            assert _same_bits(s.theta, start.theta[None])
+            assert _same_bits(s.R, sc.risk_matrix(s.theta))
+            assert s.total.tolist() == [total_risk(start, sc)]
+
+    def test_a_move_of_a_zero_evaluates_fresh_risks(self):
+        # centers -1 and 1 of equal mass: full_min takes the one learner from
+        # -0.0 to +0.0, which == calls equal, on step 1, then holds it there.
+        # The start's R is the loop's own, so the step's fresh R is told from
+        # a carried one by the risk matrices evaluated
+        sc = Scenario(beta=np.array([0.5, 0.5]),
+                      risks=(quadratic_risk([-1.0]), quadratic_risk([1.0])), m=1,
+                      subpop_rule=mwud(), learner_rule=full_min())
+        made, real = [], Scenario.risk_matrix
+
+        def spy(scenario, theta):
+            made.append(real(scenario, theta))
+            return made[-1]
+
+        with mock.patch.object(Scenario, "risk_matrix", spy):
+            first, second = (s for _, s, _ in engine._watched_steps(
+                sc, np.ones((1, 2, 1)), np.array([[[-0.0]]]), 0,
+                EquilibriumDetector(), 2))
+        assert not np.signbit(first.theta).any()
+        assert len(made) == 2 and first.R is made[1] and second.R is first.R
+
+    @pytest.mark.parametrize("max_steps", [0, -1, 1.5, True])
+    @pytest.mark.parametrize("run", ["simulate", "probe"])
+    def test_every_run_rejects_a_bad_budget(self, three_centers, run,
+                                            max_steps):
+        # the balanced start is a fixed point, so a run whose budget went
+        # unchecked would still end, on the detector
+        sc, start = three_centers.scenario, three_centers.initial_state
+        with pytest.raises(ValueError) as exc:
+            if run == "simulate":
+                simulate(sc, start, max_steps)
+            else:
+                empirical_stability_probe(sc, start, 0.0, 2, 0,
+                                          max_steps=max_steps)
+        assert str(exc.value) == (
+            f"max_steps must be an integer >= 1, got {max_steps!r}")
 
 
 class TestFastPathEquivalence:

@@ -936,6 +936,18 @@ class TestThetaForAssignment:
         with pytest.raises(ValueError, match="learner indices must be nonnegative"):
             SplitAssignment((-1, 0))
 
+    @pytest.mark.parametrize("gamma_map", [(0, 1.5, 1), (0, 1.0, 1),
+                                           (True, 0, 1), ("0", 1, 1)])
+    def test_rejects_a_label_that_is_not_an_integer(self, gamma_map):
+        with pytest.raises(ValueError) as exc:
+            SplitAssignment(gamma_map)
+        assert str(exc.value) == (
+            f"learner indices must be integers, got {gamma_map!r}")
+
+    def test_numpy_integer_labels_are_accepted(self):
+        gamma_map = SplitAssignment(np.array([0, 1, 1])).gamma_map
+        assert gamma_map == (0, 1, 1) and {type(j) for j in gamma_map} == {int}
+
     @pytest.mark.parametrize("method", ["to_alpha", "groups"])
     def test_rejects_an_index_beyond_m(self, method):
         with pytest.raises(ValueError) as exc:

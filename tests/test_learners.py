@@ -264,6 +264,18 @@ class TestRuleValidation:
         with pytest.raises(ValueError, match=field):
             LearnerRule(kind="full_min", **{field: value})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iterations": -1}, "max_iterations must be an integer >= 0, got -1"),
+        ({"max_iterations": 2.5}, "max_iterations must be an integer >= 0, got 2.5"),
+        ({"tolerance": -1.0}, "tolerance must be a number > 0, got -1.0"),
+        ({"tolerance": float("nan")}, "tolerance must be a number > 0, got nan"),
+    ])
+    def test_group_minimize_checks_its_stopping_rule(self, kwargs, message):
+        risks = (quadratic_risk([0.0]), quadratic_risk([1.0]))
+        with pytest.raises(ValueError) as exc:
+            group_minimize([0.5, 0.5], risks, **kwargs)
+        assert str(exc.value) == message
+
 
 def _softplus_risks(centers):
     """Strongly convex non-quadratic risks |theta - c|^2 + softplus(sum)."""
