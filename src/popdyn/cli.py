@@ -54,9 +54,9 @@ EXIT_NON_EQUILIBRIUM = 5
 EXIT_BUDGET = 6
 EXIT_GOLDEN_MISMATCH = 7
 
-# an error's exit code: that of the first class it is an instance of
-_EXIT_CODES = ((BudgetError, EXIT_BUDGET), (MonotonicityError, EXIT_MONOTONE),
-               ((PopdynError, ValueError), EXIT_ERROR))
+# an error's exit code: that of the first class it is an instance of, else
+# EXIT_ERROR
+_EXIT_CODES = ((BudgetError, EXIT_BUDGET), (MonotonicityError, EXIT_MONOTONE))
 
 CSV_CHUNK_CELLS = 1 << 15   # cells per %-template call: bounds those held
 
@@ -373,7 +373,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PopdynError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        return next((code for kind, code in _EXIT_CODES
+                     if isinstance(exc, kind)), EXIT_ERROR)
 
 
 if __name__ == "__main__":

@@ -1,23 +1,21 @@
 """Plant each mutant of a table in a copy of the checkout and run its tests.
 
-    python3 tools/mutants.py [--root CHECKOUT] [NAME ...]
+    python3 tools/mutants.py
 
 Each entry of MUTANTS is (name, file, old, new, tests).  The exact text old
-must occur once in file, a module of CHECKOUT/src/popdyn.  For each mutant
-(or only the NAMEs given) the checkout is copied to a temporary folder, old
-is replaced by new there, and `pytest -x -q` runs the test ids listed in
-tests.  A mutant is "killed" when pytest reports a failed test (exit 1) and
-"survived" when every test passes; any other exit, a run past TIMEOUT_S or
-an old text that does not occur exactly once is an "error".  The mutants
-in SURVIVORS are equivalent to the code and must survive; every other must
-be killed.  One JSON line per mutant goes to stdout, and the exit status is
-0 when every outcome is the expected one, else 1.  When a change rewrites
-the code a mutant plants into, it ports the mutant; a change that plants
-checks of its own adds them here.  The script uses the standard library
-only.
+must occur once in file, a module of src/popdyn in this checkout.  For each
+mutant the checkout is copied to a temporary folder, old is replaced by new
+there, and `pytest -x -q` runs the test ids listed in tests.  A mutant is
+"killed" when pytest reports a failed test (exit 1) and "survived" when
+every test passes; any other exit, a run past TIMEOUT_S or an old text that
+does not occur exactly once is an "error".  The mutants in SURVIVORS are
+equivalent to the code and must survive; every other must be killed.  One
+JSON line per mutant goes to stdout, and the exit status is 0 when every
+outcome is the expected one, else 1.  When a change rewrites the code a
+mutant plants into, it ports the mutant; a change that plants checks of its
+own adds them here.  The script uses the standard library only.
 """
 
-import argparse
 import json
 import os
 import shutil
@@ -165,22 +163,10 @@ def run_mutant(root, mutant):
     return outcome, round(time.perf_counter() - start, 1)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", default=os.path.dirname(HERE),
-                        help="checkout to mutate (default: this one)")
-    parser.add_argument("names", nargs="*",
-                        help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    root = os.path.abspath(args.root)
-    known = {m[0] for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
+def main():
+    root = os.path.dirname(HERE)
     ok = True
     for mutant in MUTANTS:
-        if args.names and mutant[0] not in args.names:
-            continue
         outcome, seconds = run_mutant(root, mutant)
         expected = "survived" if mutant[0] in SURVIVORS else "killed"
         ok &= outcome == expected
