@@ -16,6 +16,7 @@ budget exceeded, 7 golden mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -124,11 +125,19 @@ def _summary(traj, scenario, budget):
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
+def _load(args):
+    """The scenario file args.scenario, with --seed and --max-steps in
+    place of its seed and step budget where the command has them and they
+    are given.  The initial state is drawn from the file's own seed: --seed
+    seeds only the draws made after loading."""
+    given = {key: getattr(args, key, None) for key in ("seed", "max_steps")}
+    return dataclasses.replace(load_scenario(args.scenario), **{
+        key: value for key, value in given.items() if value is not None})
+
+
 def cmd_simulate(args) -> int:
-    loaded = load_scenario(args.scenario)
-    scenario = loaded.scenario
-    seed = args.seed if args.seed is not None else loaded.seed
-    state = loaded.initial_state
+    loaded = _load(args)
+    scenario, seed, state = loaded.scenario, loaded.seed, loaded.initial_state
     events = [f"loaded scenario {args.scenario} (n={scenario.n}, "
               f"m={scenario.m}, d={scenario.d}, seed={seed})"]
     if args.sigma > 0:
@@ -136,9 +145,8 @@ def cmd_simulate(args) -> int:
                         target=args.perturb_target)
         events.append(f"perturbed initial state: sigma={args.sigma} "
                       f"target={args.perturb_target} seed={seed}")
-    max_steps = loaded.max_steps if args.max_steps is None else args.max_steps
     try:
-        traj = simulate(scenario, state, max_steps, loaded.detector)
+        traj = simulate(scenario, state, loaded.max_steps, loaded.detector)
     except MonotonicityError as exc:
         events.append(f"aborted: {exc}")
         _atomic_write(os.path.join(args.out, "events.log"),
@@ -149,7 +157,7 @@ def cmd_simulate(args) -> int:
         events.append(f"detector fired: quiet window starts at step "
                       f"{traj.converged_at}")
     else:
-        events.append(f"no convergence within {max_steps} steps")
+        events.append(f"no convergence within {loaded.max_steps} steps")
     if traj.frozen_learner_steps:
         events.append(f"empty-learner freezes: {traj.frozen_learner_steps}")
 
@@ -174,7 +182,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    loaded = load_scenario(args.scenario)
+    loaded = _load(args)
     state = load_state(args.state, loaded.scenario)
     report = classify_state(state, loaded.scenario, oracle_budget=args.budget)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -186,12 +194,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    loaded = load_scenario(args.scenario)
-    rows, totals, margins, _ = _split_ranking(loaded.scenario, args.dedupe,
-                                              args.budget)
+    scenario = _load(args).scenario
+    rows, totals, margins, _ = _split_ranking(scenario, args.dedupe, args.budget)
     header = ["assignment", "total_risk", "classification", "stability",
               "margin", "welfare_gap"]
-    m = loaded.scenario.m
+    m = scenario.m
     # one learner has no margin (+inf here): %.0s leaves its cell empty
     line = ("%s,%.17g,split_market,%s," + ("%.17g" if m > 1 else "%.0s")
             + ",%.17g\n")
@@ -208,13 +215,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_competition(args) -> int:
-    loaded = load_scenario(args.scenario)
+    loaded = _load(args)
     scenario = loaded.scenario
-    seed = args.seed if args.seed is not None else loaded.seed
     if not scenario.m < args.target_m <= scenario.n:
         raise ValueError(
             f"need initial m={scenario.m} < target-m <= n={scenario.n}")
-    max_steps = loaded.max_steps if args.max_steps is None else args.max_steps
 
     header = (["phase", "m", "steps", "cumulative_steps", "total_risk",
                "worst_subpop_risk", "split_learner", "grad_hypothesis"]
@@ -222,11 +227,11 @@ def cmd_competition(args) -> int:
     rows, cumulative, code = [], 0, EXIT_OK
     for phase, p in enumerate(_cascade(
             scenario, loaded.initial_state, args.target_m, loaded.detector,
-            max_steps, args.sigma, [seed, STREAM_PERTURB])):
+            loaded.max_steps, args.sigma, [loaded.seed, STREAM_PERTURB])):
         cumulative += p.steps
         if p.stop != "detector":   # the last phase
             print(f"error: phase {phase} (m={p.scenario.m}) did not converge "
-                  f"within {max_steps} steps", file=sys.stderr)
+                  f"within {loaded.max_steps} steps", file=sys.stderr)
             code = EXIT_NO_CONVERGENCE
             break
         rows.append([phase, p.scenario.m, p.steps, cumulative, p.total,
@@ -255,7 +260,7 @@ def cmd_goldens(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    loaded = load_scenario(args.scenario)
+    loaded = _load(args)
     scenario = loaded.scenario
     if args.assignment is not None:
         indices = args.assignment.split(",")
@@ -265,35 +270,32 @@ def cmd_probe(args) -> int:
                              f"separated learner indices in [0, {scenario.m}),"
                              f" got {args.assignment!r}")
         assignment = SplitAssignment(map(int, indices))
-        theta = theta_for_assignment(assignment, scenario)
-        state = SystemState(alpha=assignment.to_alpha(scenario.m),
-                            theta=theta, t=0)
-    elif args.state:
-        state = load_state(args.state, scenario)
+        state = SystemState(assignment.to_alpha(scenario.m),
+                            theta_for_assignment(assignment, scenario), 0)
     else:
-        raise ValueError("probe needs --state or --assignment")
-    seed = args.seed if args.seed is not None else loaded.seed
-    records = _probe_batch(scenario, state, args.sigma, args.trials, seed,
-                           target=args.perturb_target)
+        state = load_state(args.state, scenario)
+    records = _probe_batch(scenario, state, args.sigma, args.trials,
+                           loaded.seed, target=args.perturb_target)
     fraction = sum(r["returned"] for r in records) / args.trials
     print(json.dumps({"fraction_returned": fraction, "sigma": args.sigma,
-                      "trials": args.trials, "seed": seed,
+                      "trials": args.trials, "seed": loaded.seed,
                       "trial_records": records}))
     return EXIT_OK
 
 
-def _nonnegative(name: str, kind=float):
-    """The argparse type of option name: kind(text), a finite number >= 0
-    (an integer for kind int).  argparse turns a ValueError into its own
-    "invalid ... value" message; a PopdynError passes through to main with
-    one naming the option, exit 1."""
+def _at_least(name: str, low: int, kind=int):
+    """The argparse type of the numeric option name: kind(text), an integer
+    (a finite number for kind float) >= low.  Bad text raises a PopdynError
+    naming the option, which main reports with exit 1 before any command
+    runs; argparse would turn a ValueError into its own "invalid ... value"
+    message, which names no bound."""
     what = "an integer" if kind is int else "a finite number"
 
     def parse(text: str):
         try:
-            return require_number(kind(text), name, 0, integer=kind is int)
+            return require_number(kind(text), name, low, integer=kind is int)
         except ValueError:
-            raise PopdynError(f"{name} must be {what} >= 0, got {text!r}") from None
+            raise PopdynError(f"{name} must be {what} >= {low}, got {text!r}") from None
     return parse
 
 
@@ -312,40 +314,43 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version",
         version=f"popdyn {__version__} (scenario schema {SCHEMA_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the types of the numeric options shared by several commands
+    seed, steps = _at_least("--seed", 0), _at_least("--max-steps", 1)
+    sigma, budget = _at_least("--sigma", 0, float), _at_least("--budget", 0)
 
     sim = sub.add_parser("simulate", help="run the coupled dynamics")
     sim.add_argument("scenario")
     sim.add_argument("--out", default="out")
-    sim.add_argument("--seed", type=_nonnegative("--seed", int), default=None)
-    sim.add_argument("--max-steps", type=int, default=None)
-    sim.add_argument("--sigma", type=_nonnegative("--sigma"), default=0.0,
+    sim.add_argument("--seed", type=seed, default=None)
+    sim.add_argument("--max-steps", type=steps, default=None)
+    sim.add_argument("--sigma", type=sigma, default=0.0,
                      help="perturb the initial state before simulating")
     sim.add_argument("--perturb-target", default="theta_only",
                      choices=PERTURB_TARGETS)
-    sim.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sim.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     sim.set_defaults(func=cmd_simulate)
 
     cls = sub.add_parser("classify", help="classify a stored state")
     cls.add_argument("scenario")
     cls.add_argument("--state", required=True)
-    cls.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    cls.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     cls.set_defaults(func=cmd_classify)
 
     enm = sub.add_parser("enumerate", help="brute-force welfare oracle")
     enm.add_argument("scenario")
     enm.add_argument("--out", default="equilibria.csv")
     enm.add_argument("--dedupe", action="store_true")
-    enm.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    enm.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     enm.set_defaults(func=cmd_enumerate)
 
     comp = sub.add_parser("competition",
                           help="split learners until target-m is reached")
     comp.add_argument("scenario")
-    comp.add_argument("--target-m", type=int, required=True)
-    comp.add_argument("--sigma", type=_nonnegative("--sigma"), default=1e-3)
-    comp.add_argument("--seed", type=_nonnegative("--seed", int), default=None)
+    comp.add_argument("--target-m", type=_at_least("--target-m", 1), required=True)
+    comp.add_argument("--sigma", type=sigma, default=1e-3)
+    comp.add_argument("--seed", type=seed, default=None)
     comp.add_argument("--out", default="out")
-    comp.add_argument("--max-steps", type=int, default=None)
+    comp.add_argument("--max-steps", type=steps, default=None)
     comp.set_defaults(func=cmd_competition)
 
     gld = sub.add_parser("goldens", help="replay analytic reference cases")
@@ -354,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     prb = sub.add_parser("probe", help="empirical stability probe")
     prb.add_argument("scenario")
-    target = prb.add_mutually_exclusive_group()
+    target = prb.add_mutually_exclusive_group(required=True)
     target.add_argument("--state", default=None)
     target.add_argument("--assignment", default=None,
                         help="comma-separated learner index per subpopulation")
-    prb.add_argument("--sigma", type=_nonnegative("--sigma"), default=1e-3)
-    prb.add_argument("--trials", type=int, default=10)
-    prb.add_argument("--seed", type=_nonnegative("--seed", int), default=None)
+    prb.add_argument("--sigma", type=sigma, default=1e-3)
+    prb.add_argument("--trials", type=_at_least("--trials", 1), default=10)
+    prb.add_argument("--seed", type=seed, default=None)
     prb.add_argument("--perturb-target", default="both", choices=PERTURB_TARGETS)
     prb.set_defaults(func=cmd_probe)
 

@@ -214,6 +214,9 @@ def classify_state(state: SystemState, scenario: Scenario,
     candidate when the spread learners are risk equivalent; it is possibly
     stable (never asymptotically) when they are also optimal for that
     subpopulation, unstable otherwise.  Anything else is not an equilibrium.
+    With oracle_budget, welfare_gap is measured against _welfare_optimum
+    under _assignment_count's budget rule: None past the budget, and a
+    ValueError for a budget that is not an integer >= 0.
     """
     validate_state(state, scenario)
     alpha, theta, beta = state.alpha, state.theta, scenario.beta
@@ -314,6 +317,16 @@ def _stirling2(n: int, m: int) -> int:
                for k in range(m + 1)) // math.factorial(m)
 
 
+def _assignment_count(n: int, m: int, dedupe: bool, budget: int) -> int:
+    """The oracle's one budget rule: the assignments an enumeration visits,
+    S(n, m) with dedupe and m**n without, checked against budget, an
+    integer >= 0 (else ValueError); BudgetError when they exceed it."""
+    count = _stirling2(n, m) if dedupe else m ** n
+    if count > require_number(budget, "budget", 0, integer=True):
+        raise BudgetError(count, budget)
+    return count
+
+
 def _group_table(scenario: Scenario, member) -> tuple:
     """Risks R[g, i] = R_i(theta_g) (G, n) and values (G,) of the groups
     with members member (G, n), each solved with weights beta_i on its
@@ -339,7 +352,7 @@ def _mask_members(n: int):
 def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     """Assignments (S, n) in _assignments order, totals (S,), group ids
     (S, m), and per group g its _group_table risks R[g, i] and members
-    member[g, i], under enumerate_split_equilibria's budget rule.
+    member[g, i], under _assignment_count's budget rule.
 
     Each (assignment, learner) group is keyed by its member bitmask
     (subpopulation i at bit hi-1-i of word i // 64, which holds [lo, hi)).
@@ -352,10 +365,7 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
     key order by sorting them.  A total sums its groups' values in label
     order from 0.0."""
     n, m = scenario.n, scenario.m
-    required = _stirling2(n, m) if dedupe else m ** n
-    if required > budget:
-        raise BudgetError(required, budget)
-
+    _assignment_count(n, m, dedupe, budget)
     rows = _assignments(n, m, dedupe)
     i = np.arange(n)
     words = [slice(lo, min(lo + 64, n)) for lo in range(0, n, 64)]
@@ -384,20 +394,17 @@ def _split_catalog(scenario: Scenario, dedupe: bool, budget: int) -> tuple:
 
 def _welfare_optimum(scenario: Scenario, budget: int) -> float:
     """The social-welfare optimum: the least total risk of any split
-    assignment, bit for bit the least of _split_catalog's totals, under its
-    budget rule.  Where 2**n is at most twice the catalog's S * m keys, the
-    catalog's group table, the values of all 2**n - 1 groups, is solved
-    as value[mask] and the restricted growth strings are walked as blocks
-    of prefixes (the first n - n // 2 labels, u distinct) against the
-    suffixes that complete u labels to m, CHUNK_CELLS totals at a time,
-    each summed in label order from 0.0; elsewhere S(n, m) is small and
-    the catalog is read."""
+    assignment, bit for bit the least of _split_catalog's totals, under
+    _assignment_count's budget rule.  Where 2**n is at most twice the
+    catalog's S * m keys, the catalog's group table, the values of all
+    2**n - 1 groups, is solved as value[mask] and the restricted growth
+    strings are walked as blocks of prefixes (the first n - n // 2
+    labels, u distinct) against the suffixes that complete u labels to m,
+    CHUNK_CELLS totals at a time, each summed in label order from 0.0;
+    elsewhere S(n, m) is small and the catalog is read."""
     n, m = scenario.n, scenario.m
-    count = _stirling2(n, m)
-    if 2 ** n > 2 * m * count:
+    if 2 ** n > 2 * m * _assignment_count(n, m, True, budget):
         return float(_split_catalog(scenario, True, budget)[1].min())
-    if count > budget:
-        raise BudgetError(count, budget)
     bit = 1 << np.arange(n - 1, -1, -1)   # subpopulation i at bit n-1-i
     value = np.r_[np.inf, _group_table(scenario, _mask_members(n))[1]]
     q = n // 2   # the suffix length
@@ -445,8 +452,9 @@ def enumerate_split_equilibria(scenario: Scenario, dedupe: bool = True,
     lexicographic assignment order; the first is the social-welfare optimum,
     and each welfare_gap is measured against it.  Each stability is
     _stability's verdict on the report's margin, as in classify_state.
-    BudgetError is raised when the assignments to visit, S(n, m) with dedupe
-    and m**n without, exceed budget.
+    Under _assignment_count's budget rule, BudgetError is raised when the
+    assignments to visit, S(n, m) with dedupe and m**n without, exceed
+    budget, and ValueError when budget is not an integer >= 0.
     """
     rows, totals, margins, own = _split_ranking(scenario, dedupe, budget, True)
     totals = totals.tolist()

@@ -175,7 +175,7 @@ class TestSimulate:
         rc = main(["simulate", THREE_CENTERS, "--max-steps", "0",
                    "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "max_steps must be an integer >= 1" in capsys.readouterr().err
+        assert "--max-steps must be an integer >= 1" in capsys.readouterr().err
 
     def test_unoptimized_final_state_has_no_classification(self, tmp_path):
         # one gradient step leaves the learners off their mixture optima, so
@@ -381,7 +381,7 @@ class TestCompetition:
         rc = main(["competition", THREE_CENTERS, "--target-m", "3",
                    "--max-steps", "0", "--out", str(tmp_path / "c")])
         assert rc == 1
-        assert "max_steps must be an integer >= 1" in capsys.readouterr().err
+        assert "--max-steps must be an integer >= 1" in capsys.readouterr().err
 
     def test_a_bad_step_budget_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -389,7 +389,7 @@ class TestCompetition:
                    "--max-steps", "0", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: max_steps must be an integer >= 1, got 0\n")
+            "error: --max-steps must be an integer >= 1, got '0'\n")
         assert not out.exists()
 
     def test_invalid_target_exit_one(self, tmp_path, capsys):
@@ -808,7 +808,7 @@ class TestProbe:
     def test_probe_requires_target_state(self, capsys):
         assert main(["probe", THREE_CENTERS]) == 1
         assert capsys.readouterr() == (
-            "", "error: probe needs --state or --assignment\n")
+            "", "error: one of the arguments --state --assignment is required\n")
 
 
 class TestVersion:
@@ -855,9 +855,34 @@ class TestErrorHandling:
             "", f"error: --seed must be an integer >= 0, got {value!r}\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, option, value, low", [
+        (["simulate", THREE_CENTERS], "--budget", "-1", 0),
+        (["classify", THREE_CENTERS, "--state", "missing.json"], "--budget",
+         "-1", 0),
+        (["enumerate", THREE_CENTERS], "--budget", "-1", 0),
+        (["enumerate", THREE_CENTERS], "--budget", "1.5", 0),
+        (["simulate", THREE_CENTERS], "--max-steps", "0", 1),
+        (["competition", THREE_CENTERS, "--target-m", "3"], "--max-steps",
+         "0", 1),
+        (["probe", THREE_CENTERS, "--assignment", "0,1,1"], "--trials", "abc",
+         1),
+        (["probe", THREE_CENTERS, "--assignment", "0,1,1"], "--trials", "0", 1),
+        (["competition", THREE_CENTERS], "--target-m", "x", 1),
+        (["competition", THREE_CENTERS], "--target-m", "1.5", 1),
+    ])
+    def test_a_bad_count_names_its_option(self, argv, option, value, low,
+                                          tmp_path, monkeypatch, capsys):
+        # every numeric option is checked as it is parsed, before any command
+        # reads a file or writes one
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, option, value]) == 1
+        assert capsys.readouterr() == ("", f"error: {option} must be an "
+                                           f"integer >= {low}, got {value!r}\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, message", [
         (["probe", THREE_CENTERS, "--trials", "abc"],
-         "argument --trials: invalid int value: 'abc'"),
+         "--trials must be an integer >= 1, got 'abc'"),
         (["competition", THREE_CENTERS],
          "the following arguments are required: --target-m"),
         (["simulate"], "the following arguments are required: scenario"),

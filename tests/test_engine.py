@@ -1148,19 +1148,6 @@ class TestCarriedRisk:
             theta, R = s.theta, s.R
         assert moved == [True] + [False] * 10
 
-    def test_a_zero_that_changes_sign_is_a_move(self):
-        # centers -1 and 1 of equal mass: full_min takes the one learner from
-        # -0.0 to +0.0, which == calls equal, on step 1, then holds it there
-        sc = Scenario(beta=np.array([0.5, 0.5]),
-                      risks=(quadratic_risk([-1.0]), quadratic_risk([1.0])), m=1,
-                      subpop_rule=mwud(), learner_rule=full_min())
-        theta = np.array([[[-0.0]]])
-        R = sc.risk_matrix(theta)
-        first, second = (s for _, s, _ in engine._watched_steps(
-            sc, np.ones((1, 2, 1)), theta, 0, EquilibriumDetector(), 2))
-        assert np.signbit(theta).all() and not np.signbit(first.theta).any()
-        assert first.R is not R and second.R is first.R
-
 
 class TestWatchedLoopStart:
     """The watched loop evaluates its start's risk matrices and checks its

@@ -260,6 +260,13 @@ class TestClassifyState:
                 report.total_risk - 0.2, abs=1e-12)
         assert classify_state(state, sc, oracle_budget=2).welfare_gap is None
 
+    @pytest.mark.parametrize("budget", [-1, 1.5, True])
+    def test_a_bad_oracle_budget_is_an_error_not_an_unknown_gap(self, budget):
+        # a budget that is no count is the caller's error, not a gap past it
+        sc = two_group_gap_scenario(0.4)
+        with pytest.raises(ValueError, match="^budget must be an integer >= 0"):
+            classify_state(partition_pair_state(sc), sc, oracle_budget=budget)
+
 
 class TestBalancedEngineering:
     def _coincident_scenario(self, center=0.4):
@@ -414,6 +421,13 @@ class TestEnumerate:
         with pytest.raises(BudgetError) as exc:
             enumerate_split_equilibria(sc, dedupe=False, budget=100)
         assert exc.value.required == 3 ** 6
+
+    @pytest.mark.parametrize("dedupe", [True, False])
+    @pytest.mark.parametrize("budget", [-1, 1.5, 1e9])
+    def test_a_bad_budget_is_an_error_not_a_budget_error(self, budget, dedupe):
+        sc = random_scenario(np.random.default_rng(50), 6, 3, 1)
+        with pytest.raises(ValueError, match="^budget must be an integer >= 0"):
+            enumerate_split_equilibria(sc, dedupe, budget)
 
     def test_sorted_with_gaps(self):
         rng = np.random.default_rng(51)

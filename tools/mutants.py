@@ -27,8 +27,10 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 TIMEOUT_S = 600
 
-_ENGINE, _EQUILIBRIA = "engine.py", "equilibria.py"
+_ENGINE, _EQUILIBRIA, _CLI = "engine.py", "equilibria.py", "cli.py"
 _T_ENGINE = "tests/test_engine.py::"
+_T_CLI = "tests/test_cli.py::"
+_T_CLASSIFY = "tests/test_equilibria.py::TestClassifyState::"
 _T_ORACLE = "tests/test_equilibria.py::TestStreamedOracle::"
 _T_WATCHED = _T_ENGINE + "TestWatchedBatchIndependence::"
 _T_CARRY = _T_ENGINE + "TestCarriedRisk::"
@@ -61,6 +63,31 @@ MUTANTS = [
      'stop[i] = "departed"',
      "pass",
      [_T_ENGINE + "TestStabilityProbe::test_records_describe_each_trial"]),
+    ("probe-escape-ignored", _ENGINE,
+     'if r["escaped_at"] is None and total < eq_risk - escape_tol:',
+     "if False:",
+     [_T_ENGINE + "TestStabilityProbe::test_records_describe_each_trial"]),
+    ("probe-returns-at-any-distance", _ENGINE,
+     'r.update(returned=r["distance"] <= return_tol,',
+     "r.update(returned=True,",
+     [_T_ENGINE + "TestStabilityProbe::test_balanced_point_never_returns"]),
+    ("loop-delta-ignores-theta", _ENGINE,
+     "np.maximum.reduce(np.abs(s.theta - theta), axis=(-2, -1)))",
+     "0.0)",
+     [_T_ENGINE + "TestDetectEquilibrium::test_simulate_agrees_with_rescan"]),
+    # what simulate and the cascade report of a run
+    ("frozen-steps-not-counted", _ENGINE,
+     "frozen_total += int(s.frozen[0])",
+     "frozen_total += 0",
+     [_T_ENGINE + "TestSimulate::test_empty_learner_frozen_and_flagged"]),
+    ("summary-empty-learner-never-flagged", _CLI,
+     '"empty_learner_flagged": bool(traj.empty_flags.any()),',
+     '"empty_learner_flagged": False,',
+     [_T_CLI + "TestSimulate::test_empty_learner_cells_written_as_nan"]),
+    ("cascade-hypothesis-forced-false", _ENGINE,
+     "yield record._replace(split=j, hypothesis=bool(",
+     "yield record._replace(split=j, hypothesis=False and bool(",
+     ["tests/test_acceptance.py::test_criterion_7_competition_cascade"]),
     # the loop's start and budget, which it owns
     ("loop-scales-its-own-risks", _ENGINE,
      "R = scenario.risk_matrix(theta)\n    rows = (alpha * R)",
@@ -89,6 +116,47 @@ MUTANTS = [
      "cost = gamma * R * (1 + 1e-12)   #",
      ["tests/test_cli_digest.py::"
       "test_every_cli_output_is_byte_identical_to_the_digest"]),
+    # the classifier's verdicts
+    ("classify-uncovered-learners-ignored", _EQUILIBRIA,
+     "_stability(margin, not uncovered)",
+     "_stability(margin)",
+     [_T_CLASSIFY
+      + "test_uncovered_learner_blocks_stability_at_a_positive_margin"]),
+    ("strict-margin-zero", _EQUILIBRIA,
+     "STRICT_MARGIN = 1e-9",
+     "STRICT_MARGIN = 0",
+     [_T_CLASSIFY + "test_margin_inside_strict_margin_is_unstable"]),
+    ("balanced-risk-equivalence-skipped", _EQUILIBRIA,
+     "if max(spreads.values()) <= ZERO_TOL:",
+     "if True:",
+     [_T_CLASSIFY + "test_non_equilibrium_interior_state"]),
+    ("balanced-optimality-skipped", _EQUILIBRIA,
+     "optimal = max(opt_norms.values()) <= ZERO_TOL",
+     "optimal = True",
+     [_T_CLASSIFY + "test_three_centers_balanced_point_unstable"]),
+    # the goldens' comparisons (the minority family's, which a test breaks)
+    ("goldens-ok-forced-true", "goldens.py",
+     "abs(computed[key] - value) <= GOLDEN_TOL]",
+     "True]",
+     [_T_CLI + "TestGoldens::test_wrong_closed_form_is_a_mismatch"]),
+    # the run limits, each checked once where it enters
+    ("parse-rule-ignores-its-bound", _CLI,
+     "require_number(kind(text), name, low, integer=kind is int)",
+     'require_number(kind(text), name, float("-inf"), integer=kind is int)',
+     [_T_CLI + "TestErrorHandling::test_a_bad_count_names_its_option"]),
+    ("load-drops-max-steps", _CLI,
+     'for key in ("seed", "max_steps")}',
+     'for key in ("seed",)}',
+     [_T_CLI + "TestSimulate::test_unoptimized_final_state_has_no_classification"]),
+    ("budget-rule-refuses-an-equal-count", _EQUILIBRIA,
+     'if count > require_number(budget, "budget", 0, integer=True):',
+     'if count >= require_number(budget, "budget", 0, integer=True):',
+     [_T_CLASSIFY + "test_welfare_gap_attached_when_budget_allows"]),
+    ("budget-rule-without-its-type-check", _EQUILIBRIA,
+     'if count > require_number(budget, "budget", 0, integer=True):',
+     "if count > budget:",
+     ["tests/test_equilibria.py::TestEnumerate::"
+      "test_a_bad_budget_is_an_error_not_a_budget_error"]),
     # the oracle's margins and streamed optimum
     ("margins-own-members-unmasked", _EQUILIBRIA,
      "others = np.where(member, np.inf, R)",
