@@ -16,7 +16,6 @@ budget exceeded, 7 golden mismatch.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -128,10 +127,9 @@ def _summary(traj, scenario, budget):
 def _load(args):
     """The scenario file args.scenario, with --seed and --max-steps in
     place of its seed and step budget where the command has them and they
-    are given.  The initial state is drawn from the file's own seed: --seed
-    seeds only the draws made after loading."""
+    are given, before the initial state is drawn."""
     given = {key: getattr(args, key, None) for key in ("seed", "max_steps")}
-    return dataclasses.replace(load_scenario(args.scenario), **{
+    return load_scenario(args.scenario, **{
         key: value for key, value in given.items() if value is not None})
 
 

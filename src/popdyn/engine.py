@@ -162,26 +162,27 @@ def _beta_sums(rows, beta):
     return (rows[..., None, :] @ beta)[..., 0]
 
 
-# one step of K trials as the gate checked it, each field batched over them
+# the start or one step of K trials as the gate checks it, each field
+# batched over them
 StepRecord = namedtuple("StepRecord",
                         "alpha theta R Q rows total masses frozen")
 
 
-def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
-               labels=None):
-    """Advance K trials one step; R must be the risk matrices at theta, and
-    rows_before = (alpha * R).sum(-1) and total_before its _beta_sums.
+def _core_step(prev, t, scenario, labels=None):
+    """Advance K trials one step from prev, the StepRecord of their state:
+    the gate's baseline is its risk matrices R = R(theta), its sums rows =
+    (alpha * R).sum(-1) and their _beta_sums total.
 
     The gate: the total risk, each subpopulation's average risk at theta
     (allocation half) and each learner's mixture risk at alpha' (learner
     half) may rise by at most MONOTONE_TOL, checked in that order on every
     step.  Returns the StepRecord: R' = R(theta'), Q = alpha' * R' and its
-    sums that the gate compared, the next step's sums before, and per trial
+    sums that the gate compared, the next step's baseline, and per trial
     beta @ alpha' and the frozen count.  When the learner update leaves
     every bit of theta unchanged, R' is R itself and Q is P = alpha' * R.
     """
-    beta = scenario.beta
-    alpha2 = _update_alpha(alpha, R, scenario, t)
+    beta, theta, R = scenario.beta, prev.theta, prev.R
+    alpha2 = _update_alpha(prev.alpha, R, scenario, t)
     theta2, frozen, masses = _update_theta(alpha2, theta, scenario, t)
     P = alpha2 * R
     rows_after = np.add.reduce(P, axis=-1)
@@ -195,15 +196,15 @@ def _core_step(alpha, theta, t, scenario, R, rows_before, total_before,
     total_after = _beta_sums(rows, beta)
     gains = beta @ (Q - P)   # per learner: mass times mixture-risk change
     # each comparison is written so that a NaN trips it too
-    ok = (total_after <= total_before + MONOTONE_TOL,
-          rows_after <= rows_before + MONOTONE_TOL,
+    ok = (total_after <= prev.total + MONOTONE_TOL,
+          rows_after <= prev.rows + MONOTONE_TOL,
           gains <= MONOTONE_TOL * masses)
     if all(np.logical_and.reduce(c, axis=None) for c in ok):
         return StepRecord(alpha2, theta2, R2, Q, rows, total_after, masses,
                           frozen)
     h = next(h for h in range(3) if not ok[h].all())
     pos = tuple(np.argwhere(~ok[h])[0])   # (trial,) or (trial, index)
-    before, after = ((total_before, total_after), (rows_before, rows_after),
+    before, after = ((prev.total, total_after), (prev.rows, rows_after),
                      (beta @ P, beta @ Q))[h]
     mass = masses[pos] if h == 2 else 1.0
     raise MonotonicityError(
@@ -216,47 +217,50 @@ def _watched_steps(scenario: Scenario, alpha, theta, t: int,
                    detector: EquilibriumDetector, max_steps: int, labels=None):
     """The step loop and its one stop rule: sequential updates of K trials
     in lockstep from alpha (K, n, m) and theta (K, m, d) at time t.  The
-    loop checks max_steps, an integer >= 1, and evaluates the risk matrices
-    at theta itself, so the gate's first baseline is always the start's own
-    risk.  Yields (live, step, stop) per step: the stepped trials' batch
-    positions, _core_step's StepRecord (the state it checked, kept as it is
-    since the rules return normalized rows, and what it returned beside it)
-    and each one's stop reason or None, which the caller may set.  A trial
-    stops with "detector" on the step that completes the detector's quiet
-    window of deltas max(||alpha' - alpha||_inf, ||Theta' - Theta||_inf) at
-    a stationary state, where no positive share alpha_ij has R_ij < rows_i
-    - MONOTONE_TOL (a window ended anywhere else, a slow pass by a saddle,
-    restarts the count); else with "budget" on its max_steps-th step.  A
-    stopped trial leaves the batch, and the others step on as they would
-    alone; labels names them in a MonotonicityError."""
+    loop checks max_steps, an integer >= 1, and records the start itself:
+    its first StepRecord holds R = R(theta), Q = alpha * R, the sums rows
+    and total, the masses beta @ alpha and frozen 0, so the gate's first
+    baseline is always the start's own risk.  Yields (live, record, stop):
+    the trials' batch positions, the record and each one's stop reason or
+    None, first for the start (stop all None) and then per step for
+    _core_step's StepRecord (the state it checked, kept as it is since the
+    rules return normalized rows, and what it returned beside it), whose
+    stop the caller may set.  A trial stops with "detector" on the step
+    that completes the detector's quiet window of deltas max(||alpha' -
+    alpha||_inf, ||Theta' - Theta||_inf) at a stationary state, where no
+    positive share alpha_ij has R_ij < rows_i - MONOTONE_TOL (a window
+    ended anywhere else, a slow pass by a saddle, restarts the count); else
+    with "budget" on its max_steps-th step.  A stopped trial leaves the
+    batch, and the others step on as they would alone; labels names them
+    in a MonotonicityError."""
     require_number(max_steps, "max_steps", 1, integer=True)
     live, quiet, end = list(range(len(alpha))), [0] * len(alpha), t + max_steps
     R = scenario.risk_matrix(theta)
-    rows = (alpha * R).sum(axis=-1)
-    total = _beta_sums(rows, scenario.beta)
+    Q = alpha * R
+    rows = np.add.reduce(Q, axis=-1)
+    s = StepRecord(alpha, theta, R, Q, rows, _beta_sums(rows, scenario.beta),
+                   scenario.beta @ alpha, np.zeros(len(alpha), int))
+    yield live, s, [None] * len(live)
     while live:
-        s = _core_step(alpha, theta, t, scenario, R, rows, total, labels)
+        prev, s, t = s, _core_step(s, t, scenario, labels), t + 1
         delta = np.maximum(
-            np.maximum.reduce(np.abs(s.alpha - alpha), axis=(-2, -1)),
-            np.maximum.reduce(np.abs(s.theta - theta), axis=(-2, -1)))
-        alpha, theta, R, rows, total, t = (s.alpha, s.theta, s.R, s.rows,
-                                           s.total, t + 1)
+            np.maximum.reduce(np.abs(s.alpha - prev.alpha), axis=(-2, -1)),
+            np.maximum.reduce(np.abs(s.theta - prev.theta), axis=(-2, -1)))
         stop = [None] * len(live)
         for i, d in enumerate(delta.tolist()):
             quiet[i] = quiet[i] + 1 if d <= detector.state_tolerance else 0
             if quiet[i] == detector.window:
                 quiet[i] = 0   # a window that ends on a saddle starts afresh
-                if not ((alpha[i] > 0.0) & (R[i] < rows[i][:, None]
-                                            - MONOTONE_TOL)).any():
+                if not ((s.alpha[i] > 0.0) & (s.R[i] < s.rows[i][:, None]
+                                              - MONOTONE_TOL)).any():
                     stop[i] = "detector"
         if t == end:
             stop[:] = [reason or "budget" for reason in stop]
         yield live, s, stop
-        if any(stop):   # the others' rows and totals are theirs alone
+        if any(stop):   # the others' records are theirs alone
             keep = [i for i, reason in enumerate(stop) if reason is None]
             live, quiet = [live[i] for i in keep], [quiet[i] for i in keep]
-            alpha, theta, R = alpha[keep], theta[keep], R[keep]
-            rows, total = rows[keep], total[keep]
+            s = StepRecord._make(x[keep] for x in s)
             labels = None if labels is None else labels[keep]
 
 
@@ -267,25 +271,20 @@ def step(state: SystemState, scenario: Scenario) -> SystemState:
 
 def simulate(scenario: Scenario, initial_state: SystemState, max_steps: int,
              detector: Optional[EquilibriumDetector] = None) -> Trajectory:
-    """Run up to max_steps updates, stopping early once the detector fires."""
-    if detector is None:
-        detector = EquilibriumDetector()
+    """Run up to max_steps updates, stopping early once the detector fires.
+    Collects the watched loop's records, the start's first: per state its
+    total, subpopulation risks, beta @ Q and learner masses."""
+    detector = EquilibriumDetector() if detector is None else detector
     validate_state(initial_state, scenario)
-    alpha, theta, t0 = initial_state.alpha, initial_state.theta, initial_state.t
-
-    # per state: total, subpopulation risks, beta @ Q and learner masses,
-    # from Q = alpha * R and its sums rows
-    beta, states = scenario.beta, [initial_state]
-    Q = alpha * scenario.risk_matrix(theta)
-    rows = Q.sum(axis=-1)
-    records = [(rows @ beta, rows, beta @ Q, beta @ alpha)]
-    frozen_total = 0
-
+    t0, states, records, frozen_total = initial_state.t, [], [], 0
     for k, (_, s, stop) in enumerate(_watched_steps(
-            scenario, alpha[None], theta[None], t0, detector, max_steps), 1):
+            scenario, initial_state.alpha[None], initial_state.theta[None], t0,
+            detector, max_steps)):
         frozen_total += int(s.frozen[0])
-        states.append(SystemState(alpha=s.alpha[0], theta=s.theta[0], t=t0 + k))
-        records.append((s.total[0], s.rows[0], beta @ s.Q[0], s.masses[0]))
+        states.append(SystemState(s.alpha[0], s.theta[0], t0 + k) if k
+                      else initial_state)
+        records.append((s.total[0], s.rows[0], scenario.beta @ s.Q[0],
+                        s.masses[0]))
     converged_at = k - detector.window if stop[0] == "detector" else None
 
     totals, sub, mixed, masses = map(np.array, zip(*records))
@@ -315,7 +314,7 @@ def _cascade(scenario: Scenario, state: SystemState, target_m: int,
     for phase in range(target_m - scenario.m + 1):
         loop = _watched_steps(scenario, state.alpha[None], state.theta[None],
                               state.t, detector, max_steps)
-        for steps, (_, last, stop) in enumerate(loop, 1):
+        for steps, (_, last, stop) in enumerate(loop):
             pass   # the last step ends the phase: it fired or used the budget
         end = SystemState(last.alpha[0], last.theta[0], state.t + steps)
         record = Phase(scenario, state, end, steps, stop[0], last.rows[0],
@@ -423,6 +422,7 @@ def _probe_batch(scenario, eq_state, sigma, trials, seed, target="both",
                               "stop_reason")) for _ in range(trials)]
     loop = _watched_steps(scenario, alpha, theta, 0, EquilibriumDetector(),
                           max_steps, np.arange(trials))
+    next(loop)   # the start, which no trial stops on
     for t, (live, s, stop) in enumerate(loop, 1):
         for i, total in enumerate(s.total.tolist()):
             r = records[live[i]]

@@ -252,8 +252,12 @@ def _read_json(path):
         raise ScenarioFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def load_scenario(path) -> LoadedScenario:
-    return parse_scenario(_read_json(path))
+def load_scenario(path, **fields) -> LoadedScenario:
+    """The scenario file at path, with fields in place of its top-level
+    fields of the same names (seed=5 replaces its seed) before anything is
+    built, so a random initial state is drawn from the seed given here."""
+    data = _read_json(path)   # parse_scenario rejects one that is no object
+    return parse_scenario({**data, **fields} if isinstance(data, dict) else data)
 
 
 def scenario_to_dict(loaded: LoadedScenario) -> dict:

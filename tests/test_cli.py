@@ -60,6 +60,25 @@ class TestSimulate:
                (np.diff(sub, axis=0) > 1e-12).any()
         assert (out / "events.log").exists()
 
+    def test_seed_draws_the_initial_state(self, tmp_path):
+        # --seed 5 on a random-init file saved with seed 0 runs as the same
+        # file saved with seed 5, and the log names the seed that drew it
+        with open(THREE_CENTERS) as fh:
+            data = {**json.load(fh),
+                    "learners": {"m": 2, "init": {"kind": "random_gaussian"}},
+                    "initial_alpha": {"kind": "random_dirichlet"}}
+        runs = {}
+        for seed, args in ((0, ["--seed", "5"]), (5, [])):
+            scen = tmp_path / f"seed{seed}.json"
+            scen.write_text(json.dumps({**data, "seed": seed}))
+            runs[seed] = tmp_path / f"run{seed}"
+            assert main(["simulate", str(scen), "--out", str(runs[seed]),
+                         "--max-steps", "3", *args]) == 2
+        assert ((runs[0] / "trajectory.csv").read_bytes()
+                == (runs[5] / "trajectory.csv").read_bytes())
+        log = (runs[0] / "events.log").read_text().splitlines()
+        assert log[0].endswith("seed=5)")
+
     def test_exact_balanced_start_converges_immediately(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["simulate", THREE_CENTERS, "--out", str(out)])

@@ -52,9 +52,9 @@ from reference import (
 
 
 def _stepped(sc, alpha, theta, steps, t=0, labels=None):
-    """The StepRecords of steps steps of the watched loop from alpha, theta
-    at time t, under a detector whose window exceeds the run, so that every
-    trial steps to the budget."""
+    """The StepRecords of the watched loop from alpha, theta at time t, the
+    start's and those of steps steps, under a detector whose window exceeds
+    the run, so that every trial steps to the budget."""
     loop = engine._watched_steps(sc, alpha, theta, t,
                                  EquilibriumDetector(window=steps + 1), steps,
                                  labels)
@@ -150,6 +150,7 @@ class TestPerAgentGate:
         with mock.patch.object(engine, "_update_alpha",
                                lambda *args: np.stack(planted)):
             steps = _stepped(sc, alpha, theta, 1, 3, labels=np.array([4, 7]))
+            next(steps)   # the start
             with pytest.raises(MonotonicityError) as exc:
                 next(steps)
         err = exc.value
@@ -239,9 +240,10 @@ class TestPerAgentGate:
             <= learner_avg_risk(alpha2[:, j], sc.beta, sc.risks, theta[j])
             + MONOTONE_TOL)]
         rows = (alpha * R).sum(-1)[None]
+        prev = engine.StepRecord(alpha[None], theta[None], R[None], None, rows,
+                                 rows @ sc.beta, None, None)
         try:
-            engine._core_step(alpha[None], theta[None], t, sc, R[None], rows,
-                              rows @ sc.beta)
+            engine._core_step(prev, t, sc)
             err = None
         except MonotonicityError as exc:
             err = exc
@@ -601,6 +603,7 @@ class TestStabilityProbe:
         alpha = np.ones((2, 1, 1))
         theta = np.array([[[0.0]], [[1.0]]])
         steps = _stepped(sc, alpha, theta, 1, labels=np.array([4, 7]))
+        next(steps)   # the start
         with pytest.raises(MonotonicityError, match="step 0 of trial 7") as exc:
             next(steps)
         assert exc.value.trial == 7
@@ -683,8 +686,8 @@ class TestBatchedProbeAgainstSerial:
         per_trial = {}
         real = engine._core_step
 
-        def spy(alpha, theta, t, scenario, R, rows, total, labels=None):
-            out = real(alpha, theta, t, scenario, R, rows, total, labels)
+        def spy(prev, t, scenario, labels=None):
+            out = real(prev, t, scenario, labels)
             # each trial's total summed as total_risk sums one state's
             for k, Q in zip(labels, out[3]):
                 per_trial.setdefault(int(k), []).append(Q.sum(-1) @ scenario.beta)
@@ -837,7 +840,7 @@ class TestWatchedBatchIndependence:
         ends, totals = [None] * len(alpha), [[] for _ in alpha]
         loop = engine._watched_steps(sc, alpha, theta, 0,
                                      detector, max_steps, np.arange(len(alpha)))
-        for t, (live, s, stop) in enumerate(loop, 1):
+        for t, (live, s, stop) in enumerate(loop):   # the start's t is 0
             for i, k in enumerate(live):
                 totals[k].append(s.total[i])
                 if stop[i] is not None:
@@ -851,7 +854,7 @@ class TestWatchedBatchIndependence:
                               else "detector")
             assert np.array_equal(a, traj.final_state.alpha)
             assert np.array_equal(th, traj.final_state.theta)
-            assert totals[k] == traj.total_risks[1:].tolist()
+            assert totals[k] == traj.total_risks.tolist()
             seen.append((t, reason, detect_equilibrium(traj, detector, sc)[1]))
         return seen
 
@@ -891,8 +894,9 @@ class TestWatchedBatchIndependence:
                     sc, np.ones((2, 1, 1)), theta, 0,
                     EquilibriumDetector(), 100, np.array([4, 7])):
                 stops.append((list(live), list(stop)))
-        assert stops[9] == ([0, 1], ["detector", None])
-        assert stops[10:] == [([1], [None])] * 16
+        assert stops[0] == ([0, 1], [None, None])   # the start
+        assert stops[10] == ([0, 1], ["detector", None])
+        assert stops[11:] == [([1], [None])] * 16
         assert (exc.value.trial, exc.value.t) == (7, 26)
 
 
@@ -986,8 +990,8 @@ class TestKeptState:
         """simulate's trajectory, plus (alpha', Q) of every gated step."""
         gated, real = [], engine._core_step
 
-        def spy(alpha, theta, t, scenario, R, rows, total, labels=None):
-            out = real(alpha, theta, t, scenario, R, rows, total, labels)
+        def spy(prev, t, scenario, labels=None):
+            out = real(prev, t, scenario, labels)
             gated.append((out[0], out[3]))
             return out
 
@@ -1138,10 +1142,12 @@ class TestCarriedRisk:
         start = perturb(SystemState(split.to_alpha(2),
                                     theta_for_assignment(split, sc)),
                         0.1, 5, "theta_only")
-        theta = start.theta[None]
-        R, moved = sc.risk_matrix(theta), []
-        for _, s, _ in engine._watched_steps(sc, start.alpha[None], theta, 0,
-                                             EquilibriumDetector(), 100):
+        loop = engine._watched_steps(sc, start.alpha[None], start.theta[None], 0,
+                                     EquilibriumDetector(), 100)
+        _, first, _ = next(loop)   # the start
+        theta, R, moved = first.theta, first.R, []
+        assert _same_bits(R, sc.risk_matrix(theta))
+        for _, s, _ in loop:
             moved.append(s.theta.tobytes() != theta.tobytes())
             assert (s.R is R) != moved[-1]
             assert _same_bits(s.R, sc.risk_matrix(s.theta))
@@ -1150,9 +1156,10 @@ class TestCarriedRisk:
 
 
 class TestWatchedLoopStart:
-    """The watched loop evaluates its start's risk matrices and checks its
-    step budget itself: no caller can hand the gate another baseline or an
-    unchecked budget."""
+    """The watched loop evaluates its start's risk matrices, yields them as
+    its first record and checks its step budget itself: no caller can hand
+    the gate another baseline or an unchecked budget, or evaluate the start
+    a second time."""
 
     def test_a_fixed_point_records_its_own_risks(self, three_centers):
         # the split (0, 1, 1) at its group optima is a bitwise fixed point:
@@ -1163,7 +1170,8 @@ class TestWatchedLoopStart:
         records = [s for _, s, _ in engine._watched_steps(
             sc, start.alpha[None], start.theta[None], 0, EquilibriumDetector(),
             100)]
-        assert len(records) == EquilibriumDetector().window
+        # the start, then the window's steps
+        assert len(records) == EquilibriumDetector().window + 1
         assert all(s.R is records[0].R for s in records)
         for s in records:
             assert _same_bits(s.theta, start.theta[None])
@@ -1185,11 +1193,47 @@ class TestWatchedLoopStart:
             return made[-1]
 
         with mock.patch.object(Scenario, "risk_matrix", spy):
-            first, second = (s for _, s, _ in engine._watched_steps(
+            start, first, second = (s for _, s, _ in engine._watched_steps(
                 sc, np.ones((1, 2, 1)), np.array([[[-0.0]]]), 0,
                 EquilibriumDetector(), 2))
         assert not np.signbit(first.theta).any()
-        assert len(made) == 2 and first.R is made[1] and second.R is first.R
+        assert len(made) == 2 and start.R is made[0]
+        assert first.R is made[1] and second.R is first.R
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_the_first_record_is_the_start(self, K):
+        # a random start, which the first step moves
+        rng = np.random.default_rng(35)
+        sc = random_scenario(rng, 4, 2, 2, offset_range=(0.1, 1.0))
+        alpha = np.stack([random_state(rng, sc).alpha for _ in range(K)])
+        theta = rng.uniform(-2.0, 2.0, (K, sc.m, sc.d))
+        live, s, stop = next(engine._watched_steps(
+            sc, alpha, theta, 0, EquilibriumDetector(), 5, np.arange(K)))
+        assert live == list(range(K)) and stop == [None] * K
+        assert s.alpha is alpha and s.theta is theta
+        assert _same_bits(s.R, sc.risk_matrix(theta))
+        assert _same_bits(s.Q, alpha * s.R)
+        assert _same_bits(s.rows, s.Q.sum(-1))
+        assert s.total.tolist() == [row @ sc.beta for row in s.rows]
+        assert _same_bits(s.masses, sc.beta @ alpha)
+        assert s.frozen.tolist() == [0] * K
+
+    def test_simulate_evaluates_the_start_once(self, three_centers):
+        # from a bitwise fixed point every step carries the start's R, so
+        # the whole run evaluates risk matrices once
+        sc = three_centers.scenario
+        split = SplitAssignment((0, 1, 1))
+        start = SystemState(split.to_alpha(2), theta_for_assignment(split, sc))
+        calls, real = [], Scenario.risk_matrix
+
+        def spy(scenario, theta):
+            calls.append(1)
+            return real(scenario, theta)
+
+        with mock.patch.object(Scenario, "risk_matrix", spy):
+            traj = simulate(sc, start, 100)
+        assert traj.converged_at == 0 and traj.states[0] is start
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("max_steps", [0, -1, 1.5, True])
     @pytest.mark.parametrize("run", ["simulate", "probe"])
@@ -1335,15 +1379,17 @@ class TestFastPathEquivalence:
         alpha = np.stack([random_state(rng, sc).alpha for _ in range(3)])
         theta = rng.uniform(-2.0, 2.0, (3, sc.m, sc.d))
         R = sc.risk_matrix(theta)
-        rows = (alpha * R).sum(-1)
-        inputs = (alpha, theta, R, rows, rows @ sc.beta)
-        kept = [x.copy() for x in inputs]
-        out = engine._core_step(*inputs[:2], 1, sc, *inputs[2:])
-        for x, x0 in zip(inputs, kept):
+        Q = alpha * R
+        rows = Q.sum(-1)
+        prev = engine.StepRecord(alpha, theta, R, Q, rows, rows @ sc.beta,
+                                 sc.beta @ alpha, np.zeros(3, int))
+        kept = [x.copy() for x in prev]
+        out = engine._core_step(prev, 1, sc)
+        for x, x0 in zip(prev, kept):
             assert np.array_equal(x, x0)
         # alpha', theta', R', Q, rows', total' and the masses
         for y in out[:7]:
-            assert not any(np.shares_memory(x, y) for x in inputs)
+            assert not any(np.shares_memory(x, y) for x in prev)
 
     def test_batched_minimization_matches_full_minimize(self):
         from popdyn.engine import _update_theta

@@ -172,6 +172,35 @@ class TestParsing:
         c = parse_scenario(data).initial_state
         assert not np.array_equal(a.theta, c.theta)
 
+    def test_given_fields_replace_the_files_before_the_draw(self, tmp_path):
+        # seed=5 draws the random initial state as the file saved with seed 5
+        data = base_dict()
+        data["learners"]["init"] = {"kind": "random_gaussian"}
+        data["initial_alpha"] = {"kind": "random_dirichlet"}
+        paths = {}
+        for seed in (0, 5):
+            paths[seed] = tmp_path / f"seed{seed}.json"
+            paths[seed].write_text(json.dumps({**data, "seed": seed}))
+        given, saved = load_scenario(paths[0], seed=5), load_scenario(paths[5])
+        assert (given.seed, given.max_steps) == (5, 100)
+        for field in ("alpha", "theta"):
+            got = getattr(given.initial_state, field)
+            want = getattr(saved.initial_state, field)
+            assert got.tobytes() == want.tobytes()
+        assert load_scenario(paths[0], max_steps=7).max_steps == 7
+        with pytest.raises(ScenarioFormatError, match="^seed must be"):
+            load_scenario(paths[0], seed=-1)
+        with pytest.raises(ScenarioFormatError, match="^sed: unknown field"):
+            load_scenario(paths[0], sed=5)
+
+    def test_a_document_that_is_no_object_is_a_format_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        for fields in ({}, {"seed": 5}):
+            with pytest.raises(ScenarioFormatError,
+                               match="^scenario: expected an object"):
+                load_scenario(path, **fields)
+
     def test_centers_subset_init(self):
         data = base_dict()
         data["learners"]["init"] = {"kind": "centers_subset", "indices": [1, 0]}

@@ -14,6 +14,9 @@ Runs, each in a fresh interpreter with CHECKOUT/src first on the path
 - ``simulate`` on ``three_centers`` with ``--budget 1``, whose summary has
   no welfare gap, and for one step on a copy with ``repeated_gd`` learners,
   whose final state is not classified;
+- ``simulate --seed 5 --max-steps 3`` on a copy of ``three_centers`` saved
+  with seed 0 whose learners (``random_gaussian``) and shares
+  (``random_dirichlet``) are drawn from the seed, so they are drawn from 5;
 - ``competition`` on ``competition12`` (to m=12) and ``competition50``
   (to m=50);
 - ``competition`` to m=12 and ``simulate --sigma 1e-3`` on two copies of
@@ -131,6 +134,14 @@ def _runs(root, workdir):
              ("simulate-three_centers-budget1",
               ["simulate", scenarios["three_centers"], "--budget", "1",
                "--out", "{out}"])]
+    # the learners and shares are drawn from the seed, which --seed 5
+    # replaces before they are drawn
+    drawn = _derived(workdir, scenarios["three_centers"], "random_init", {
+        "seed": 0, "learners": {"m": 2, "init": {"kind": "random_gaussian"}},
+        "initial_alpha": {"kind": "random_dirichlet"}})
+    runs.append(("simulate-three_centers-random_init-seed5",
+                 ["simulate", drawn, "--seed", "5", "--max-steps", "3",
+                  "--out", "{out}"]))
     runs += [(f"competition-{name}", ["competition", scenarios[name],
                                       "--target-m", str(m), "--out", "{out}"])
              for name, m in (("competition12", 12), ("competition50", 50))]

@@ -35,6 +35,8 @@ _T_ORACLE = "tests/test_equilibria.py::TestStreamedOracle::"
 _T_WATCHED = _T_ENGINE + "TestWatchedBatchIndependence::"
 _T_CARRY = _T_ENGINE + "TestCarriedRisk::"
 _T_START = _T_ENGINE + "TestWatchedLoopStart::"
+_T_GATE = _T_ENGINE + "TestPerAgentGate::"
+_T_KEPT = _T_ENGINE + "TestKeptState::"
 
 MUTANTS = [
     # the watched loop's stop rule and its drop-outs
@@ -56,8 +58,8 @@ MUTANTS = [
      "if t >= end - 1:",
      [_T_WATCHED + "test_one_batch_ends_every_way"]),
     ("loop-stationarity-skipped", _ENGINE,
-     "if not ((alpha[i] > 0.0) & (R[i] < rows[i][:, None]",
-     "if True or not ((alpha[i] > 0.0) & (R[i] < rows[i][:, None]",
+     "if not ((s.alpha[i] > 0.0) & (s.R[i] < s.rows[i][:, None]",
+     "if True or not ((s.alpha[i] > 0.0) & (s.R[i] < s.rows[i][:, None]",
      [_T_WATCHED + "test_one_batch_ends_every_way"]),
     ("probe-departure-ignored", _ENGINE,
      'stop[i] = "departed"',
@@ -72,7 +74,7 @@ MUTANTS = [
      "r.update(returned=True,",
      [_T_ENGINE + "TestStabilityProbe::test_balanced_point_never_returns"]),
     ("loop-delta-ignores-theta", _ENGINE,
-     "np.maximum.reduce(np.abs(s.theta - theta), axis=(-2, -1)))",
+     "np.maximum.reduce(np.abs(s.theta - prev.theta), axis=(-2, -1)))",
      "0.0)",
      [_T_ENGINE + "TestDetectEquilibrium::test_simulate_agrees_with_rescan"]),
     # what simulate and the cascade report of a run
@@ -88,15 +90,49 @@ MUTANTS = [
      "yield record._replace(split=j, hypothesis=bool(",
      "yield record._replace(split=j, hypothesis=False and bool(",
      ["tests/test_acceptance.py::test_criterion_7_competition_cascade"]),
-    # the loop's start and budget, which it owns
+    # the loop's start record and budget, which it owns
     ("loop-scales-its-own-risks", _ENGINE,
-     "R = scenario.risk_matrix(theta)\n    rows = (alpha * R)",
-     "R = scenario.risk_matrix(theta) * 0.5\n    rows = (alpha * R)",
+     "R = scenario.risk_matrix(theta)\n    Q = alpha * R",
+     "R = scenario.risk_matrix(theta) * 0.5\n    Q = alpha * R",
      [_T_START + "test_a_fixed_point_records_its_own_risks"]),
+    ("start-record-total-scaled", _ENGINE,
+     "_beta_sums(rows, scenario.beta),",
+     "_beta_sums(rows, scenario.beta) * 2,",
+     [_T_START + "test_the_first_record_is_the_start"]),
     ("loop-skips-its-budget-check", _ENGINE,
      '    require_number(max_steps, "max_steps", 1, integer=True)\n',
      "",
      [_T_START + "test_every_run_rejects_a_bad_budget"]),
+    # the gate: its halves, their order, what a trip reports
+    ("gate-allocation-half-dropped", _ENGINE,
+     "rows_after <= prev.rows + MONOTONE_TOL,",
+     "rows_after == rows_after,",
+     [_T_GATE + "test_allocation_half_names_the_subpopulation"]),
+    ("gate-learner-gain-sign-flipped", _ENGINE,
+     "gains = beta @ (Q - P)",
+     "gains = beta @ (P - Q)",
+     [_T_GATE + "test_learner_half_names_the_learner"]),
+    ("gate-halves-in-reverse-order", _ENGINE,
+     "h = next(h for h in range(3) if not ok[h].all())",
+     "h = next(h for h in reversed(range(3)) if not ok[h].all())",
+     [_T_GATE + "test_total_half_keeps_precedence"]),
+    ("gate-reports-the-trial-as-the-index", _ENGINE,
+     "int(pos[1]) if h else None)",
+     "int(pos[0]) if h else None)",
+     [_T_GATE + "test_learner_half_names_the_learner"]),
+    ("gate-learner-values-unnormalized", _ENGINE,
+     "mass = masses[pos] if h == 2 else 1.0",
+     "mass = 1.0",
+     [_T_GATE + "test_learner_slack_is_per_unit_mass"]),
+    ("gate-learner-slack-not-scaled-by-mass", _ENGINE,
+     "gains <= MONOTONE_TOL * masses)",
+     "gains <= MONOTONE_TOL)",
+     [_T_GATE + "test_learner_slack_is_per_unit_mass"]),
+    # each trial's total is its own row's sum, as it would be alone
+    ("totals-summed-as-one-product", _ENGINE,
+     "return (rows[..., None, :] @ beta)[..., 0]",
+     "return rows @ beta",
+     [_T_KEPT + "test_carried_sums_are_the_yielded_states"]),
     # the step's risk-matrix carry
     ("carry-when-theta-moved-below-1e-12", _ENGINE,
      "if theta2 is theta or theta2.tobytes() == theta.tobytes():",
@@ -144,6 +180,11 @@ MUTANTS = [
      "require_number(kind(text), name, low, integer=kind is int)",
      'require_number(kind(text), name, float("-inf"), integer=kind is int)',
      [_T_CLI + "TestErrorHandling::test_a_bad_count_names_its_option"]),
+    ("load-file-fields-win", "scenario_io.py",
+     "{**data, **fields}",
+     "{**fields, **data}",
+     ["tests/test_scenario_io.py::TestParsing::"
+      "test_given_fields_replace_the_files_before_the_draw"]),
     ("load-drops-max-steps", _CLI,
      'for key in ("seed", "max_steps")}',
      'for key in ("seed",)}',
