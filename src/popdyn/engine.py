@@ -44,7 +44,8 @@ class EquilibriumDetector:
     (max of infinity norms over alpha and Theta) at most state_tolerance,
     ending at a stationary state: one where no positive share alpha_ij has
     R_ij < sum_k alpha_ik R_ik - MONOTONE_TOL.  A window that ends anywhere
-    else, a slow pass by a saddle, starts a fresh one."""
+    else, a slow pass by a saddle, starts a fresh one.  A step that leaves
+    every bit of Theta unchanged has a Theta delta of exactly 0."""
 
     state_tolerance: float = 1e-9
     window: int = 10
@@ -139,10 +140,13 @@ def _update_theta(alpha, theta, scenario: Scenario, t: int):
     _, scheduled, count = scenario._cycle[t % len(scenario._cycle)]
     masses = scenario.beta @ alpha
     updating = scheduled & (masses >= EMPTY_MASS_TOL)
-    frozen = count - np.add.reduce(updating, axis=-1)
-    hold = None if np.logical_and.reduce(updating, axis=None) else ~updating
-    if hold is not None and np.logical_and.reduce(hold, axis=None):
-        return theta, frozen, masses
+    moving = np.count_nonzero(updating)
+    if moving == updating.size:   # the common case: no pair is held
+        frozen, hold = np.zeros(updating.shape[:-1], int), None
+    else:
+        frozen, hold = count - np.add.reduce(updating, axis=-1), ~updating
+        if not moving:
+            return theta, frozen, masses
     W = alpha * scenario.beta[:, None]
     if rule.kind == "full_min":
         return (minimize_mixtures(scenario, W, rule.tolerance, rule.max_iterations,
@@ -199,7 +203,7 @@ def _core_step(prev, t, scenario, labels=None):
     ok = (total_after <= prev.total + MONOTONE_TOL,
           rows_after <= prev.rows + MONOTONE_TOL,
           gains <= MONOTONE_TOL * masses)
-    if all(np.logical_and.reduce(c, axis=None) for c in ok):
+    if all(np.count_nonzero(c) == c.size for c in ok):
         return StepRecord(alpha2, theta2, R2, Q, rows, total_after, masses,
                           frozen)
     h = next(h for h in range(3) if not ok[h].all())
@@ -230,9 +234,12 @@ def _watched_steps(scenario: Scenario, alpha, theta, t: int,
     alpha||_inf, ||Theta' - Theta||_inf) at a stationary state, where no
     positive share alpha_ij has R_ij < rows_i - MONOTONE_TOL (a window
     ended anywhere else, a slow pass by a saddle, restarts the count); else
-    with "budget" on its max_steps-th step.  A stopped trial leaves the
-    batch, and the others step on as they would alone; labels names them
-    in a MonotonicityError."""
+    with "budget" on its max_steps-th step.  A step whose record carries R
+    leaves every bit of Theta unchanged, and the gate that passed it makes
+    Theta finite, so its Theta delta is exactly 0 and is not computed; the
+    gate still runs its three checks.  A stopped trial leaves the batch,
+    and the others step on as they would alone; labels names them in a
+    MonotonicityError."""
     require_number(max_steps, "max_steps", 1, integer=True)
     live, quiet, end = list(range(len(alpha))), [0] * len(alpha), t + max_steps
     R = scenario.risk_matrix(theta)
@@ -243,9 +250,10 @@ def _watched_steps(scenario: Scenario, alpha, theta, t: int,
     yield live, s, [None] * len(live)
     while live:
         prev, s, t = s, _core_step(s, t, scenario, labels), t + 1
-        delta = np.maximum(
-            np.maximum.reduce(np.abs(s.alpha - prev.alpha), axis=(-2, -1)),
-            np.maximum.reduce(np.abs(s.theta - prev.theta), axis=(-2, -1)))
+        delta = np.maximum.reduce(np.abs(s.alpha - prev.alpha), axis=(-2, -1))
+        if s.R is not prev.R:   # else Theta is bitwise still: a delta of 0
+            delta = np.maximum(delta, np.maximum.reduce(
+                np.abs(s.theta - prev.theta), axis=(-2, -1)))
         stop = [None] * len(live)
         for i, d in enumerate(delta.tolist()):
             quiet[i] = quiet[i] + 1 if d <= detector.state_tolerance else 0
@@ -381,9 +389,10 @@ def state_distance_upto_permutation(a: SystemState, b: SystemState) -> float:
     The minimum over relabelings of the largest per-column distance is a
     bottleneck assignment: the smallest distinct column-pair distance whose
     thresholded graph has a perfect matching.  No relabeling beats the
-    largest of the row and column minima, so that level is tried first and
-    the bisection runs only over the levels above it.  States with
-    different shapes have no relabeling: DimensionError.
+    largest of the row and column minima: when the identity attains that
+    bound it is the answer, with no sort and no matching; else the bound is
+    tried first and the bisection runs only over the levels above it.
+    States with different shapes have no relabeling: DimensionError.
     """
     if a.alpha.shape != b.alpha.shape or a.theta.shape != b.theta.shape:
         raise DimensionError(
@@ -393,11 +402,13 @@ def state_distance_upto_permutation(a: SystemState, b: SystemState) -> float:
     cost = np.maximum(
         np.abs(a.alpha[:, :, None] - b.alpha[:, None, :]).max(axis=0),
         np.abs(a.theta[:, None, :] - b.theta[None, :, :]).max(axis=2))
+    # a NaN fills a learner's row or column, so then the bound is NaN too
+    bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    if cost.diagonal().max() <= bound:   # the identity attains the bound
+        return float(bound)
     prefs = np.argsort(cost, axis=1).tolist()   # cheapest columns first
     levels = np.unique(cost)   # a NaN sorts last
-    # a NaN fills a learner's row or column, so then the bound is NaN too
-    lo = mid = int(np.searchsorted(levels, max(cost.min(axis=1).max(),
-                                               cost.min(axis=0).max())))
+    lo = mid = int(np.searchsorted(levels, bound))
     hi = len(levels) - 1
     while lo < hi:
         if _perfect_matching(prefs, (cost <= levels[mid]).sum(axis=1).tolist()):

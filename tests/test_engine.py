@@ -1542,6 +1542,20 @@ class TestPermutationDistance:
         assert spy.call_count == 1
         assert distance == np.abs(a.theta[perm] - b.theta).max()
 
+    def test_settled_by_the_identity_with_no_matching(self):
+        # a copy moved slightly and not relabeled: each learner's nearest is
+        # its own, so the identity attains the bound and no matching runs
+        rng = np.random.default_rng(39)
+        a = SystemState(alpha=rng.dirichlet(np.ones(6), size=4),
+                        theta=rng.uniform(-1, 1, (6, 2)))
+        b = SystemState(alpha=a.alpha,
+                        theta=a.theta + rng.uniform(0, 1e-3, (6, 2)))
+        with mock.patch.object(engine, "_perfect_matching",
+                               wraps=engine._perfect_matching) as spy:
+            distance = state_distance_upto_permutation(a, b)
+        assert spy.call_count == 0
+        assert distance == np.abs(a.theta - b.theta).max()
+
     def test_bound_not_reached_when_two_rows_share_a_cheapest_column(self):
         # learners 0 and 1 of a are both 1 from learner 0 of b, and learner 2
         # of a is 2 from b's learners 1 and 2: every minimum is at most 2, yet

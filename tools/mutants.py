@@ -74,8 +74,13 @@ MUTANTS = [
      "r.update(returned=True,",
      [_T_ENGINE + "TestStabilityProbe::test_balanced_point_never_returns"]),
     ("loop-delta-ignores-theta", _ENGINE,
-     "np.maximum.reduce(np.abs(s.theta - prev.theta), axis=(-2, -1)))",
-     "0.0)",
+     "delta = np.maximum(delta, np.maximum.reduce(\n"
+     "                np.abs(s.theta - prev.theta), axis=(-2, -1)))",
+     "delta = np.maximum(delta, 0.0)",
+     [_T_ENGINE + "TestDetectEquilibrium::test_simulate_agrees_with_rescan"]),
+    ("loop-theta-delta-skipped-when-not-carried", _ENGINE,
+     "if s.R is not prev.R:",
+     "if s.R is prev.R:",
      [_T_ENGINE + "TestDetectEquilibrium::test_simulate_agrees_with_rescan"]),
     # what simulate and the cascade report of a run
     ("frozen-steps-not-counted", _ENGINE,
@@ -124,6 +129,10 @@ MUTANTS = [
      "mass = masses[pos] if h == 2 else 1.0",
      "mass = 1.0",
      [_T_GATE + "test_learner_slack_is_per_unit_mass"]),
+    ("gate-count-verdict-drops-the-learner-half", _ENGINE,
+     "if all(np.count_nonzero(c) == c.size for c in ok):",
+     "if all(np.count_nonzero(c) == c.size for c in ok[:2]):",
+     [_T_GATE + "test_learner_half_names_the_learner"]),
     ("gate-learner-slack-not-scaled-by-mass", _ENGINE,
      "gains <= MONOTONE_TOL * masses)",
      "gains <= MONOTONE_TOL)",
@@ -146,12 +155,24 @@ MUTANTS = [
      "if theta2 is theta or theta2.tobytes() == theta.tobytes():",
      "if theta2 is theta or np.array_equal(theta2, theta):",
      [_T_START + "test_a_move_of_a_zero_evaluates_fresh_risks"]),
+    # the learner update's shortcut when no pair is held
+    ("theta-all-updating-keyed-on-the-schedule", _ENGINE,
+     "if moving == updating.size:",
+     "if np.count_nonzero(scheduled) == scheduled.size:",
+     [_T_ENGINE + "TestSimulate::test_empty_learner_frozen_and_flagged"]),
     # a last-bit change of the MWUD cost shows in the CLI digest
     ("mwud-cost-off-by-1e-12", _ENGINE,
      "cost = gamma * R   #",
      "cost = gamma * R * (1 + 1e-12)   #",
      ["tests/test_cli_digest.py::"
       "test_every_cli_output_is_byte_identical_to_the_digest"]),
+    # the permutation distance's exit when the identity attains the bound
+    ("distance-exit-above-the-bound", _ENGINE,
+     "if cost.diagonal().max() <= bound:   # the identity attains the bound\n"
+     "        return float(bound)",
+     "if True:\n        return float(cost.diagonal().max())",
+     [_T_ENGINE + "TestPermutationDistance::"
+      "test_settled_at_the_bound_by_one_matching"]),
     # the classifier's verdicts
     ("classify-uncovered-learners-ignored", _EQUILIBRIA,
      "_stability(margin, not uncovered)",
